@@ -10,13 +10,12 @@ from .jetalg import (
     evaluate,
     from_tree,
     jet,
-    normalize,
     substitute,
     to_tree,
     total_derivative,
 )
 from .laxfamilies import LaxPair, make_custom, make_family, make_poly, make_rat, make_ratgp
-from .pfield import PPoly, PRational, coefficients, collect, partial_fraction
+from .pfield import PPoly, PRational, collect, partial_fraction
 from .compat import (
     PDESystem,
     ck_transform,
@@ -42,9 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiffPoly", "FieldId", "JetQuotient", "JetVariable", "evaluate", "from_tree",
-    "jet", "normalize", "substitute", "to_tree", "total_derivative",
+    "jet", "substitute", "to_tree", "total_derivative",
     "LaxPair", "make_custom", "make_family", "make_poly", "make_rat", "make_ratgp",
-    "PPoly", "PRational", "coefficients", "collect", "partial_fraction",
+    "PPoly", "PRational", "collect", "partial_fraction",
     "PDESystem", "ck_transform", "compatibility_condition", "derive",
     "determinedness_report", "extract_system", "match_printed_system",
     "reduce_2plus1", "reduce_system", "residue_system",

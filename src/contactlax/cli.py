@@ -56,9 +56,18 @@ def _write(path: str, text: str, report: RunReport):
     report.artifacts.append(path)
 
 
-def cmd_derive(args) -> int:
-    t0 = time.time()
-    rep = RunReport("derive")
+def _run(args) -> int:
+    """Run one command: time it and report on every path that returns
+    an exit code."""
+    rep = RunReport(args.command)
+    t0 = time.perf_counter()
+    code = args.fn(args, rep)
+    rep.seconds = time.perf_counter() - t0
+    _emit(rep, args)
+    return code
+
+
+def cmd_derive(args, rep: RunReport) -> int:
     sys = derive(args.family, args.m, args.n, form=args.form)
     d = determinedness_report(sys)
     rep.verdicts["equations"] = d.equations
@@ -71,8 +80,6 @@ def cmd_derive(args) -> int:
         _write(args.out_json, json.dumps(pdesystem_to_json(sys), indent=1), rep)
     if args.latex:
         _write(args.latex, system_latex(sys) + "\n", rep)
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return 0
 
 
@@ -101,9 +108,8 @@ def _check_reduce21(family: str, m: int, n: int) -> bool:
     return all(d4[k] == d21[k] or quotients_match(d4[k], d21[k]) for k in d4)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    rep = RunReport(f"verify {args.check}")
+def cmd_verify(args, rep: RunReport) -> int:
+    rep.command = f"verify {args.check}"
     code = 0
     if args.check == "ab":
         ok = _check_ab(args.m, args.n)
@@ -119,8 +125,6 @@ def cmd_verify(args) -> int:
             out = gauge.verify_gauge_removal(args.m, args.n)
         except gauge.GaugeError as e:
             rep.verdicts["gauge removal"] = f"fail ({e})"
-            rep.seconds = time.time() - t0
-            _emit(rep, args)
             return 1
         rep.verdicts["gauge removal"] = "pass"
         rep.verdicts["validated maps"] = ",".join(out["validated"])
@@ -141,34 +145,25 @@ def cmd_verify(args) -> int:
         ok = _check_reduce21(args.family, args.m, args.n)
         rep.verdicts["planar reduction commutes"] = "pass" if ok else "fail"
         code = 0 if ok else 1
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return code
 
 
-def cmd_ck(args) -> int:
-    t0 = time.time()
-    rep = RunReport("ck")
+def cmd_ck(args, rep: RunReport) -> int:
     sys = derive(args.family, args.m, args.n, form=args.form)
     try:
         ck = ck_transform(sys)
     except compat.TransformDegenerateError as e:
         rep.verdicts["T-solvability"] = f"fail ({e})"
-        _emit(rep, args)
         return 1
     rep.verdicts["T-solvability"] = "pass"
     if args.out_json:
         _write(args.out_json, json.dumps(pdesystem_to_json(ck), indent=1), rep)
     if args.latex:
         _write(args.latex, system_latex(ck) + "\n", rep)
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return 0
 
 
-def cmd_reduce21(args) -> int:
-    t0 = time.time()
-    rep = RunReport("reduce21")
+def cmd_reduce21(args, rep: RunReport) -> int:
     lax = make_family(args.family, args.m, args.n)
     lax21, sys21 = reduce_2plus1(lax)
     d = determinedness_report(sys21)
@@ -180,8 +175,6 @@ def cmd_reduce21(args) -> int:
         _write(args.out_json, json.dumps(pdesystem_to_json(sys21), indent=1), rep)
     if args.latex:
         _write(args.latex, system_latex(sys21) + "\n", rep)
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return 0
 
 
@@ -202,9 +195,7 @@ def _default_manufactured(cs):
     return out
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
-    rep = RunReport("simulate")
+def cmd_simulate(args, rep: RunReport) -> int:
     if args.system_json:
         with open(args.system_json) as f:
             sys = pdesystem_from_json(json.load(f))
@@ -228,8 +219,6 @@ def cmd_simulate(args) -> int:
                     o = conv.spatial_orders[i - 1] if i else float("nan")
                     f.write(f"spatial,{i},{e!r},{o!r}\n")
             rep.artifacts.append(args.convergence)
-        rep.seconds = time.time() - t0
-        _emit(rep, args)
         return 0
     if not args.init:
         raise ParameterError("an --init data file is required (or use --manufactured)")
@@ -246,7 +235,6 @@ def cmd_simulate(args) -> int:
         )
     except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
         rep.verdicts["integration"] = f"abort ({e})"
-        _emit(rep, args)
         return 3
     rep.verdicts["integration"] = "pass"
     rep.verdicts["steps"] = args.steps
@@ -255,14 +243,10 @@ def cmd_simulate(args) -> int:
     if args.monitor:
         numeric.write_monitor_csv(traj, args.monitor)
         rep.artifacts.append(args.monitor)
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return 0
 
 
-def cmd_export(args) -> int:
-    t0 = time.time()
-    rep = RunReport("export")
+def cmd_export(args, rep: RunReport) -> int:
     lax = make_family(args.family, args.m, args.n)
     if args.what == "lax":
         payload = laxpair_to_json(lax)
@@ -280,8 +264,6 @@ def cmd_export(args) -> int:
     _write(args.out, json.dumps(payload, indent=1), rep)
     if args.latex:
         _write(args.latex, tex + "\n", rep)
-    rep.seconds = time.time() - t0
-    _emit(rep, args)
     return 0
 
 
@@ -368,7 +350,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _run(args)
     except ParameterError as e:
         print(f"parameter error: {e}", file=_sys.stderr)
         return 2

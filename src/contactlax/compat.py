@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import comb
 
 from .jetalg import (
-    ONE,
     WAVE,
     ZERO,
     DiffPoly,
@@ -40,6 +39,7 @@ from .jetalg import (
     decompose_by_jets,
     divide_exact,
     evaluate,
+    jet,
     jets_of_field,
     linear_coefficient,
     map_jets,
@@ -51,8 +51,9 @@ from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
 from .pfield import (
     PPoly,
     PRational,
-    coefficients,
+    cancel_shared_factors,
     collect,
+    p_minus,
     partial_fraction,
     poly_div_exact,
 )
@@ -191,19 +192,9 @@ def cc_bracket_path(lax: LaxPair) -> PRational:
 def _cancel_linear_factors(r: PRational, lax: LaxPair) -> PRational:
     """Cancel shared (p - pole) factors so both derivation paths land on
     the same reduced representation."""
-    num, den = r.num, r.den
     vs, ws = lax.pole_fields()
-    for f in (*vs, *ws):
-        lin = PPoly([JetQuotient(-DiffPoly.from_jet(JetVariable(f))), JetQuotient(ONE)])
-        while True:
-            qn = poly_div_exact(num, lin)
-            if qn is None:
-                break
-            qd = poly_div_exact(den, lin)
-            if qd is None:
-                break
-            num, den = qn, qd
-    return PRational(num, den)
+    lins = (p_minus(jet(f)) for f in (*vs, *ws))
+    return PRational(*cancel_shared_factors(r.num, r.den, lins, poly_div_exact))
 
 
 def compatibility_condition(lax: LaxPair) -> PRational:
@@ -293,17 +284,7 @@ def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
     """Cancel pole-difference factors shared by numerator and denominator
     of a residue equation (the quotient normalization itself never runs a
     multivariate gcd)."""
-    num, den = q.num, q.den
-    for d in diffs:
-        while True:
-            qn = divide_exact(num, d)
-            if qn is None:
-                break
-            qd = divide_exact(den, d)
-            if qd is None:
-                break
-            num, den = qn, qd
-    return JetQuotient(num, den)
+    return JetQuotient(*cancel_shared_factors(q.num, q.den, diffs, divide_exact))
 
 
 def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
@@ -315,15 +296,9 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     vs, ws = lax.pole_fields()
     pf = partial_fraction(cc, [(f, 2) for f in (*vs, *ws)])
     blocks = {b.pole.name: b for b in pf.pf.poles}
-    spots = {f.name: DiffPoly.from_jet(JetVariable(f)) for f in (*vs, *ws)}
-    diffs = []
-    names = list(spots)
-    for i in range(len(names)):
-        for j in range(len(names)):
-            if i != j:
-                diffs.append(spots[names[i]] - spots[names[j]])
+    diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for((*vs, *ws))]
     eqs, labels = [], []
-    for c in coefficients(pf.pf.polypart):
+    for c in pf.pf.polypart.coeffs:
         if not c.is_zero():
             eqs.append(c)
             labels.append("constant")
@@ -448,9 +423,8 @@ def t_solvability_witness(sys: PDESystem, rng: random.Random) -> Fraction:
         )
     sample_vars = {jv for jv in sample_vars if not (jv.d[1] or jv.d[3])}
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
-    spots = [JetVariable(f) for f in (*vs, *ws)]
-    pairs = [(spots[i], spots[j]) for i in range(len(spots)) for j in range(i + 1, len(spots))]
-    sample_vars.update(spots)
+    sample_vars.update(JetVariable(f) for f in (*vs, *ws))
+    pairs = pole_pairs_for((*vs, *ws))
     pt = random_point(sample_vars, rng, pole_pairs=pairs)
     mat = [[evaluate(row[u], pt) for u in sys.unknowns] for row in rows]
     det = _gauss_det(mat)
@@ -509,11 +483,6 @@ def reduce_2plus1(lax: LaxPair) -> tuple[LaxPair, PDESystem]:
 
 
 # -- normal forms for comparisons ---------------------------------------------
-
-
-def equation_primitive(eq: JetQuotient) -> DiffPoly:
-    """Content-stripped, sign-fixed cleared numerator."""
-    return primitive(eq.num)[0]
 
 
 def quotients_match(q1: JetQuotient, q2: JetQuotient) -> bool:
@@ -584,7 +553,8 @@ def match_printed_system(m: int, n: int, rng: random.Random | None = None) -> Ma
     if len(labels) != len(golden["lines"]):
         raise StructureError("transcription and derivation disagree on the equation count")
     rng = rng or random.Random(1189)
-    pairs = pole_pairs_for(lax)
+    vs, ws = lax.pole_fields()
+    pairs = pole_pairs_for((*vs, *ws))
     lines = []
     for (dl, deq), gl in zip(zip(labels, rs.equations), golden["lines"]):
         printed = quotient_from_tree(gl["expr"], fields)

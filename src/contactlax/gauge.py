@@ -36,7 +36,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, RAT, RATGP, make_rat, make_ratgp
-from .pfield import PPoly, PRational, collect
+from .pfield import PPoly, PRational, collect, p_minus
 
 PSI_NEW = FieldId("psi_tilde", WAVE)
 Q = FieldId("q", POTENTIAL)
@@ -198,10 +198,7 @@ def solved_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
         for pole in poles:
             idx = pole.name[1:]
             res = FieldId(f"{res_prefix}{idx}")
-            term = PRational(
-                PPoly([JetQuotient(jet(res))]),
-                PPoly([JetQuotient(-jet(pole)), JetQuotient(ONE)]),
-            )
+            term = PRational(PPoly([JetQuotient(jet(res))]), p_minus(jet(pole)))
             moved = transform_rhs(term, cov)
             num, den = collect(moved)
             if den.degree() != 1 or num.degree() > 0:
@@ -228,8 +225,7 @@ def _specialize_map(field_map: dict, cov: ChangeOfVariables) -> dict:
 def _template_from_map(field_map: dict, poles, residues) -> PRational:
     total = PRational(PPoly())
     for pole, res in zip(poles, residues):
-        lin = PPoly([-field_map[pole.name], JetQuotient(ONE)])
-        total = total + PRational(PPoly([field_map[res.name]]), lin)
+        total = total + PRational(PPoly([field_map[res.name]]), p_minus(field_map[pole.name]))
     return total
 
 

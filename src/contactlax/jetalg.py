@@ -615,9 +615,6 @@ class JetQuotient:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-QONE = JetQuotient(ONE)
-
-
 def _as_quotient(x):
     if isinstance(x, JetQuotient):
         return x
@@ -918,9 +915,6 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
             raise StructureError(f"bad exponent {exp!r}")
         return from_tree(node["base"], fields) ** exp
     raise StructureError(f"unknown op {op!r}")
-
-
-normalize = from_tree
 
 
 def to_tree(e: DiffPoly) -> dict:

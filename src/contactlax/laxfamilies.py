@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational
+from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, p_minus
 
 POLY = "poly"
 RAT = "rat"
@@ -50,11 +50,6 @@ def _check_params(m: int, n: int):
 
 def _fid(prefix: str, i: int) -> FieldId:
     return FieldId(f"{prefix}{i}")
-
-
-def _linear(pole: FieldId) -> PPoly:
-    """p - pole."""
-    return PPoly([JetQuotient(-jet(pole)), JetQuotient(ONE)])
 
 
 def make_poly(m: int, n: int) -> LaxPair:
@@ -107,13 +102,13 @@ def _sum_of_poles(const_field: FieldId | None, residues, poles) -> PRational:
     num = PPoly([JetQuotient(jet(const_field))]) if const_field else PPoly()
     den = PPoly.const(1)
     for pole in poles:
-        den = den * _linear(pole)
+        den = den * p_minus(jet(pole))
     acc = num * den
     for res, pole in zip(residues, poles):
         part = PPoly([JetQuotient(jet(res))])
         for other in poles:
             if other is not pole:
-                part = part * _linear(other)
+                part = part * p_minus(jet(other))
         acc = acc + part
     polypart = PPoly([JetQuotient(jet(const_field))]) if const_field else PPoly()
     pf = PartialFractions(

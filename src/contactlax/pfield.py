@@ -168,10 +168,9 @@ class PPoly:
         return " + ".join(parts)
 
 
-def coefficients(q: PPoly) -> list[JetQuotient]:
-    """Coefficient sequence by ascending degree; empty for the zero
-    polynomial."""
-    return list(q.coeffs)
+def p_minus(value) -> PPoly:
+    """The linear factor p - value."""
+    return PPoly([-_q(value), JetQuotient(ONE)])
 
 
 def poly_divmod(a: PPoly, b: PPoly) -> tuple[PPoly, PPoly]:
@@ -196,6 +195,21 @@ def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
     return q if r.is_zero() else None
 
 
+def cancel_shared_factors(num, den, factors, divide):
+    """Divide each factor out of num and den for as long as both allow
+    it; divide(a, b) returns the exact quotient or None."""
+    for f in factors:
+        while True:
+            qn = divide(num, f)
+            if qn is None:
+                break
+            qd = divide(den, f)
+            if qd is None:
+                break
+            num, den = qn, qd
+    return num, den
+
+
 @dataclass(frozen=True)
 class PoleBlock:
     pole: FieldId
@@ -211,7 +225,7 @@ class PartialFractions:
     def reassemble(self) -> "PRational":
         total = PRational(self.polypart, PPoly.const(1))
         for blk in self.poles:
-            lin = PPoly([-_q(jet(blk.pole)), JetQuotient(ONE)])  # p - pole
+            lin = p_minus(jet(blk.pole))
             for k, res in enumerate(blk.residues):
                 if res.is_zero():
                     continue
@@ -427,23 +441,14 @@ def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]], validate: s
             raise ParameterError("pole order must be positive")
     # additive chains can leave the fraction unreduced in the declared
     # poles (no polynomial gcd at this level); cancel those first
-    num, den = r.num, r.den
-    for fid, _ in poles:
-        lin_f = PPoly([-_q(jet(fid)), JetQuotient(ONE)])
-        while True:
-            qn = poly_div_exact(num, lin_f)
-            if qn is None:
-                break
-            qd = poly_div_exact(den, lin_f)
-            if qd is None:
-                break
-            num, den = qn, qd
+    lins = (p_minus(jet(fid)) for fid, _ in poles)
+    num, den = cancel_shared_factors(r.num, r.den, lins, poly_div_exact)
     r = PRational(num, den)
     polypart, rem = poly_divmod(r.num, r.den)
     blocks = []
     for fid, order in poles:
         pole_val = _q(jet(fid))
-        lin = PPoly([-pole_val, JetQuotient(ONE)])
+        lin = p_minus(pole_val)
         deflated = r.den
         for _ in range(order):
             deflated, rr = poly_divmod(deflated, lin)
@@ -480,7 +485,7 @@ def _pf_spot_check(pf: PartialFractions, r: PRational, points: int = 5):
     import random
 
     from .jetalg import JetVariable
-    from .sampling import random_point, random_rational
+    from .sampling import pole_pairs_for, random_point, random_rational
 
     rng = random.Random(60170)
     jvs = set()
@@ -491,7 +496,7 @@ def _pf_spot_check(pf: PartialFractions, r: PRational, points: int = 5):
     for blk in pf.poles:
         for res in blk.residues:
             jvs.update(res.jet_variables())
-    pairs = [(pole_jets[i], pole_jets[j]) for i in range(len(pole_jets)) for j in range(i + 1, len(pole_jets))]
+    pairs = pole_pairs_for([blk.pole for blk in pf.poles])
     for _ in range(points):
         pt = random_point(jvs, rng, pole_pairs=pairs)
         pval = Fraction(0)

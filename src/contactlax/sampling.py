@@ -36,8 +36,7 @@ def random_point(
     raise RuntimeError("could not sample a point clear of the poles")
 
 
-def pole_pairs_for(lax) -> list[tuple[JetVariable, JetVariable]]:
-    """All distinct pole-location pairs of a rational-family pair."""
-    vs, ws = lax.pole_fields()
-    spots = [JetVariable(f) for f in (*vs, *ws)]
+def pole_pairs_for(poles) -> list[tuple[JetVariable, JetVariable]]:
+    """All unordered pairs (i < j) of the given pole fields' locations."""
+    spots = [JetVariable(f) for f in poles]
     return [(spots[i], spots[j]) for i in range(len(spots)) for j in range(i + 1, len(spots))]

@@ -1,7 +1,10 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import contactlax
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
 from contactlax.laxfamilies import make_rat
@@ -93,11 +96,15 @@ def test_simulate_constant_and_abort(tmp_path, capsys):
         "v1": {"constant": -1.0}, "w1": {"constant": -0.95},
         "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
     }))
+    report = tmp_path / "abort.json"
     code = main([
         "simulate", "--family", "rat", "-m", "1", "-n", "1", "--grid", "8",
-        "--steps", "5", "--dt", "0.01", "--init", str(bad),
+        "--steps", "5", "--dt", "0.01", "--init", str(bad), "--report-json", str(report),
     ])
     assert code == 3
+    rep = json.loads(report.read_text())
+    assert rep["verdicts"]["integration"].startswith("abort (")
+    assert rep["seconds"] > 0
 
 
 def test_export_and_roundtrip(tmp_path, capsys):
@@ -169,3 +176,20 @@ def test_simulate_manufactured_mode(tmp_path, capsys):
 
 def test_simulate_requires_init_without_manufactured():
     assert main(["simulate", "--family", "rat", "-m", "1", "-n", "1"]) == 2
+
+
+def test_public_and_benchmarked_names_resolve():
+    """Every exported name, and every engine function the benchmark's
+    layer spans wrap, still exists."""
+    for name in contactlax.__all__:
+        assert hasattr(contactlax, name), name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, name, _ in spans.TARGETS:
+        obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        for part in name.split("."):
+            assert hasattr(obj, part), f"{mod_name}.{name}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{mod_name}.{name}"

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from contactlax.jetalg import ONE, ZERO, FieldId, JetQuotient, JetVariable, jet
+from contactlax.jetalg import ONE, ZERO, FieldId, JetQuotient, JetVariable, divide_exact, jet
 from contactlax.pfield import (
     ParameterError,
     PPoly,
     PRational,
-    coefficients,
+    cancel_shared_factors,
     collect,
+    p_minus,
     partial_fraction,
+    poly_div_exact,
     poly_divmod,
 )
 from contactlax.sampling import random_point, random_rational
@@ -91,9 +93,9 @@ def test_collect_of_pf_view_equals_collect(rng):
 def test_coefficients_examples():
     v, w = jet(VF), jet(WF)
     q = PPoly([JetQuotient(-(v + w)), JetQuotient(2 * ONE)])
-    cs = coefficients(q)
+    cs = q.coeffs
     assert len(cs) == 2 and cs[0] == JetQuotient(-(v + w)) and cs[1] == JetQuotient(2 * ONE)
-    assert coefficients(PPoly()) == []
+    assert PPoly().coeffs == ()
 
 
 def test_coefficients_reassembly(rng):
@@ -101,7 +103,7 @@ def test_coefficients_reassembly(rng):
         cs = [JetQuotient(jet(AF)) * random_rational(rng) for _ in range(rng.randint(1, 5))]
         q = PPoly(cs)
         rebuilt = PPoly()
-        for k, c in enumerate(coefficients(q)):
+        for k, c in enumerate(q.coeffs):
             rebuilt = rebuilt + PPoly([JetQuotient(ZERO)] * k + [c])
         assert rebuilt == q
 
@@ -176,3 +178,31 @@ def test_evaluation_commutes_with_operations(rng):
         n, d = collect(r1 * r2 + r2)
         lhs = PRational(n, d).eval_numeric(pval, pt)
         assert lhs == r1.eval_numeric(pval, pt) * r2.eval_numeric(pval, pt) + r2.eval_numeric(pval, pt)
+
+
+def _ppoly_case():
+    v, w = jet(VF), jet(WF)
+    a = PPoly([JetQuotient(jet(AF)), JetQuotient(ONE)])
+    b = PPoly([JetQuotient(jet(BF)), JetQuotient(2 * ONE)])
+    return p_minus(v), p_minus(2 * w), a, b, poly_div_exact
+
+
+def _diffpoly_case():
+    v, w = jet(VF), jet(WF)
+    return v - w, v + w, jet(AF) + v, 2 * jet(BF) - w, divide_exact
+
+
+@pytest.mark.parametrize("case", [_ppoly_case, _diffpoly_case], ids=["PPoly", "DiffPoly"])
+def test_cancel_shared_factors(case):
+    d, other, a, b, divide = case()
+    calls = []
+
+    def counting(x, f):
+        calls.append(f)
+        return divide(x, f)
+
+    num, den = cancel_shared_factors(d ** 3 * a, d ** 2 * b, [d, other], counting)
+    assert num == d * a and den == b
+    # two shared copies (num and den each), then num divides once more but
+    # den does not: stop; the second factor divides neither, one call
+    assert calls == [d] * 6 + [other]
