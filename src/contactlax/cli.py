@@ -37,6 +37,7 @@ class RunReport:
     verdicts: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     seconds: float = 0.0
+    error: str | None = None
 
 
 def _emit(report: RunReport, args) -> None:
@@ -58,11 +59,20 @@ def _write(path: str, text: str, report: RunReport):
 
 def _run(args) -> int:
     """Run one command: time it and report on every path that returns
-    an exit code."""
+    an exit code, handled errors included."""
     rep = RunReport(args.command)
     t0 = time.perf_counter()
-    code = args.fn(args, rep)
+    try:
+        code = args.fn(args, rep)
+    except (ParameterError, FileNotFoundError) as e:
+        code, rep.error = 2, f"parameter error: {e}"
+    except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
+        code, rep.error = 3, f"numerical abort: {e}"
+    except (compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
+        code, rep.error = 1, f"verification failure: {e}"
     rep.seconds = time.perf_counter() - t0
+    if rep.error:
+        print(rep.error, file=_sys.stderr)
     _emit(rep, args)
     return code
 
@@ -351,16 +361,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _run(args)
-    except ParameterError as e:
-        print(f"parameter error: {e}", file=_sys.stderr)
-        return 2
-    except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
-        print(f"numerical abort: {e}", file=_sys.stderr)
-        return 3
-    except (compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
-        print(f"verification failure: {e}", file=_sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except FileNotFoundError as e:  # the --report-json path itself
         print(f"parameter error: {e}", file=_sys.stderr)
         return 2
 

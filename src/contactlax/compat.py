@@ -22,10 +22,12 @@ The two must agree exactly; a disagreement aborts the derivation.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .jetalg import (
     WAVE,
@@ -215,9 +217,12 @@ class PDESystem:
     unknowns: tuple[FieldId, ...]
     independents: tuple[str, ...]
     equations: tuple[JetQuotient, ...]
-    provenance: dict
+    provenance: Mapping
 
     def __post_init__(self):
+        # A read-only view of a private copy: derive() caches its result,
+        # so no caller may change what the next caller is handed.
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
         known = set(self.unknowns)
         for eq in self.equations:
             for jv in eq.jet_variables():
@@ -226,6 +231,10 @@ class PDESystem:
 
     def counts(self) -> tuple[int, int]:
         return len(self.equations), len(self.unknowns)
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; rebuild from a plain dict
+        return PDESystem, (self.unknowns, self.independents, self.equations, dict(self.provenance))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ function, so values can be shared freely between workers.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,28 +136,19 @@ def _mono_deg(m: tuple) -> int:
     return sum(m[1::2])
 
 
-def _mono_cmp(m1: tuple, m2: tuple) -> int:
-    """Graded order, ties broken lexicographically by ascending jet id
-    (a higher exponent on an earlier id wins).  Compatible with monomial
-    multiplication, so it is safe for division."""
-    d1, d2 = _mono_deg(m1), _mono_deg(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a != b:
-            return 1 if a < b else -1
-        pa, pb = m1[i + 1], m2[j + 1]
-        if pa != pb:
-            return 1 if pa > pb else -1
-        i += 2
-        j += 2
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+def _mono_key(m: tuple) -> tuple:
+    """Sort key of the graded order used for exact division: ascending
+    keys are descending monomials.  Higher total degree comes first; ties
+    are broken lexicographically by ascending jet id, a higher exponent on
+    an earlier id winning.  The order is compatible with monomial
+    multiplication, so it is safe for division.  The key is
+    (-deg, id0, -e0, id1, -e1, ...), compared in C; of two distinct
+    monomials of equal degree neither key is a prefix of the other."""
+    exps = m[1::2]
+    k = [-sum(exps)]
+    k += m
+    k[2::2] = [-e for e in exps]
+    return tuple(k)
 
 
 def _mono_div(m: tuple, d: tuple):
@@ -344,11 +336,10 @@ class DiffPoly:
 
     def leading(self):
         """Term maximal in the graded order used for exact division."""
-        best = None
-        for m, c in self.terms.items():
-            if best is None or _mono_cmp(m, best[0]) > 0:
-                best = (m, c)
-        return best
+        if not self.terms:
+            return None
+        m = min(self.terms, key=_mono_key)
+        return m, self.terms[m]
 
     def total_degree(self) -> int:
         return max((_mono_deg(m) for m in self.terms), default=0)
@@ -397,19 +388,27 @@ def content(e: DiffPoly):
     """(rational content, common monomial) of a nonzero polynomial."""
     if e.is_zero():
         raise StructureError("zero polynomial has no content")
-    rat = Fraction(0)
+    coeffs = e.terms.values()
+    if all(type(c) is int for c in coeffs):
+        rat = Fraction(math.gcd(*coeffs))
+    else:
+        rat = Fraction(0)
+        for c in coeffs:
+            rat = _rat_gcd(rat, c)
     common = None
-    for m, c in e.terms.items():
-        rat = _rat_gcd(rat, c)
+    for m in e.terms:
         if common is None:
             common = dict(zip(m[0::2], m[1::2]))
+        elif not common:
+            break
         else:
-            for jid in list(common):
-                common[jid] = min(common[jid], dict(zip(m[0::2], m[1::2])).get(jid, 0))
-                if common[jid] == 0:
+            here = dict(zip(m[0::2], m[1::2]))
+            for jid, pw in list(common.items()):
+                have = here.get(jid, 0)
+                if have == 0:
                     del common[jid]
-        if not common:
-            common = {}
+                elif have < pw:
+                    common[jid] = have
     mono = tuple(x for jid in sorted(common) for x in (jid, common[jid]))
     return rat, mono
 
@@ -443,31 +442,46 @@ def primitive(e: DiffPoly):
 
 
 def divide_exact(a: DiffPoly, b: DiffPoly):
-    """Exact polynomial division a/b; None when b does not divide a."""
+    """Exact polynomial division a/b; None when b does not divide a.
+
+    The remainder's monomials sit in a min-heap of graded-order keys
+    (heap division, Johnson 1974; Monagan & Pearce 2011).  A monomial is
+    pushed when it enters the remainder; a popped monomial that has since
+    cancelled is skipped.  No cancelled monomial can come back above the
+    current leading term, so each pop yields the remainder's leading term."""
     if b.is_zero():
         raise PoleError("division by the zero polynomial")
     if a.is_zero():
         return ZERO
     bl_m, bl_c = b.leading()
+    bl_c = Fraction(bl_c)
+    rest = [(m2, c2) for m2, c2 in b.terms.items() if m2 != bl_m]
     rem = dict(a.terms)
+    heap = [(_mono_key(m), m) for m in rem]
+    heapq.heapify(heap)
     quot = {}
     while rem:
-        best = None
-        for m in rem:
-            if best is None or _mono_cmp(m, best) > 0:
-                best = m
+        _, best = heapq.heappop(heap)
+        c = rem.pop(best, None)
+        if c is None:
+            continue
         qm = _mono_div(best, bl_m)
         if qm is None:
             return None
-        qc = _coeff(Fraction(rem[best]) / Fraction(bl_c))
+        qc = _coeff(Fraction(c) / bl_c)
         quot[qm] = qc
-        for m2, c2 in b.terms.items():
+        for m2, c2 in rest:
             key = _mul_mono(qm, m2)
-            acc = rem.get(key, 0) - qc * c2
-            if acc == 0:
-                rem.pop(key, None)
+            acc = rem.get(key)
+            if acc is None:
+                rem[key] = -qc * c2
+                heapq.heappush(heap, (_mono_key(key), key))
             else:
-                rem[key] = acc
+                acc -= qc * c2
+                if acc == 0:
+                    del rem[key]
+                else:
+                    rem[key] = acc
     return DiffPoly(quot)
 
 

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,34 @@ def test_residue_system_shape():
     rsg = derive("ratgp", 1, 1, form="residues")
     assert rsg.provenance["labels"][0] == "constant"
     assert len(rsg.equations) == 5
+
+
+def test_cached_provenance_is_read_only():
+    sys = derive("rat", 1, 1)
+    before = dict(sys.provenance)
+    with pytest.raises(TypeError):
+        sys.provenance["family"] = "poly"
+    with pytest.raises(TypeError):
+        del sys.provenance["p_degrees"]
+    assert derive("rat", 1, 1) is sys
+    assert dict(derive("rat", 1, 1).provenance) == before
+    assert derive("rat", 1, 1).provenance["family"] == "rat"
+
+
+def test_provenance_copied_from_caller_dict():
+    prov = {"family": "custom"}
+    sys = PDESystem((), ("x", "y", "z", "t"), (), prov)
+    prov["family"] = "changed"
+    assert sys.provenance["family"] == "custom"
+
+
+def test_pdesystem_pickles_with_read_only_provenance():
+    sys = ck_transform(derive("rat", 1, 1, form="residues"))
+    back = pickle.loads(pickle.dumps(sys))
+    assert back == sys
+    assert back.provenance["original_system"] == sys.provenance["original_system"]
+    with pytest.raises(TypeError):
+        back.provenance["path"] = "changed"
 
 
 def test_ck_jet_mapping():

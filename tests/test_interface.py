@@ -107,6 +107,32 @@ def test_simulate_constant_and_abort(tmp_path, capsys):
     assert rep["seconds"] > 0
 
 
+def test_report_json_written_on_handled_errors(tmp_path, capsys):
+    report = tmp_path / "rls.json"
+    code = main(["verify", "rls", "-m", "2", "-n", "2", "--report-json", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: no transcription")
+    rep = json.loads(report.read_text())
+    assert rep["command"] == "verify rls"
+    assert rep["error"] == err.strip()
+    assert rep["seconds"] > 0
+    report = tmp_path / "init.json"
+    code = main([
+        "simulate", "--family", "rat", "-m", "1", "-n", "1",
+        "--init", str(tmp_path / "missing.json"), "--report-json", str(report),
+    ])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"].startswith("parameter error:") and rep["seconds"] > 0
+
+
+def test_report_json_error_field_empty_on_success(tmp_path, capsys):
+    report = tmp_path / "ok.json"
+    assert main(["verify", "qsolution", "--report-json", str(report)]) == 0
+    assert json.loads(report.read_text())["error"] is None
+
+
 def test_export_and_roundtrip(tmp_path, capsys):
     out = tmp_path / "lax.json"
     assert main(["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from contactlax.jetalg import (
     PoleError,
     StructureError,
     WAVE,
+    _rat_gcd,
+    content,
     divide_exact,
     evaluate,
     eval_tree,
@@ -252,3 +255,136 @@ def test_primitive_strips_content_and_sign():
     assert prim == 3 * v + 2 * w
     assert scale == -2
     assert DiffPoly({mono: 1}) == v * w
+
+
+# -- division and the graded order: fixed-seed property checks -----------
+
+
+def _graded_oracle(m: tuple) -> tuple:
+    """Reference form of the graded order: total degree, then the dense
+    exponent vector over ascending jet ids, compared lexicographically;
+    larger is higher in the order."""
+    exps = dict(zip(m[0::2], m[1::2]))
+    top = max(exps, default=-1)
+    return sum(exps.values()), tuple(exps.get(i, 0) for i in range(top + 1))
+
+
+def _oracle_lt(m1: tuple, m2: tuple) -> bool:
+    d1, v1 = _graded_oracle(m1)
+    d2, v2 = _graded_oracle(m2)
+    if d1 != d2:
+        return d1 < d2
+    n = max(len(v1), len(v2))
+    return v1 + (0,) * (n - len(v1)) < v2 + (0,) * (n - len(v2))
+
+
+def _division_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    while count:
+        a, b = from_tree(random_tree(rng)), from_tree(random_tree(rng))
+        if a.is_zero() or b.is_zero():
+            continue
+        count -= 1
+        yield a, b
+
+
+def test_divide_exact_recovers_factor():
+    for a, b in _division_pairs(4101, 150):
+        assert divide_exact(a * b, b) == a
+
+
+def test_divide_exact_result_is_exact():
+    seen = 0
+    for a, b in _division_pairs(4102, 300):
+        q = divide_exact(a, b)
+        if q is not None:
+            seen += 1
+            assert q * b == a
+    assert seen > 10
+
+
+def test_divide_exact_refuses_unabsorbable_remainder():
+    """A polynomial of two or more terms divides no monomial, so adding a
+    monomial below b's leading term to a multiple of b leaves something
+    b cannot absorb."""
+    tried = 0
+    for a, b in _division_pairs(4103, 200):
+        if len(b.terms) < 2:
+            continue
+        lead_m, _ = b.leading()
+        below = next(m for m in b.terms if m != lead_m)
+        assert _oracle_lt(below, lead_m)
+        r = DiffPoly({below: Fraction(1, 3)})
+        assert divide_exact(a * b + r, b) is None
+        tried += 1
+    assert tried > 50
+
+
+def test_quotient_terms_descend_in_graded_order():
+    for a, b in _division_pairs(4104, 150):
+        q = list(divide_exact(a * b, b).terms)
+        assert all(_oracle_lt(later, earlier) for earlier, later in zip(q, q[1:]))
+
+
+def test_leading_is_oracle_maximum_and_multiplicative():
+    for a, b in _division_pairs(4105, 200):
+        for e in (a, b):
+            lead_m, lead_c = e.leading()
+            assert lead_c == e.terms[lead_m]
+            assert not any(_oracle_lt(lead_m, m) for m in e.terms)
+        la, lb, lab = a.leading(), b.leading(), (a * b).leading()
+        assert DiffPoly(dict([la])) * DiffPoly(dict([lb])) == DiffPoly(dict([lab]))
+
+
+# -- content and primitive part -------------------------------------------
+
+
+def _check_content(e: DiffPoly):
+    rat, mono = content(e)
+    assert isinstance(rat, Fraction)
+    assert rat == reduce(_rat_gcd, e.terms.values(), Fraction(0))
+    prim, scale, mono2 = primitive(e)
+    assert mono2 == mono
+    assert abs(scale) == rat
+    assert prim.leading()[1] > 0
+    assert e == scale * DiffPoly({mono: 1}) * prim
+    return rat, mono, prim, scale
+
+
+def test_content_all_integer():
+    rat, mono, prim, scale = _check_content(6 * v * v * w + 4 * v * w * w * vx + 10 * v ** 3 * w)
+    assert rat == 2 and scale == 2
+    assert DiffPoly({mono: 1}) == v * w
+
+
+def test_content_mixed_int_and_fraction():
+    e = Fraction(3, 2) * v * w + 6 * w + Fraction(9, 4) * w * w
+    assert any(isinstance(c, int) for c in e.terms.values())
+    rat, mono, prim, scale = _check_content(e)
+    assert rat == Fraction(3, 4)
+    assert DiffPoly({mono: 1}) == w
+
+
+def test_content_negative_leading_coefficient():
+    e = -12 * v ** 3 + 8 * w
+    rat, mono, prim, scale = _check_content(e)
+    assert rat == 4 and scale == -4 and mono == ()
+    assert prim == 3 * v ** 3 - 2 * w
+
+
+def test_content_single_term():
+    e = Fraction(-5, 3) * v * v * w
+    rat, mono, prim, scale = _check_content(e)
+    assert rat == Fraction(5, 3) and scale == Fraction(-5, 3)
+    assert prim == ONE
+    assert DiffPoly({mono: 1}) == v * v * w
+
+
+def test_content_random_trees():
+    rng = random.Random(4106)
+    checked = 0
+    while checked < 200:
+        e = from_tree(random_tree(rng))
+        if not e.is_zero():
+            _check_content(e)
+            checked += 1
