@@ -64,7 +64,7 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args, rep)
-    except (ParameterError, FileNotFoundError) as e:
+    except (ParameterError, numeric.CompileError, FileNotFoundError) as e:
         code, rep.error = 2, f"parameter error: {e}"
     except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
         code, rep.error = 3, f"numerical abort: {e}"

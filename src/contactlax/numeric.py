@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,7 +172,8 @@ class CompiledSystem:
     rhs_exact: dict  # unknown name -> JetQuotient (the exact solved form)
     required_jets: tuple[tuple[str, tuple], ...]
     pole_pairs: tuple[tuple[str, str], ...]
-    source: PDESystem
+    residual_programs: tuple[QuotientProgram, ...] | None  # original-form equations, if recorded
+    residual_jets: tuple[tuple[str, tuple], ...]  # the jets those equations read
 
     def rhs_from_jets(self, jets: dict) -> dict:
         return {u: self.programs[u].eval(jets) for u in self.unknowns}
@@ -210,14 +212,24 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
         rhs_exact[u.name] = expr
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     pairs = tuple((v.name, w.name) for v in vs for w in ws)
+    original = sys.provenance.get("original_system")
     return CompiledSystem(
         tuple(u.name for u in sys.unknowns),
         programs,
         rhs_exact,
         tuple(sorted(required)),
         pairs,
-        sys,
+        *(_compile_residual(original) if original is not None else (None, ())),
     )
+
+
+def _compile_residual(original: PDESystem):
+    """Programs for the original-form equations, and the jets they read."""
+    quotients = [JetQuotient(eq.num, eq.den) for eq in original.equations]
+    jets = sorted({(jv.field.name, jv.d) for q in quotients for jv in q.jet_variables()})
+    if any((d[1] or d[3]) and sum(d) > 1 for _, d in jets):
+        raise CompileError("residual evaluation expects first-order y/t jets")
+    return tuple(_compile_quotient(q) for q in quotients), tuple(jets)
 
 
 # -- manufactured (harmonic) fields ----------------------------------------------
@@ -267,11 +279,10 @@ def exact_jets(fields: dict, required, coords, T: float) -> dict:
 
 @dataclass
 class Trajectory:
-    times: list
-    snapshots: list  # dict name -> ndarray, copied
-    monitors: list   # rows: (step, T, min_pole_dist, residual_L2, max_field)
+    times: deque  # the last three monitored times
+    snapshots: deque  # the states at those times: dict name -> ndarray
+    monitors: list  # rows: (step, T, min_pole_dist, residual_L2, max_field)
     grid: Grid
-    spatial: str
 
 
 def _grid_jets(state: dict, cs: CompiledSystem, grid: Grid, op) -> dict:
@@ -298,10 +309,12 @@ def integrate(
     guard: float = 0.1,
     forcing=None,
     monitor_every: int = 1,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Method-of-lines advance in T.  ``forcing`` maps (coords, T) to a
-    dict of arrays added to the T-derivatives (manufactured runs)."""
+    """Method-of-lines advance in T from T = 0.  ``forcing`` maps (coords,
+    T) to a dict of arrays added to the T-derivatives (manufactured runs).
+    Of the monitored states only the last three are kept."""
+    if monitor_every < 1:
+        raise CompileError("monitor_every must be at least 1")
     op = SPATIAL_OPS[spatial]
     coords = grid.coords()
     state = {k: np.array(v, dtype=float) for k, v in state.items()}
@@ -313,12 +326,14 @@ def integrate(
             vals = {u: vals[u] + g[u] for u in vals}
         return vals
 
-    traj = Trajectory([t0], [{k: v.copy() for k, v in state.items()}], [], grid, spatial)
+    # the window holds states by reference: sound only while each RK4
+    # step builds new arrays and nothing writes into a state in place
+    traj = Trajectory(deque([0.0], maxlen=3), deque([state], maxlen=3), [], grid)
     dist = _min_pole_distance(state, cs.pole_pairs)
     if dist < guard:
         raise PoleProximityError(0, dist, guard)
-    traj.monitors.append((0, t0, dist, float("nan"), _max_field(state)))
-    T = t0
+    traj.monitors.append((0, 0.0, dist, float("nan"), _max_field(state)))
+    T = 0.0
     for step in range(1, steps + 1):
         k1 = rhs(state, T)
         s2 = {u: state[u] + 0.5 * dt * k1[u] for u in cs.unknowns}
@@ -340,8 +355,8 @@ def integrate(
             if dist < guard:
                 raise PoleProximityError(step, dist, guard)
             traj.times.append(T)
-            traj.snapshots.append({k: v.copy() for k, v in state.items()})
-            res = residual_original_form(cs, traj, when=-2) if len(traj.snapshots) >= 3 else float("nan")
+            traj.snapshots.append(state)
+            res = residual_original_form(cs, traj) if len(traj.snapshots) == 3 else float("nan")
             traj.monitors.append((step, T, dist, res, _max_field(state)))
     return traj
 
@@ -360,45 +375,27 @@ def write_monitor_csv(traj: Trajectory, path: str):
 # -- residual of the original-form equations ---------------------------------------
 
 
-def residual_original_form(cs: CompiledSystem, traj: Trajectory, when: int = -2, spatial: str = "fd2") -> float:
-    """Evaluate the untransformed (x, y, z, t) equations on the evolved
-    trajectory: T-derivatives by centered differences across snapshots,
+def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
+    """Evaluate the untransformed (x, y, z, t) equations at the middle
+    state of the three-state window: T-derivatives by the three-point
+    formula on the window's own spacing (Fornberg, Math. Comp. 51, 1988),
     y/t jets reassembled from them (d/dy = d/dT + d/dY, d/dt = d/dT -
-    d/dY), spatial jets by the chosen operator.  Returns the root of the
+    d/dY), spatial jets by centered differences.  Returns the root of the
     mean square over all equations and grid points."""
-    source = cs.source.provenance.get("original_system")
-    if source is None:
+    if cs.residual_programs is None:
         raise CompileError("no original-form system recorded for residual evaluation")
-    idx = when if when >= 0 else len(traj.snapshots) + when
-    if idx < 1 or idx > len(traj.snapshots) - 2:
-        raise CompileError("need snapshots on both sides for the T-difference")
-    op = SPATIAL_OPS[spatial]
-    grid = traj.grid
-    dt = traj.times[idx + 1] - traj.times[idx]
-    prev, cur, nxt = traj.snapshots[idx - 1], traj.snapshots[idx], traj.snapshots[idx + 1]
+    (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.snapshots
+    h0, h1 = t1 - t0, t2 - t1
     jets = {}
-    for eq in source.equations:
-        for jv in set(eq.num.jet_variables()) | set(eq.den.jet_variables()):
-            key = (jv.field.name, jv.d)
-            if key in jets:
-                continue
-            name = jv.field.name
-            nx, ny, nz, nt = jv.d
-            if ny + nt == 0:
-                jets[key] = spatial_jet(cur[name], jv.d, grid, op)
-                continue
-            if ny + nt > 1 or nx or nz:
-                raise CompileError("residual evaluation expects first-order y/t jets")
-            u_T = (nxt[name] - prev[name]) / (2.0 * dt)
-            u_Y = spatial_jet(cur[name], (0, 1, 0, 0), grid, op)
-            jets[key] = u_T + u_Y if ny else u_T - u_Y
-    total, count = 0.0, 0
-    for eq in source.equations:
-        prog = _compile_quotient(JetQuotient(eq.num, eq.den))
-        r = prog.eval(jets)
-        total += float(np.sum(np.asarray(r) ** 2))
-        count += np.asarray(r).size
-    return math.sqrt(total / count)
+    for name, didx in cs.residual_jets:
+        if didx[1] + didx[3] == 0:
+            jets[(name, didx)] = spatial_jet(cur[name], didx, traj.grid, fd2_diff)
+            continue
+        u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
+        u_Y = spatial_jet(cur[name], (0, 1, 0, 0), traj.grid, fd2_diff)
+        jets[(name, didx)] = u_T + u_Y if didx[1] else u_T - u_Y
+    rs = [np.asarray(prog.eval(jets)) for prog in cs.residual_programs]
+    return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 
 # -- initial data -----------------------------------------------------------------
@@ -532,5 +529,6 @@ def residual_refinement_study(
         coords = grid.coords()
         state = {u: init[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
         traj = integrate(cs, grid, state, steps, dt, spatial="spectral", guard=guard, monitor_every=1)
-        out.append(residual_original_form(cs, traj, when=len(traj.snapshots) // 2))
+        # the residual centred on monitored state k is computed in row k + 1
+        out.append(traj.monitors[(steps + 1) // 2 + 1][3])
     return out

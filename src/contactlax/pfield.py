@@ -421,7 +421,7 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
     return r.cleared()
 
 
-def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]], validate: str | None = None) -> PRational:
+def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRational:
     """Attach a partial-fraction view over the given symbolic poles.
 
     Pole orders above 2 are rejected.  Each block is solved locally from
@@ -467,21 +467,16 @@ def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]], validate: s
             first = (np_at * q_at - n_at * qp_at) / (q_at * q_at)
             blocks.append(PoleBlock(fid, 2, (first, top)))
     pf = PartialFractions(polypart, tuple(blocks))
-    if validate is None:
-        validate = "exact" if r.den.degree() <= 4 else "numeric"
-    if validate == "exact":
-        if not (pf.reassemble() == r):
-            raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
-    elif validate == "numeric":
+    if r.den.degree() > 4:
         _pf_spot_check(pf, r)
-    elif validate != "off":
-        raise ParameterError(f"unknown validation mode {validate!r}")
+    elif not (pf.reassemble() == r):
+        raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
     return PRational(r.num, r.den, pf)
 
 
-def _pf_spot_check(pf: PartialFractions, r: PRational, points: int = 5):
-    """Cross-oracle only: compare the view and the fraction at random
-    rational arguments (exact arithmetic, poles rejected)."""
+def _pf_spot_check(pf: PartialFractions, r: PRational):
+    """Cross-oracle only: compare the view and the fraction at five
+    random rational arguments (exact arithmetic, poles rejected)."""
     import random
 
     from .jetalg import JetVariable
@@ -497,7 +492,7 @@ def _pf_spot_check(pf: PartialFractions, r: PRational, points: int = 5):
         for res in blk.residues:
             jvs.update(res.jet_variables())
     pairs = pole_pairs_for([blk.pole for blk in pf.poles])
-    for _ in range(points):
+    for _ in range(5):
         pt = random_point(jvs, rng, pole_pairs=pairs)
         pval = Fraction(0)
         for _ in range(100):

@@ -127,6 +127,27 @@ def test_report_json_written_on_handled_errors(tmp_path, capsys):
     assert rep["error"].startswith("parameter error:") and rep["seconds"] > 0
 
 
+@pytest.mark.parametrize("params", [
+    ["--grid", "4"],
+    ["--grid", "8", "--monitor-every", "0"],
+])
+def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({
+        "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
+        "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
+    }))
+    report = tmp_path / "report.json"
+    code = main([
+        "simulate", "--family", "rat", "-m", "1", "-n", "1", "--steps", "2",
+        "--init", str(init), "--report-json", str(report), *params,
+    ])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"].startswith("parameter error:")
+    assert capsys.readouterr().err.strip() == rep["error"]
+
+
 def test_report_json_error_field_empty_on_success(tmp_path, capsys):
     report = tmp_path / "ok.json"
     assert main(["verify", "qsolution", "--report-json", str(report)]) == 0

@@ -10,12 +10,14 @@ from contactlax.numeric import (
     Mode,
     NumericAbortError,
     PoleProximityError,
+    Trajectory,
     compile_system,
     fd2_diff,
     integrate,
     load_initial_data,
     make_forcing,
     manufactured_test,
+    residual_original_form,
     residual_refinement_study,
     spectral_diff,
     write_monitor_csv,
@@ -28,6 +30,14 @@ TP = 2 * np.pi
 @pytest.fixture(scope="module")
 def cs():
     return compile_system(ck_transform(derive("rat", 1, 1, form="residues")))
+
+
+SMOOTH_INIT = {
+    "v1": HarmonicField(-1.0, (Mode((1, 0, 1), 0.1, 0.3),)),
+    "w1": HarmonicField(1.0, (Mode((0, 1, 1), 0.1, 1.1),)),
+    "a1": HarmonicField(1.0, (Mode((1, 1, 0), 0.1, 2.0),)),
+    "b1": HarmonicField(0.7, (Mode((1, 0, 0), 0.1, 0.9),)),
+}
 
 
 def constant_state(grid, values=(-1.0, 1.0, 1.0, 0.5)):
@@ -112,14 +122,49 @@ def test_manufactured_orders_smoke(cs):
 
 
 def test_residual_refinement_two_levels(cs):
-    init = {
-        "v1": HarmonicField(-1.0, (Mode((1, 0, 1), 0.1, 0.3),)),
-        "w1": HarmonicField(1.0, (Mode((0, 1, 1), 0.1, 1.1),)),
-        "a1": HarmonicField(1.0, (Mode((1, 1, 0), 0.1, 2.0),)),
-        "b1": HarmonicField(0.7, (Mode((1, 0, 0), 0.1, 0.9),)),
-    }
-    res = residual_refinement_study(cs, init, levels=((8, 0.02), (16, 0.01)), steps0=6)
+    res = residual_refinement_study(cs, SMOOTH_INIT, levels=((8, 0.02), (16, 0.01)), steps0=6)
     assert res[0] > res[1] > 0
+
+
+def test_integrate_keeps_three_state_window(cs):
+    grid = Grid((8, 8, 8))
+    traj = integrate(cs, grid, constant_state(grid), 100, 0.01, monitor_every=2)
+    assert len(traj.monitors) == 51
+    assert len(traj.snapshots) == 3
+    assert list(traj.times) == [row[1] for row in traj.monitors[-3:]]
+
+
+def _quadratic_window(cs, times, center=0.3):
+    """Window of fields exactly quadratic in T around ``center``."""
+    grid = Grid((8, 8, 8))
+    gen = np.random.default_rng(7)
+    base = constant_state(grid)
+    coef = {u: gen.uniform(-0.1, 0.1, (3,) + grid.shape) for u in cs.unknowns}
+    snaps = [
+        {u: base[u] + c[0] + c[1] * (t - center) + c[2] * (t - center) ** 2 for u, c in coef.items()}
+        for t in times
+    ]
+    return Trajectory(list(times), snaps, [], grid)
+
+
+def test_residual_uses_the_window_spacing(cs):
+    equal = residual_original_form(cs, _quadratic_window(cs, (0.2, 0.3, 0.4)))
+    unequal = residual_original_form(cs, _quadratic_window(cs, (0.25, 0.3, 0.42)))
+    assert equal > 0
+    assert abs(unequal - equal) <= 1e-12 * equal
+
+
+def test_refinement_study_reads_monitor_rows(cs):
+    res = residual_refinement_study(cs, SMOOTH_INIT, levels=((8, 0.02),), steps0=6)
+    grid = Grid((8, 8, 8))
+    coords = grid.coords()
+    state = {u: SMOOTH_INIT[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+    full = integrate(cs, grid, state, 6, 0.02)
+    # the window of a run stopped one step after the middle state is
+    # centred on that state
+    part = integrate(cs, grid, state, 4, 0.02)
+    assert res == [full.monitors[4][3]]
+    assert res[0] == residual_original_form(cs, part)
 
 
 def test_initial_data_loader(cs):
