@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
 from .jetalg import (
+    PRIME,
     WAVE,
     ZERO,
     DiffPoly,
@@ -40,7 +40,7 @@ from .jetalg import (
     StructureError,
     decompose_by_jets,
     divide_exact,
-    evaluate,
+    evaluate_mod,
     jet,
     jets_of_field,
     linear_coefficient,
@@ -311,18 +311,10 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
         if not c.is_zero():
             eqs.append(c)
             labels.append("constant")
-    for f in vs:
-        eqs.append(_reduce_known_factors(blocks[f.name].residues[1], diffs))
-        labels.append(f"{f.name}:2")
-    for f in ws:
-        eqs.append(_reduce_known_factors(blocks[f.name].residues[1], diffs))
-        labels.append(f"{f.name}:2")
-    for f in vs:
-        eqs.append(_reduce_known_factors(blocks[f.name].residues[0], diffs))
-        labels.append(f"{f.name}:1")
-    for f in ws:
-        eqs.append(_reduce_known_factors(blocks[f.name].residues[0], diffs))
-        labels.append(f"{f.name}:1")
+    for order in (2, 1):
+        for f in (*vs, *ws):
+            eqs.append(_reduce_known_factors(blocks[f.name].residues[order - 1], diffs))
+            labels.append(f"{f.name}:{order}")
     prov = {
         "family": lax.family,
         "m": lax.m,
@@ -337,19 +329,14 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
 
 
 @lru_cache(maxsize=None)
-def family_cc(family: str, m: int, n: int, dimension: str = "3+1") -> PRational:
-    lax = make_family(family, m, n)
-    if dimension == "2+1":
-        lax = LaxPair(lax.F, lax.G, lax.fields, lax.family, m, n, dimension="2+1")
-    return compatibility_condition(lax)
+def family_cc(family: str, m: int, n: int) -> PRational:
+    return compatibility_condition(make_family(family, m, n))
 
 
 @lru_cache(maxsize=None)
-def derive(family: str, m: int, n: int, form: str = "coefficients", dimension: str = "3+1") -> PDESystem:
+def derive(family: str, m: int, n: int, form: str = "coefficients") -> PDESystem:
     lax = make_family(family, m, n)
-    if dimension == "2+1":
-        lax = LaxPair(lax.F, lax.G, lax.fields, lax.family, m, n, dimension="2+1")
-    cc = family_cc(family, m, n, dimension)
+    cc = family_cc(family, m, n)
     if form == "residues":
         return residue_system(cc, lax)
     return extract_system(cc, lax)
@@ -369,9 +356,9 @@ def _ck_jet_expansion(jv: JetVariable) -> DiffPoly:
     return out
 
 
-def ck_transform(sys: PDESystem, rng: random.Random | None = None) -> PDESystem:
+def ck_transform(sys: PDESystem) -> PDESystem:
     """Re-express y/t jets through Y and T and verify first-order
-    T-solvability at a random rational jet point."""
+    T-solvability at a random point of GF(PRIME)."""
     if sys.independents not in (XYZT,):
         raise StructureError("evolution transform expects (x, y, z, t) independents")
 
@@ -385,47 +372,50 @@ def ck_transform(sys: PDESystem, rng: random.Random | None = None) -> PDESystem:
     prov["ck_of"] = prov.get("path", "unknown")
     prov["original_system"] = sys
     out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(new_eqs), prov)
-    t_solvability_witness(out, rng or random.Random(20240211))
+    t_solvability_witness(out, random.Random(20240211))
     return out
 
 
-def _gauss_det(mat: list[list[Fraction]]) -> Fraction:
+def _det_mod(mat: list[list[int]]) -> int:
+    """Determinant over GF(PRIME) by Gaussian elimination."""
     n = len(mat)
     m = [row[:] for row in mat]
-    det = Fraction(1)
+    det = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
+        det = det * m[col][col] % PRIME
+        inv = pow(m[col][col], -1, PRIME)
         for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+            if m[r][col]:
+                f = m[r][col] * inv % PRIME
+                m[r] = [(a - f * b) % PRIME for a, b in zip(m[r], m[col])]
     return det
 
 
-def t_solvability_witness(sys: PDESystem, rng: random.Random) -> Fraction:
+def t_solvability_witness(sys: PDESystem, rng: random.Random) -> int:
     """Evaluate the first-order T-jet coefficient matrix at a random
-    rational point and require it to be invertible."""
-    t_jets = {u: JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns}
-    rows = []
-    sample_vars = set()
+    point of GF(PRIME) and require it to be invertible; returns the
+    determinant mod PRIME.  A nonzero result proves the matrix
+    nonsingular over Q: reduction mod PRIME is a ring map that commutes
+    with evaluation and with the determinant, so the determinant
+    polynomial is not zero.  Only a zero result can be wrong, with
+    probability at most degree/PRIME (Schwartz-Zippel)."""
+    t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
+    rows, sample_vars = [], set()
     for eq in sys.equations:
-        for jv in eq.den.jet_variables():
-            if jv in t_jets.values():
-                raise StructureError("T-jet inside a denominator")
-        coeffs = {}
-        for u, tj in t_jets.items():
-            cpoly, _ = linear_coefficient(eq.num, tj)
-            coeffs[u] = cpoly
-            sample_vars.update(cpoly.jet_variables())
-        sample_vars.update(eq.den.jet_variables())
-        rows.append(coeffs)
+        den_vars = eq.den.jet_variables()
+        if set(t_jets) & set(den_vars):
+            raise StructureError("T-jet inside a denominator")
+        row = [linear_coefficient(eq.num, tj)[0] for tj in t_jets]
+        for c in row:
+            sample_vars.update(c.jet_variables())
+        sample_vars.update(den_vars)
+        rows.append(row)
     if len(rows) != len(sys.unknowns):
         raise TransformDegenerateError(
             f"T-jet matrix is not square: {len(rows)} equations, {len(sys.unknowns)} unknowns"
@@ -435,8 +425,7 @@ def t_solvability_witness(sys: PDESystem, rng: random.Random) -> Fraction:
     sample_vars.update(JetVariable(f) for f in (*vs, *ws))
     pairs = pole_pairs_for((*vs, *ws))
     pt = random_point(sample_vars, rng, pole_pairs=pairs)
-    mat = [[evaluate(row[u], pt) for u in sys.unknowns] for row in rows]
-    det = _gauss_det(mat)
+    det = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
     return det
@@ -529,7 +518,7 @@ class MatchReport:
         return tuple(l for l in self.lines if not l.matched)
 
 
-def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, pole_pairs, points=20):
+def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, pole_pairs):
     c1 = q_derived.num * q_printed.den
     c2 = q_printed.num * q_derived.den
     p1 = primitive(c1)[0] if not c1.is_zero() else c1
@@ -538,19 +527,19 @@ def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, p
     matched = diff.is_zero()
     jvs = set(p1.jet_variables()) | set(p2.jet_variables())
     eval_matched = True
-    for _ in range(points):
+    for _ in range(20):
         pt = random_point(jvs, rng, pole_pairs=pole_pairs)
-        if evaluate(diff, pt) != 0:
+        if evaluate_mod(diff, pt) != 0:
             eval_matched = False
             break
     terms = tuple(f"{c} * {dict(fs)}" if fs else f"{c}" for c, fs in diff.monomials())
     return matched, eval_matched, terms
 
 
-def match_printed_system(m: int, n: int, rng: random.Random | None = None) -> MatchReport:
+def match_printed_system(m: int, n: int) -> MatchReport:
     """Compare the machine-derived rational-family system against the
     hand transcription of its published form, line by line, both
-    symbolically and at 20 random rational jet points.  Discrepancies are
+    symbolically and at 20 random points of GF(PRIME).  Discrepancies are
     itemized term by term, never reconciled silently."""
     from .transcriptions import load_printed_rational_system, quotient_from_tree
 
@@ -561,7 +550,7 @@ def match_printed_system(m: int, n: int, rng: random.Random | None = None) -> Ma
     labels = rs.provenance["labels"]
     if len(labels) != len(golden["lines"]):
         raise StructureError("transcription and derivation disagree on the equation count")
-    rng = rng or random.Random(1189)
+    rng = random.Random(1189)
     vs, ws = lax.pole_fields()
     pairs = pole_pairs_for((*vs, *ws))
     lines = []

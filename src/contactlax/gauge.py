@@ -15,7 +15,6 @@ the pole-only template; the chain-rule computation is the judge.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .compat import PSI, homogenize_rational, rational_from_psi_quotient
@@ -129,13 +128,13 @@ def unit_q_z(q: FieldId = Q) -> dict:
     return {JetVariable(q, (0, 0, 1, 0)): JetQuotient(ONE)}
 
 
-def _apply_value_maps(expr: JetQuotient, cov: ChangeOfVariables) -> JetQuotient:
-    out = substitute(expr, constraint_rules(cov.q, cov.a0, cov.b0), prolong=True)
+def _apply_values(expr: JetQuotient, cov: ChangeOfVariables) -> JetQuotient:
+    """Apply cov.q_jet_values, then cov.field_values, when given."""
     if cov.q_jet_values:
-        out = substitute(out, cov.q_jet_values, prolong=True)
+        expr = substitute(expr, cov.q_jet_values, prolong=True)
     if cov.field_values:
-        out = substitute(out, cov.field_values, prolong=True)
-    return out
+        expr = substitute(expr, cov.field_values, prolong=True)
+    return expr
 
 
 def _transform_equation(r: PRational, lhs_slot: int, cov: ChangeOfVariables) -> PRational:
@@ -148,7 +147,8 @@ def _transform_equation(r: PRational, lhs_slot: int, cov: ChangeOfVariables) -> 
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
     relation = DiffPoly.from_jet(JetVariable(PSI, tuple(lhs_d))) * den_h - psiz * num_h
     moved = substitute(relation, chain_rules(cov.q), prolong=False)
-    moved = _apply_value_maps(moved, cov)
+    moved = substitute(moved, constraint_rules(cov.q, cov.a0, cov.b0), prolong=True)
+    moved = _apply_values(moved, cov)
     new_jet = JetVariable(PSI_NEW, tuple(lhs_d))
     if jets_of_field(moved.den, PSI_NEW) & {new_jet}:
         raise StructureError("new wave jet appears in a denominator")
@@ -164,13 +164,8 @@ def transform_rhs(r: PRational, cov: ChangeOfVariables) -> PRational:
     term."""
     num_h, den_h = homogenize_rational(r, PSI)
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
-    e = JetQuotient(psiz * num_h, den_h)
-    e = substitute(e, chain_rules(cov.q), prolong=False)
-    if cov.q_jet_values:
-        e = substitute(e, cov.q_jet_values, prolong=True)
-    if cov.field_values:
-        e = substitute(e, cov.field_values, prolong=True)
-    return rational_from_psi_quotient(e, PSI_NEW)
+    e = substitute(JetQuotient(psiz * num_h, den_h), chain_rules(cov.q), prolong=False)
+    return rational_from_psi_quotient(_apply_values(e, cov), PSI_NEW)
 
 
 def printed_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
@@ -186,7 +181,7 @@ def printed_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
             out[f.name] = JetQuotient(jet(f)) * qz * qz
         elif kind in ("v", "w"):
             out[f.name] = JetQuotient(jet(f)) - qx / qz
-    return _specialize_map(out, cov)
+    return {k: _apply_values(v, cov) for k, v in out.items()}
 
 
 def solved_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
@@ -206,19 +201,6 @@ def solved_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
             lead = den[1]
             out[pole.name] = -(den[0] / lead)
             out[res.name] = num[0] / lead
-    return out
-
-
-def _specialize_map(field_map: dict, cov: ChangeOfVariables) -> dict:
-    if not cov.q_jet_values and not cov.field_values:
-        return field_map
-    out = {}
-    for k, v in field_map.items():
-        if cov.q_jet_values:
-            v = substitute(v, cov.q_jet_values, prolong=True)
-        if cov.field_values:
-            v = substitute(v, cov.field_values, prolong=True)
-        out[k] = v
     return out
 
 
@@ -308,7 +290,7 @@ def apply_change_of_variables(lax: LaxPair, cov: ChangeOfVariables) -> CovResult
     return CovResult(pair, report)
 
 
-def verify_gauge_removal(m: int, n: int, q_jet_values: dict | None = None, rng: random.Random | None = None) -> dict:
+def verify_gauge_removal(m: int, n: int, q_jet_values: dict | None = None) -> dict:
     """Run the change of variables on the general-position pair with the
     printed map and with the engine-solved map; report which validates.
     Neither outcome is presumed.  A solved map that fails to exist or

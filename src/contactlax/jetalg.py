@@ -132,10 +132,6 @@ def _mul_mono(m1: tuple, m2: tuple) -> tuple:
     return tuple(out)
 
 
-def _mono_deg(m: tuple) -> int:
-    return sum(m[1::2])
-
-
 def _mono_key(m: tuple) -> tuple:
     """Sort key of the graded order used for exact division: ascending
     keys are descending monomials.  Higher total degree comes first; ties
@@ -340,9 +336,6 @@ class DiffPoly:
             return None
         m = min(self.terms, key=_mono_key)
         return m, self.terms[m]
-
-    def total_degree(self) -> int:
-        return max((_mono_deg(m) for m in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -880,6 +873,43 @@ def evaluate(e: DiffPoly | JetQuotient, point: dict) -> Fraction:
             prod *= v ** m[i + 1]
         total += prod
     return total
+
+
+PRIME = 2 ** 61 - 1
+
+
+def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
+    """Evaluation in GF(PRIME) at a point mapping JetVariable -> int.
+    Raises PoleError when a denominator, or the denominator of a rational
+    coefficient, is 0 mod PRIME."""
+    if isinstance(e, JetQuotient):
+        den = evaluate_mod(e.den, point)
+        if den == 0:
+            raise PoleError("denominator vanishes mod p at the point")
+        return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
+    vals = {}
+    total = 0
+    for m, c in e.terms.items():
+        if isinstance(c, int):
+            prod = c
+        else:
+            d = c.denominator % PRIME
+            if d == 0:
+                raise PoleError("coefficient denominator vanishes mod p")
+            prod = c.numerator * pow(d, -1, PRIME)
+        for i in range(0, len(m), 2):
+            jid = m[i]
+            v = vals.get(jid)
+            if v is None:
+                jv = _JETS[jid]
+                if jv not in point:
+                    raise CoverageError(f"no value for {jv!r}")
+                v = point[jv] % PRIME
+                vals[jid] = v
+            k = m[i + 1]
+            prod = prod * (v if k == 1 else pow(v, k, PRIME)) % PRIME
+        total += prod
+    return total % PRIME
 
 
 # -- expression trees (JSON wire format) ------------------------------------

@@ -528,7 +528,8 @@ def residual_refinement_study(
         grid = Grid((ng,) * 3)
         coords = grid.coords()
         state = {u: init[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
-        traj = integrate(cs, grid, state, steps, dt, spatial="spectral", guard=guard, monitor_every=1)
-        # the residual centred on monitored state k is computed in row k + 1
-        out.append(traj.monitors[(steps + 1) // 2 + 1][3])
+        # row k + 1 holds the residual centred on monitored state k
+        stop = (steps + 1) // 2 + 1
+        traj = integrate(cs, grid, state, stop, dt, spatial="spectral", guard=guard, monitor_every=1)
+        out.append(traj.monitors[-1][3])
     return out

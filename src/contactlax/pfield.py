@@ -6,24 +6,29 @@ for vanishing)."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import (
+    INDEPENDENT,
     ONE,
+    PRIME,
     ZERO,
     DiffPoly,
     FieldId,
     JetQuotient,
+    JetVariable,
     PoleError,
     StructureError,
     divide_exact,
-    evaluate,
+    evaluate_mod,
     jet,
     strip_monomial,
     content,
     _as_quotient,
 )
+from .sampling import pole_pairs_for, random_point
 
 
 class ParameterError(ValueError):
@@ -143,10 +148,11 @@ class PPoly:
             acc = acc * v + c
         return acc
 
-    def eval_numeric(self, pval: Fraction, point: dict) -> Fraction:
-        acc = Fraction(0)
+    def eval_mod(self, pval: int, point: dict) -> int:
+        """Horner evaluation in GF(PRIME) (see jetalg.evaluate_mod)."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * pval + evaluate(c, point)
+            acc = (acc * pval + evaluate_mod(c, point)) % PRIME
         return acc
 
     def map_coeffs(self, fn) -> "PPoly":
@@ -353,11 +359,11 @@ class PRational:
             den = den * arg + PPoly([c])
         return PRational(num, den)
 
-    def eval_numeric(self, pval: Fraction, point: dict) -> Fraction:
-        dv = self.den.eval_numeric(pval, point)
+    def eval_mod(self, pval: int, point: dict) -> int:
+        dv = self.den.eval_mod(pval, point)
         if dv == 0:
-            raise PoleError("p-denominator vanishes")
-        return self.num.eval_numeric(pval, point) / dv
+            raise PoleError("p-denominator vanishes mod p")
+        return self.num.eval_mod(pval, point) * pow(dv, -1, PRIME) % PRIME
 
     def cleared(self) -> tuple[PPoly, PPoly]:
         """Cross-multiplied single fraction whose coefficients have jet
@@ -431,7 +437,7 @@ def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRationa
 
     The view is checked against the fraction it came from: exactly (full
     reassembly) when the denominator degree stays small, otherwise at
-    random rational points, since symbolic reassembly of large residue
+    random points of GF(PRIME), since symbolic reassembly of large residue
     quotients is quadratically expensive and the extraction itself is
     already exact."""
     for _, order in poles:
@@ -474,38 +480,33 @@ def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRationa
     return PRational(r.num, r.den, pf)
 
 
+# the formal p as one more coordinate of a sample point
+_P = JetVariable(FieldId("p", INDEPENDENT))
+
+
 def _pf_spot_check(pf: PartialFractions, r: PRational):
     """Cross-oracle only: compare the view and the fraction at five
-    random rational arguments (exact arithmetic, poles rejected)."""
-    import random
-
-    from .jetalg import JetVariable
-    from .sampling import pole_pairs_for, random_point, random_rational
-
+    random points of GF(PRIME); the value of p is one more coordinate,
+    kept off every pole."""
     rng = random.Random(60170)
-    jvs = set()
-    for c in list(r.num.coeffs) + list(r.den.coeffs):
+    jvs = {_P}
+    for c in r.num.coeffs + r.den.coeffs:
         jvs.update(c.jet_variables())
     pole_jets = [JetVariable(blk.pole) for blk in pf.poles]
     jvs.update(pole_jets)
     for blk in pf.poles:
         for res in blk.residues:
             jvs.update(res.jet_variables())
-    pairs = pole_pairs_for([blk.pole for blk in pf.poles])
+    pairs = pole_pairs_for([blk.pole for blk in pf.poles]) + [(_P, pj) for pj in pole_jets]
     for _ in range(5):
         pt = random_point(jvs, rng, pole_pairs=pairs)
-        pval = Fraction(0)
-        for _ in range(100):
-            pval = random_rational(rng)
-            if all(abs(pval - pt[pj]) >= Fraction(1, 10) for pj in pole_jets):
-                break
-        lhs = r.eval_numeric(pval, pt)
-        rhs = pf.polypart.eval_numeric(pval, pt)
-        for blk in pf.poles:
-            loc = pt[JetVariable(blk.pole)]
+        pval = pt[_P]
+        lhs = r.eval_mod(pval, pt)
+        rhs = pf.polypart.eval_mod(pval, pt)
+        for blk, pj in zip(pf.poles, pole_jets):
+            inv = pow(pval - pt[pj], -1, PRIME)
             for k, res in enumerate(blk.residues):
-                if res.is_zero():
-                    continue
-                rhs += evaluate(res, pt) / (pval - loc) ** (k + 1)
-        if lhs != rhs:
+                if not res.is_zero():
+                    rhs += evaluate_mod(res, pt) * pow(inv, k + 1, PRIME)
+        if lhs != rhs % PRIME:
             raise ParameterError("partial fractions fail the random-point cross-check")

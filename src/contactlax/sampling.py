@@ -1,37 +1,28 @@
-"""Random rational jet points for probabilistic cross-checks.
+"""Random points of GF(p), p = 2^61 - 1, for the randomized identity checks.
 
-Numerators and denominators stay below 100 and samples are rejected when
-any requested pole difference falls under the gap threshold, so pole
-denominators never get small."""
+The partial-fraction spot check, the printed-system line comparison and
+the T-solvability witness all sample here and evaluate with
+``jetalg.evaluate_mod``.  A nonzero polynomial of total degree d vanishes
+at a uniform point of GF(p)^k with probability at most d/p (Schwartz,
+J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A point on which two poles
+of a requested pair coincide is drawn again."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .jetalg import JetVariable
+from .jetalg import PRIME, JetVariable
 
-
-def random_rational(rng: random.Random, max_abs: int = 100, max_den: int = 100) -> Fraction:
-    return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
+_DRAWS = 8
 
 
-def random_point(
-    jet_vars,
-    rng: random.Random,
-    pole_pairs=(),
-    min_gap: Fraction = Fraction(1, 10),
-    tries: int = 500,
-) -> dict[JetVariable, Fraction]:
-    jet_vars = list(jet_vars)
-    for _ in range(tries):
-        pt = {jv: random_rational(rng) for jv in jet_vars}
-        ok = True
-        for a, b in pole_pairs:
-            if a in pt and b in pt and abs(pt[a] - pt[b]) < min_gap:
-                ok = False
-                break
-        if ok:
+def random_point(jet_vars, rng: random.Random, pole_pairs=()) -> dict[JetVariable, int]:
+    """Uniform values in GF(PRIME), assigned in a fixed variable order so
+    the point does not depend on string hashing."""
+    jet_vars = sorted(jet_vars, key=lambda jv: (jv.field.name, jv.field.role, jv.d))
+    for _ in range(_DRAWS):
+        pt = {jv: rng.randrange(PRIME) for jv in jet_vars}
+        if all(pt[a] != pt[b] for a, b in pole_pairs if a in pt and b in pt):
             return pt
     raise RuntimeError("could not sample a point clear of the poles")
 

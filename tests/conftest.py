@@ -30,7 +30,17 @@ def random_tree(rng: random.Random, names=FIELD_NAMES, depth: int = 3):
     return {"op": op, "args": [random_tree(rng, names, depth - 1) for _ in range(k)]}
 
 
-def random_point_for(e, rng: random.Random):
-    from contactlax.sampling import random_point
+def random_rational(rng: random.Random) -> Fraction:
+    """Small-height rational: numerator and denominator below 100."""
+    return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
 
-    return random_point(e.jet_variables(), rng)
+
+def rational_point(jet_vars, rng: random.Random, pole_pairs=()):
+    """Small-height rational point with every pole pair at least 1/10
+    apart, for the exact and floating-point oracles of the tests."""
+    jet_vars = sorted(jet_vars, key=lambda jv: (jv.field.name, jv.field.role, jv.d))
+    for _ in range(500):
+        pt = {jv: random_rational(rng) for jv in jet_vars}
+        if all(abs(pt[a] - pt[b]) >= Fraction(1, 10) for a, b in pole_pairs):
+            return pt
+    raise RuntimeError("could not sample a point clear of the poles")

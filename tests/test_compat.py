@@ -1,9 +1,11 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from contactlax.compat import (
+    CK_INDEPENDENTS,
     Determinedness,
     TransformDegenerateError,
     PDESystem,
@@ -19,8 +21,10 @@ from contactlax.compat import (
     quotients_match,
     reduce_2plus1,
     reduce_system,
+    t_solvability_witness,
+    _det_mod,
 )
-from contactlax.jetalg import ONE, FieldId, JetQuotient, JetVariable, evaluate, jet
+from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, evaluate, jet
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect
 
@@ -177,6 +181,51 @@ def test_ck_degenerate_matrix_detected():
     # y+t and t+y both map to 2*T: the T-jet matrix is all ones
     with pytest.raises(TransformDegenerateError):
         ck_transform(sys)
+
+
+def _fraction_det(mat):
+    m = [[Fraction(x) for x in row] for row in mat]
+    n, det = len(m), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def test_det_mod_matches_fraction_determinant():
+    rng = random.Random(1980)
+    for size in range(1, 6):
+        for i in range(20):
+            bound = 9 if i % 2 else PRIME
+            mat = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+            if size > 1 and i % 5 == 0:
+                mat[-1] = [3 * x for x in mat[0]]
+            exact = _fraction_det(mat)
+            assert _det_mod([[x % PRIME for x in row] for row in mat]) == exact.numerator % PRIME
+
+
+def test_t_solvability_witness_singular_and_regular():
+    u1, u2 = FieldId("u1"), FieldId("u2")
+    t1, t2 = jet(u1, (0, 0, 0, 1)), jet(u2, (0, 0, 0, 1))
+    u2x = jet(u2, (1, 0, 0, 0))
+    first = jet(u1) * t1 + u2x * t2
+    # the second T-row is u2_X times the first
+    singular = (JetQuotient(first), JetQuotient(u2x * first + jet(u1)))
+    sys = PDESystem((u1, u2), CK_INDEPENDENTS, singular, {})
+    with pytest.raises(TransformDegenerateError):
+        t_solvability_witness(sys, random.Random(5))
+    # det = u1^2 - u2_X
+    regular = (JetQuotient(first), JetQuotient(jet(u1) * t2 + t1))
+    det = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}), random.Random(5))
+    assert 0 < det < PRIME
 
 
 @pytest.mark.parametrize("family", ["rat", "ratgp"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from contactlax.jetalg import (
     ONE,
+    PRIME,
     CoverageError,
     DiffPoly,
     FieldId,
@@ -20,6 +21,7 @@ from contactlax.jetalg import (
     content,
     divide_exact,
     evaluate,
+    evaluate_mod,
     eval_tree,
     from_tree,
     independent,
@@ -29,6 +31,7 @@ from contactlax.jetalg import (
     to_tree,
     total_derivative,
 )
+from contactlax.sampling import random_point
 from conftest import FIELD_NAMES, random_tree
 
 V = FieldId("v")
@@ -164,6 +167,37 @@ def test_eval_errors():
         evaluate(v, {})
     with pytest.raises(PoleError):
         evaluate(JetQuotient(v, w), {JetVariable(V): Fraction(1), JetVariable(W): Fraction(0)})
+
+
+def _reduce(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+def test_evaluate_mod_matches_exact_evaluation():
+    rng = random.Random(61)
+    for i in range(60):
+        a, b = from_tree(random_tree(rng)), from_tree(random_tree(rng))
+        jvs = set(a.jet_variables()) | set(b.jet_variables())
+        if i % 2:
+            pt = random_point(jvs, rng)
+        else:
+            pt = {jv: rng.randint(-9, 9) for jv in sorted(jvs, key=repr)}
+        assert evaluate_mod(a, pt) == _reduce(evaluate(a, pt))
+        if evaluate(b, pt) != 0:
+            q = JetQuotient(a, b)
+            assert evaluate_mod(q, pt) == _reduce(evaluate(q, pt))
+
+
+def test_evaluate_mod_pole_errors():
+    # w is a nonzero integer that vanishes mod PRIME
+    pt = {JetVariable(V): 3, JetVariable(W): PRIME}
+    with pytest.raises(PoleError):
+        evaluate_mod(JetQuotient(v, w), pt)
+    with pytest.raises(PoleError):
+        evaluate_mod(v * Fraction(1, PRIME), pt)
+    assert evaluate_mod(v * Fraction(1, 3), pt) == 1
+    with pytest.raises(CoverageError):
+        evaluate_mod(v, {})
 
 
 def test_eval_of_normalized_matches_tree_oracle():
