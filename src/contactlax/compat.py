@@ -16,7 +16,11 @@ The compatibility condition is computed twice, by independent routes:
   (b) the closed-form bracket, linear in the first-order field jets,
       with p held fixed.
 
-The two must agree exactly; a disagreement aborts the derivation.
+The two must agree exactly; a disagreement aborts the derivation.  The
+substitution path's fraction is returned as it stands.  For a pair in
+general position every pole of the condition is a true double pole (its
+order-2 residue is one of the derived equations), so numerator and
+denominator share no (p - pole) factor and nothing is cancelled.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .jetalg import (
     decompose_by_jets,
     divide_exact,
     evaluate_mod,
-    jet,
     jets_of_field,
     linear_coefficient,
     map_jets,
@@ -50,15 +53,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import (
-    PPoly,
-    PRational,
-    cancel_shared_factors,
-    collect,
-    p_minus,
-    partial_fraction,
-    poly_div_exact,
-)
+from .pfield import PPoly, PRational, cancel_shared_factors, collect, partial_fraction
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -83,7 +78,7 @@ class TransformDegenerateError(RuntimeError):
 def homogenize_rational(r: PRational, psi: FieldId = PSI) -> tuple[DiffPoly, DiffPoly]:
     """F(p) -> (num, den) as jet polynomials with p replaced by
     psi_x/psi_z, both homogenized to a common degree."""
-    n, d = r.cleared()
+    n, d = collect(r)
     k_top = max(n.degree(), d.degree())
     psix = DiffPoly.from_jet(JetVariable(psi, (1, 0, 0, 0)))
     psiz = DiffPoly.from_jet(JetVariable(psi, (0, 0, 1, 0)))
@@ -149,8 +144,8 @@ def cc_substitution_path(lax: LaxPair) -> PRational:
     psi = PSI
     if lax.dimension == "2+1":
         psix = JetQuotient(DiffPoly.from_jet(JetVariable(psi, (1, 0, 0, 0))))
-        f_num, f_den = lax.F.cleared()
-        g_num, g_den = lax.G.cleared()
+        f_num, f_den = collect(lax.F)
+        g_num, g_den = collect(lax.G)
         fq = f_num.eval_at(psix) / f_den.eval_at(psix)
         gq = g_num.eval_at(psix) / g_den.eval_at(psix)
     else:
@@ -191,19 +186,12 @@ def cc_bracket_path(lax: LaxPair) -> PRational:
     return cc
 
 
-def _cancel_linear_factors(r: PRational, lax: LaxPair) -> PRational:
-    """Cancel shared (p - pole) factors so both derivation paths land on
-    the same reduced representation."""
-    vs, ws = lax.pole_fields()
-    lins = (p_minus(jet(f)) for f in (*vs, *ws))
-    return PRational(*cancel_shared_factors(r.num, r.den, lins, poly_div_exact))
-
-
 def compatibility_condition(lax: LaxPair) -> PRational:
     """Derive the compatibility condition as a rational function of p,
-    running both paths and insisting on exact agreement."""
-    via_subst = _cancel_linear_factors(cc_substitution_path(lax), lax)
-    via_bracket = _cancel_linear_factors(cc_bracket_path(lax), lax)
+    running both paths and insisting on exact agreement; returns the
+    substitution path's fraction as it stands."""
+    via_subst = cc_substitution_path(lax)
+    via_bracket = cc_bracket_path(lax)
     if not (via_subst == via_bracket):
         raise DerivationError("substitution and bracket derivations disagree")
     return via_subst
@@ -258,16 +246,14 @@ def _formal_top_degree(lax: LaxPair, num: PPoly) -> int:
     return max(num.degree(), 0)
 
 
-def extract_system(cc: PRational, lax: LaxPair, formal_degree: int | None = None) -> PDESystem:
+def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
     """One equation per numerator coefficient over the common denominator;
     identically zero coefficients are dropped but recorded, so structural
     cancellations (like the locked top coefficient of the polynomial
     family) stay visible."""
-    num, den = collect(cc)
-    if formal_degree is None:
-        formal_degree = _formal_top_degree(lax, num)
+    num, _ = collect(cc)
     eqs, degrees, dropped = [], [], []
-    for k in range(formal_degree + 1):
+    for k in range(_formal_top_degree(lax, num) + 1):
         c = num[k]
         if c.is_zero():
             dropped.append(k)
@@ -282,7 +268,6 @@ def extract_system(cc: PRational, lax: LaxPair, formal_degree: int | None = None
         "path": "coefficients",
         "p_degrees": tuple(degrees),
         "dropped_zero_coefficients": tuple(dropped),
-        "denominator": den,
         "pole_fields": lax.pole_fields(),
     }
     independents = XYT if lax.dimension == "2+1" else XYZT
@@ -400,7 +385,9 @@ def _det_mod(mat: list[list[int]]) -> int:
 def t_solvability_witness(sys: PDESystem, rng: random.Random) -> int:
     """Evaluate the first-order T-jet coefficient matrix at a random
     point of GF(PRIME) and require it to be invertible; returns the
-    determinant mod PRIME.  A nonzero result proves the matrix
+    determinant mod PRIME.  The entries must be free of T-jets, so that
+    the system is linear in its T-jets, and every jet of the entries and
+    denominators is sampled.  A nonzero result proves the matrix
     nonsingular over Q: reduction mod PRIME is a ring map that commutes
     with evaluation and with the determinant, so the determinant
     polynomial is not zero.  Only a zero result can be wrong, with
@@ -413,14 +400,16 @@ def t_solvability_witness(sys: PDESystem, rng: random.Random) -> int:
             raise StructureError("T-jet inside a denominator")
         row = [linear_coefficient(eq.num, tj)[0] for tj in t_jets]
         for c in row:
-            sample_vars.update(c.jet_variables())
+            for jv in c.jet_variables():
+                if jv.d[3] and jv.field.role != INDEPENDENT:
+                    raise TransformDegenerateError(f"a T-jet coefficient contains the T-jet {jv!r}")
+                sample_vars.add(jv)
         sample_vars.update(den_vars)
         rows.append(row)
     if len(rows) != len(sys.unknowns):
         raise TransformDegenerateError(
             f"T-jet matrix is not square: {len(rows)} equations, {len(sys.unknowns)} unknowns"
         )
-    sample_vars = {jv for jv in sample_vars if not (jv.d[1] or jv.d[3])}
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     sample_vars.update(JetVariable(f) for f in (*vs, *ws))
     pairs = pole_pairs_for((*vs, *ws))
@@ -463,7 +452,6 @@ def reduce_system(sys: PDESystem) -> PDESystem:
             eqs.append(r)
             kept.append(i)
     prov = dict(sys.provenance)
-    prov["reduced_from"] = sys.independents
     prov["kept_equations"] = tuple(kept)
     if "p_degrees" in prov:
         prov["p_degrees"] = tuple(prov["p_degrees"][i] for i in kept)

@@ -45,21 +45,16 @@ class GaugeError(RuntimeError):
     """Gauge incompatibility or a failed gauge-removal verification."""
 
 
-def gauge_residual(a0: JetQuotient | DiffPoly, b0: JetQuotient | DiffPoly, constraints: dict | None = None) -> JetQuotient:
-    """Normal form of (a0)_t - (b0)_y - b0 (a0)_z + a0 (b0)_z; the
-    constraint rules (q_y -> a0 q_z, q_t -> b0 q_z) are applied when
-    given, prolonged as needed."""
+def gauge_residual(a0: JetQuotient | DiffPoly, b0: JetQuotient | DiffPoly) -> JetQuotient:
+    """Normal form of (a0)_t - (b0)_y - b0 (a0)_z + a0 (b0)_z."""
     a0 = a0 if isinstance(a0, JetQuotient) else JetQuotient(a0)
     b0 = b0 if isinstance(b0, JetQuotient) else JetQuotient(b0)
-    res = (
+    return (
         total_derivative_q(a0, "t")
         - total_derivative_q(b0, "y")
         - b0 * total_derivative_q(a0, "z")
         + a0 * total_derivative_q(b0, "z")
     )
-    if constraints:
-        res = substitute(res, constraints, prolong=True)
-    return res
 
 
 def potential_solution(q: FieldId = Q) -> tuple[JetQuotient, JetQuotient]:

@@ -47,8 +47,9 @@ class NumericAbortError(RuntimeError):
 
 @dataclass
 class Grid:
+    """A periodic grid on the unit box."""
+
     shape: tuple[int, int, int]
-    lengths: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if any(n < 8 for n in self.shape):
@@ -56,7 +57,7 @@ class Grid:
 
     @property
     def spacing(self) -> tuple[float, float, float]:
-        return tuple(l / n for l, n in zip(self.lengths, self.shape))
+        return tuple(1.0 / n for n in self.shape)
 
     def coords(self):
         axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacing)]

@@ -131,12 +131,6 @@ class PPoly:
             result = result * self
         return result
 
-    def shift(self, k: int) -> "PPoly":
-        """Multiply by p**k."""
-        if self.is_zero():
-            return self
-        return PPoly([JetQuotient(ZERO)] * k + list(self.coeffs))
-
     def deriv(self) -> "PPoly":
         return PPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
@@ -241,8 +235,11 @@ class PartialFractions:
 
 class PRational:
     """num/den of PPoly; den nonzero with leading coefficient normalized
-    to 1.  An optional partial-fraction view is carried alongside and must
-    reassemble to exactly the same fraction."""
+    to 1.  num/den are authoritative: every operation reads them.  An
+    optional partial-fraction view is carried alongside for reading
+    residues and for display.  Its builder vouches for it: partial_fraction
+    checks it against num/den, and the family constructors build both from
+    the same residues."""
 
     __slots__ = ("num", "den", "pf")
 
@@ -332,16 +329,7 @@ class PRational:
         return PRational(self.num * other.den, self.den * other.num)
 
     def pdiff(self) -> "PRational":
-        """Formal d/dp by the quotient rule; a partial-fraction view is
-        differentiated blockwise and kept."""
-        if self.pf is not None:
-            blocks = []
-            for blk in self.pf.poles:
-                res = [JetQuotient(ZERO)] + [-(k + 1) * r for k, r in enumerate(blk.residues)]
-                blocks.append(PoleBlock(blk.pole, blk.order + 1, tuple(res)))
-            new_pf = PartialFractions(self.pf.polypart.deriv(), tuple(blocks))
-            flat = new_pf.reassemble()
-            return PRational(flat.num, flat.den, new_pf)
+        """Formal d/dp by the quotient rule."""
         dn = self.num.deriv()
         dd = self.den.deriv()
         if dd.is_zero():
@@ -364,36 +352,6 @@ class PRational:
         if dv == 0:
             raise PoleError("p-denominator vanishes mod p")
         return self.num.eval_mod(pval, point) * pow(dv, -1, PRIME) % PRIME
-
-    def cleared(self) -> tuple[PPoly, PPoly]:
-        """Cross-multiplied single fraction whose coefficients have jet
-        denominator 1, with shared monomial content removed."""
-        mult = ONE
-        for c in list(self.num.coeffs) + list(self.den.coeffs):
-            if c.den == ONE:
-                continue
-            if divide_exact(mult, c.den) is None:
-                mult = mult * c.den
-        mq = JetQuotient(mult)
-        num = [c * mq for c in self.num.coeffs]
-        den = [c * mq for c in self.den.coeffs]
-        for c in num + den:
-            if not (c.den == ONE):
-                raise StructureError("denominator clearing failed")
-        polys = [c.num for c in num + den if not c.num.is_zero()]
-        common = None
-        for e in polys:
-            _, mono = content(e)
-            md = dict(zip(mono[0::2], mono[1::2]))
-            if common is None:
-                common = md
-            else:
-                common = {j: min(p, md[j]) for j, p in common.items() if j in md}
-        if common:
-            mono = tuple(x for j in sorted(common) for x in (j, common[j]))
-            num = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in num]
-            den = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in den]
-        return PPoly(num), PPoly(den)
 
     def field_ids(self) -> set[FieldId]:
         out = set()
@@ -419,12 +377,34 @@ def _as_prational(x) -> PRational:
 
 
 def collect(r: PRational) -> tuple[PPoly, PPoly]:
-    """Bring a rational function of p to a common denominator.  When a
-    partial-fraction view is present it is reassembled first, so both
-    views collect identically."""
-    if r.pf is not None:
-        r = r.pf.reassemble()
-    return r.cleared()
+    """Bring a rational function of p to one fraction whose coefficients
+    have jet denominator 1, with shared monomial content removed."""
+    mult = ONE
+    for c in list(r.num.coeffs) + list(r.den.coeffs):
+        if c.den == ONE:
+            continue
+        if divide_exact(mult, c.den) is None:
+            mult = mult * c.den
+    mq = JetQuotient(mult)
+    num = [c * mq for c in r.num.coeffs]
+    den = [c * mq for c in r.den.coeffs]
+    for c in num + den:
+        if not (c.den == ONE):
+            raise StructureError("denominator clearing failed")
+    polys = [c.num for c in num + den if not c.num.is_zero()]
+    common = None
+    for e in polys:
+        _, mono = content(e)
+        md = dict(zip(mono[0::2], mono[1::2]))
+        if common is None:
+            common = md
+        else:
+            common = {j: min(p, md[j]) for j, p in common.items() if j in md}
+    if common:
+        mono = tuple(x for j in sorted(common) for x in (j, common[j]))
+        num = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in num]
+        den = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in den]
+    return PPoly(num), PPoly(den)
 
 
 def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRational:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .compat import PDESystem
 from .jetalg import DiffPoly, FieldId, JetQuotient, from_tree, to_tree
 from .laxfamilies import LaxPair
-from .pfield import PartialFractions, PoleBlock, PPoly, PRational
+from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, collect
 
 
 def _quotient_to_json(q: JetQuotient) -> dict:
@@ -23,7 +23,7 @@ def _quotient_from_json(d: dict, fields=None) -> JetQuotient:
 
 
 def prational_to_json(r: PRational) -> dict:
-    num, den = r.cleared()
+    num, den = collect(r)
     out = {
         "num": [to_tree(c.num) for c in num.coeffs],
         "den": [to_tree(c.num) for c in den.coeffs],
@@ -59,6 +59,8 @@ def prational_from_json(d: dict, fields=None) -> PRational:
         pf = PartialFractions(
             PPoly([_quotient_from_json(c, fields) for c in d["pf"]["polypart"]]), blocks
         )
+        if not (pf.reassemble() == PRational(num, den)):
+            raise ParameterError("the partial-fraction view does not match num/den")
     return PRational(num, den, pf)
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from contactlax import compat
 from contactlax.compat import (
     CK_INDEPENDENTS,
+    XYZT,
+    DerivationError,
     Determinedness,
     TransformDegenerateError,
     PDESystem,
@@ -26,7 +29,7 @@ from contactlax.compat import (
 )
 from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, evaluate, jet
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
-from contactlax.pfield import PPoly, PRational, collect
+from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
 
 
 def test_cc_single_field_no_p():
@@ -226,6 +229,48 @@ def test_t_solvability_witness_singular_and_regular():
     regular = (JetQuotient(first), JetQuotient(jet(u1) * t2 + t1))
     det = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}), random.Random(5))
     assert 0 < det < PRIME
+
+
+def test_t_solvability_witness_samples_y_jets():
+    # rows (w_Y, 1) and (1, 0): the witness must sample the Y-jet w_Y
+    u, w = FieldId("u"), FieldId("w")
+    u_t, w_t, w_y = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(w, (0, 1, 0, 0))
+    eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
+    det = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
+    assert det == PRIME - 1
+
+
+def test_t_solvability_witness_rejects_t_jets_in_rows():
+    u, w = FieldId("u"), FieldId("w")
+    u_t, w_t = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1))
+    eqs = (JetQuotient(u_t * w_t + jet(u)), JetQuotient(w_t + jet(w)))
+    with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
+        t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
+    # w_y u_t + w_t in (x, y, z, t): the u_T coefficient becomes w_T + w_Y
+    w_y = jet(w, (0, 1, 0, 0))
+    eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
+    with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
+        ck_transform(PDESystem((u, w), XYZT, eqs, {}))
+
+
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+def test_cc_shares_no_pole_factor(family):
+    # general position: no (p - pole) divides the numerator, so the
+    # derivation has nothing to cancel
+    for m in (1, 2):
+        for n in (1, 2):
+            cc = family_cc(family, m, n)
+            vs, ws = make_family(family, m, n).pole_fields()
+            for pole in (*vs, *ws):
+                assert poly_div_exact(cc.num, p_minus(jet(pole))) is None
+
+
+def test_compatibility_condition_rejects_disagreeing_paths(monkeypatch):
+    lax = make_family("rat", 1, 1)
+    bracket = compat.cc_bracket_path
+    monkeypatch.setattr(compat, "cc_bracket_path", lambda pair: bracket(pair) + PRational.p())
+    with pytest.raises(DerivationError):
+        compatibility_condition(lax)
 
 
 @pytest.mark.parametrize("family", ["rat", "ratgp"])

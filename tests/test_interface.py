@@ -8,6 +8,7 @@ import contactlax
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
 from contactlax.laxfamilies import make_rat
+from contactlax.pfield import ParameterError
 from contactlax.serialize import (
     laxpair_from_json,
     laxpair_to_json,
@@ -65,9 +66,10 @@ def test_verify_rls_mismatch_reported(capsys):
     assert "line (v1)_t: match" in text
 
 
-def test_verify_reduce21(capsys):
-    assert main(["verify", "reduce21", "--family", "ratgp", "-m", "1", "-n", "1"]) == 0
-    assert "pass" in capsys.readouterr().out
+@pytest.mark.parametrize("family", ["poly", "rat", "ratgp"])
+def test_verify_reduce21(family, capsys):
+    assert main(["verify", "reduce21", "--family", family, "-m", "1", "-n", "1"]) == 0
+    assert "planar reduction commutes: pass" in capsys.readouterr().out
 
 
 def test_ck_command(tmp_path, capsys):
@@ -196,6 +198,11 @@ def test_prational_json_roundtrip():
         back = prational_from_json(data)
         assert back == r
         assert prational_to_json(back) == data
+    # an imported view must reassemble to the imported num/den
+    data = prational_to_json(lax.F)
+    data["pf"]["poles"][0]["residues"] = data["pf"]["poles"][1]["residues"]
+    with pytest.raises(ParameterError):
+        prational_from_json(data)
 
 
 def test_goldens_present_and_marked():
