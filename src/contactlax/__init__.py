@@ -29,7 +29,6 @@ from .compat import (
     residue_system,
 )
 from .gauge import (
-    ChangeOfVariables,
     apply_change_of_variables,
     eliminate_gauge,
     gauge_residual,
@@ -47,6 +46,6 @@ __all__ = [
     "PDESystem", "ck_transform", "compatibility_condition", "derive",
     "determinedness_report", "extract_system", "match_printed_system",
     "reduce_2plus1", "reduce_system", "residue_system",
-    "ChangeOfVariables", "apply_change_of_variables", "eliminate_gauge",
+    "apply_change_of_variables", "eliminate_gauge",
     "gauge_residual", "potential_solution", "verify_gauge_removal",
 ]

@@ -202,10 +202,20 @@ def _default_manufactured(cs):
     return out
 
 
+def _read_input(path: str, parse):
+    """Parse a JSON input file; malformed content is a parameter error."""
+    with open(path) as f:
+        try:
+            return parse(json.load(f))
+        except (ValueError, LookupError, TypeError) as e:
+            raise ParameterError(f"malformed {path}: {type(e).__name__}: {e}") from e
+
+
 def cmd_simulate(args, rep: RunReport) -> int:
+    if len(args.grid) not in (1, 3):
+        raise ParameterError(f"--grid takes one or three sizes, got {len(args.grid)}")
     if args.system_json:
-        with open(args.system_json) as f:
-            sys = pdesystem_from_json(json.load(f))
+        sys = _read_input(args.system_json, pdesystem_from_json)
         if tuple(sys.independents) != ("X", "Y", "Z", "T"):
             sys = ck_transform(sys)
     else:
@@ -232,9 +242,7 @@ def cmd_simulate(args, rep: RunReport) -> int:
     shape = tuple(args.grid) if len(args.grid) == 3 else (args.grid[0],) * 3
     grid = numeric.Grid(shape)
     coords = grid.coords()
-    with open(args.init) as f:
-        init_spec = json.load(f)
-    state = numeric.load_initial_data(init_spec, cs.unknowns, coords)
+    state = _read_input(args.init, lambda spec: numeric.load_initial_data(spec, cs.unknowns, coords))
     try:
         traj = numeric.integrate(
             cs, grid, state, args.steps, args.dt,

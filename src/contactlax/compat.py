@@ -75,13 +75,13 @@ class TransformDegenerateError(RuntimeError):
 # -- wave-function homogenization --------------------------------------------
 
 
-def homogenize_rational(r: PRational, psi: FieldId = PSI) -> tuple[DiffPoly, DiffPoly]:
+def homogenize_rational(r: PRational) -> tuple[DiffPoly, DiffPoly]:
     """F(p) -> (num, den) as jet polynomials with p replaced by
     psi_x/psi_z, both homogenized to a common degree."""
     n, d = collect(r)
     k_top = max(n.degree(), d.degree())
-    psix = DiffPoly.from_jet(JetVariable(psi, (1, 0, 0, 0)))
-    psiz = DiffPoly.from_jet(JetVariable(psi, (0, 0, 1, 0)))
+    psix = DiffPoly.from_jet(JetVariable(PSI, (1, 0, 0, 0)))
+    psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
 
     def build(pp: PPoly) -> DiffPoly:
         acc = ZERO
@@ -149,15 +149,15 @@ def cc_substitution_path(lax: LaxPair) -> PRational:
         fq = f_num.eval_at(psix) / f_den.eval_at(psix)
         gq = g_num.eval_at(psix) / g_den.eval_at(psix)
     else:
-        fn, fd = homogenize_rational(lax.F, psi)
-        gn, gd = homogenize_rational(lax.G, psi)
+        fn, fd = homogenize_rational(lax.F)
+        gn, gd = homogenize_rational(lax.G)
         psiz = DiffPoly.from_jet(JetVariable(psi, (0, 0, 1, 0)))
         fq = JetQuotient(psiz * fn, fd)
         gq = JetQuotient(psiz * gn, gd)
     rule_y = {JetVariable(psi, (0, 1, 0, 0)): fq}
     rule_t = {JetVariable(psi, (0, 0, 0, 1)): gq}
-    e1 = substitute(total_derivative_q(fq, "t"), rule_t, prolong=True)
-    e2 = substitute(total_derivative_q(gq, "y"), rule_y, prolong=True)
+    e1 = substitute(total_derivative_q(fq, "t"), rule_t)
+    e2 = substitute(total_derivative_q(gq, "y"), rule_y)
     return rational_from_psi_quotient(e1 - e2, psi, planar=(lax.dimension == "2+1"))
 
 
@@ -466,21 +466,6 @@ def reduce_2plus1(lax: LaxPair) -> tuple[LaxPair, PDESystem]:
     lax21 = LaxPair(lax.F, lax.G, lax.fields, lax.family, lax.m, lax.n, dimension="2+1")
     cc = compatibility_condition(lax21)
     return lax21, extract_system(cc, lax21)
-
-
-# -- normal forms for comparisons ---------------------------------------------
-
-
-def quotients_match(q1: JetQuotient, q2: JetQuotient) -> bool:
-    """Equality as equations (up to an overall nonzero rational or
-    monomial scale)."""
-    c1 = q1.num * q2.den
-    c2 = q2.num * q1.den
-    if c1.is_zero() and c2.is_zero():
-        return True
-    if c1.is_zero() or c2.is_zero():
-        return False
-    return primitive(c1)[0] == primitive(c2)[0]
 
 
 # -- comparison against the published rational-family system --------------------

@@ -3,7 +3,8 @@ the change of variables z~ = q that removes the gauge freedom, and the
 end-to-end machine verification that a general-position rational pair
 turns into the pole-only pair.
 
-Two candidate field maps are first-class data, never hard-coded results:
+The pair is transformed once; candidate field maps are data checked
+against that one result:
 
   * the "printed" map  a~_i = a_i q_z^2,  v~_i = v_i - q_x/q_z
   * the "solved"  map, read off mechanically from the transformed pair
@@ -15,7 +16,8 @@ the pole-only template; the chain-rule computation is the judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+from itertools import chain
 
 from .compat import PSI, homogenize_rational, rational_from_psi_quotient
 from .jetalg import (
@@ -32,6 +34,7 @@ from .jetalg import (
     jets_of_field,
     linear_coefficient,
     substitute,
+    to_tree,
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, RAT, RATGP, make_rat, make_ratgp
@@ -39,6 +42,8 @@ from .pfield import PPoly, PRational, collect, p_minus
 
 PSI_NEW = FieldId("psi_tilde", WAVE)
 Q = FieldId("q", POTENTIAL)
+A0 = FieldId("a0")
+B0 = FieldId("b0")
 
 
 class GaugeError(RuntimeError):
@@ -57,93 +62,78 @@ def gauge_residual(a0: JetQuotient | DiffPoly, b0: JetQuotient | DiffPoly) -> Je
     )
 
 
-def potential_solution(q: FieldId = Q) -> tuple[JetQuotient, JetQuotient]:
+def potential_solution() -> tuple[JetQuotient, JetQuotient]:
     """The general solution of the residual equation: a0 = q_y/q_z,
     b0 = q_t/q_z."""
-    qy = jet(q, (0, 1, 0, 0))
-    qt = jet(q, (0, 0, 0, 1))
-    qz = jet(q, (0, 0, 1, 0))
+    qy = jet(Q, (0, 1, 0, 0))
+    qt = jet(Q, (0, 0, 0, 1))
+    qz = jet(Q, (0, 0, 1, 0))
     return JetQuotient(qy, qz), JetQuotient(qt, qz)
 
 
-def chain_rules(q: FieldId = Q, psi: FieldId = PSI, psi_new: FieldId = PSI_NEW) -> dict:
+def chain_rules() -> dict:
     """First-order wave-function chain rule induced by z~ = q."""
-    nx = jet(psi_new, (1, 0, 0, 0))
-    ny = jet(psi_new, (0, 1, 0, 0))
-    nz = jet(psi_new, (0, 0, 1, 0))
-    nt = jet(psi_new, (0, 0, 0, 1))
-    qx = jet(q, (1, 0, 0, 0))
-    qy = jet(q, (0, 1, 0, 0))
-    qz = jet(q, (0, 0, 1, 0))
-    qt = jet(q, (0, 0, 0, 1))
+    nx = jet(PSI_NEW, (1, 0, 0, 0))
+    ny = jet(PSI_NEW, (0, 1, 0, 0))
+    nz = jet(PSI_NEW, (0, 0, 1, 0))
+    nt = jet(PSI_NEW, (0, 0, 0, 1))
+    qx = jet(Q, (1, 0, 0, 0))
+    qy = jet(Q, (0, 1, 0, 0))
+    qz = jet(Q, (0, 0, 1, 0))
+    qt = jet(Q, (0, 0, 0, 1))
     return {
-        JetVariable(psi, (1, 0, 0, 0)): JetQuotient(nx + nz * qx),
-        JetVariable(psi, (0, 1, 0, 0)): JetQuotient(ny + nz * qy),
-        JetVariable(psi, (0, 0, 1, 0)): JetQuotient(nz * qz),
-        JetVariable(psi, (0, 0, 0, 1)): JetQuotient(nt + nz * qt),
+        JetVariable(PSI, (1, 0, 0, 0)): JetQuotient(nx + nz * qx),
+        JetVariable(PSI, (0, 1, 0, 0)): JetQuotient(ny + nz * qy),
+        JetVariable(PSI, (0, 0, 1, 0)): JetQuotient(nz * qz),
+        JetVariable(PSI, (0, 0, 0, 1)): JetQuotient(nt + nz * qt),
     }
 
 
-def constraint_rules(q: FieldId, a0: FieldId, b0: FieldId) -> dict:
+def constraint_rules() -> dict:
     """q_y -> a0 q_z and q_t -> b0 q_z; prolongation covers higher jets,
     so no y- or t-jet of q survives their application."""
-    qz = jet(q, (0, 0, 1, 0))
+    qz = jet(Q, (0, 0, 1, 0))
     return {
-        JetVariable(q, (0, 1, 0, 0)): JetQuotient(jet(a0) * qz),
-        JetVariable(q, (0, 0, 0, 1)): JetQuotient(jet(b0) * qz),
+        JetVariable(Q, (0, 1, 0, 0)): JetQuotient(jet(A0) * qz),
+        JetVariable(Q, (0, 0, 0, 1)): JetQuotient(jet(B0) * qz),
     }
 
 
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """Substitution data for z~ = q: constraint rewriting plus a candidate
-    field map (new-field name -> expression in the old fields and q)."""
-
-    q: FieldId = Q
-    a0: FieldId = FieldId("a0")
-    b0: FieldId = FieldId("b0")
-    field_map: dict | None = None
-    map_name: str = "unspecified"
-    q_jet_values: dict | None = None     # e.g. q = z, or the q_z = 1 slice
-    field_values: dict | None = None     # e.g. a0 -> 0 when q = z
-
-
-def q_is_z(q: FieldId = Q) -> dict:
+def q_is_z() -> dict:
     """Jet values of the identity gauge q = z."""
     return {
-        JetVariable(q, (1, 0, 0, 0)): JetQuotient(ZERO),
-        JetVariable(q, (0, 1, 0, 0)): JetQuotient(ZERO),
-        JetVariable(q, (0, 0, 1, 0)): JetQuotient(ONE),
-        JetVariable(q, (0, 0, 0, 1)): JetQuotient(ZERO),
+        JetVariable(Q, (1, 0, 0, 0)): JetQuotient(ZERO),
+        JetVariable(Q, (0, 1, 0, 0)): JetQuotient(ZERO),
+        JetVariable(Q, (0, 0, 1, 0)): JetQuotient(ONE),
+        JetVariable(Q, (0, 0, 0, 1)): JetQuotient(ZERO),
     }
 
 
-def unit_q_z(q: FieldId = Q) -> dict:
+def unit_q_z() -> dict:
     """The q_z = 1 slice (q_x, q_y, q_t remain free)."""
-    return {JetVariable(q, (0, 0, 1, 0)): JetQuotient(ONE)}
+    return {JetVariable(Q, (0, 0, 1, 0)): JetQuotient(ONE)}
 
 
-def _apply_values(expr: JetQuotient, cov: ChangeOfVariables) -> JetQuotient:
-    """Apply cov.q_jet_values, then cov.field_values, when given."""
-    if cov.q_jet_values:
-        expr = substitute(expr, cov.q_jet_values, prolong=True)
-    if cov.field_values:
-        expr = substitute(expr, cov.field_values, prolong=True)
-    return expr
+def _residue_pole_pairs(lax: LaxPair) -> tuple[tuple, tuple]:
+    """The (residue, pole) fields of F's simple poles and of G's."""
+    vs, ws = lax.pole_fields()
+    return (
+        tuple((FieldId(f"a{v.name[1:]}"), v) for v in vs),
+        tuple((FieldId(f"b{w.name[1:]}"), w) for w in ws),
+    )
 
 
-def _transform_equation(r: PRational, lhs_slot: int, cov: ChangeOfVariables) -> PRational:
+def _transform_equation(r: PRational, lhs_slot: int, values: dict | None) -> PRational:
     """Push one Lax equation (psi_<slot> = psi_z * r) through the change
     of variables and solve it for the new wave jet; returns the new
     right-hand rational function of p."""
-    num_h, den_h = homogenize_rational(r, PSI)
+    num_h, den_h = homogenize_rational(r)
     lhs_d = [0, 0, 0, 0]
     lhs_d[lhs_slot] = 1
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
     relation = DiffPoly.from_jet(JetVariable(PSI, tuple(lhs_d))) * den_h - psiz * num_h
-    moved = substitute(relation, chain_rules(cov.q), prolong=False)
-    moved = substitute(moved, constraint_rules(cov.q, cov.a0, cov.b0), prolong=True)
-    moved = _apply_values(moved, cov)
+    moved = substitute(relation, chain_rules())
+    moved = substitute(substitute(moved, constraint_rules()), values or {})
     new_jet = JetVariable(PSI_NEW, tuple(lhs_d))
     if jets_of_field(moved.den, PSI_NEW) & {new_jet}:
         raise StructureError("new wave jet appears in a denominator")
@@ -153,179 +143,131 @@ def _transform_equation(r: PRational, lhs_slot: int, cov: ChangeOfVariables) -> 
     return rational_from_psi_quotient(JetQuotient(-rest, coeff), PSI_NEW)
 
 
-def transform_rhs(r: PRational, cov: ChangeOfVariables) -> PRational:
+def transform_pair(lax: LaxPair, values: dict | None = None) -> tuple[PRational, PRational]:
+    """(F~, G~): the pair pushed through z~ = q by the wave-function
+    chain rule and the constraint rewriting, then specialized by
+    ``values`` (jet -> expression: q jets and fields, e.g. the q_z = 1
+    slice or the identity gauge q = z).  No y- or t-jet of q survives."""
+    if lax.family not in (RATGP, RAT):
+        raise GaugeError("the change of variables applies to the rational families")
+    pair = (_transform_equation(lax.F, 1, values), _transform_equation(lax.G, 3, values))
+    for r in pair:
+        for c in (*r.num.coeffs, *r.den.coeffs):
+            if any(jv.d[1] or jv.d[3] for part in (c.num, c.den) for jv in jets_of_field(part, Q)):
+                raise GaugeError("y- or t-jets of the potential survived constraint elimination")
+    return pair
+
+
+def transform_rhs(r: PRational, values: dict | None = None) -> PRational:
     """Transform psi_z * r(p) alone (no left-hand side, no constraints):
     the building block for reading off the solved field map term by
     term."""
-    num_h, den_h = homogenize_rational(r, PSI)
+    num_h, den_h = homogenize_rational(r)
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
-    e = substitute(JetQuotient(psiz * num_h, den_h), chain_rules(cov.q), prolong=False)
-    return rational_from_psi_quotient(_apply_values(e, cov), PSI_NEW)
+    e = substitute(JetQuotient(psiz * num_h, den_h), chain_rules())
+    return rational_from_psi_quotient(substitute(e, values or {}), PSI_NEW)
 
 
-def printed_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
+def printed_field_map(lax: LaxPair, values: dict | None = None) -> dict:
     """The published map: residues scale by q_z^2, poles shift by
     q_x/q_z."""
-    q = cov.q
-    qx = JetQuotient(jet(q, (1, 0, 0, 0)))
-    qz = JetQuotient(jet(q, (0, 0, 1, 0)))
+    qx = JetQuotient(jet(Q, (1, 0, 0, 0)))
+    qz = JetQuotient(jet(Q, (0, 0, 1, 0)))
     out = {}
-    for f in lax.fields:
-        kind, idx = f.name[0], f.name[1:]
-        if kind in ("a", "b") and idx != "0":
-            out[f.name] = JetQuotient(jet(f)) * qz * qz
-        elif kind in ("v", "w"):
-            out[f.name] = JetQuotient(jet(f)) - qx / qz
-    return {k: _apply_values(v, cov) for k, v in out.items()}
+    for res, pole in chain(*_residue_pole_pairs(lax)):
+        out[res.name] = JetQuotient(jet(res)) * qz * qz
+        out[pole.name] = JetQuotient(jet(pole)) - qx / qz
+    return {k: substitute(v, values or {}) for k, v in out.items()}
 
 
-def solved_field_map(lax: LaxPair, cov: ChangeOfVariables) -> dict:
+def solved_field_map(lax: LaxPair, values: dict | None = None) -> dict:
     """Read the map off the engine itself: transform each simple-pole
     term and match it against residue/(p - pole)."""
     out = {}
-    vs, ws = lax.pole_fields()
-    for poles, res_prefix in ((vs, "a"), (ws, "b")):
-        for pole in poles:
-            idx = pole.name[1:]
-            res = FieldId(f"{res_prefix}{idx}")
-            term = PRational(PPoly([JetQuotient(jet(res))]), p_minus(jet(pole)))
-            moved = transform_rhs(term, cov)
-            num, den = collect(moved)
-            if den.degree() != 1 or num.degree() > 0:
-                raise GaugeError(f"transformed pole term for {pole.name} is not a simple pole")
-            lead = den[1]
-            out[pole.name] = -(den[0] / lead)
-            out[res.name] = num[0] / lead
+    for res, pole in chain(*_residue_pole_pairs(lax)):
+        term = PRational(PPoly([JetQuotient(jet(res))]), p_minus(jet(pole)))
+        num, den = collect(transform_rhs(term, values))
+        if den.degree() != 1 or num.degree() > 0:
+            raise GaugeError(f"transformed pole term for {pole.name} is not a simple pole")
+        lead = den[1]
+        out[pole.name] = -(den[0] / lead)
+        out[res.name] = num[0] / lead
     return out
 
 
-def _template_from_map(field_map: dict, poles, residues) -> PRational:
+def _template_from_map(field_map: dict, pairs) -> PRational:
     total = PRational(PPoly())
-    for pole, res in zip(poles, residues):
+    for res, pole in pairs:
         total = total + PRational(PPoly([field_map[res.name]]), p_minus(field_map[pole.name]))
     return total
 
 
-@dataclass(frozen=True)
-class CovResult:
-    pair: LaxPair | None
-    report: dict
-
-
-def _no_qt_qy_jets(r: PRational, q: FieldId) -> bool:
-    for c in list(r.num.coeffs) + list(r.den.coeffs):
-        for part in (c.num, c.den):
-            for jv in jets_of_field(part, q):
-                if jv.d[1] or jv.d[3]:
-                    return False
-    return True
-
-
-def _residual_witness(diff: PRational):
-    if diff.is_zero():
-        return None
-    num, _ = collect(diff)
-    for c in num.coeffs:
-        if not c.is_zero():
-            from .jetalg import to_tree
-
-            return to_tree(c.num)
+def _residual_witness(*diffs):
+    """The first nonzero coefficient of the first nonzero difference."""
+    for diff in diffs:
+        if not diff.is_zero():
+            num, _ = collect(diff)
+            return next(to_tree(c.num) for c in num.coeffs if not c.is_zero())
     return None
 
 
-def apply_change_of_variables(lax: LaxPair, cov: ChangeOfVariables) -> CovResult:
-    """Transform a general-position pair by z~ = q: the wave-function
-    chain rule, the constraint rewriting, then the candidate field map.
-    The report records, for this map, whether the transformed pair has
-    zero polynomial part and the pole-only template's residue structure;
-    the output pair (in the new symbols, tildes dropped) is built only
-    when the map validates."""
-    if lax.family not in (RATGP, RAT):
-        raise GaugeError("the change of variables applies to the rational families")
-    f_new = _transform_equation(lax.F, 1, cov)
-    g_new = _transform_equation(lax.G, 3, cov)
-    for r in (f_new, g_new):
-        if not _no_qt_qy_jets(r, cov.q):
-            raise GaugeError("y- or t-jets of the potential survived constraint elimination")
+def apply_change_of_variables(lax: LaxPair, pair: tuple, field_map: dict, name: str) -> dict:
+    """Check one candidate field map against the transformed pair
+    ``pair`` of ``transform_pair(lax)``.  The report records whether the
+    transformed pair has zero polynomial part and whether the map renders
+    it in the pole-only template; ``residual`` is the first nonzero
+    coefficient of the difference, or None."""
+    f_new, g_new = pair
     fn, fd = collect(f_new)
     gn, gd = collect(g_new)
-    poly_part_zero = fn.degree() < fd.degree() and gn.degree() < gd.degree()
-    report = {
-        "map": cov.map_name,
-        "polynomial_part_zero": bool(poly_part_zero),
-        "pole_structure_ok": False,
-        "residual": None,
+    f_pairs, g_pairs = _residue_pole_pairs(lax)
+    diff_f = f_new - _template_from_map(field_map, f_pairs)
+    diff_g = g_new - _template_from_map(field_map, g_pairs)
+    return {
+        "map": name,
+        "polynomial_part_zero": fn.degree() < fd.degree() and gn.degree() < gd.degree(),
+        "pole_structure_ok": diff_f.is_zero() and diff_g.is_zero(),
+        "residual": _residual_witness(diff_f, diff_g),
     }
-    pair = None
-    if cov.field_map is not None:
-        m = len(lax.pole_fields()[0])
-        n = len(lax.pole_fields()[1])
-        vs, ws = lax.pole_fields()
-        f_tpl = _template_from_map(cov.field_map, vs, [FieldId(f"a{p.name[1:]}") for p in vs])
-        g_tpl = _template_from_map(cov.field_map, ws, [FieldId(f"b{p.name[1:]}") for p in ws])
-        diff_f = f_new - f_tpl
-        diff_g = g_new - g_tpl
-        ok = diff_f.is_zero() and diff_g.is_zero()
-        report["pole_structure_ok"] = bool(ok)
-        report["residual"] = _residual_witness(diff_f if not diff_f.is_zero() else diff_g)
-        if ok and poly_part_zero:
-            base = make_rat(m, n)
-            pair = LaxPair(
-                base.F,
-                base.G,
-                base.fields,
-                RAT,
-                m,
-                n,
-                provenance=(
-                    ("gauge_map", cov.map_name),
-                    ("field_map", tuple(sorted((k, repr(v)) for k, v in cov.field_map.items()))),
-                ),
-            )
-    return CovResult(pair, report)
 
 
 def verify_gauge_removal(m: int, n: int, q_jet_values: dict | None = None) -> dict:
-    """Run the change of variables on the general-position pair with the
-    printed map and with the engine-solved map; report which validates.
-    Neither outcome is presumed.  A solved map that fails to exist or
-    validate is fatal: it would contradict the removal statement."""
+    """Transform the general-position pair once and check the printed
+    and the engine-solved map against it; report which validates.  A
+    solved map that fails to exist or validate is fatal: it would
+    contradict the removal statement."""
     lax = make_ratgp(m, n)
-    base = ChangeOfVariables(q_jet_values=q_jet_values)
-    printed = ChangeOfVariables(
-        field_map=printed_field_map(lax, base), map_name="printed", q_jet_values=q_jet_values
-    )
-    solved = ChangeOfVariables(
-        field_map=solved_field_map(lax, base), map_name="solved", q_jet_values=q_jet_values
-    )
-    res_p = apply_change_of_variables(lax, printed)
-    res_s = apply_change_of_variables(lax, solved)
-    if not (res_s.report["polynomial_part_zero"] and res_s.report["pole_structure_ok"]):
+    maps = {
+        "printed": printed_field_map(lax, q_jet_values),
+        "solved": solved_field_map(lax, q_jet_values),
+    }
+    pair = transform_pair(lax, q_jet_values)
+    reports = {name: apply_change_of_variables(lax, pair, fm, name) for name, fm in maps.items()}
+    if not (reports["solved"]["polynomial_part_zero"] and reports["solved"]["pole_structure_ok"]):
         raise GaugeError("engine-solved field map failed to validate")
-    maps_agree = all(
-        printed.field_map[k] == solved.field_map[k] for k in solved.field_map
-    )
     return {
         "m": m,
         "n": n,
         "q_jet_values": "general" if not q_jet_values else "specialized",
-        "maps": {"printed": res_p.report, "solved": res_s.report},
-        "validated": [r["map"] for r in (res_p.report, res_s.report) if r["pole_structure_ok"]],
-        "maps_agree": bool(maps_agree),
+        "maps": reports,
+        "validated": [name for name, r in reports.items() if r["pole_structure_ok"]],
+        "maps_agree": all(maps["printed"][k] == v for k, v in maps["solved"].items()),
     }
 
 
-def eliminate_gauge(lax: LaxPair, q: FieldId = Q) -> LaxPair:
+def eliminate_gauge(lax: LaxPair) -> LaxPair:
     """Full pipeline: confirm the potential solves the constant-term
     equation, then apply the validated (engine-solved) map; the output
-    satisfies the pole-only structural predicate."""
-    a0e, b0e = potential_solution(q)
-    res = gauge_residual(a0e, b0e)
-    if not res.is_zero():
+    is the pole-only pair in the new symbols (tildes dropped)."""
+    a0e, b0e = potential_solution()
+    if not gauge_residual(a0e, b0e).is_zero():
         raise GaugeError("gauge pair is incompatible: nonzero constant-term residual")
-    cov = ChangeOfVariables(q=q)
-    solved = ChangeOfVariables(q=q, field_map=solved_field_map(lax, cov), map_name="solved")
-    out = apply_change_of_variables(lax, solved)
-    if out.pair is None:
+    field_map = solved_field_map(lax)
+    report = apply_change_of_variables(lax, transform_pair(lax), field_map, "solved")
+    if not (report["polynomial_part_zero"] and report["pole_structure_ok"]):
         raise GaugeError("gauge elimination did not reach the pole-only shape")
-    return out.pair
+    provenance = (
+        ("gauge_map", "solved"),
+        ("field_map", tuple(sorted((k, repr(v)) for k, v in field_map.items()))),
+    )
+    return replace(make_rat(lax.m, lax.n), provenance=provenance)

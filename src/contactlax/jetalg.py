@@ -709,7 +709,7 @@ def _prolonged(base: JetVariable, d: tuple, rules_q, cache) -> JetQuotient:
     return q
 
 
-def _subst_poly_once(poly: DiffPoly, rules_q, by_field, prolong, cache):
+def _subst_poly_once(poly: DiffPoly, rules_q, by_field, cache):
     """One replacement pass; None when nothing matched."""
     repl = {}
     skip = set()
@@ -727,8 +727,6 @@ def _subst_poly_once(poly: DiffPoly, rules_q, by_field, prolong, cache):
             if b is None:
                 skip.add(jid)
                 continue
-            if jv.d != b.d and not prolong:
-                raise CoverageError(f"no exact rule for {jv!r} and prolongation is off")
             repl[jid] = _prolonged(b, jv.d, rules_q, cache)
     if not repl:
         return None
@@ -752,11 +750,11 @@ def _subst_poly_once(poly: DiffPoly, rules_q, by_field, prolong, cache):
     return total
 
 
-def substitute(e: DiffPoly | JetQuotient, rules: dict, prolong: bool = False) -> JetQuotient:
+def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     """Replace jets matching the rules.  A rule maps a base jet to its
-    replacement; with ``prolong`` set, jets above a base are rewritten by
-    total differentiation of the rule.  Jets of a ruled field lying below
-    every base are left untouched.  Passes repeat until no rule matches."""
+    replacement; jets above a base are rewritten by total differentiation
+    of the rule (prolongation).  Jets of a ruled field lying below every
+    base are left untouched.  Passes repeat until no rule matches."""
     rules_q = {}
     for base, rhs in rules.items():
         if isinstance(base, DiffPoly):
@@ -771,8 +769,8 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict, prolong: bool = False) ->
     cache: dict = {}
     cur = _as_quotient(e)
     for _ in range(100):
-        rn = _subst_poly_once(cur.num, rules_q, by_field, prolong, cache)
-        rd = _subst_poly_once(cur.den, rules_q, by_field, prolong, cache)
+        rn = _subst_poly_once(cur.num, rules_q, by_field, cache)
+        rd = _subst_poly_once(cur.den, rules_q, by_field, cache)
         if rn is None and rd is None:
             return cur
         qn = rn if rn is not None else _as_quotient(cur.num)

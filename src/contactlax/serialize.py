@@ -119,6 +119,8 @@ def pdesystem_from_json(d: dict) -> PDESystem:
     fields = {name: FieldId(name) for name in d["unknowns"]}
     prov = dict(d.get("provenance", {}))
     dens = prov.pop("denominators", None)
+    if dens is not None and len(dens) != len(d["equations"]):
+        raise ParameterError("provenance.denominators and equations differ in length")
     eqs = []
     for i, tree in enumerate(d["equations"]):
         num = from_tree(tree, fields)

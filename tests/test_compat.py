@@ -21,15 +21,16 @@ from contactlax.compat import (
     extract_system,
     family_cc,
     match_printed_system,
-    quotients_match,
     reduce_2plus1,
     reduce_system,
     t_solvability_witness,
+    _compare_as_equations,
     _det_mod,
 )
 from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, evaluate, jet
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
+from contactlax.sampling import pole_pairs_for
 
 
 def test_cc_single_field_no_p():
@@ -325,10 +326,16 @@ def test_match_printed_system_2_1():
     assert mismatched == ["(w1)_y"]
 
 
+def _rls_comparison(q_derived, q_printed):
+    # the comparison `verify rls` runs, at the rat (1,1) pole pairs
+    vs, ws = make_family("rat", 1, 1).pole_fields()
+    return _compare_as_equations(q_derived, q_printed, random.Random(1189), pole_pairs_for((*vs, *ws)))
+
+
 def test_self_comparison_matches():
     rs = derive("rat", 1, 1, form="residues")
     for eq in rs.equations:
-        assert quotients_match(eq, eq)
+        assert _rls_comparison(eq, eq) == (True, True, ())
 
 
 def test_corrected_line2_matches_derivation():
@@ -348,7 +355,12 @@ def test_corrected_line2_matches_derivation():
             + JetQuotient(2 * a1 * jet(FieldId("w1"), (0, 0, 1, 0)), wv)
         )
     )
-    assert quotients_match(derived, corrected)
+    matched, eval_matched, diff_terms = _rls_comparison(derived, corrected)
+    assert matched and eval_matched and diff_terms == ()
+    # one extra a1_z/(w1 - v1) term: both verdicts see the difference
+    perturbed = corrected + JetQuotient(jet(FieldId("a1"), (0, 0, 1, 0)), wv)
+    matched, eval_matched, diff_terms = _rls_comparison(derived, perturbed)
+    assert not matched and not eval_matched and diff_terms
 
 
 def test_random_custom_pairs_dual_path(rng):

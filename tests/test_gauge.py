@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import contactlax
+from contactlax import gauge
 from contactlax.compat import compatibility_condition, derive, extract_system
 from contactlax.gauge import (
-    ChangeOfVariables,
     GaugeError,
     Q,
     apply_change_of_variables,
@@ -14,6 +20,7 @@ from contactlax.gauge import (
     printed_field_map,
     q_is_z,
     solved_field_map,
+    transform_pair,
     transform_rhs,
     unit_q_z,
     verify_gauge_removal,
@@ -57,19 +64,14 @@ def test_residual_counterexample():
 
 def test_identity_gauge_is_identity_on_pole_data():
     lax = make_ratgp(1, 1)
-    cov = ChangeOfVariables(q_jet_values=q_is_z(), field_values=zero_gauge_fields())
-    solved = solved_field_map(lax, cov)
-    printed = printed_field_map(lax, cov)
+    values = {**q_is_z(), **zero_gauge_fields()}
+    solved = solved_field_map(lax, values)
+    printed = printed_field_map(lax, values)
     for name in ("a1", "v1", "b1", "w1"):
         assert solved[name] == JetQuotient(jet(FieldId(name)))
         assert printed[name] == solved[name]
-    res = apply_change_of_variables(
-        lax,
-        ChangeOfVariables(field_map=solved, map_name="solved",
-                          q_jet_values=q_is_z(), field_values=zero_gauge_fields()),
-    )
-    assert res.pair is not None
-    assert res.report["polynomial_part_zero"] and res.report["pole_structure_ok"]
+    rep = apply_change_of_variables(lax, transform_pair(lax, values), solved, "solved")
+    assert rep["polynomial_part_zero"] and rep["pole_structure_ok"]
 
 
 def test_shift_gauge_moves_poles_only():
@@ -82,12 +84,12 @@ def test_shift_gauge_moves_poles_only():
         JetVariable(Q, (0, 0, 0, 1)): JetQuotient(ZERO),
     }
     lax = make_ratgp(1, 1)
-    cov = ChangeOfVariables(q_jet_values=qjv, field_values=zero_gauge_fields())
+    values = {**qjv, **zero_gauge_fields()}
     fx = JetQuotient(jet(f, (1, 0, 0, 0)))
-    solved = solved_field_map(lax, cov)
+    solved = solved_field_map(lax, values)
     assert solved["v1"] == JetQuotient(jet(FieldId("v1"))) - fx
     assert solved["a1"] == JetQuotient(jet(FieldId("a1")))
-    printed = printed_field_map(lax, cov)
+    printed = printed_field_map(lax, values)
     assert printed["v1"] == solved["v1"] and printed["a1"] == solved["a1"]
 
 
@@ -111,8 +113,7 @@ def test_unit_q_z_slice_both_maps_agree():
 def test_solved_map_formula():
     # the chain rule makes the transformed pole v q_z - q_x with residue a q_z^2
     lax = make_ratgp(1, 1)
-    cov = ChangeOfVariables()
-    solved = solved_field_map(lax, cov)
+    solved = solved_field_map(lax)
     qx, qz = jet(Q, (1, 0, 0, 0)), jet(Q, (0, 0, 1, 0))
     assert solved["v1"] == JetQuotient(jet(FieldId("v1")) * qz - qx)
     assert solved["a1"] == JetQuotient(jet(FieldId("a1")) * qz * qz)
@@ -121,25 +122,23 @@ def test_solved_map_formula():
 def test_transform_rhs_affine_composition_oracle():
     # jet-level substitution agrees with composing p -> (p + q_x)/q_z
     lax = make_ratgp(2, 1)
-    cov = ChangeOfVariables()
     qx = JetQuotient(jet(Q, (1, 0, 0, 0)))
     qz = JetQuotient(jet(Q, (0, 0, 1, 0)))
     for r in (lax.F, lax.G):
-        via_jets = transform_rhs(r, cov)
+        via_jets = transform_rhs(r)
         via_comp = r.compose_linear(JetQuotient(ONE) / qz, qx / qz) * qz
         assert via_jets == via_comp
 
 
 def test_no_potential_y_t_jets_survive():
     lax = make_ratgp(1, 2)
-    cov = ChangeOfVariables()
-    solved = solved_field_map(lax, cov)
-    res = apply_change_of_variables(
-        lax, ChangeOfVariables(field_map=solved, map_name="solved")
-    )
-    assert res.pair is not None
-    # the solved map expressions carry only x/z jets of the potential
-    for expr in solved.values():
+    solved = solved_field_map(lax)
+    pair = transform_pair(lax)
+    rep = apply_change_of_variables(lax, pair, solved, "solved")
+    assert rep["polynomial_part_zero"] and rep["pole_structure_ok"]
+    # the transformed pair and the solved map carry only x/z jets of the potential
+    coeffs = [c for r in pair for c in (*r.num.coeffs, *r.den.coeffs)]
+    for expr in [*coeffs, *solved.values()]:
         for part in (expr.num, expr.den):
             for jv in part.jet_variables():
                 if jv.field == Q:
@@ -148,13 +147,10 @@ def test_no_potential_y_t_jets_survive():
 
 def test_output_shape_invariant_under_q_choice():
     lax = make_ratgp(1, 1)
-    for qjv in (None, unit_q_z()):
-        cov = ChangeOfVariables(q_jet_values=qjv)
-        solved = solved_field_map(lax, cov)
-        res = apply_change_of_variables(
-            lax, ChangeOfVariables(field_map=solved, map_name="solved", q_jet_values=qjv)
-        )
-        assert res.report["polynomial_part_zero"] and res.report["pole_structure_ok"]
+    for values in (None, unit_q_z()):
+        solved = solved_field_map(lax, values)
+        rep = apply_change_of_variables(lax, transform_pair(lax, values), solved, "solved")
+        assert rep["polynomial_part_zero"] and rep["pole_structure_ok"]
 
 
 def test_eliminate_gauge_pipeline():
@@ -177,4 +173,46 @@ def test_gauge_requires_rational_family():
     from contactlax.laxfamilies import make_poly
 
     with pytest.raises(GaugeError):
-        apply_change_of_variables(make_poly(1, 1), ChangeOfVariables())
+        transform_pair(make_poly(1, 1))
+
+
+def test_verify_gauge_removal_transforms_the_pair_once(monkeypatch):
+    calls = []
+    inner = gauge._transform_equation
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(gauge, "_transform_equation", counted)
+    rep = verify_gauge_removal(1, 1)
+    assert calls == [1, 3]  # F then G, once for both candidate maps
+    assert [r["map"] for r in rep["maps"].values()] == ["printed", "solved"]
+
+
+def test_printed_map_residual_as_theorem1_prints_it(tmp_path):
+    # a fresh process: the factor order of a printed monomial follows jet interning
+    report = tmp_path / "theorem1.json"
+    src = str(Path(contactlax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    subprocess.run(
+        [sys.executable, "-m", "contactlax.cli", "verify", "theorem1", "--report-json", str(report)],
+        check=True, capture_output=True, env=env,
+    )
+    maps = json.loads(report.read_text())["verdicts"]["maps"]
+    a1, v1 = {"op": "jet", "field": "a1", "d": [0, 0, 0, 0]}, {"op": "jet", "field": "v1", "d": [0, 0, 0, 0]}
+    qx = {"op": "jet", "field": "q", "d": [1, 0, 0, 0]}
+    qz = {"op": "jet", "field": "q", "d": [0, 0, 1, 0]}
+    minus = {"op": "num", "value": "-1"}
+
+    def qz_pow(k):
+        return {"op": "pow", "base": qz, "exp": k}
+
+    # a1 q_x q_z^2 - a1 q_x q_z^3 - v1 a1 q_z^3 + v1 a1 q_z^4
+    assert maps["printed"]["residual"] == {"op": "add", "args": [
+        {"op": "mul", "args": [a1, qx, qz_pow(2)]},
+        {"op": "mul", "args": [minus, a1, qx, qz_pow(3)]},
+        {"op": "mul", "args": [minus, v1, a1, qz_pow(3)]},
+        {"op": "mul", "args": [v1, a1, qz_pow(4)]},
+    ]}
+    assert maps["solved"]["residual"] is None

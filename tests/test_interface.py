@@ -132,6 +132,8 @@ def test_report_json_written_on_handled_errors(tmp_path, capsys):
 @pytest.mark.parametrize("params", [
     ["--grid", "4"],
     ["--grid", "8", "--monitor-every", "0"],
+    ["--grid", "8", "12"],
+    ["--grid", "8", "8", "8", "8"],
 ])
 def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     init = tmp_path / "init.json"
@@ -147,6 +149,35 @@ def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     assert code == 2
     rep = json.loads(report.read_text())
     assert rep["error"].startswith("parameter error:")
+    assert capsys.readouterr().err.strip() == rep["error"]
+
+
+_XYZT = ["X", "Y", "Z", "T"]
+
+
+@pytest.mark.parametrize("system,init,message", [
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "bogus"}]}, None,
+     "StructureError: unknown op 'bogus'"),
+    ({"unknowns": ["u"], "independents": _XYZT}, None, "KeyError: 'equations'"),
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}],
+      "provenance": {"denominators": [{"op": "num", "value": "1"}] * 2}}, None,
+     "provenance.denominators and equations differ in length"),
+    (None, "{not json", "JSONDecodeError"),
+], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json"])
+def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
+    args = ["simulate", "--steps", "2"]
+    if system is not None:
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        args += ["--system-json", str(tmp_path / "system.json")]
+    (tmp_path / "init.json").write_text(init if init is not None else json.dumps({
+        "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
+        "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
+    }))
+    report = tmp_path / "report.json"
+    code = main([*args, "--init", str(tmp_path / "init.json"), "--report-json", str(report)])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"].startswith("parameter error: malformed") and message in rep["error"]
     assert capsys.readouterr().err.strip() == rep["error"]
 
 

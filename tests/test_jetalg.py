@@ -131,7 +131,7 @@ def test_substitute_direct_replacement():
 def test_substitute_prolonged_rule():
     psi = FieldId("psi", WAVE)
     rule = {JetVariable(psi, (0, 1, 0, 0)): JetQuotient(jet(psi, (0, 0, 1, 0)) * v)}
-    out = substitute(jet(psi, (1, 1, 0, 0)), rule, prolong=True)
+    out = substitute(jet(psi, (1, 1, 0, 0)), rule)
     hand = jet(psi, (1, 0, 1, 0)) * v + jet(psi, (0, 0, 1, 0)) * vx
     assert out == JetQuotient(hand)
 
@@ -139,13 +139,6 @@ def test_substitute_prolonged_rule():
 def test_substitute_identity():
     e = v * w + 3 * v
     assert substitute(e, {}) == JetQuotient(e)
-
-
-def test_substitute_coverage_error_without_prolong():
-    psi = FieldId("psi", WAVE)
-    rule = {JetVariable(psi, (0, 1, 0, 0)): JetQuotient(v)}
-    with pytest.raises(CoverageError):
-        substitute(jet(psi, (1, 1, 0, 0)), rule, prolong=False)
 
 
 def test_substitute_leaves_lower_jets_alone():
