@@ -56,6 +56,13 @@ def _write(path: str, text: str, report: RunReport):
     report.artifacts.append(path)
 
 
+def _write_system(sys, args, rep: RunReport):
+    if args.out_json:
+        _write(args.out_json, json.dumps(pdesystem_to_json(sys), indent=1), rep)
+    if args.latex:
+        _write(args.latex, system_latex(sys) + "\n", rep)
+
+
 def _run(args) -> int:
     """Run one command: time it and report on every path that returns
     an exit code, handled errors included."""
@@ -85,10 +92,7 @@ def cmd_derive(args, rep: RunReport) -> int:
     dropped = sys.provenance.get("dropped_zero_coefficients", ())
     if dropped:
         rep.verdicts["dropped_zero_coefficients"] = list(dropped)
-    if args.out_json:
-        _write(args.out_json, json.dumps(pdesystem_to_json(sys), indent=1), rep)
-    if args.latex:
-        _write(args.latex, system_latex(sys) + "\n", rep)
+    _write_system(sys, args, rep)
     return 0
 
 
@@ -163,10 +167,7 @@ def cmd_ck(args, rep: RunReport) -> int:
         rep.verdicts["T-solvability"] = f"fail ({e})"
         return 1
     rep.verdicts["T-solvability"] = "pass"
-    if args.out_json:
-        _write(args.out_json, json.dumps(pdesystem_to_json(ck), indent=1), rep)
-    if args.latex:
-        _write(args.latex, system_latex(ck) + "\n", rep)
+    _write_system(ck, args, rep)
     return 0
 
 
@@ -178,10 +179,7 @@ def cmd_reduce21(args, rep: RunReport) -> int:
     rep.verdicts["unknowns"] = d.unknowns
     rep.verdicts["verdict"] = d.verdict
     rep.verdicts["pair"] = laxpair_latex(lax21)
-    if args.out_json:
-        _write(args.out_json, json.dumps(pdesystem_to_json(sys21), indent=1), rep)
-    if args.latex:
-        _write(args.latex, system_latex(sys21) + "\n", rep)
+    _write_system(sys21, args, rep)
     return 0
 
 

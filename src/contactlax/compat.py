@@ -42,6 +42,7 @@ from .jetalg import (
     JetQuotient,
     JetVariable,
     StructureError,
+    content,
     decompose_by_jets,
     divide_exact,
     evaluate_mod,
@@ -49,6 +50,7 @@ from .jetalg import (
     linear_coefficient,
     map_jets,
     primitive,
+    strip_monomial,
     substitute,
     total_derivative_q,
 )
@@ -61,6 +63,7 @@ PSI = FieldId("psi", WAVE)
 XYZT = ("x", "y", "z", "t")
 XYT = ("x", "y", "t")
 CK_INDEPENDENTS = ("X", "Y", "Z", "T")
+CK_SEED = 20240211  # the T-solvability witness seed of ck_transform and compile_system
 
 
 class DerivationError(RuntimeError):
@@ -357,21 +360,58 @@ def ck_transform(sys: PDESystem) -> PDESystem:
     prov["ck_of"] = prov.get("path", "unknown")
     prov["original_system"] = sys
     out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(new_eqs), prov)
-    t_solvability_witness(out, random.Random(20240211))
+    t_solvability_witness(out, random.Random(CK_SEED))
     return out
 
 
-def _det_mod(mat: list[list[int]]) -> int:
-    """Determinant over GF(PRIME) by Gaussian elimination."""
+def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[DiffPoly]]:
+    """Split each equation's numerator as sum_j rows[i][j] * (u_j)_T +
+    rests[i]; its denominator and content cancel from the solve for the
+    T-jets.  Raises TransformDegenerateError unless the system is linear
+    in its first-order T-jets, with T-free coefficients and remainders,
+    no T-jet in a denominator and one equation per unknown."""
+    t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
+    rows, rests = [], []
+    for eq in sys.equations:
+        if set(t_jets) & set(eq.den.jet_variables()):
+            raise TransformDegenerateError("T-jet inside a denominator")
+        row, rest = [], eq.num
+        for tj in t_jets:
+            try:
+                c, rest = linear_coefficient(rest, tj)
+            except StructureError as e:
+                raise TransformDegenerateError(str(e)) from None
+            row.append(c)
+        for part in (*row, rest):
+            for jv in part.jet_variables():
+                if jv.d[3] and jv.field.role != INDEPENDENT:
+                    raise TransformDegenerateError(f"a T-jet coefficient or remainder contains the T-jet {jv!r}")
+        if not rest.is_zero():  # else the content may hold a T-jet
+            rat, mono = content(eq.num)
+            row, rest = [strip_monomial(c, mono) / rat for c in row], strip_monomial(rest, mono) / rat
+        rows.append(row)
+        rests.append(rest)
+    if len(rows) != len(sys.unknowns):
+        raise TransformDegenerateError(
+            f"T-jet matrix is not square: {len(rows)} equations, {len(sys.unknowns)} unknowns"
+        )
+    return rows, rests
+
+
+def _det_mod(mat: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Determinant over GF(PRIME) by Gaussian elimination, and for each
+    column the original row that pivots it (empty when singular)."""
     n = len(mat)
     m = [row[:] for row in mat]
+    order = list(range(n))
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return 0
+            return 0, ()
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
+            order[col], order[piv] = order[piv], order[col]
             det = -det
         det = det * m[col][col] % PRIME
         inv = pow(m[col][col], -1, PRIME)
@@ -379,45 +419,26 @@ def _det_mod(mat: list[list[int]]) -> int:
             if m[r][col]:
                 f = m[r][col] * inv % PRIME
                 m[r] = [(a - f * b) % PRIME for a, b in zip(m[r], m[col])]
-    return det
+    return det, tuple(order)
 
 
-def t_solvability_witness(sys: PDESystem, rng: random.Random) -> int:
-    """Evaluate the first-order T-jet coefficient matrix at a random
-    point of GF(PRIME) and require it to be invertible; returns the
-    determinant mod PRIME.  The entries must be free of T-jets, so that
-    the system is linear in its T-jets, and every jet of the entries and
-    denominators is sampled.  A nonzero result proves the matrix
-    nonsingular over Q: reduction mod PRIME is a ring map that commutes
-    with evaluation and with the determinant, so the determinant
-    polynomial is not zero.  Only a zero result can be wrong, with
+def t_solvability_witness(sys: PDESystem, rng: random.Random) -> tuple[int, tuple[int, ...]]:
+    """Evaluate the T-jet matrix of t_jet_split at a random point of
+    GF(PRIME) and require it to be invertible; returns the determinant
+    mod PRIME and the row that pivots each column.  A nonzero result
+    proves the matrix nonsingular over Q: reduction mod PRIME is a ring
+    map that commutes with evaluation and with the determinant, so the
+    determinant polynomial is not zero; likewise each pivot is a nonzero
+    rational function of the jets.  Only a zero result can be wrong, with
     probability at most degree/PRIME (Schwartz-Zippel)."""
-    t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
-    rows, sample_vars = [], set()
-    for eq in sys.equations:
-        den_vars = eq.den.jet_variables()
-        if set(t_jets) & set(den_vars):
-            raise StructureError("T-jet inside a denominator")
-        row = [linear_coefficient(eq.num, tj)[0] for tj in t_jets]
-        for c in row:
-            for jv in c.jet_variables():
-                if jv.d[3] and jv.field.role != INDEPENDENT:
-                    raise TransformDegenerateError(f"a T-jet coefficient contains the T-jet {jv!r}")
-                sample_vars.add(jv)
-        sample_vars.update(den_vars)
-        rows.append(row)
-    if len(rows) != len(sys.unknowns):
-        raise TransformDegenerateError(
-            f"T-jet matrix is not square: {len(rows)} equations, {len(sys.unknowns)} unknowns"
-        )
+    rows, _ = t_jet_split(sys)
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
-    sample_vars.update(JetVariable(f) for f in (*vs, *ws))
-    pairs = pole_pairs_for((*vs, *ws))
-    pt = random_point(sample_vars, rng, pole_pairs=pairs)
-    det = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
+    jvs = {jv for row in rows for c in row for jv in c.jet_variables()}
+    pt = random_point(jvs, rng, pole_pairs=pole_pairs_for((*vs, *ws)))
+    det, pivots = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
-    return det
+    return det, pivots
 
 
 # -- planar reduction ------------------------------------------------------------

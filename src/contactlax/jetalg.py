@@ -19,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 DIRS = ("x", "y", "z", "t")
 _AXIS = {"x": 0, "y": 1, "z": 2, "t": 3, "X": 0, "Y": 1, "Z": 2, "T": 3}
@@ -170,13 +171,43 @@ def _mono_sort_key(m: tuple):
     return tuple(_JET_SORT[m[i]] + (m[i + 1],) for i in range(0, len(m), 2))
 
 
-class DiffPoly:
+_set = object.__setattr__
+
+
+class Frozen:
+    """A slotted value whose slots are filled once, at construction
+    (``_set``), so a value shared through a cache cannot be changed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} values are read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+
+
+def _rebuild(cls, values):
+    obj = object.__new__(cls)
+    for s, v in zip(cls.__slots__, values):
+        _set(obj, s, v)
+    return obj
+
+
+class DiffPoly(Frozen):
     """Normal form: {monomial key: nonzero coeff}; the zero polynomial is {}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+        _set(self, "_terms", terms if terms is not None else {})
+
+    @property
+    def terms(self):
+        """Read-only view of the normal form."""
+        return MappingProxyType(self._terms)
 
     # -- construction -------------------------------------------------
 
@@ -196,26 +227,26 @@ class DiffPoly:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
     def const_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return Fraction(self.terms[()])
+        if len(self._terms) == 1 and () in self._terms:
+            return Fraction(self._terms[()])
         raise StructureError("not a constant")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, DiffPoly):
-            return self.terms == other.terms
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == DiffPoly.const(other).terms
+            return self._terms == DiffPoly.const(other)._terms
         return NotImplemented
 
     __hash__ = None
@@ -227,12 +258,12 @@ class DiffPoly:
             other = DiffPoly.const(other)
         elif not isinstance(other, DiffPoly):
             return NotImplemented
-        if not self.terms:
+        if not self._terms:
             return other
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             acc = out.get(m)
             if acc is None:
                 out[m] = c
@@ -247,7 +278,7 @@ class DiffPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -266,10 +297,10 @@ class DiffPoly:
                 return ZERO
             if c == 1:
                 return self
-            return DiffPoly({m: cc * c for m, cc in self.terms.items()})
+            return DiffPoly({m: cc * c for m, cc in self._terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        t1, t2 = self.terms, other.terms
+        t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return ZERO
         if len(t1) > len(t2):
@@ -319,26 +350,26 @@ class DiffPoly:
 
     def jet_variables(self):
         seen = set()
-        for m in self.terms:
+        for m in self._terms:
             for i in range(0, len(m), 2):
                 seen.add(m[i])
         return sorted((_JETS[i] for i in seen), key=lambda j: (j.field.name, j.field.role, j.d))
 
     def monomials(self):
         """Canonically ordered (coeff, ((JetVariable, power), ...)) view."""
-        items = sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        items = sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
         for m, c in items:
             yield Fraction(c), tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))
 
     def leading(self):
         """Term maximal in the graded order used for exact division."""
-        if not self.terms:
+        if not self._terms:
             return None
-        m = min(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        m = min(self._terms, key=_mono_key)
+        return m, self._terms[m]
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for c, factors in self.monomials():
@@ -381,7 +412,7 @@ def content(e: DiffPoly):
     """(rational content, common monomial) of a nonzero polynomial."""
     if e.is_zero():
         raise StructureError("zero polynomial has no content")
-    coeffs = e.terms.values()
+    coeffs = e._terms.values()
     if all(type(c) is int for c in coeffs):
         rat = Fraction(math.gcd(*coeffs))
     else:
@@ -389,7 +420,7 @@ def content(e: DiffPoly):
         for c in coeffs:
             rat = _rat_gcd(rat, c)
     common = None
-    for m in e.terms:
+    for m in e._terms:
         if common is None:
             common = dict(zip(m[0::2], m[1::2]))
         elif not common:
@@ -410,7 +441,7 @@ def strip_monomial(e: DiffPoly, mono: tuple) -> DiffPoly:
     if not mono:
         return e
     out = {}
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         q = _mono_div(m, mono)
         if q is None:
             raise StructureError("monomial does not divide every term")
@@ -430,7 +461,7 @@ def primitive(e: DiffPoly):
     if lead[1] < 0:
         rat = -rat
     scale = Fraction(1) / rat
-    out = DiffPoly({m: _coeff(Fraction(c) * scale) for m, c in out.terms.items()})
+    out = DiffPoly({m: _coeff(Fraction(c) * scale) for m, c in out._terms.items()})
     return out, rat, mono
 
 
@@ -448,8 +479,8 @@ def divide_exact(a: DiffPoly, b: DiffPoly):
         return ZERO
     bl_m, bl_c = b.leading()
     bl_c = Fraction(bl_c)
-    rest = [(m2, c2) for m2, c2 in b.terms.items() if m2 != bl_m]
-    rem = dict(a.terms)
+    rest = [(m2, c2) for m2, c2 in b._terms.items() if m2 != bl_m]
+    rem = dict(a._terms)
     heap = [(_mono_key(m), m) for m in rem]
     heapq.heapify(heap)
     quot = {}
@@ -481,7 +512,42 @@ def divide_exact(a: DiffPoly, b: DiffPoly):
 # -- quotients ----------------------------------------------------------
 
 
-class JetQuotient:
+def _normalized(num: DiffPoly, den: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
+    if num.is_zero():
+        return ZERO, ONE
+    if den._terms == ONE._terms:
+        return num, den
+    # shared monomial content
+    _, mn = content(num)
+    _, md = content(den)
+    if mn and md:
+        shared = {}
+        dn, dd = dict(zip(mn[0::2], mn[1::2])), dict(zip(md[0::2], md[1::2]))
+        for jid in dn:
+            if jid in dd:
+                shared[jid] = min(dn[jid], dd[jid])
+        if shared:
+            mono = tuple(x for jid in sorted(shared) for x in (jid, shared[jid]))
+            num = strip_monomial(num, mono)
+            den = strip_monomial(den, mono)
+    if len(den._terms) == 1:
+        # monomial denominator: after content cancellation nothing
+        # else can cancel except the coefficient
+        (m, c), = den._terms.items()
+        scale = Fraction(1) / Fraction(c)
+        return num * scale, DiffPoly({m: 1}) if m else ONE
+    q = divide_exact(num, den)
+    if q is not None:
+        return q, ONE
+    lead = den.leading()
+    if lead[1] != 1:
+        scale = Fraction(1) / Fraction(lead[1])
+        num = num * scale
+        den = den * scale
+    return num, den
+
+
+class JetQuotient(Frozen):
     """num/den of DiffPoly.  Normalization: cancels shared monomial
     content, makes the denominator's leading coefficient 1, and collapses
     to den == 1 when the denominator divides the numerator exactly."""
@@ -497,48 +563,9 @@ class JetQuotient:
             den = DiffPoly.const(den)
         if den.is_zero():
             raise PoleError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        if den.terms == ONE.terms:
-            self.num, self.den = num, den
-            return
-        # shared monomial content
-        _, mn = content(num)
-        _, md = content(den)
-        if mn and md:
-            shared = {}
-            dn, dd = dict(zip(mn[0::2], mn[1::2])), dict(zip(md[0::2], md[1::2]))
-            for jid in dn:
-                if jid in dd:
-                    shared[jid] = min(dn[jid], dd[jid])
-            if shared:
-                mono = tuple(x for jid in sorted(shared) for x in (jid, shared[jid]))
-                num = strip_monomial(num, mono)
-                den = strip_monomial(den, mono)
-        if len(den.terms) == 1:
-            # monomial denominator: after content cancellation nothing
-            # else can cancel except the coefficient
-            (m, c), = den.terms.items()
-            if not m:
-                inv = Fraction(1) / Fraction(c)
-                self.num = num * inv
-                self.den = ONE
-                return
-            scale = Fraction(1) / Fraction(c)
-            self.num = num * scale
-            self.den = DiffPoly({m: 1})
-            return
-        q = divide_exact(num, den)
-        if q is not None:
-            self.num, self.den = q, ONE
-            return
-        lead = den.leading()
-        if lead[1] != 1:
-            scale = Fraction(1) / Fraction(lead[1])
-            num = num * scale
-            den = den * scale
-        self.num, self.den = num, den
+        num, den = _normalized(num, den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def const(c) -> "JetQuotient":
@@ -555,9 +582,9 @@ class JetQuotient:
             other = JetQuotient(other if isinstance(other, DiffPoly) else DiffPoly.const(other))
         if not isinstance(other, JetQuotient):
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            return self.num.terms == other.num.terms
-        return (self.num * other.den).terms == (other.num * self.den).terms
+        if self.den._terms == other.den._terms:
+            return self.num._terms == other.num._terms
+        return (self.num * other.den)._terms == (other.num * self.den)._terms
 
     __hash__ = None
 
@@ -565,16 +592,14 @@ class JetQuotient:
         other = _as_quotient(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
+        if self.den._terms == other.den._terms:
             return JetQuotient(self.num + other.num, self.den)
         return JetQuotient(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        q = object.__new__(JetQuotient)
-        q.num, q.den = -self.num, self.den
-        return q
+        return _rebuild(JetQuotient, (-self.num, self.den))
 
     def __sub__(self, other):
         other = _as_quotient(other)
@@ -617,7 +642,7 @@ class JetQuotient:
         return sorted(seen, key=lambda j: (j.field.name, j.field.role, j.d))
 
     def __repr__(self):
-        if self.den.terms == ONE.terms:
+        if self.den._terms == ONE._terms:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
@@ -626,9 +651,7 @@ def _as_quotient(x):
     if isinstance(x, JetQuotient):
         return x
     if isinstance(x, DiffPoly):
-        q = object.__new__(JetQuotient)
-        q.num, q.den = x, ONE
-        return q
+        return _rebuild(JetQuotient, (x, ONE))
     if isinstance(x, (int, Fraction)):
         return JetQuotient(DiffPoly.const(x))
     return NotImplemented
@@ -642,7 +665,7 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     rule; independent-variable symbols differentiate to 0 or 1."""
     ax = _axis(direction)
     out = ZERO
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         for i in range(0, len(m), 2):
             jid, pw = m[i], m[i + 1]
             jv = _JETS[jid]
@@ -713,7 +736,7 @@ def _subst_poly_once(poly: DiffPoly, rules_q, by_field, cache):
     """One replacement pass; None when nothing matched."""
     repl = {}
     skip = set()
-    for m in poly.terms:
+    for m in poly._terms:
         for i in range(0, len(m), 2):
             jid = m[i]
             if jid in repl or jid in skip:
@@ -731,7 +754,7 @@ def _subst_poly_once(poly: DiffPoly, rules_q, by_field, cache):
     if not repl:
         return None
     groups: dict[tuple, dict] = {}
-    for m, c in poly.terms.items():
+    for m, c in poly._terms.items():
         tpart = []
         rest = []
         for i in range(0, len(m), 2):
@@ -759,7 +782,7 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     for base, rhs in rules.items():
         if isinstance(base, DiffPoly):
             jvs = base.jet_variables()
-            if len(base.terms) != 1 or len(jvs) != 1:
+            if len(base._terms) != 1 or len(jvs) != 1:
                 raise StructureError("rule pattern must be a single jet")
             base = jvs[0]
         rules_q[base] = _as_quotient(rhs)
@@ -791,7 +814,7 @@ def decompose_by_jets(e: DiffPoly, jets: list[JetVariable]) -> dict[tuple, DiffP
     the residual polynomials with those factors removed."""
     ids = [_jet_id(j) for j in jets]
     out: dict[tuple, dict] = {}
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         pows = [0] * len(ids)
         rest = []
         for i in range(0, len(m), 2):
@@ -811,7 +834,7 @@ def map_jets(e: DiffPoly, fn) -> DiffPoly:
     not rescanned, so self-referential maps (a change of independent
     variables reusing the same index slots) are safe."""
     out = ZERO
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         term = DiffPoly({(): c})
         for i in range(0, len(m), 2):
             r = fn(_JETS[m[i]])
@@ -828,7 +851,7 @@ def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly
     jid = _jet_id(jv)
     coeff: dict = {}
     rest: dict = {}
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         hit = None
         for i in range(0, len(m), 2):
             if m[i] == jid:
@@ -857,7 +880,7 @@ def evaluate(e: DiffPoly | JetQuotient, point: dict) -> Fraction:
         return evaluate(e.num, point) / den
     vals = {}
     total = Fraction(0)
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         prod = Fraction(c)
         for i in range(0, len(m), 2):
             jid = m[i]
@@ -887,7 +910,7 @@ def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
         return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
     vals = {}
     total = 0
-    for m, c in e.terms.items():
+    for m, c in e._terms.items():
         if isinstance(c, int):
             prod = c
         else:

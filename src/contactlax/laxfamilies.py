@@ -37,7 +37,9 @@ class LaxPair:
             raise ParameterError(f"fields used but not in roster: {sorted(missing)}")
 
     def pole_fields(self) -> tuple[tuple[FieldId, ...], tuple[FieldId, ...]]:
-        """(poles of F, poles of G) for the rational families."""
+        """(poles of F, poles of G); empty outside the rational families."""
+        if self.family not in (RAT, RATGP):
+            return (), ()
         vs = tuple(f for f in self.fields if f.name.startswith("v"))
         ws = tuple(f for f in self.fields if f.name.startswith("w"))
         return vs, ws

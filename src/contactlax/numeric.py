@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .compat import PDESystem, CK_INDEPENDENTS
-from .jetalg import (
-    DiffPoly,
-    JetQuotient,
-    JetVariable,
-    linear_coefficient,
-)
+from .compat import CK_INDEPENDENTS, CK_SEED, PDESystem, t_jet_split, t_solvability_witness
+from .jetalg import DiffPoly, JetQuotient
 
 
 class CompileError(RuntimeError):
@@ -81,8 +77,6 @@ SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 
 
 def spatial_jet(arr: np.ndarray, didx: tuple[int, int, int, int], grid: Grid, op) -> np.ndarray:
-    if didx[3] != 0:
-        raise CompileError("cannot form a T-jet from a single snapshot")
     out = arr
     for axis, count in ((0, didx[0]), (1, didx[1]), (2, didx[2])):
         for _ in range(count):
@@ -140,97 +134,85 @@ def _compile_quotient(q: JetQuotient) -> QuotientProgram:
     return QuotientProgram(_compile_poly(q.num), _compile_poly(q.den))
 
 
-# -- symbolic solve for the T-jets ----------------------------------------------
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over the jet-quotient field (small systems)."""
-    k = len(rhs)
-    m = [row[:] for row in mat]
-    b = rhs[:]
-    perm = list(range(k))
-    for col in range(k):
-        piv = next((r for r in range(col, k) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise CompileError("T-jet matrix is symbolically singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = m[col][col]
-        for r in range(k):
-            if r == col or m[r][col].is_zero():
-                continue
-            f = m[r][col] / inv
-            m[r] = [a - f * c for a, c in zip(m[r], m[col])]
-            b[r] = b[r] - f * b[col]
-    return [b[i] / m[i][i] for i in range(k)]
+# -- the T-jet solve -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CompiledSystem:
     unknowns: tuple[str, ...]
-    programs: dict  # unknown name -> QuotientProgram for its T-derivative
-    rhs_exact: dict  # unknown name -> JetQuotient (the exact solved form)
+    # per equation: its T-jet coefficients (None where zero), then minus its remainder
+    rows: tuple[tuple[TermProgram | None, ...], ...]
+    pivots: tuple[int, ...]  # pivots[c]: the row that pivots column c, proven mod p
     required_jets: tuple[tuple[str, tuple], ...]
     pole_pairs: tuple[tuple[str, str], ...]
     residual_programs: tuple[QuotientProgram, ...] | None  # original-form equations, if recorded
     residual_jets: tuple[tuple[str, tuple], ...]  # the jets those equations read
 
     def rhs_from_jets(self, jets: dict) -> dict:
-        return {u: self.programs[u].eval(jets) for u in self.unknowns}
+        """Gaussian elimination on the grid in the compiled pivot order.
+        A row is evaluated when first read and dropped once solved; a
+        structurally zero entry (None) is never read or written."""
+        k, got = len(self.pivots), {}
+
+        def row(r):
+            if r not in got:
+                got[r] = [None if p is None else p.eval(jets) for p in self.rows[r]]
+            return got[r]
+
+        for col, piv in enumerate(self.pivots):
+            for r in self.pivots[col + 1:]:
+                if (got[r] if r in got else self.rows[r])[col] is None:
+                    continue
+                a, p = row(r), row(piv)
+                f = a[col] / p[col]
+                for c in range(col + 1, k + 1):
+                    if p[c] is not None:
+                        a[c] = -f * p[c] if a[c] is None else a[c] - f * p[c]
+        x = [None] * k
+        for col in reversed(range(k)):
+            a = row(self.pivots[col])
+            del got[self.pivots[col]]
+            acc = a[k]
+            for c in range(col + 1, k):
+                if a[c] is not None:
+                    acc = acc - a[c] * x[c]
+            x[col] = acc / a[col]
+        return dict(zip(self.unknowns, x))
 
 
 def compile_system(sys: PDESystem) -> CompiledSystem:
-    """Solve an evolution-form system for the first-order T-jets and
-    flatten the right-hand sides into array programs."""
+    """Compile an evolution-form system: the T-jet coefficients and
+    remainders of compat.t_jet_split become array programs, solved on the
+    grid in the pivot order of the T-solvability witness."""
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
-    if len(sys.equations) != len(sys.unknowns):
-        raise CompileError("need exactly one equation per unknown")
-    t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
-    mat, rhs = [], []
-    for eq in sys.equations:
-        for tj in t_jets:
-            if tj in eq.den.jet_variables():
-                raise CompileError("T-jet in a denominator")
-        row = []
-        rest = eq.num
-        for tj in t_jets:
-            c, rest = linear_coefficient(rest, tj)
-            row.append(JetQuotient(c, eq.den))
-        mat.append(row)
-        rhs.append(JetQuotient(-rest, eq.den))
-    solved = _solve_linear(mat, rhs)
-    programs, rhs_exact, required = {}, {}, set()
-    for u, expr in zip(sys.unknowns, solved):
-        for jv in expr.jet_variables():
-            if jv.d[3] != 0:
-                raise CompileError("solved right-hand side still contains a T-jet")
+    rows, rests = t_jet_split(sys)
+    _, pivots = t_solvability_witness(sys, random.Random(CK_SEED))
+    required = set()
+    for e in (*(c for row in rows for c in row), *rests):
+        for jv in e.jet_variables():
             if jv.field.role == "independent":
                 raise CompileError("independent-variable symbols are not grid data")
             required.add((jv.field.name, jv.d))
-        programs[u.name] = _compile_quotient(expr)
-        rhs_exact[u.name] = expr
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
-    pairs = tuple((v.name, w.name) for v in vs for w in ws)
     original = sys.provenance.get("original_system")
     return CompiledSystem(
         tuple(u.name for u in sys.unknowns),
-        programs,
-        rhs_exact,
+        tuple((*(None if c.is_zero() else _compile_poly(c) for c in row), _compile_poly(-rest))
+              for row, rest in zip(rows, rests)),
+        pivots,
         tuple(sorted(required)),
-        pairs,
+        tuple((v.name, w.name) for v in vs for w in ws),
         *(_compile_residual(original) if original is not None else (None, ())),
     )
 
 
 def _compile_residual(original: PDESystem):
     """Programs for the original-form equations, and the jets they read."""
-    quotients = [JetQuotient(eq.num, eq.den) for eq in original.equations]
-    jets = sorted({(jv.field.name, jv.d) for q in quotients for jv in q.jet_variables()})
+    jets = sorted({(jv.field.name, jv.d) for q in original.equations for jv in q.jet_variables()})
     if any((d[1] or d[3]) and sum(d) > 1 for _, d in jets):
         raise CompileError("residual evaluation expects first-order y/t jets")
-    return tuple(_compile_quotient(q) for q in quotients), tuple(jets)
+    return tuple(_compile_quotient(q) for q in original.equations), tuple(jets)
 
 
 # -- manufactured (harmonic) fields ----------------------------------------------
@@ -268,13 +250,6 @@ class HarmonicField:
         return self.jet((0, 0, 0, 0), coords, T)
 
 
-def exact_jets(fields: dict, required, coords, T: float) -> dict:
-    jets = {}
-    for name, didx in required:
-        jets[(name, didx)] = fields[name].jet(didx, coords, T)
-    return jets
-
-
 # -- integration -------------------------------------------------------------------
 
 
@@ -287,11 +262,7 @@ class Trajectory:
 
 
 def _grid_jets(state: dict, cs: CompiledSystem, grid: Grid, op) -> dict:
-    jets = {}
-    for name, didx in cs.required_jets:
-        arr = state[name]
-        jets[(name, didx)] = arr if didx == (0, 0, 0, 0) else spatial_jet(arr, didx, grid, op)
-    return jets
+    return {(name, didx): spatial_jet(state[name], didx, grid, op) for name, didx in cs.required_jets}
 
 
 def _min_pole_distance(state: dict, pairs) -> float:
@@ -357,7 +328,9 @@ def integrate(
                 raise PoleProximityError(step, dist, guard)
             traj.times.append(T)
             traj.snapshots.append(state)
-            res = residual_original_form(cs, traj) if len(traj.snapshots) == 3 else float("nan")
+            res = float("nan")
+            if len(traj.snapshots) == 3 and cs.residual_programs is not None:
+                res = residual_original_form(cs, traj)
             traj.monitors.append((step, T, dist, res, _max_field(state)))
     return traj
 
@@ -440,25 +413,27 @@ def make_forcing(cs: CompiledSystem, exact: dict):
     g = u_T(exact) - R(exact jets), all jets analytic."""
 
     def forcing(coords, T):
-        jets = exact_jets(exact, cs.required_jets, coords, T)
-        vals = cs.rhs_from_jets(jets)
-        out = {}
-        for u in cs.unknowns:
-            out[u] = exact[u].jet((0, 0, 0, 1), coords, T) - vals[u]
-        return out
+        vals = cs.rhs_from_jets({(n, d): exact[n].jet(d, coords, T) for n, d in cs.required_jets})
+        return {u: exact[u].jet((0, 0, 0, 1), coords, T) - vals[u] for u in cs.unknowns}
 
     return forcing
 
 
-def _error_vs_exact(traj: Trajectory, exact: dict, coords) -> float:
-    T = traj.times[-1]
-    state = traj.snapshots[-1]
-    total, count = 0.0, 0
-    for u, hf in exact.items():
-        diff = state[u] - hf.value(coords, T)
-        total += float(np.sum(diff ** 2))
-        count += diff.size
-    return math.sqrt(total / count)
+def _manufactured_error(cs, exact, ng, steps, dt, spatial, guard, monitor_every) -> float:
+    """Root-mean-square error against the exact fields at the end of a
+    forced run started from them."""
+    grid = Grid((ng,) * 3)
+    coords = grid.coords()
+    state = {u: exact[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+    traj = integrate(cs, grid, state, steps, dt, spatial=spatial, guard=guard,
+                     forcing=make_forcing(cs, exact), monitor_every=monitor_every)
+    T, state = traj.times[-1], traj.snapshots[-1]
+    diffs = [state[u] - hf.value(coords, T) for u, hf in exact.items()]
+    return math.sqrt(sum(float(np.sum(d ** 2)) for d in diffs) / sum(d.size for d in diffs))
+
+
+def _orders(errors: list) -> list:
+    return [math.log2(a / b) for a, b in zip(errors, errors[1:]) if b > 0]
 
 
 @dataclass
@@ -482,35 +457,13 @@ def manufactured_test(
     """Temporal study: spectral space (exact for band-limited data), RK4
     under dt-refinement.  Spatial study: FD2 at fixed small dt across
     grid refinement.  Reports observed orders."""
-    temporal_errors = []
+    temporal = []
     for dt in temporal_dts:
-        grid = Grid((temporal_grid,) * 3)
-        coords = grid.coords()
-        state = {u: exact[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
         steps = round(t_final / dt)
-        traj = integrate(
-            cs, grid, state, steps, dt, spatial="spectral", guard=guard,
-            forcing=make_forcing(cs, exact), monitor_every=max(1, steps // 4),
-        )
-        temporal_errors.append(_error_vs_exact(traj, exact, coords))
-    temporal_orders = [
-        math.log2(a / b) for a, b in zip(temporal_errors, temporal_errors[1:]) if b > 0
-    ]
-    spatial_errors = []
-    for ng in spatial_grids:
-        grid = Grid((ng,) * 3)
-        coords = grid.coords()
-        state = {u: exact[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
-        steps = max(4, round(0.02 / spatial_dt))
-        traj = integrate(
-            cs, grid, state, steps, spatial_dt, spatial="fd2", guard=guard,
-            forcing=make_forcing(cs, exact), monitor_every=steps,
-        )
-        spatial_errors.append(_error_vs_exact(traj, exact, coords))
-    spatial_orders = [
-        math.log2(a / b) for a, b in zip(spatial_errors, spatial_errors[1:]) if b > 0
-    ]
-    return ConvergenceReport(temporal_errors, temporal_orders, spatial_errors, spatial_orders)
+        temporal.append(_manufactured_error(cs, exact, temporal_grid, steps, dt, "spectral", guard, max(1, steps // 4)))
+    steps = max(4, round(0.02 / spatial_dt))
+    spatial = [_manufactured_error(cs, exact, ng, steps, spatial_dt, "fd2", guard, steps) for ng in spatial_grids]
+    return ConvergenceReport(temporal, _orders(temporal), spatial, _orders(spatial))
 
 
 def residual_refinement_study(

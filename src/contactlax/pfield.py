@@ -17,6 +17,7 @@ from .jetalg import (
     ZERO,
     DiffPoly,
     FieldId,
+    Frozen,
     JetQuotient,
     JetVariable,
     PoleError,
@@ -27,6 +28,8 @@ from .jetalg import (
     strip_monomial,
     content,
     _as_quotient,
+    _rebuild,
+    _set,
 )
 from .sampling import pole_pairs_for, random_point
 
@@ -42,7 +45,7 @@ def _q(x) -> JetQuotient:
     return q
 
 
-class PPoly:
+class PPoly(Frozen):
     """Coefficients by ascending p-degree; leading coefficient nonzero."""
 
     __slots__ = ("coeffs",)
@@ -51,7 +54,7 @@ class PPoly:
         cs = [_q(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs = tuple(cs)
+        _set(self, "coeffs", tuple(cs))
 
     @staticmethod
     def const(c) -> "PPoly":
@@ -233,7 +236,7 @@ class PartialFractions:
         return total
 
 
-class PRational:
+class PRational(Frozen):
     """num/den of PPoly; den nonzero with leading coefficient normalized
     to 1.  num/den are authoritative: every operation reads them.  An
     optional partial-fraction view is carried alongside for reading
@@ -253,9 +256,8 @@ class PRational:
         if den.is_zero():
             raise PoleError("zero p-denominator")
         if num.is_zero():
-            self.num, self.den, self.pf = PPoly(), PPoly.const(1), pf
-            return
-        if den.degree() == 0:
+            num, den = PPoly(), PPoly.const(1)
+        elif den.degree() == 0:
             c = den.coeffs[0]
             if not (c == 1):
                 num = num * (JetQuotient(ONE) / c)
@@ -266,7 +268,9 @@ class PRational:
                 inv = JetQuotient(ONE) / lead
                 num = num * inv
                 den = den * inv
-        self.num, self.den, self.pf = num, den, pf
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "pf", pf)
 
     @staticmethod
     def const(c) -> "PRational":
@@ -306,9 +310,7 @@ class PRational:
     __radd__ = __add__
 
     def __neg__(self):
-        r = object.__new__(PRational)
-        r.num, r.den, r.pf = -self.num, self.den, None
-        return r
+        return _rebuild(PRational, (-self.num, self.den, None))
 
     def __sub__(self, other):
         return self + (-_as_prational(other))

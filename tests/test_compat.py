@@ -134,6 +134,35 @@ def test_cached_provenance_is_read_only():
     assert derive("rat", 1, 1).provenance["family"] == "rat"
 
 
+def test_cached_expressions_are_read_only():
+    eq = derive("rat", 1, 1).equations[0]
+    terms = dict(eq.num.terms)
+    with pytest.raises(AttributeError):
+        eq.num.terms.clear()
+    with pytest.raises(TypeError):
+        eq.num.terms[()] = 1
+    for obj, name in ((eq, "num"), (eq, "den"), (eq.num, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    cc = family_cc("rat", 1, 1)
+    for obj, name in ((cc, "num"), (cc, "den"), (cc, "pf"), (cc.num, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert dict(derive("rat", 1, 1).equations[0].num.terms) == terms
+    assert pickle.loads(pickle.dumps(cc)) == cc
+
+
+def test_poly_family_has_no_pole_fields():
+    assert make_family("poly", 2, 1).pole_fields() == ((), ())
+    assert derive("poly", 2, 1).provenance["pole_fields"] == ((), ())
+    vs, ws = make_family("rat", 2, 1).pole_fields()
+    assert [f.name for f in vs] == ["v1", "v2"] and [f.name for f in ws] == ["w1"]
+    with pytest.raises(TransformDegenerateError, match="singular at the witness point"):
+        ck_transform(derive("poly", 2, 1))
+
+
 def test_provenance_copied_from_caller_dict():
     prov = {"family": "custom"}
     sys = PDESystem((), ("x", "y", "z", "t"), (), prov)
@@ -213,7 +242,9 @@ def test_det_mod_matches_fraction_determinant():
             if size > 1 and i % 5 == 0:
                 mat[-1] = [3 * x for x in mat[0]]
             exact = _fraction_det(mat)
-            assert _det_mod([[x % PRIME for x in row] for row in mat]) == exact.numerator % PRIME
+            det, pivots = _det_mod([[x % PRIME for x in row] for row in mat])
+            assert det == exact.numerator % PRIME
+            assert sorted(pivots) == (list(range(size)) if det else [])
 
 
 def test_t_solvability_witness_singular_and_regular():
@@ -228,7 +259,7 @@ def test_t_solvability_witness_singular_and_regular():
         t_solvability_witness(sys, random.Random(5))
     # det = u1^2 - u2_X
     regular = (JetQuotient(first), JetQuotient(jet(u1) * t2 + t1))
-    det = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}), random.Random(5))
+    det, _ = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}), random.Random(5))
     assert 0 < det < PRIME
 
 
@@ -237,8 +268,8 @@ def test_t_solvability_witness_samples_y_jets():
     u, w = FieldId("u"), FieldId("w")
     u_t, w_t, w_y = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(w, (0, 1, 0, 0))
     eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
-    det = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
-    assert det == PRIME - 1
+    det, pivots = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
+    assert det == PRIME - 1 and pivots == (0, 1)
 
 
 def test_t_solvability_witness_rejects_t_jets_in_rows():

@@ -181,6 +181,87 @@ def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, m
     assert capsys.readouterr().err.strip() == rep["error"]
 
 
+def _jet_tree(field, d):
+    return {"op": "jet", "field": field, "d": d}
+
+
+_U_T_MINUS_U_X = {"op": "add", "args": [
+    _jet_tree("u", [0, 0, 0, 1]), {"op": "mul", "args": [{"op": "num", "value": "-1"}, _jet_tree("u", [1, 0, 0, 0])]},
+]}
+
+
+def _simulate_system(tmp_path, system, init, *extra):
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    (tmp_path / "init.json").write_text(json.dumps(init))
+    report = tmp_path / "report.json"
+    code = main([
+        "simulate", "--system-json", str(tmp_path / "system.json"), "--init", str(tmp_path / "init.json"),
+        "--grid", "8", "--steps", "5", "--dt", "0.01", "--report-json", str(report), *extra,
+    ])
+    return code, json.loads(report.read_text())
+
+
+def test_simulate_without_original_system_monitors_every_step(tmp_path, capsys):
+    system = {"unknowns": ["u"], "independents": _XYZT, "equations": [_U_T_MINUS_U_X]}
+    init = {"u": {"fourier": {"modes": [{"k": [1, 0, 0], "amp": 1.0}]}}}
+    mon = tmp_path / "mon.csv"
+    code, rep = _simulate_system(tmp_path, system, init, "--monitor", str(mon))
+    assert code == 0 and rep["error"] is None
+    rows = mon.read_text().strip().splitlines()[1:]
+    assert len(rows) == 6 and all(r.split(",")[3] == "nan" for r in rows)
+
+
+# u_t (or u_T) over a denominator holding w_t; the T-jet matrix of the
+# second case is singular
+_T_DEFECTS = [
+    ("xyzt", "T-jet inside a denominator", {"op": "add", "args": [_jet_tree("u", [0, 0, 0, 1]), _jet_tree("w", [0, 0, 0, 0])]},
+     _jet_tree("w", [0, 0, 0, 1])),
+    ("XYZT", "singular", {"op": "add", "args": [_jet_tree("u", [0, 0, 0, 1]), _jet_tree("w", [0, 0, 0, 1])]},
+     {"op": "num", "value": "1"}),
+    ("XYZT", "T-jet inside a denominator", {"op": "add", "args": [_jet_tree("u", [0, 0, 0, 1]), _jet_tree("w", [0, 0, 0, 0])]},
+     _jet_tree("w", [0, 0, 0, 1])),
+]
+
+
+@pytest.mark.parametrize("independents,message,first,den", _T_DEFECTS,
+                         ids=["xyzt-denominator", "XYZT-singular", "XYZT-denominator"])
+def test_simulate_not_t_solvable_exit_1(tmp_path, capsys, independents, message, first, den):
+    second = {"op": "add", "args": [_jet_tree("u", [0, 0, 0, 1]), _jet_tree("w", [0, 0, 0, 1])]}
+    system = {
+        "unknowns": ["u", "w"], "independents": list(independents), "equations": [first, second],
+        "provenance": {"denominators": [den, {"op": "num", "value": "1"}]},
+    }
+    init = {"u": {"constant": 1.0}, "w": {"constant": 2.0}}
+    code, rep = _simulate_system(tmp_path, system, init)
+    assert code == 1
+    assert rep["error"].startswith("verification failure:") and message in rep["error"]
+    assert capsys.readouterr().err.strip() == rep["error"]
+
+
+def test_simulate_coefficient_form_matches_residue_form(tmp_path, capsys):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({
+        name: {"fourier": {"mean": mean, "modes": [{"k": k, "amp": 0.05, "phase": 0.4 * i}]}}
+        for i, (name, mean, k) in enumerate((
+            ("a1", 1.0, [1, 0, 0]), ("a2", 0.8, [0, 1, 0]), ("v1", -1.5, [0, 0, 1]),
+            ("v2", -0.5, [1, 1, 0]), ("b1", 0.7, [1, 0, 1]), ("w1", 1.5, [0, 1, 1]),
+        ))
+    }))
+    ck = tmp_path / "ck.json"
+    assert main(["export", "--family", "rat", "-m", "2", "-n", "1", "--what", "ck", "--out", str(ck)]) == 0
+    columns = []
+    for source in (["--system-json", str(ck)], ["--family", "rat", "-m", "2", "-n", "1"]):
+        mon = tmp_path / "mon.csv"
+        assert main(["simulate", *source, "--grid", "8", "--steps", "6", "--dt", "0.005",
+                     "--init", str(init), "--monitor", str(mon)]) == 0
+        rows = [line.split(",") for line in mon.read_text().strip().splitlines()[1:]]
+        columns.append([(float(r[2]), float(r[4])) for r in rows])
+    coeff, resid = columns
+    assert len(coeff) == len(resid) == 7
+    for a, b in zip(coeff, resid):
+        assert a == pytest.approx(b, rel=1e-12)
+
+
 def test_report_json_error_field_empty_on_success(tmp_path, capsys):
     report = tmp_path / "ok.json"
     assert main(["verify", "qsolution", "--report-json", str(report)]) == 0

@@ -1,8 +1,11 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from contactlax.compat import ck_transform, derive
-from contactlax.jetalg import FieldId, JetVariable, evaluate
+from contactlax.compat import CK_INDEPENDENTS, PDESystem, TransformDegenerateError, ck_transform, derive
+from contactlax.jetalg import FieldId, JetQuotient, JetVariable, evaluate, jet
 from contactlax.numeric import (
     CompileError,
     Grid,
@@ -11,6 +14,7 @@ from contactlax.numeric import (
     NumericAbortError,
     PoleProximityError,
     Trajectory,
+    _grid_jets,
     compile_system,
     fd2_diff,
     integrate,
@@ -57,18 +61,110 @@ def test_derivative_operators_on_one_mode():
     assert 0.05 < np.max(np.abs(fd - exact)) < 0.3
 
 
-def test_compiled_matches_exact_eval(cs, rng):
-    pairs = [(JetVariable(FieldId("v1")), JetVariable(FieldId("w1")))]
-    for _ in range(10):
-        jvs = set()
-        for expr in cs.rhs_exact.values():
-            jvs.update(expr.jet_variables())
+def _fraction_solve(mat, rhs):
+    """Exact Gauss-Jordan elimination over Q with row pivoting."""
+    n = len(rhs)
+    m = [list(row) + [b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _exact_rhs(sys, pt):
+    """The T-derivatives solved exactly at a rational point.  Each
+    equation is affine in the T-jets, so its values with the T-jets at 0
+    and at the unit vectors give its remainder and its T-jet row."""
+    t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
+
+    def values(j):
+        at = {**pt, **{tj: Fraction(int(i == j)) for i, tj in enumerate(t_jets)}}
+        return [evaluate(eq, at) for eq in sys.equations]
+
+    rest = values(None)
+    cols = [[a - b for a, b in zip(values(j), rest)] for j in range(len(t_jets))]
+    solved = _fraction_solve(list(zip(*cols)), [-b for b in rest])
+    return dict(zip((u.name for u in sys.unknowns), solved))
+
+
+def _assert_matches_exact(sys, cs, rng, pairs=(), points=10):
+    jvs = {jv for eq in sys.equations for jv in eq.jet_variables() if jv.d[3] == 0}
+    for _ in range(points):
         pt = rational_point(jvs, rng, pole_pairs=pairs)
-        jets = {(jv.field.name, jv.d): float(pt[jv]) for jv in jvs}
+        exact = _exact_rhs(sys, pt)
+        got = cs.rhs_from_jets({(jv.field.name, jv.d): float(pt[jv]) for jv in jvs})
         for u in cs.unknowns:
-            exact = float(evaluate(cs.rhs_exact[u], pt))
-            got = cs.programs[u].eval(jets)
-            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+            assert abs(got[u] - float(exact[u])) <= 1e-12 * max(1.0, abs(float(exact[u])))
+
+
+def test_compiled_matches_exact_eval(cs, rng):
+    sys = ck_transform(derive("rat", 1, 1, form="residues"))
+    _assert_matches_exact(sys, cs, rng, pairs=[(JetVariable(FieldId("v1")), JetVariable(FieldId("w1")))])
+
+
+def _t_rows_system(t_rows):
+    """An evolution-form system with the given constant T-jet rows and
+    nonlinear T-free remainders."""
+    us = tuple(FieldId(f"u{i}") for i in range(len(t_rows)))
+    t_jets = [jet(u, (0, 0, 0, 1)) for u in us]
+    rests = [jet(us[0]) * jet(us[-1], (1, 0, 0, 0)), jet(us[1], (0, 1, 0, 0)) ** 2 - 3, jet(us[-1]) * jet(us[0], (0, 0, 1, 0))]
+    eqs = tuple(JetQuotient(sum((c * t for c, t in zip(row, t_jets)), rest)) for row, rest in zip(t_rows, rests))
+    return PDESystem(us, CK_INDEPENDENTS, eqs, {})
+
+
+def test_cancelled_structural_pivot_is_skipped(rng):
+    # eliminating column 0 cancels the (1, 1) entry: the proven pivot of
+    # column 1 is row 2, not the structurally nonzero row 1
+    sys = _t_rows_system([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
+    cs = compile_system(sys)
+    assert cs.pivots == (0, 2, 1)
+    _assert_matches_exact(sys, cs, rng)
+
+
+def test_singular_t_matrix_refused_at_compile():
+    with pytest.raises(TransformDegenerateError, match="singular"):
+        compile_system(_t_rows_system([[1, 1, 0], [0, 0, 1], [2, 2, 0]]))
+
+
+def _smooth_state(names, grid):
+    coords = grid.coords()
+    base = {"v": -1.5, "w": 1.5, "a": 1.0, "b": 0.7}
+    return {
+        u: HarmonicField(base[u[0]] + 0.4 * int(u[1:]), (Mode((i % 2, 1, (i + 1) % 2), 0.1, 0.3 * i),)).value(coords, 0.0)
+        + np.zeros(grid.shape)
+        for i, u in enumerate(names)
+    }
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_coefficient_form_compiles_and_matches_residue_form(m, n):
+    sys = ck_transform(derive("rat", m, n))
+    t0 = time.perf_counter()
+    coeff = compile_system(sys)
+    assert time.perf_counter() - t0 < 1.0
+    resid = compile_system(ck_transform(derive("rat", m, n, form="residues")))
+    grid = Grid((16, 16, 16))
+    state = _smooth_state(resid.unknowns, grid)
+    got = coeff.rhs_from_jets(_grid_jets(state, coeff, grid, spectral_diff))
+    want = resid.rhs_from_jets(_grid_jets(state, resid, grid, spectral_diff))
+    for u in resid.unknowns:
+        assert np.max(np.abs(got[u] - want[u])) <= 1e-10 * np.max(np.abs(want[u]))
+
+
+def test_residual_column_nan_without_original_system():
+    u = FieldId("u")
+    sys = PDESystem((u,), CK_INDEPENDENTS, (JetQuotient(jet(u, (0, 0, 0, 1)) - jet(u, (1, 0, 0, 0))),), {})
+    cs = compile_system(sys)
+    grid = Grid((8, 8, 8))
+    state = {"u": HarmonicField(0.0, (Mode((1, 0, 0), 1.0),)).value(grid.coords(), 0.0) + np.zeros(grid.shape)}
+    traj = integrate(cs, grid, state, 5, 0.01)
+    assert len(traj.monitors) == 6 and all(np.isnan(row[3]) for row in traj.monitors)
+    with pytest.raises(CompileError, match="no original-form system"):
+        residual_original_form(cs, traj)
 
 
 def test_constants_are_equilibria(cs):
