@@ -29,7 +29,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 
 from .jetalg import (
@@ -47,7 +47,6 @@ from .jetalg import (
     divide_exact,
     evaluate_mod,
     jets_of_field,
-    linear_coefficient,
     map_jets,
     primitive,
     strip_monomial,
@@ -63,7 +62,7 @@ PSI = FieldId("psi", WAVE)
 XYZT = ("x", "y", "z", "t")
 XYT = ("x", "y", "t")
 CK_INDEPENDENTS = ("X", "Y", "Z", "T")
-CK_SEED = 20240211  # the T-solvability witness seed of ck_transform and compile_system
+CK_SEED = 20240211  # the seed of the T-solvability witness point
 
 
 class DerivationError(RuntimeError):
@@ -360,7 +359,7 @@ def ck_transform(sys: PDESystem) -> PDESystem:
     prov["ck_of"] = prov.get("path", "unknown")
     prov["original_system"] = sys
     out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(new_eqs), prov)
-    t_solvability_witness(out, random.Random(CK_SEED))
+    t_solvability_witness(out)
     return out
 
 
@@ -371,17 +370,24 @@ def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[DiffPoly]]:
     in its first-order T-jets, with T-free coefficients and remainders,
     no T-jet in a denominator and one equation per unknown."""
     t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
+    k = len(t_jets)
     rows, rests = [], []
     for eq in sys.equations:
         if set(t_jets) & set(eq.den.jet_variables()):
             raise TransformDegenerateError("T-jet inside a denominator")
-        row, rest = [], eq.num
-        for tj in t_jets:
-            try:
-                c, rest = linear_coefficient(rest, tj)
-            except StructureError as e:
-                raise TransformDegenerateError(str(e)) from None
-            row.append(c)
+        parts = decompose_by_jets(eq.num, t_jets)
+        row, rest, squared = [ZERO] * k, parts.pop((0,) * k, ZERO), []
+        for pows, c in parts.items():
+            # a term belongs to the row of its first T-jet; the others
+            # stay in its coefficient, where the check below finds them
+            j = next(i for i, pw in enumerate(pows) if pw)
+            if pows[j] > 1:
+                squared.append(j)
+            elif sum(pows) > 1:
+                c = prod(map(DiffPoly.from_jet, t_jets[j + 1:], pows[j + 1:]), start=c)
+            row[j] = row[j] + c
+        if squared:
+            raise TransformDegenerateError(f"not linear in {t_jets[min(squared)]!r}")
         for part in (*row, rest):
             for jv in part.jet_variables():
                 if jv.d[3] and jv.field.role != INDEPENDENT:
@@ -422,19 +428,20 @@ def _det_mod(mat: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     return det, tuple(order)
 
 
-def t_solvability_witness(sys: PDESystem, rng: random.Random) -> tuple[int, tuple[int, ...]]:
+def t_solvability_witness(sys: PDESystem) -> tuple[int, tuple[int, ...]]:
     """Evaluate the T-jet matrix of t_jet_split at a random point of
-    GF(PRIME) and require it to be invertible; returns the determinant
-    mod PRIME and the row that pivots each column.  A nonzero result
-    proves the matrix nonsingular over Q: reduction mod PRIME is a ring
-    map that commutes with evaluation and with the determinant, so the
-    determinant polynomial is not zero; likewise each pivot is a nonzero
-    rational function of the jets.  Only a zero result can be wrong, with
-    probability at most degree/PRIME (Schwartz-Zippel)."""
+    GF(PRIME), drawn with the fixed seed CK_SEED, and require it to be
+    invertible; returns the determinant mod PRIME and the row that
+    pivots each column.  A nonzero result proves the matrix nonsingular
+    over Q: reduction mod PRIME is a ring map that commutes with
+    evaluation and with the determinant, so the determinant polynomial
+    is not zero; likewise each pivot is a nonzero rational function of
+    the jets.  Only a zero result can be wrong, with probability at most
+    degree/PRIME (Schwartz-Zippel)."""
     rows, _ = t_jet_split(sys)
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     jvs = {jv for row in rows for c in row for jv in c.jet_variables()}
-    pt = random_point(jvs, rng, pole_pairs=pole_pairs_for((*vs, *ws)))
+    pt = random_point(jvs, random.Random(CK_SEED), pole_pairs=pole_pairs_for((*vs, *ws)))
     det, pivots = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
@@ -445,12 +452,8 @@ def t_solvability_witness(sys: PDESystem, rng: random.Random) -> tuple[int, tupl
 
 
 def _kill_z_jets(e: DiffPoly) -> DiffPoly:
-    out = e
-    for jv in e.jet_variables():
-        if jv.field.role != INDEPENDENT and jv.d[2] > 0:
-            dec = decompose_by_jets(out, [jv])
-            out = dec.get((0,), ZERO)
-    return out
+    z_jets = [jv for jv in e.jet_variables() if jv.field.role != INDEPENDENT and jv.d[2] > 0]
+    return decompose_by_jets(e, z_jets).get((0,) * len(z_jets), ZERO)
 
 
 def reduce_equation(eq: JetQuotient) -> JetQuotient | None:

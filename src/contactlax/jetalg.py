@@ -67,9 +67,17 @@ class JetVariable:
         return f"{self.field.name}_{suffix}"
 
 
-# Global interner.  Monomial keys store small integer ids; canonical
-# ordering for output is by (field name, role, multi-index), independent
-# of the id assignment, so serialization is stable across processes.
+def jet_sort_key(jv: JetVariable) -> tuple:
+    """The canonical jet order: field name, role, multi-index."""
+    return jv.field.name, jv.field.role, jv.d
+
+
+# Global interner.  Monomial keys store small integer ids, assigned in
+# the order jets are first met in the process, and list their factors in
+# id order.  Output orders the terms of a polynomial canonically (by
+# jet_sort_key), but the factors of one term in id order, so emitted
+# expressions depend on the interning order of the process; pickles
+# carry the jets themselves (DiffPoly.__reduce__).
 _JET_IDS: dict[JetVariable, int] = {}
 _JETS: list[JetVariable] = []
 _JET_SORT: list[tuple] = []
@@ -81,7 +89,7 @@ def _jet_id(jv: JetVariable) -> int:
         i = len(_JETS)
         _JET_IDS[jv] = i
         _JETS.append(jv)
-        _JET_SORT.append((jv.field.name, jv.field.role, jv.d))
+        _JET_SORT.append(jet_sort_key(jv))
     return i
 
 
@@ -208,6 +216,12 @@ class DiffPoly(Frozen):
     def terms(self):
         """Read-only view of the normal form."""
         return MappingProxyType(self._terms)
+
+    def __reduce__(self):
+        # jet ids are local to a process: pickle the jets themselves
+        return _from_factors, (
+            tuple((c, tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))) for m, c in self._terms.items()),
+        )
 
     # -- construction -------------------------------------------------
 
@@ -353,10 +367,11 @@ class DiffPoly(Frozen):
         for m in self._terms:
             for i in range(0, len(m), 2):
                 seen.add(m[i])
-        return sorted((_JETS[i] for i in seen), key=lambda j: (j.field.name, j.field.role, j.d))
+        return sorted((_JETS[i] for i in seen), key=jet_sort_key)
 
     def monomials(self):
-        """Canonically ordered (coeff, ((JetVariable, power), ...)) view."""
+        """(coeff, ((JetVariable, power), ...)) view: terms in canonical
+        order, the factors of a term in jet-id order."""
         items = sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
         for m, c in items:
             yield Fraction(c), tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))
@@ -389,6 +404,14 @@ ZERO = DiffPoly({})
 ONE = DiffPoly({(): 1})
 
 
+def _from_factors(terms) -> DiffPoly:
+    """Rebuild a pickled DiffPoly, interning its jets in this process."""
+    out = {}
+    for c, factors in terms:
+        out[tuple(x for jid, p in sorted((_jet_id(jv), p) for jv, p in factors) for x in (jid, p))] = c
+    return DiffPoly(out)
+
+
 def jet(field: FieldId, d: tuple[int, int, int, int] = ZERO_INDEX) -> DiffPoly:
     return DiffPoly.from_jet(JetVariable(field, tuple(d)))
 
@@ -401,11 +424,17 @@ def independent(name: str) -> DiffPoly:
 # -- content / primitive part / exact division -------------------------
 
 
-def _rat_gcd(a, b) -> Fraction:
-    fa, fb = Fraction(a), Fraction(b)
-    num = math.gcd(fa.numerator, fb.numerator)
-    den = fa.denominator * fb.denominator // math.gcd(fa.denominator, fb.denominator)
-    return Fraction(num, den)
+def monomial_gcd(*polys: DiffPoly) -> tuple:
+    """The monomial gcd of all terms of the given nonzero polynomials,
+    scanned in order; the scan stops at the first term that leaves it 1."""
+    common = None
+    for e in polys:
+        for m in e._terms:
+            here = dict(zip(m[0::2], m[1::2]))
+            common = here if common is None else {jid: min(pw, here[jid]) for jid, pw in common.items() if jid in here}
+            if not common:
+                return ()
+    return tuple(x for item in common.items() for x in item) if common else ()
 
 
 def content(e: DiffPoly):
@@ -413,28 +442,8 @@ def content(e: DiffPoly):
     if e.is_zero():
         raise StructureError("zero polynomial has no content")
     coeffs = e._terms.values()
-    if all(type(c) is int for c in coeffs):
-        rat = Fraction(math.gcd(*coeffs))
-    else:
-        rat = Fraction(0)
-        for c in coeffs:
-            rat = _rat_gcd(rat, c)
-    common = None
-    for m in e._terms:
-        if common is None:
-            common = dict(zip(m[0::2], m[1::2]))
-        elif not common:
-            break
-        else:
-            here = dict(zip(m[0::2], m[1::2]))
-            for jid, pw in list(common.items()):
-                have = here.get(jid, 0)
-                if have == 0:
-                    del common[jid]
-                elif have < pw:
-                    common[jid] = have
-    mono = tuple(x for jid in sorted(common) for x in (jid, common[jid]))
-    return rat, mono
+    rat = Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
+    return rat, monomial_gcd(e)
 
 
 def strip_monomial(e: DiffPoly, mono: tuple) -> DiffPoly:
@@ -517,19 +526,12 @@ def _normalized(num: DiffPoly, den: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
         return ZERO, ONE
     if den._terms == ONE._terms:
         return num, den
-    # shared monomial content
-    _, mn = content(num)
-    _, md = content(den)
-    if mn and md:
-        shared = {}
-        dn, dd = dict(zip(mn[0::2], mn[1::2])), dict(zip(md[0::2], md[1::2]))
-        for jid in dn:
-            if jid in dd:
-                shared[jid] = min(dn[jid], dd[jid])
-        if shared:
-            mono = tuple(x for jid in sorted(shared) for x in (jid, shared[jid]))
-            num = strip_monomial(num, mono)
-            den = strip_monomial(den, mono)
+    # shared monomial content; the denominator first, since it is
+    # usually the shorter and often has none
+    mono = monomial_gcd(den, num)
+    if mono:
+        num = strip_monomial(num, mono)
+        den = strip_monomial(den, mono)
     if len(den._terms) == 1:
         # monomial denominator: after content cancellation nothing
         # else can cancel except the coefficient
@@ -639,7 +641,7 @@ class JetQuotient(Frozen):
     def jet_variables(self):
         seen = {jv for jv in self.num.jet_variables()}
         seen.update(self.den.jet_variables())
-        return sorted(seen, key=lambda j: (j.field.name, j.field.role, j.d))
+        return sorted(seen, key=jet_sort_key)
 
     def __repr__(self):
         if self.den._terms == ONE._terms:
@@ -753,22 +755,13 @@ def _subst_poly_once(poly: DiffPoly, rules_q, by_field, cache):
             repl[jid] = _prolonged(b, jv.d, rules_q, cache)
     if not repl:
         return None
-    groups: dict[tuple, dict] = {}
-    for m, c in poly._terms.items():
-        tpart = []
-        rest = []
-        for i in range(0, len(m), 2):
-            if m[i] in repl:
-                tpart.append((m[i], m[i + 1]))
-            else:
-                rest.append(m[i])
-                rest.append(m[i + 1])
-        groups.setdefault(tuple(tpart), {})[tuple(rest)] = c
+    ids = sorted(repl)
     total = None
-    for tpart, rest_terms in groups.items():
-        q = _as_quotient(DiffPoly(rest_terms))
-        for jid, pw in tpart:
-            q = q * repl[jid] ** pw
+    for pows, rest in decompose_by_jets(poly, [_JETS[jid] for jid in ids]).items():
+        q = _as_quotient(rest)
+        for jid, pw in zip(ids, pows):
+            if pw:
+                q = q * repl[jid] ** pw
         total = q if total is None else total + q
     return total
 
@@ -811,19 +804,19 @@ def jets_of_field(e: DiffPoly, field: FieldId) -> set:
 
 def decompose_by_jets(e: DiffPoly, jets: list[JetVariable]) -> dict[tuple, DiffPoly]:
     """Group terms by the exponent vector of the given jets; values are
-    the residual polynomials with those factors removed."""
-    ids = [_jet_id(j) for j in jets]
+    the residual polynomials with those factors removed.  Groups and the
+    terms in each keep the order of first occurrence in e."""
+    pos = {_jet_id(jv): k for k, jv in enumerate(jets)}
     out: dict[tuple, dict] = {}
     for m, c in e._terms.items():
-        pows = [0] * len(ids)
+        pows = [0] * len(jets)
         rest = []
         for i in range(0, len(m), 2):
-            jid = m[i]
-            if jid in ids:
-                pows[ids.index(jid)] = m[i + 1]
+            k = pos.get(m[i])
+            if k is None:
+                rest += m[i:i + 2]
             else:
-                rest.append(jid)
-                rest.append(m[i + 1])
+                pows[k] = m[i + 1]
         out.setdefault(tuple(pows), {})[tuple(rest)] = c
     return {k: DiffPoly(v) for k, v in out.items()}
 
@@ -848,24 +841,10 @@ def map_jets(e: DiffPoly, fn) -> DiffPoly:
 
 def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly]:
     """Split e == coeff * jv + rest, requiring e linear in jv."""
-    jid = _jet_id(jv)
-    coeff: dict = {}
-    rest: dict = {}
-    for m, c in e._terms.items():
-        hit = None
-        for i in range(0, len(m), 2):
-            if m[i] == jid:
-                if m[i + 1] != 1:
-                    raise StructureError(f"not linear in {jv!r}")
-                hit = i
-                break
-        if hit is None:
-            rest[m] = c
-        else:
-            mm = list(m)
-            del mm[hit:hit + 2]
-            coeff[tuple(mm)] = c
-    return DiffPoly(coeff), DiffPoly(rest)
+    parts = decompose_by_jets(e, [jv])
+    if any(pows[0] > 1 for pows in parts):
+        raise StructureError(f"not linear in {jv!r}")
+    return parts.get((1,), ZERO), parts.get((0,), ZERO)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -983,8 +962,8 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
 
 
 def to_tree(e: DiffPoly) -> dict:
-    """Canonical emission; to_tree/from_tree round-trips bit-exact on
-    normal forms."""
+    """Emission in the order of DiffPoly.monomials(); to_tree/from_tree
+    round-trips bit-exact on normal forms."""
     if e.is_zero():
         return {"op": "num", "value": "0"}
     terms = []

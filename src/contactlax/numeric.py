@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .compat import CK_INDEPENDENTS, CK_SEED, PDESystem, t_jet_split, t_solvability_witness
+from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_solvability_witness
 from .jetalg import DiffPoly, JetQuotient
 
 
@@ -187,7 +186,7 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
     rows, rests = t_jet_split(sys)
-    _, pivots = t_solvability_witness(sys, random.Random(CK_SEED))
+    _, pivots = t_solvability_witness(sys)
     required = set()
     for e in (*(c for row in rows for c in row), *rests):
         for jv in e.jet_variables():

@@ -25,8 +25,8 @@ from .jetalg import (
     divide_exact,
     evaluate_mod,
     jet,
+    monomial_gcd,
     strip_monomial,
-    content,
     _as_quotient,
     _rebuild,
     _set,
@@ -393,17 +393,8 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
     for c in num + den:
         if not (c.den == ONE):
             raise StructureError("denominator clearing failed")
-    polys = [c.num for c in num + den if not c.num.is_zero()]
-    common = None
-    for e in polys:
-        _, mono = content(e)
-        md = dict(zip(mono[0::2], mono[1::2]))
-        if common is None:
-            common = md
-        else:
-            common = {j: min(p, md[j]) for j, p in common.items() if j in md}
-    if common:
-        mono = tuple(x for j in sorted(common) for x in (j, common[j]))
+    mono = monomial_gcd(*(c.num for c in num + den if not c.num.is_zero()))
+    if mono:
         num = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in num]
         den = [JetQuotient(strip_monomial(c.num, mono)) if not c.num.is_zero() else c for c in den]
     return PPoly(num), PPoly(den)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .jetalg import PRIME, JetVariable
+from .jetalg import PRIME, JetVariable, jet_sort_key
 
 _DRAWS = 8
 
@@ -19,7 +19,7 @@ _DRAWS = 8
 def random_point(jet_vars, rng: random.Random, pole_pairs=()) -> dict[JetVariable, int]:
     """Uniform values in GF(PRIME), assigned in a fixed variable order so
     the point does not depend on string hashing."""
-    jet_vars = sorted(jet_vars, key=lambda jv: (jv.field.name, jv.field.role, jv.d))
+    jet_vars = sorted(jet_vars, key=jet_sort_key)
     for _ in range(_DRAWS):
         pt = {jv: rng.randrange(PRIME) for jv in jet_vars}
         if all(pt[a] != pt[b] for a, b in pole_pairs if a in pt and b in pt):

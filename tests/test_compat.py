@@ -1,5 +1,8 @@
+import os
 import pickle
 import random
+import subprocess
+import sys as _sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from contactlax.compat import (
     match_printed_system,
     reduce_2plus1,
     reduce_system,
+    t_jet_split,
     t_solvability_witness,
     _compare_as_equations,
     _det_mod,
@@ -179,6 +183,42 @@ def test_pdesystem_pickles_with_read_only_provenance():
         back.provenance["path"] = "changed"
 
 
+# Builds the same values in a fresh process, interning the jets of pa
+# and pb in the order given by FIRST.
+_PICKLE_VALUES = """
+import pickle, sys
+from contactlax.compat import XYZT, PDESystem
+from contactlax.jetalg import FieldId, JetQuotient, jet
+from contactlax.pfield import PPoly, PRational
+pa, pb = FieldId("pa"), FieldId("pb")
+jets = {f: jet(f) for f in (FIRST, pb if FIRST == pa else pa)}
+a, b = jets[pa], jets[pb]
+values = (
+    a + 2 * b,
+    JetQuotient(a * b + 3 * b, a - b),
+    PRational(PPoly([JetQuotient(a), JetQuotient(2 * a * b)])),
+    PDESystem((pa, pb), XYZT, (JetQuotient(jet(pa, (1, 0, 0, 0)) + 2 * a * b, b),), {}),
+)
+"""
+
+
+def _in_fresh_process(first: str, code: str, stdin: bytes = b"") -> bytes:
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = _PICKLE_VALUES.replace("FIRST", first) + code
+    return subprocess.run([_sys.executable, "-c", script], input=stdin, env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+
+
+def test_pickles_keep_their_meaning_across_processes():
+    # `a + 2*b` pickled where a was interned first must not load as
+    # `2*a + b` where b was
+    data = _in_fresh_process("pa", "sys.stdout.buffer.write(pickle.dumps(values))")
+    out = _in_fresh_process("pb", "print([x == y for x, y in zip(pickle.loads(sys.stdin.buffer.read()), values)])",
+                            data)
+    assert out.decode().strip() == "[True, True, True, True]"
+
+
 def test_ck_jet_mapping():
     sys = derive("rat", 1, 1)
     ck = ck_transform(sys)
@@ -256,10 +296,10 @@ def test_t_solvability_witness_singular_and_regular():
     singular = (JetQuotient(first), JetQuotient(u2x * first + jet(u1)))
     sys = PDESystem((u1, u2), CK_INDEPENDENTS, singular, {})
     with pytest.raises(TransformDegenerateError):
-        t_solvability_witness(sys, random.Random(5))
+        t_solvability_witness(sys)
     # det = u1^2 - u2_X
     regular = (JetQuotient(first), JetQuotient(jet(u1) * t2 + t1))
-    det, _ = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}), random.Random(5))
+    det, _ = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}))
     assert 0 < det < PRIME
 
 
@@ -268,7 +308,7 @@ def test_t_solvability_witness_samples_y_jets():
     u, w = FieldId("u"), FieldId("w")
     u_t, w_t, w_y = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(w, (0, 1, 0, 0))
     eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
-    det, pivots = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
+    det, pivots = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
     assert det == PRIME - 1 and pivots == (0, 1)
 
 
@@ -277,12 +317,25 @@ def test_t_solvability_witness_rejects_t_jets_in_rows():
     u_t, w_t = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1))
     eqs = (JetQuotient(u_t * w_t + jet(u)), JetQuotient(w_t + jet(w)))
     with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
-        t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}), random.Random(5))
+        t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
     # w_y u_t + w_t in (x, y, z, t): the u_T coefficient becomes w_T + w_Y
     w_y = jet(w, (0, 1, 0, 0))
     eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
     with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
         ck_transform(PDESystem((u, w), XYZT, eqs, {}))
+
+
+def test_t_jet_split_names_the_first_t_jet_of_a_nonlinear_term():
+    # as a split by one T-jet after the other would: a term belongs to
+    # its first T-jet, which must appear to the first power
+    u, w = FieldId("u"), FieldId("w")
+    u_t, w_t = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1))
+    for num, message in ((w_t * w_t + u_t * u_t, "not linear in u_t"),
+                         (u_t * w_t * w_t + u_t, "contains the T-jet w_t"),
+                         (w_t * w_t + u_t, "not linear in w_t")):
+        eqs = (JetQuotient(num), JetQuotient(w_t + jet(w)))
+        with pytest.raises(TransformDegenerateError, match=message):
+            t_jet_split(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
 
 
 @pytest.mark.parametrize("family", ["rat", "ratgp"])

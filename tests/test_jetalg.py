@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -17,8 +18,8 @@ from contactlax.jetalg import (
     PoleError,
     StructureError,
     WAVE,
-    _rat_gcd,
     content,
+    decompose_by_jets,
     divide_exact,
     evaluate,
     evaluate_mod,
@@ -26,7 +27,10 @@ from contactlax.jetalg import (
     from_tree,
     independent,
     jet,
+    linear_coefficient,
+    monomial_gcd,
     primitive,
+    strip_monomial,
     substitute,
     to_tree,
     total_derivative,
@@ -38,6 +42,7 @@ V = FieldId("v")
 W = FieldId("w")
 v, w = jet(V), jet(W)
 vx = jet(V, (1, 0, 0, 0))
+V_JV, VX_JV = JetVariable(V), JetVariable(V, (1, 0, 0, 0))
 
 
 def tree_nodes():
@@ -366,6 +371,14 @@ def test_leading_is_oracle_maximum_and_multiplicative():
 # -- content and primitive part -------------------------------------------
 
 
+def _rat_gcd(a, b) -> Fraction:
+    """Pairwise gcd of two rationals (oracle for the rational content)."""
+    fa, fb = Fraction(a), Fraction(b)
+    num = math.gcd(fa.numerator, fb.numerator)
+    den = fa.denominator * fb.denominator // math.gcd(fa.denominator, fb.denominator)
+    return Fraction(num, den)
+
+
 def _check_content(e: DiffPoly):
     rat, mono = content(e)
     assert isinstance(rat, Fraction)
@@ -415,3 +428,75 @@ def test_content_random_trees():
         if not e.is_zero():
             _check_content(e)
             checked += 1
+
+
+# -- monomial gcd and term split ---------------------------------------------
+
+
+def _factors(mono: tuple) -> dict:
+    (_, factors), = DiffPoly({mono: 1}).monomials()
+    return dict(factors)
+
+
+def _dense_gcd(polys) -> dict:
+    """Oracle: the least exponent of every jet over every term, absent
+    jets counting as exponent 0."""
+    terms = [dict(f) for e in polys for _, f in e.monomials()]
+    jets = {jv for t in terms for jv in t}
+    low = {jv: min(t.get(jv, 0) for t in terms) for jv in jets}
+    return {jv: k for jv, k in low.items() if k}
+
+
+class _Unread:
+    """A polynomial stand-in that fails when its terms are read."""
+
+    @property
+    def _terms(self):
+        raise AssertionError("scanned past a gcd of 1")
+
+
+def test_monomial_gcd_matches_dense_oracle():
+    rng = random.Random(5150)
+    checked = 0
+    while checked < 150:
+        polys = [from_tree(random_tree(rng)) for _ in range(rng.randint(1, 3))]
+        if any(e.is_zero() for e in polys):
+            continue
+        # a shared factor, so that most gcds are not 1
+        shared = from_tree({"op": "mul", "args": [random_tree(rng, depth=0) for _ in range(3)]})
+        if not shared.is_zero():
+            polys = [e * shared for e in polys]
+        g = monomial_gcd(*polys)
+        assert _factors(g) == _dense_gcd(polys)
+        for e in polys:
+            assert content(e)[1] == monomial_gcd(e)
+            assert e == DiffPoly({g: 1}) * strip_monomial(e, g)
+        checked += 1
+
+
+def test_monomial_gcd_stops_at_one():
+    assert monomial_gcd(v + w, _Unread()) == ()
+    with pytest.raises(AssertionError):  # the gcd is still v: reads on
+        monomial_gcd(v * w, v * vx, _Unread())
+    assert _factors(monomial_gcd(v * v * w, v ** 3 * vx, 2 * v * w)) == {V_JV: 1}
+
+
+def test_decompose_by_jets_reassembles():
+    rng = random.Random(6021)
+    for _ in range(150):
+        e = from_tree(random_tree(rng))
+        jvs = e.jet_variables()
+        picked = rng.sample(jvs, rng.randint(0, len(jvs))) + [JetVariable(FieldId("absent"))]
+        parts = decompose_by_jets(e, picked)
+        total = DiffPoly()
+        for pows, rest in parts.items():
+            assert not set(rest.jet_variables()) & set(picked)
+            total = total + math.prod(map(DiffPoly.from_jet, picked, pows), start=rest)
+        assert total == e
+
+
+def test_linear_coefficient():
+    coeff, rest = linear_coefficient(3 * v * vx + w * vx + v * v, VX_JV)
+    assert coeff == 3 * v + w and rest == v * v
+    with pytest.raises(StructureError, match="not linear in v_x"):
+        linear_coefficient(v * vx * vx + w, VX_JV)
