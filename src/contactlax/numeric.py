@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
+from collections import Counter, deque
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_solvability_witness
-from .jetalg import DiffPoly, JetQuotient
+from .jetalg import DiffPoly
 
 
 class CompileError(RuntimeError):
@@ -59,13 +60,19 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
+@lru_cache(maxsize=16)
+def _rfft_multiplier(n: int, axis: int, h: float) -> np.ndarray:
+    """2 pi i k on the rfft bins of one axis, zero at the Nyquist bin:
+    its derivative is imaginary, so a real result drops it."""
+    k = np.fft.rfftfreq(n, d=h) * (np.arange(n // 2 + 1) != n / 2)
+    mult = (2j * np.pi * k).reshape([-1 if ax == axis else 1 for ax in range(3)])
+    mult.flags.writeable = False
+    return mult
+
+
 def spectral_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     n = arr.shape[axis]
-    k = np.fft.fftfreq(n, d=h)
-    shape = [1, 1, 1]
-    shape[axis] = n
-    mult = (2j * np.pi * k).reshape(shape)
-    return np.real(np.fft.ifft(np.fft.fft(arr, axis=axis) * mult, axis=axis))
+    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * _rfft_multiplier(n, axis, h), n=n, axis=axis)
 
 
 def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -76,61 +83,81 @@ SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 
 
 def spatial_jet(arr: np.ndarray, didx: tuple[int, int, int, int], grid: Grid, op) -> np.ndarray:
-    out = arr
-    for axis, count in ((0, didx[0]), (1, didx[1]), (2, didx[2])):
-        for _ in range(count):
-            out = op(out, axis, grid.spacing[axis])
-    return out
+    for axis in range(3):
+        for _ in range(didx[axis]):
+            arr = op(arr, axis, grid.spacing[axis])
+    return arr
 
 
-# -- compiled evaluation programs ----------------------------------------------
+# -- straight-line code generation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TermProgram:
-    """Flattened sum-of-products program: each entry is a coefficient and
-    (field name, multi-index, power) factors, evaluated left to right."""
+class _Code:
+    """Straight-line NumPy code, one assignment per operation.  Operands
+    are (local name or float literal, negated) pairs: negations fold into
+    the sums, products and quotients that read them, literal operands
+    fold as the code is generated, each operation is emitted once, and a
+    temporary is deleted after its last use."""
 
-    terms: tuple[tuple[float, tuple[tuple[str, tuple, int], ...]], ...]
+    def __init__(self, jets):
+        self.index = {key: i for i, key in enumerate(jets)}  # jet -> argument j<i>
+        self.ops = {}  # (left, operator, right) -> target, in emission order
 
-    def eval(self, jets: dict) -> np.ndarray | float:
-        acc = None
-        for coeff, factors in self.terms:
-            val = coeff
-            for name, didx, power in factors:
-                arr = jets[(name, didx)]
-                val = val * (arr if power == 1 else arr ** power)
-            acc = val if acc is None else acc + val
-        return 0.0 if acc is None else acc
+    def _emit(self, a, o, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[o](a, b)
+        return self.ops.setdefault((a, o, b), f"t{len(self.ops)}")
 
+    def add(self, x, y, o="+"):  # x + y, or x - y
+        (a, na), (b, nb) = x, (y[0], y[1] != (o == "-"))
+        if a == 0.0 or b == 0.0:
+            return (b, nb) if a == 0.0 else x
+        if na == nb:
+            return self._emit(a, "+", b), na
+        return (self._emit(a, "-", b) if nb else self._emit(b, "-", a)), False
 
-@dataclass(frozen=True)
-class QuotientProgram:
-    num: TermProgram
-    den: TermProgram | None
+    def mul(self, x, y, o="*"):  # x * y, or x / y
+        (a, na), (b, nb) = x, y
+        if o == "*" and 0.0 in (a, b):
+            return 0.0, False
+        if b == 1.0 or o == "*" and a == 1.0:
+            return (a if b == 1.0 else b), na != nb
+        return self._emit(a, o, b), na != nb
 
-    def eval(self, jets: dict):
-        n = self.num.eval(jets)
-        if self.den is None:
-            return n
-        return n / self.den.eval(jets)
+    def poly(self, e: DiffPoly):
+        return self._horner([(c, {self.index[(jv.field.name, jv.d)]: p for jv, p in factors})
+                             for c, factors in e.monomials()])
 
+    def _horner(self, terms):
+        """Greedy multivariate Horner form (Ceberio and Kreinovich, ACM
+        SIGSAM Bull. 38, 2004) of the terms (coefficient, {jet: power}):
+        factor out the jet found in the most terms, the first in jet order
+        on a tie, recurse into its cofactor and go on with the rest."""
+        acc = (0.0, False)
+        while terms:
+            counts = Counter(j for _, mono in terms for j in mono)
+            if not counts:  # only the constant term is left
+                return self.add(acc, (float(abs(terms[0][0])), terms[0][0] < 0))
+            x = min(counts, key=lambda j: (-counts[j], j))
+            cofactor = [(c, {j: p - (j == x) for j, p in mono.items() if p > (j == x)})
+                        for c, mono in terms if x in mono]
+            terms = [t for t in terms if x not in t[1]]
+            acc = self.add(acc, self.mul(self._horner(cofactor), (f"j{x}", False)))
+        return acc
 
-def _compile_poly(e: DiffPoly) -> TermProgram:
-    terms = []
-    for coeff, factors in e.monomials():
-        terms.append(
-            (float(coeff), tuple((jv.field.name, jv.d, p) for jv, p in factors))
-        )
-    return TermProgram(tuple(terms))
-
-
-def _compile_quotient(q: JetQuotient) -> QuotientProgram:
-    if q.den.is_const():
-        c = q.den.const_value()
-        num = _compile_poly(q.num * (Fraction(1) / c))
-        return QuotientProgram(num, None)
-    return QuotientProgram(_compile_poly(q.num), _compile_poly(q.den))
+    def function(self, name: str, outputs) -> str:
+        """Source of ``def name(j0, j1, ...)``, returning the outputs."""
+        outs = [(self._emit(0.0, "-", a) if isinstance(a, str) else -a) if neg else a for a, neg in outputs]
+        last = {v: t for (a, _, b), t in self.ops.items() for v in (a, b) if isinstance(v, str)}
+        text = lambda v: v if isinstance(v, str) else repr(v)  # noqa: E731
+        lines = [f"def {name}({', '.join(f'j{i}' for i in self.index.values())}):"]
+        lines += [f"    # j{i} = {key!r}" for key, i in self.index.items()]
+        for (a, o, b), t in self.ops.items():
+            lines.append(f"    {t} = {text(a)} {o} {text(b)}")
+            dead = [v for v in dict.fromkeys((a, b)) if last.get(v) == t and v[0] == "t" and v not in outs]
+            if dead:
+                lines.append(f"    del {', '.join(dead)}")
+        return "\n".join([*lines, f"    return ({''.join(text(o) + ', ' for o in outs)})\n"])
 
 
 # -- the T-jet solve -------------------------------------------------------------
@@ -138,51 +165,35 @@ def _compile_quotient(q: JetQuotient) -> QuotientProgram:
 
 @dataclass(frozen=True)
 class CompiledSystem:
+    """The T-solve and the original-form equations as generated NumPy
+    functions of their jets; the source is kept for reading."""
+
     unknowns: tuple[str, ...]
-    # per equation: its T-jet coefficients (None where zero), then minus its remainder
-    rows: tuple[tuple[TermProgram | None, ...], ...]
     pivots: tuple[int, ...]  # pivots[c]: the row that pivots column c, proven mod p
-    required_jets: tuple[tuple[str, tuple], ...]
+    required_jets: tuple[tuple[str, tuple], ...]  # the arguments of rhs_source, in order
     pole_pairs: tuple[tuple[str, str], ...]
-    residual_programs: tuple[QuotientProgram, ...] | None  # original-form equations, if recorded
-    residual_jets: tuple[tuple[str, tuple], ...]  # the jets those equations read
+    rhs_source: str
+    residual_jets: tuple[tuple[str, tuple], ...]  # the arguments of residual_source, in order
+    residual_source: str | None  # the original-form equations, if recorded
+
+    def __post_init__(self):
+        for name in ("rhs", "residual"):
+            source, namespace = getattr(self, f"{name}_source"), {}
+            if source is not None:
+                exec(compile(source, f"<generated {name}>", "exec"), namespace)
+            object.__setattr__(self, f"_{name}", namespace.get(name))
+
+    def __reduce__(self):  # the generated functions are rebuilt from their source
+        return CompiledSystem, tuple(getattr(self, f.name) for f in fields(self))
 
     def rhs_from_jets(self, jets: dict) -> dict:
-        """Gaussian elimination on the grid in the compiled pivot order.
-        A row is evaluated when first read and dropped once solved; a
-        structurally zero entry (None) is never read or written."""
-        k, got = len(self.pivots), {}
-
-        def row(r):
-            if r not in got:
-                got[r] = [None if p is None else p.eval(jets) for p in self.rows[r]]
-            return got[r]
-
-        for col, piv in enumerate(self.pivots):
-            for r in self.pivots[col + 1:]:
-                if (got[r] if r in got else self.rows[r])[col] is None:
-                    continue
-                a, p = row(r), row(piv)
-                f = a[col] / p[col]
-                for c in range(col + 1, k + 1):
-                    if p[c] is not None:
-                        a[c] = -f * p[c] if a[c] is None else a[c] - f * p[c]
-        x = [None] * k
-        for col in reversed(range(k)):
-            a = row(self.pivots[col])
-            del got[self.pivots[col]]
-            acc = a[k]
-            for c in range(col + 1, k):
-                if a[c] is not None:
-                    acc = acc - a[c] * x[c]
-            x[col] = acc / a[col]
-        return dict(zip(self.unknowns, x))
+        return dict(zip(self.unknowns, self._rhs(*map(jets.__getitem__, self.required_jets))))
 
 
 def compile_system(sys: PDESystem) -> CompiledSystem:
     """Compile an evolution-form system: the T-jet coefficients and
-    remainders of compat.t_jet_split become array programs, solved on the
-    grid in the pivot order of the T-solvability witness."""
+    remainders of compat.t_jet_split become straight-line array code,
+    solved on the grid in the pivot order of the T-solvability witness."""
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
     rows, rests = t_jet_split(sys)
@@ -193,25 +204,46 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
             if jv.field.role == "independent":
                 raise CompileError("independent-variable symbols are not grid data")
             required.add((jv.field.name, jv.d))
+    required = tuple(sorted(required))
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     original = sys.provenance.get("original_system")
-    return CompiledSystem(
-        tuple(u.name for u in sys.unknowns),
-        tuple((*(None if c.is_zero() else _compile_poly(c) for c in row), _compile_poly(-rest))
-              for row, rest in zip(rows, rests)),
-        pivots,
-        tuple(sorted(required)),
-        tuple((v.name, w.name) for v in vs for w in ws),
-        *(_compile_residual(original) if original is not None else (None, ())),
-    )
+    return CompiledSystem(tuple(u.name for u in sys.unknowns), pivots, required,
+                          tuple((v.name, w.name) for v in vs for w in ws), _rhs_source(rows, rests, pivots, required),
+                          *(_residual_source(original) if original is not None else ((), None)))
 
 
-def _compile_residual(original: PDESystem):
-    """Programs for the original-form equations, and the jets they read."""
-    jets = sorted({(jv.field.name, jv.d) for q in original.equations for jv in q.jet_variables()})
+def _rhs_source(rows, rests, pivots, jets) -> str:
+    """Gaussian elimination in the given pivot order, unrolled; a
+    structurally zero entry (None) is never read or written."""
+    code, k = _Code(jets), len(pivots)
+    # each row: its T-jet coefficients, then minus its remainder
+    m = [[None if c.is_zero() else code.poly(c) for c in row] + [code.poly(-rest)] for row, rest in zip(rows, rests)]
+    for col, piv in enumerate(pivots):
+        p = m[piv]
+        for a in (m[r] for r in pivots[col + 1:] if m[r][col] is not None):
+            f = code.mul(a[col], p[col], "/")
+            for c in range(col + 1, k + 1):
+                if p[c] is not None:
+                    a[c] = code.add(a[c] or (0.0, False), code.mul(f, p[c]), "-")
+    x = [None] * k
+    for col in reversed(range(k)):
+        a = m[pivots[col]]
+        acc = a[k]
+        for c in range(col + 1, k):
+            if a[c] is not None:
+                acc = code.add(acc, code.mul(a[c], x[c]), "-")
+        x[col] = code.mul(acc, a[col], "/")
+    return code.function("rhs", x)
+
+
+def _residual_source(original: PDESystem):
+    """The jets the original-form equations read, and their code."""
+    jets = tuple(sorted({(jv.field.name, jv.d) for q in original.equations for jv in q.jet_variables()}))
     if any((d[1] or d[3]) and sum(d) > 1 for _, d in jets):
         raise CompileError("residual evaluation expects first-order y/t jets")
-    return tuple(_compile_quotient(q) for q in original.equations), tuple(jets)
+    code = _Code(jets)
+    return jets, code.function("residual", [code.mul(code.poly(q.num), code.poly(q.den), "/")
+                                            for q in original.equations])
 
 
 # -- manufactured (harmonic) fields ----------------------------------------------
@@ -270,22 +302,17 @@ def _min_pole_distance(state: dict, pairs) -> float:
     return min(float(np.min(np.abs(state[w] - state[v]))) for v, w in pairs)
 
 
-def integrate(
-    cs: CompiledSystem,
-    grid: Grid,
-    state: dict,
-    steps: int,
-    dt: float,
-    spatial: str = "spectral",
-    guard: float = 0.1,
-    forcing=None,
-    monitor_every: int = 1,
-) -> Trajectory:
+def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float, spatial: str = "spectral",
+              guard: float = 0.1, forcing=None, monitor_every: int = 1) -> Trajectory:
     """Method-of-lines advance in T from T = 0.  ``forcing`` maps (coords,
     T) to a dict of arrays added to the T-derivatives (manufactured runs).
     Of the monitored states only the last three are kept."""
     if monitor_every < 1:
         raise CompileError("monitor_every must be at least 1")
+    if steps < 0:
+        raise CompileError(f"steps must not be negative, got {steps}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise CompileError(f"dt must be finite and positive, got {dt}")
     op = SPATIAL_OPS[spatial]
     coords = grid.coords()
     state = {k: np.array(v, dtype=float) for k, v in state.items()}
@@ -313,10 +340,7 @@ def integrate(
         k3 = rhs(s3, T + 0.5 * dt)
         s4 = {u: state[u] + dt * k3[u] for u in cs.unknowns}
         k4 = rhs(s4, T + dt)
-        state = {
-            u: state[u] + (dt / 6.0) * (k1[u] + 2 * k2[u] + 2 * k3[u] + k4[u])
-            for u in cs.unknowns
-        }
+        state = {u: state[u] + (dt / 6.0) * (k1[u] + 2 * k2[u] + 2 * k3[u] + k4[u]) for u in cs.unknowns}
         T += dt
         if step % monitor_every == 0 or step == steps:
             for u in cs.unknowns:
@@ -328,7 +352,7 @@ def integrate(
             traj.times.append(T)
             traj.snapshots.append(state)
             res = float("nan")
-            if len(traj.snapshots) == 3 and cs.residual_programs is not None:
+            if len(traj.snapshots) == 3 and cs.residual_source is not None:
                 res = residual_original_form(cs, traj)
             traj.monitors.append((step, T, dist, res, _max_field(state)))
     return traj
@@ -355,7 +379,7 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
     y/t jets reassembled from them (d/dy = d/dT + d/dY, d/dt = d/dT -
     d/dY), spatial jets by centered differences.  Returns the root of the
     mean square over all equations and grid points."""
-    if cs.residual_programs is None:
+    if cs.residual_source is None:
         raise CompileError("no original-form system recorded for residual evaluation")
     (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.snapshots
     h0, h1 = t1 - t0, t2 - t1
@@ -367,7 +391,7 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
         u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
         u_Y = spatial_jet(cur[name], (0, 1, 0, 0), traj.grid, fd2_diff)
         jets[(name, didx)] = u_T + u_Y if didx[1] else u_T - u_Y
-    rs = [np.asarray(prog.eval(jets)) for prog in cs.residual_programs]
+    rs = [np.asarray(r) for r in cs._residual(*map(jets.__getitem__, cs.residual_jets))]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 
@@ -392,10 +416,8 @@ def load_initial_data(spec: dict | str, unknowns, coords) -> dict:
             hf = HarmonicField(float(entry["constant"]))
         elif "fourier" in entry:
             fz = entry["fourier"]
-            modes = tuple(
-                Mode(tuple(m["k"]), float(m["amp"]), float(m.get("phase", 0.0)))
-                for m in fz.get("modes", ())
-            )
+            modes = tuple(Mode(tuple(m["k"]), float(m["amp"]), float(m.get("phase", 0.0)))
+                          for m in fz.get("modes", ()))
             hf = HarmonicField(float(fz.get("mean", 0.0)), modes)
         else:
             raise CompileError(f"bad initial-data entry for {name}")
@@ -443,16 +465,9 @@ class ConvergenceReport:
     spatial_orders: list
 
 
-def manufactured_test(
-    cs: CompiledSystem,
-    exact: dict,
-    t_final: float = 0.2,
-    temporal_grid: int = 16,
-    temporal_dts=(0.04, 0.02, 0.01, 0.005),
-    spatial_grids=(16, 32),
-    spatial_dt: float = 0.002,
-    guard: float = 0.1,
-):
+def manufactured_test(cs: CompiledSystem, exact: dict, t_final: float = 0.2, temporal_grid: int = 16,
+                      temporal_dts=(0.04, 0.02, 0.01, 0.005), spatial_grids=(16, 32), spatial_dt: float = 0.002,
+                      guard: float = 0.1):
     """Temporal study: spectral space (exact for band-limited data), RK4
     under dt-refinement.  Spatial study: FD2 at fixed small dt across
     grid refinement.  Reports observed orders."""
@@ -465,13 +480,8 @@ def manufactured_test(
     return ConvergenceReport(temporal, _orders(temporal), spatial, _orders(spatial))
 
 
-def residual_refinement_study(
-    cs: CompiledSystem,
-    init: dict,
-    levels=((8, 0.02), (16, 0.01), (32, 0.005)),
-    steps0: int = 6,
-    guard: float = 0.1,
-) -> list[float]:
+def residual_refinement_study(cs: CompiledSystem, init: dict, levels=((8, 0.02), (16, 0.01), (32, 0.005)),
+                              steps0: int = 6, guard: float = 0.1) -> list[float]:
     """Evolve the same smooth initial data at joint (grid, step)
     refinement and report the original-form finite-difference residual at
     a fixed interior time; it must shrink under refinement."""

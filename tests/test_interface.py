@@ -152,6 +152,29 @@ def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     assert capsys.readouterr().err.strip() == rep["error"]
 
 
+@pytest.mark.parametrize("params,message", [
+    (["--steps", "-3"], "steps must not be negative"),
+    (["--dt", "0"], "dt must be finite and positive"),
+    (["--dt", "-0.01"], "dt must be finite and positive"),
+    (["--dt", "nan"], "dt must be finite and positive"),
+], ids=["negative-steps", "zero-dt", "negative-dt", "nan-dt"])
+def test_simulate_impossible_step_parameters_exit_2(tmp_path, capsys, params, message):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({
+        "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
+        "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
+    }))
+    report = tmp_path / "report.json"
+    code = main([
+        "simulate", "--family", "rat", "-m", "1", "-n", "1", "--grid", "8", "--steps", "2",
+        "--init", str(init), "--report-json", str(report), *params,
+    ])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"].startswith("parameter error:") and message in rep["error"]
+    assert "integration" not in rep["verdicts"]
+
+
 _XYZT = ["X", "Y", "Z", "T"]
 
 

@@ -1,3 +1,5 @@
+import pickle
+import re
 import time
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from contactlax.numeric import (
     spectral_diff,
     write_monitor_csv,
 )
+from contactlax.sampling import pole_pairs_for
 from conftest import rational_point
 
 TP = 2 * np.pi
@@ -75,10 +78,10 @@ def _fraction_solve(mat, rhs):
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
-def _exact_rhs(sys, pt):
-    """The T-derivatives solved exactly at a rational point.  Each
-    equation is affine in the T-jets, so its values with the T-jets at 0
-    and at the unit vectors give its remainder and its T-jet row."""
+def _exact_t_system(sys, pt):
+    """The T-jet matrix and right-hand side at a rational point, exactly.
+    Each equation is affine in the T-jets, so its values with the T-jets
+    at 0 and at the unit vectors give its remainder and its T-jet row."""
     t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
 
     def values(j):
@@ -87,23 +90,69 @@ def _exact_rhs(sys, pt):
 
     rest = values(None)
     cols = [[a - b for a, b in zip(values(j), rest)] for j in range(len(t_jets))]
-    solved = _fraction_solve(list(zip(*cols)), [-b for b in rest])
-    return dict(zip((u.name for u in sys.unknowns), solved))
+    return list(zip(*cols)), [-b for b in rest]
 
 
-def _assert_matches_exact(sys, cs, rng, pairs=(), points=10):
+def _assert_matches_exact(sys, cs, rng, pairs=(), points=10, forward=True):
+    """The compiled T-solve against exact arithmetic at rational points:
+    the componentwise backward error (Oettli and Prager, Numer. Math. 6,
+    1964) of its solution is at most 1e-12 and, with ``forward``, so is
+    its error relative to the exact solution."""
     jvs = {jv for eq in sys.equations for jv in eq.jet_variables() if jv.d[3] == 0}
     for _ in range(points):
         pt = rational_point(jvs, rng, pole_pairs=pairs)
-        exact = _exact_rhs(sys, pt)
+        mat, rhs = _exact_t_system(sys, pt)
         got = cs.rhs_from_jets({(jv.field.name, jv.d): float(pt[jv]) for jv in jvs})
-        for u in cs.unknowns:
-            assert abs(got[u] - float(exact[u])) <= 1e-12 * max(1.0, abs(float(exact[u])))
+        x = [Fraction(got[u]) for u in cs.unknowns]
+        for row, b in zip(mat, rhs):
+            residual = abs(sum(a * xi for a, xi in zip(row, x)) - b)
+            assert residual <= Fraction(1e-12) * (sum(abs(a * xi) for a, xi in zip(row, x)) + abs(b))
+        if forward:
+            for u, e in zip(cs.unknowns, _fraction_solve(mat, rhs)):
+                assert abs(got[u] - float(e)) <= 1e-12 * max(1.0, abs(float(e)))
 
 
-def test_compiled_matches_exact_eval(cs, rng):
-    sys = ck_transform(derive("rat", 1, 1, form="residues"))
-    _assert_matches_exact(sys, cs, rng, pairs=[(JetVariable(FieldId("v1")), JetVariable(FieldId("w1")))])
+@pytest.mark.parametrize("m,n,form", [(1, 1, "residues"), (1, 1, "coefficients"), (2, 1, "residues")])
+def test_compiled_matches_exact_eval(m, n, form, rng):
+    # The residue forms are diagonal.  The coefficient form's rows hold
+    # 4, 4, 4 and 2 T-jets, and at one of the ten points its T-jet matrix
+    # has condition number 2.4e5: a float solve of the correctly rounded
+    # matrix (LAPACK's included) misses the exact solution by 3e-12
+    # there, so only its backward error is held to 1e-12.
+    sys = ck_transform(derive("rat", m, n, form=form))
+    pairs = pole_pairs_for(sum(sys.provenance["pole_fields"], ()))
+    _assert_matches_exact(sys, compile_system(sys), rng, pairs=pairs, forward=form == "residues")
+
+
+def test_residual_code_matches_exact_eval(cs, rng):
+    original = ck_transform(derive("rat", 1, 1, form="residues")).provenance["original_system"]
+    jvs = {jv for eq in original.equations for jv in eq.jet_variables()}
+    for _ in range(10):
+        pt = rational_point(jvs, rng, pole_pairs=[(JetVariable(FieldId("v1")), JetVariable(FieldId("w1")))])
+        got = cs._residual(*(float(pt[JetVariable(FieldId(name), d)]) for name, d in cs.residual_jets))
+        for g, eq in zip(got, original.equations):
+            want = float(evaluate(eq, pt))
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_generated_code_stays_flat_on_a_long_chain(rng):
+    # u_T = sum of J_i * J_(i+1) over 401 distinct jets: nesting the
+    # Horner form of this sum would exceed the parser's 200 parentheses
+    u = FieldId("u")
+    js = [jet(u, (i, 0, 0, 0)) for i in range(401)]
+    products = [a * b for a, b in zip(js, js[1:])]
+    sys = PDESystem((u,), CK_INDEPENDENTS, (JetQuotient(jet(u, (0, 0, 0, 1)) - sum(products[1:], products[0])),), {})
+    cs = compile_system(sys)
+    _assert_matches_exact(sys, cs, rng, points=3)
+    body = cs.rhs_source.splitlines()[1:]
+    assert all(re.fullmatch(r"    (# .*|t\d+ = \S+ [-+*/] \S+|del [t\d, ]+|return \(.*\))", line) for line in body)
+
+
+def test_compiled_system_pickles_by_source(cs):
+    back = pickle.loads(pickle.dumps(cs))
+    assert back == cs
+    jets = {key: 0.5 + i for i, key in enumerate(cs.required_jets)}
+    assert back.rhs_from_jets(jets) == cs.rhs_from_jets(jets)
 
 
 def _t_rows_system(t_rows):
