@@ -70,7 +70,7 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args, rep)
-    except (ParameterError, numeric.CompileError, FileNotFoundError) as e:
+    except (ParameterError, numeric.CompileError, OSError) as e:
         code, rep.error = 2, f"parameter error: {e}"
     except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
         code, rep.error = 3, f"numerical abort: {e}"
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _run(args)
-    except FileNotFoundError as e:  # the --report-json path itself
+    except OSError as e:  # the --report-json path itself
         print(f"parameter error: {e}", file=_sys.stderr)
         return 2
 

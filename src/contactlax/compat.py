@@ -291,10 +291,10 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
         raise StructureError("residue organization applies to the rational families")
     vs, ws = lax.pole_fields()
     pf = partial_fraction(cc, [(f, 2) for f in (*vs, *ws)])
-    blocks = {b.pole.name: b for b in pf.pf.poles}
+    blocks = {b.pole.name: b for b in pf.poles}
     diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for((*vs, *ws))]
     eqs, labels = [], []
-    for c in pf.pf.polypart.coeffs:
+    for c in pf.polypart.coeffs:
         if not c.is_zero():
             eqs.append(c)
             labels.append("constant")

@@ -278,15 +278,7 @@ class DiffPoly(Frozen):
             return self
         out = dict(self._terms)
         for m, c in other._terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[m]
-                else:
-                    out[m] = acc
+            _add_term(out, m, c)
         return DiffPoly(out)
 
     __radd__ = __add__
@@ -398,6 +390,19 @@ class DiffPoly(Frozen):
             else:
                 parts.append(f"{c}*{fac}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _add_term(out: dict, m: tuple, c) -> None:
+    """out[m] += c on a term dict, deleting the entry when it cancels."""
+    acc = out.get(m)
+    if acc is None:
+        out[m] = c
+    else:
+        acc = acc + c
+        if acc == 0:
+            del out[m]
+        else:
+            out[m] = acc
 
 
 ZERO = DiffPoly({})
@@ -666,7 +671,7 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     """Total derivative: bumps jet multi-indices via Leibniz and the chain
     rule; independent-variable symbols differentiate to 0 or 1."""
     ax = _axis(direction)
-    out = ZERO
+    out = {}
     for m, c in e._terms.items():
         for i in range(0, len(m), 2):
             jid, pw = m[i], m[i + 1]
@@ -682,14 +687,13 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
                 if jv.d != ZERO_INDEX:
                     raise StructureError(f"derived independent symbol {jv!r}")
                 if _AXIS.get(jv.field.name) == ax:
-                    out = out + DiffPoly({rest: coeff})
+                    _add_term(out, rest, coeff)
                 continue
             d = list(jv.d)
             d[ax] += 1
             bumped = _jet_id(JetVariable(jv.field, tuple(d)))
-            key = _mul_mono(rest, (bumped, 1))
-            out = out + DiffPoly({key: coeff})
-    return out
+            _add_term(out, _mul_mono(rest, (bumped, 1)), coeff)
+    return DiffPoly(out)
 
 
 def total_derivative_q(q: JetQuotient | DiffPoly, direction) -> JetQuotient:
@@ -734,31 +738,23 @@ def _prolonged(base: JetVariable, d: tuple, rules_q, cache) -> JetQuotient:
     return q
 
 
-def _subst_poly_once(poly: DiffPoly, rules_q, by_field, cache):
-    """One replacement pass; None when nothing matched."""
+def _replace_jets(poly: DiffPoly, fn, lift):
+    """The one jet-replacement kernel: fn maps each distinct jet, in order
+    of first occurrence, to its replacement or None.  Terms are grouped by
+    their powers of the replaced jets, each lifted cofactor is multiplied
+    by its replacement powers once, and the groups are summed in order of
+    first occurrence.  None when nothing is replaced."""
     repl = {}
-    skip = set()
     for m in poly._terms:
-        for i in range(0, len(m), 2):
-            jid = m[i]
-            if jid in repl or jid in skip:
-                continue
-            jv = _JETS[jid]
-            bases = by_field.get(jv.field)
-            if not bases:
-                skip.add(jid)
-                continue
-            b = _match_base(jv, bases)
-            if b is None:
-                skip.add(jid)
-                continue
-            repl[jid] = _prolonged(b, jv.d, rules_q, cache)
-    if not repl:
+        for jid in m[::2]:
+            if jid not in repl:
+                repl[jid] = fn(_JETS[jid])
+    ids = sorted(jid for jid, r in repl.items() if r is not None)
+    if not ids:
         return None
-    ids = sorted(repl)
     total = None
     for pows, rest in decompose_by_jets(poly, [_JETS[jid] for jid in ids]).items():
-        q = _as_quotient(rest)
+        q = lift(rest)
         for jid, pw in zip(ids, pows):
             if pw:
                 q = q * repl[jid] ** pw
@@ -783,10 +779,15 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     for base in rules_q:
         by_field.setdefault(base.field, []).append(base)
     cache: dict = {}
+
+    def rule(jv):
+        b = _match_base(jv, by_field.get(jv.field, ()))
+        return None if b is None else _prolonged(b, jv.d, rules_q, cache)
+
     cur = _as_quotient(e)
     for _ in range(100):
-        rn = _subst_poly_once(cur.num, rules_q, by_field, cache)
-        rd = _subst_poly_once(cur.den, rules_q, by_field, cache)
+        rn = _replace_jets(cur.num, rule, _as_quotient)
+        rd = _replace_jets(cur.den, rule, _as_quotient)
         if rn is None and rd is None:
             return cur
         qn = rn if rn is not None else _as_quotient(cur.num)
@@ -826,17 +827,8 @@ def map_jets(e: DiffPoly, fn) -> DiffPoly:
     fn returns None to keep a jet.  Unlike substitute(), the output is
     not rescanned, so self-referential maps (a change of independent
     variables reusing the same index slots) are safe."""
-    out = ZERO
-    for m, c in e._terms.items():
-        term = DiffPoly({(): c})
-        for i in range(0, len(m), 2):
-            r = fn(_JETS[m[i]])
-            if r is None:
-                term = term * DiffPoly({(m[i], m[i + 1]): 1})
-            else:
-                term = term * r ** m[i + 1]
-        out = out + term
-    return out
+    out = _replace_jets(e, fn, lambda rest: rest)
+    return e if out is None else out
 
 
 def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly]:
@@ -948,10 +940,15 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
         args = node.get("args")
         if not isinstance(args, list) or not args:
             raise StructureError(f"{op} needs a nonempty args list")
+        if op == "add":
+            out = {}
+            for a in args:
+                for m, c in from_tree(a, fields)._terms.items():
+                    _add_term(out, m, c)
+            return DiffPoly(out)
         acc = from_tree(args[0], fields)
         for a in args[1:]:
-            nxt = from_tree(a, fields)
-            acc = acc + nxt if op == "add" else acc * nxt
+            acc = acc * from_tree(a, fields)
         return acc
     if op == "pow":
         exp = node.get("exp")

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .compat import PDESystem
 from .jetalg import DiffPoly, JetQuotient, JetVariable
 from .laxfamilies import LaxPair
-from .pfield import PRational
+from .pfield import PartialFractions, PRational
 
 _DIR_NAMES = ("x", "y", "z", "t")
 _DIR_NAMES_CK = ("X", "Y", "Z", "T")
@@ -71,7 +71,8 @@ def quotient_latex(q: JetQuotient, dirs=_DIR_NAMES) -> str:
     return f"\\frac{{{poly_latex(q.num, dirs)}}}{{{poly_latex(q.den, dirs)}}}"
 
 
-def prational_latex(r: PRational, var: str = "p") -> str:
+def prational_latex(r: PRational, var: str = "p", pf: PartialFractions | None = None) -> str:
+    """r as one fraction, or as the sum of its partial-fraction view pf."""
     def side(pp):
         if pp.is_zero():
             return "0"
@@ -85,20 +86,18 @@ def prational_latex(r: PRational, var: str = "p") -> str:
             parts.append(f"\\left({cs}\\right){pk}" if pk else f"\\left({cs}\\right)")
         return "+".join(parts)
 
-    if r.pf is not None:
+    if pf is not None:
         parts = []
-        if not r.pf.polypart.is_zero():
-            parts.append(side(r.pf.polypart))
-        for blk in r.pf.poles:
+        if not pf.polypart.is_zero():
+            parts.append(side(pf.polypart))
+        for blk in pf.poles:
             pole = _symbol(blk.pole.name)
             for k, res in enumerate(blk.residues):
                 if res.is_zero():
                     continue
                 den = f"{var}-{pole}" if k == 0 else f"\\left({var}-{pole}\\right)^{{{k + 1}}}"
                 parts.append(f"\\frac{{{quotient_latex(res)}}}{{{den}}}")
-        if parts:
-            return "+".join(parts)
-        return "0"
+        return "+".join(parts) or "0"
     num, den = r.num, r.den
     if den.degree() == 0 and not den.is_zero():
         return side(num)
@@ -113,12 +112,10 @@ def system_latex(sys: PDESystem) -> str:
 
 
 def laxpair_latex(lax: LaxPair) -> str:
+    var = "\\psi_x" if lax.dimension == "2+1" else "p"
+    f, g = (prational_latex(r, var, pf) for r, pf in zip((lax.F, lax.G), lax.partial_fractions()))
     if lax.dimension == "2+1":
-        f = prational_latex(lax.F, "\\psi_x")
-        g = prational_latex(lax.G, "\\psi_x")
         return f"\\psi_y = {f}, \\qquad \\psi_t = {g}"
-    f = prational_latex(lax.F)
-    g = prational_latex(lax.G)
     return (
         f"\\psi_y = \\psi_z\\,F(\\psi_x/\\psi_z), \\quad F = {f}, \\\\\n"
         f"\\psi_t = \\psi_z\\,G(\\psi_x/\\psi_z), \\quad G = {g}"

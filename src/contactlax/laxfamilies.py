@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, p_minus
+from .pfield import ParameterError, PartialFractions, PPoly, PRational, p_minus, partial_fraction
 
 POLY = "poly"
 RAT = "rat"
@@ -43,6 +43,14 @@ class LaxPair:
         vs = tuple(f for f in self.fields if f.name.startswith("v"))
         ws = tuple(f for f in self.fields if f.name.startswith("w"))
         return vs, ws
+
+    def partial_fractions(self) -> tuple[PartialFractions | None, PartialFractions | None]:
+        """Views of F and G over pole_fields(); (None, None) outside the
+        rational families."""
+        if self.family not in (RAT, RATGP):
+            return None, None
+        vs, ws = self.pole_fields()
+        return partial_fraction(self.F, [(v, 1) for v in vs]), partial_fraction(self.G, [(w, 1) for w in ws])
 
 
 def _check_params(m: int, n: int):
@@ -112,12 +120,7 @@ def _sum_of_poles(const_field: FieldId | None, residues, poles) -> PRational:
             if other is not pole:
                 part = part * p_minus(jet(other))
         acc = acc + part
-    polypart = PPoly([JetQuotient(jet(const_field))]) if const_field else PPoly()
-    pf = PartialFractions(
-        polypart,
-        tuple(PoleBlock(pole, 1, (JetQuotient(jet(res)),)) for res, pole in zip(residues, poles)),
-    )
-    return PRational(acc, den, pf)
+    return PRational(acc, den)
 
 
 def make_custom(F: PRational, G: PRational, fields, m=None, n=None, dimension="3+1") -> LaxPair:

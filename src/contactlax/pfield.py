@@ -238,15 +238,12 @@ class PartialFractions:
 
 class PRational(Frozen):
     """num/den of PPoly; den nonzero with leading coefficient normalized
-    to 1.  num/den are authoritative: every operation reads them.  An
-    optional partial-fraction view is carried alongside for reading
-    residues and for display.  Its builder vouches for it: partial_fraction
-    checks it against num/den, and the family constructors build both from
-    the same residues."""
+    to 1.  A partial-fraction view is not carried: partial_fraction
+    computes and checks one on demand."""
 
-    __slots__ = ("num", "den", "pf")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: PPoly, den: PPoly | None = None, pf: PartialFractions | None = None):
+    def __init__(self, num: PPoly, den: PPoly | None = None):
         if not isinstance(num, PPoly):
             num = PPoly.const(num)
         if den is None:
@@ -270,7 +267,6 @@ class PRational(Frozen):
                 den = den * inv
         _set(self, "num", num)
         _set(self, "den", den)
-        _set(self, "pf", pf)
 
     @staticmethod
     def const(c) -> "PRational":
@@ -310,7 +306,7 @@ class PRational(Frozen):
     __radd__ = __add__
 
     def __neg__(self):
-        return _rebuild(PRational, (-self.num, self.den, None))
+        return _rebuild(PRational, (-self.num, self.den))
 
     def __sub__(self, other):
         return self + (-_as_prational(other))
@@ -400,8 +396,8 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
     return PPoly(num), PPoly(den)
 
 
-def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRational:
-    """Attach a partial-fraction view over the given symbolic poles.
+def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PartialFractions:
+    """The partial-fraction view of r over the given symbolic poles.
 
     Pole orders above 2 are rejected.  Each block is solved locally from
     the Laurent data after deflating the denominator by synthetic
@@ -450,7 +446,7 @@ def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PRationa
         _pf_spot_check(pf, r)
     elif not (pf.reassemble() == r):
         raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
-    return PRational(r.num, r.den, pf)
+    return pf
 
 
 # the formal p as one more coordinate of a sample point

@@ -22,31 +22,33 @@ def _quotient_from_json(d: dict, fields=None) -> JetQuotient:
     return JetQuotient(from_tree(d["num"], fields), from_tree(d["den"], fields))
 
 
-def prational_to_json(r: PRational) -> dict:
+def prational_to_json(r: PRational, pf: PartialFractions | None = None) -> dict:
+    """num/den with jet denominators cleared, and the view pf of r if given."""
     num, den = collect(r)
     out = {
         "num": [to_tree(c.num) for c in num.coeffs],
         "den": [to_tree(c.num) for c in den.coeffs],
     }
-    if r.pf is not None:
+    if pf is not None:
         out["pf"] = {
-            "polypart": [_quotient_to_json(c) for c in r.pf.polypart.coeffs],
+            "polypart": [_quotient_to_json(c) for c in pf.polypart.coeffs],
             "poles": [
                 {
                     "pole": blk.pole.name,
                     "order": blk.order,
                     "residues": [_quotient_to_json(res) for res in blk.residues],
                 }
-                for blk in r.pf.poles
+                for blk in pf.poles
             ],
         }
     return out
 
 
 def prational_from_json(d: dict, fields=None) -> PRational:
+    """num/den; an included view is checked against them and dropped."""
     num = PPoly([JetQuotient(from_tree(t, fields)) for t in d["num"]])
     den = PPoly([JetQuotient(from_tree(t, fields)) for t in d["den"]])
-    pf = None
+    r = PRational(num, den)
     if "pf" in d:
         blocks = tuple(
             PoleBlock(
@@ -59,20 +61,21 @@ def prational_from_json(d: dict, fields=None) -> PRational:
         pf = PartialFractions(
             PPoly([_quotient_from_json(c, fields) for c in d["pf"]["polypart"]]), blocks
         )
-        if not (pf.reassemble() == PRational(num, den)):
+        if not (pf.reassemble() == r):
             raise ParameterError("the partial-fraction view does not match num/den")
-    return PRational(num, den, pf)
+    return r
 
 
 def laxpair_to_json(lax: LaxPair) -> dict:
+    pf_F, pf_G = lax.partial_fractions()
     return {
         "family": lax.family,
         "m": lax.m,
         "n": lax.n,
         "dimension": lax.dimension,
         "fields": [f.name for f in lax.fields],
-        "F": prational_to_json(lax.F),
-        "G": prational_to_json(lax.G),
+        "F": prational_to_json(lax.F, pf_F),
+        "G": prational_to_json(lax.G, pf_G),
     }
 
 

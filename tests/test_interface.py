@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -328,16 +331,70 @@ def test_ck_system_json_roundtrip_preserves_original():
 
 def test_prational_json_roundtrip():
     lax = make_rat(2, 1)
-    for r in (lax.F, lax.G):
-        data = prational_to_json(r)
+    for r, pf in zip((lax.F, lax.G), lax.partial_fractions()):
+        data = prational_to_json(r, pf)
         back = prational_from_json(data)
         assert back == r
-        assert prational_to_json(back) == data
+        assert prational_to_json(back, pf) == data
     # an imported view must reassemble to the imported num/den
-    data = prational_to_json(lax.F)
+    data = prational_to_json(lax.F, lax.partial_fractions()[0])
     data["pf"]["poles"][0]["residues"] = data["pf"]["poles"][1]["residues"]
     with pytest.raises(ParameterError):
         prational_from_json(data)
+
+
+def _cli(args, cwd):
+    """The CLI in a fresh process with PYTHONHASHSEED=0."""
+    src = str(Path(contactlax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    return subprocess.run([sys.executable, "-m", "contactlax.cli", *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def _pinned_view(res, pole, count, const):
+    def jq(name):
+        return {"num": {"op": "jet", "field": name, "d": [0, 0, 0, 0]}, "den": {"op": "num", "value": "1"}}
+
+    return {
+        "polypart": [jq(f"{res}0")] if const else [],
+        "poles": [{"pole": f"{pole}{i}", "order": 1, "residues": [jq(f"{res}{i}")]} for i in range(1, count + 1)],
+    }
+
+
+@pytest.mark.parametrize("family,m,n,F,G", [
+    ("rat", 2, 1, r"\frac{a_{1}}{p-v_{1}}+\frac{a_{2}}{p-v_{2}}", r"\frac{b_{1}}{p-w_{1}}"),
+    ("ratgp", 2, 2, r"\left(a_{0}\right)+\frac{a_{1}}{p-v_{1}}+\frac{a_{2}}{p-v_{2}}",
+     r"\left(b_{0}\right)+\frac{b_{1}}{p-w_{1}}+\frac{b_{2}}{p-w_{2}}"),
+], ids=["rat-2-1", "ratgp-2-2"])
+def test_lax_pair_output_is_pinned(tmp_path, family, m, n, F, G):
+    fam = ["--family", family, "-m", str(m), "-n", str(n)]
+    done = _cli(["export", *fam, "--what", "lax", "--out", "lax.json", "--latex", "lax.tex"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "lax.tex").read_text() == (
+        f"\\psi_y = \\psi_z\\,F(\\psi_x/\\psi_z), \\quad F = {F}, \\\\\n"
+        f"\\psi_t = \\psi_z\\,G(\\psi_x/\\psi_z), \\quad G = {G}\n"
+    )
+    data = json.loads((tmp_path / "lax.json").read_text())
+    const = family == "ratgp"
+    assert data["F"]["pf"] == _pinned_view("a", "v", m, const)
+    assert data["G"]["pf"] == _pinned_view("b", "w", n, const)
+    done = _cli(["reduce21", *fam], tmp_path)
+    assert done.returncode == 0, done.stderr
+    pair = f"\\psi_y = {F}, \\qquad \\psi_t = {G}".replace("{p-", "{\\psi_x-")
+    assert f"pair: {pair}\n" in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["derive", "--family", "rat", "--out-json", "DIR"],
+    ["verify", "qsolution", "--report-json", "DIR"],
+    ["simulate", "--init", "DIR"],
+    ["simulate", "--system-json", "DIR"],
+], ids=["derive-out-json", "verify-report-json", "simulate-init", "simulate-system-json"])
+def test_unusable_path_is_a_parameter_error(tmp_path, args):
+    # a directory can be neither written nor read as a file
+    done = _cli([str(tmp_path) if a == "DIR" else a for a in args], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("parameter error:") and "Traceback" not in done.stderr
 
 
 def test_goldens_present_and_marked():

@@ -21,6 +21,7 @@ def test_make_poly_1_1():
     assert lax.F == PRational(PPoly([JetQuotient(v0), JetQuotient(v1), JetQuotient(ONE)]))
     assert lax.G == PRational(PPoly([JetQuotient(w0), JetQuotient(v1), JetQuotient(ONE)]))
     assert len(lax.fields) == 3
+    assert lax.partial_fractions() == (None, None)
 
 
 def test_make_poly_locked_subleading_coefficient():
@@ -43,7 +44,7 @@ def test_make_rat_1_1():
     assert [f.name for f in lax.fields] == ["a1", "v1", "b1", "w1"]
     num, den = collect(lax.F)
     assert num.degree() == 0 and den.degree() == 1
-    assert lax.F.pf.polypart.is_zero()  # no constant term
+    assert lax.partial_fractions()[0].polypart.is_zero()  # no constant term
 
 
 def test_make_rat_2_1_roster():
@@ -78,13 +79,18 @@ def test_roster_size_formulas(m, n):
 @pytest.mark.parametrize("family,m,n", [("rat", 1, 1), ("rat", 2, 1), ("ratgp", 1, 2)])
 def test_family_pf_views_roundtrip(family, m, n):
     lax = make_family(family, m, n)
-    for r in (lax.F, lax.G):
-        assert r.pf is not None
-        assert r.pf.reassemble() == r
-        poles = [(b.pole, b.order) for b in r.pf.poles]
-        again = partial_fraction(PRational(r.num, r.den), poles)
-        for b1, b2 in zip(r.pf.poles, again.pf.poles):
-            assert b1.pole == b2.pole and b1.residues == b2.residues
+    vs, ws = lax.pole_fields()
+    views = []
+    for r, res, poles in ((lax.F, "a", vs), (lax.G, "b", ws)):
+        pf = partial_fraction(r, [(f, 1) for f in poles])
+        views.append(pf)
+        assert pf.reassemble() == r
+        const = [JetQuotient(jet(FieldId(f"{res}0")))] if family == "ratgp" else []
+        assert pf.polypart == PPoly(const)
+        assert [b.pole for b in pf.poles] == list(poles)
+        for i, b in enumerate(pf.poles, start=1):
+            assert b.order == 1 and b.residues == (JetQuotient(jet(FieldId(f"{res}{i}"))),)
+    assert lax.partial_fractions() == tuple(views)
 
 
 def test_custom_validates_roster():
