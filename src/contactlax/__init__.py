@@ -7,7 +7,6 @@ from .jetalg import (
     FieldId,
     JetQuotient,
     JetVariable,
-    evaluate,
     from_tree,
     jet,
     substitute,
@@ -39,7 +38,7 @@ from .gauge import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffPoly", "FieldId", "JetQuotient", "JetVariable", "evaluate", "from_tree",
+    "DiffPoly", "FieldId", "JetQuotient", "JetVariable", "from_tree",
     "jet", "substitute", "to_tree", "total_derivative",
     "LaxPair", "make_custom", "make_family", "make_poly", "make_rat", "make_ratgp",
     "PPoly", "PRational", "collect", "partial_fraction",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ from .compat import (
     reduce_2plus1,
     reduce_system,
 )
-from .jetalg import FieldId, JetQuotient, jet
+from .jetalg import jet
 from .laxfamilies import make_family
 from .latexout import laxpair_latex, system_latex
 from .pfield import ParameterError, collect
@@ -63,12 +64,35 @@ def _write_system(sys, args, rep: RunReport):
         _write(args.latex, system_latex(sys) + "\n", rep)
 
 
+# every option that names a file a command writes
+_OUTPUT_OPTIONS = ("out_json", "latex", "out", "monitor", "convergence", "report_json")
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that is a directory or
+    whose parent directory is missing; no file is created or truncated."""
+    for opt in _OUTPUT_OPTIONS:
+        path = getattr(args, opt, None)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            problem = "has no parent directory"
+        else:
+            continue
+        if opt == "report_json":
+            args.report_json = None  # there is nowhere to write the report
+        raise ParameterError(f"--{opt.replace('_', '-')} {path} {problem}")
+
+
 def _run(args) -> int:
     """Run one command: time it and report on every path that returns
     an exit code, handled errors included."""
     rep = RunReport(args.command)
     t0 = time.perf_counter()
     try:
+        _check_outputs(args)
         code = args.fn(args, rep)
     except (ParameterError, numeric.CompileError, OSError) as e:
         code, rep.error = 2, f"parameter error: {e}"
@@ -97,16 +121,8 @@ def cmd_derive(args, rep: RunReport) -> int:
 
 
 def _check_ab(m: int, n: int) -> bool:
-    cc = family_cc("ratgp", m, n)
-    num, _ = collect(cc)
-    a0, b0 = FieldId("a0"), FieldId("b0")
-    expected = (
-        jet(a0, (0, 0, 0, 1))
-        - jet(b0, (0, 1, 0, 0))
-        - jet(b0) * jet(a0, (0, 0, 1, 0))
-        + jet(a0) * jet(b0, (0, 0, 1, 0))
-    )
-    return num[num.degree()] == JetQuotient(expected)
+    num, _ = collect(family_cc("ratgp", m, n))
+    return num[num.degree()] == gauge.gauge_residual(jet(gauge.A0), jet(gauge.B0))
 
 
 def _check_reduce21(family: str, m: int, n: int) -> bool:
@@ -183,35 +199,28 @@ def cmd_reduce21(args, rep: RunReport) -> int:
     return 0
 
 
-def _default_manufactured(cs):
-    import numpy as np
-
-    tp = 2 * np.pi
-    specs = {
-        "v1": (-1.0, (1, 0, 1), 0.3, tp * 0.7),
-        "w1": (1.0, (0, 1, 1), 1.1, tp * 0.5),
-        "a1": (1.0, (1, 1, 0), 2.0, tp * 0.6),
-        "b1": (0.7, (1, 0, 0), 0.9, tp * 0.8),
-    }
-    out = {}
-    for i, u in enumerate(cs.unknowns):
-        mean, k, phase, omega = specs.get(u, (1.0 + 0.5 * i, (1, 0, 0), 0.1 * i, 2 * 3.14159 * 0.5))
-        out[u] = numeric.HarmonicField(mean, (numeric.Mode(k, 0.05, phase, omega),))
-    return out
+def _parsed(path: str, parse):
+    """parse(); malformed content of the input file at path is a
+    parameter error."""
+    try:
+        return parse()
+    except (ValueError, LookupError, TypeError) as e:
+        raise ParameterError(f"malformed {path}: {type(e).__name__}: {e}") from e
 
 
-def _read_input(path: str, parse):
+def _read_input(path: str, parse=lambda data: data):
     """Parse a JSON input file; malformed content is a parameter error."""
     with open(path) as f:
-        try:
-            return parse(json.load(f))
-        except (ValueError, LookupError, TypeError) as e:
-            raise ParameterError(f"malformed {path}: {type(e).__name__}: {e}") from e
+        return _parsed(path, lambda: parse(json.load(f)))
 
 
 def cmd_simulate(args, rep: RunReport) -> int:
     if len(args.grid) not in (1, 3):
         raise ParameterError(f"--grid takes one or three sizes, got {len(args.grid)}")
+    if not args.manufactured:
+        if not args.init:
+            raise ParameterError("an --init data file is required (or use --manufactured)")
+        spec = _read_input(args.init)
     if args.system_json:
         sys = _read_input(args.system_json, pdesystem_from_json)
         if tuple(sys.independents) != ("X", "Y", "Z", "T"):
@@ -220,7 +229,7 @@ def cmd_simulate(args, rep: RunReport) -> int:
         sys = ck_transform(derive(args.family, args.m, args.n, form="residues"))
     cs = numeric.compile_system(sys)
     if args.manufactured:
-        exact = _default_manufactured(cs)
+        exact = numeric.manufactured_fields(cs.unknowns)
         conv = numeric.manufactured_test(cs, exact)
         rep.verdicts["temporal orders"] = ["%.2f" % o for o in conv.temporal_orders]
         rep.verdicts["spatial orders"] = ["%.2f" % o for o in conv.spatial_orders]
@@ -235,12 +244,10 @@ def cmd_simulate(args, rep: RunReport) -> int:
                     f.write(f"spatial,{i},{e!r},{o!r}\n")
             rep.artifacts.append(args.convergence)
         return 0
-    if not args.init:
-        raise ParameterError("an --init data file is required (or use --manufactured)")
     shape = tuple(args.grid) if len(args.grid) == 3 else (args.grid[0],) * 3
     grid = numeric.Grid(shape)
     coords = grid.coords()
-    state = _read_input(args.init, lambda spec: numeric.load_initial_data(spec, cs.unknowns, coords))
+    state = _parsed(args.init, lambda: numeric.load_initial_data(spec, cs.unknowns, coords))
     try:
         traj = numeric.integrate(
             cs, grid, state, args.steps, args.dt,

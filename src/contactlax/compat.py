@@ -49,6 +49,7 @@ from .jetalg import (
     jets_of_field,
     map_jets,
     primitive,
+    quotient_rule,
     strip_monomial,
     substitute,
     total_derivative_q,
@@ -165,11 +166,10 @@ def cc_substitution_path(lax: LaxPair) -> PRational:
 
 def _coeff_derivative(r: PRational, direction) -> PRational:
     """Total derivative through the jet coefficients with p held fixed."""
-    dn = r.num.map_coeffs(lambda c: total_derivative_q(c, direction))
-    dd = r.den.map_coeffs(lambda c: total_derivative_q(c, direction))
-    if dd.is_zero():
-        return PRational(dn, r.den)
-    return PRational(dn * r.den - r.num * dd, r.den * r.den)
+    def d(c):
+        return total_derivative_q(c, direction)
+
+    return quotient_rule(PRational, r.num, r.den, r.num.map_coeffs(d), r.den.map_coeffs(d))
 
 
 def cc_bracket_path(lax: LaxPair) -> PRational:
@@ -240,6 +240,15 @@ def determinedness_report(sys: PDESystem) -> Determinedness:
     return Determinedness(ne, nu, verdict)
 
 
+def _system(lax: LaxPair, eqs, **provenance) -> PDESystem:
+    """The one builder of a pair's system: the pair's unknowns, (x, y, t)
+    or (x, y, z, t) by its dimension, and its family, sizes, dimension
+    and pole fields recorded next to the given provenance."""
+    prov = {"family": lax.family, "m": lax.m, "n": lax.n, "dimension": lax.dimension,
+            **provenance, "pole_fields": lax.pole_fields()}
+    return PDESystem(tuple(lax.fields), XYT if lax.dimension == "2+1" else XYZT, tuple(eqs), prov)
+
+
 def _formal_top_degree(lax: LaxPair, num: PPoly) -> int:
     if lax.family == POLY:
         return lax.m + lax.n + 1
@@ -262,18 +271,8 @@ def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
         else:
             eqs.append(c)
             degrees.append(k)
-    prov = {
-        "family": lax.family,
-        "m": lax.m,
-        "n": lax.n,
-        "dimension": lax.dimension,
-        "path": "coefficients",
-        "p_degrees": tuple(degrees),
-        "dropped_zero_coefficients": tuple(dropped),
-        "pole_fields": lax.pole_fields(),
-    }
-    independents = XYT if lax.dimension == "2+1" else XYZT
-    return PDESystem(tuple(lax.fields), independents, tuple(eqs), prov)
+    return _system(lax, eqs, path="coefficients", p_degrees=tuple(degrees),
+                   dropped_zero_coefficients=tuple(dropped))
 
 
 def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
@@ -302,17 +301,7 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
         for f in (*vs, *ws):
             eqs.append(_reduce_known_factors(blocks[f.name].residues[order - 1], diffs))
             labels.append(f"{f.name}:{order}")
-    prov = {
-        "family": lax.family,
-        "m": lax.m,
-        "n": lax.n,
-        "dimension": lax.dimension,
-        "path": "residues",
-        "labels": tuple(labels),
-        "pole_fields": lax.pole_fields(),
-    }
-    independents = XYT if lax.dimension == "2+1" else XYZT
-    return PDESystem(tuple(lax.fields), independents, tuple(eqs), prov)
+    return _system(lax, eqs, path="residues", labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)
@@ -510,9 +499,6 @@ class MatchReport:
     n: int
     lines: tuple[LineMatch, ...]
     verdict: str  # "pass" | "mismatch-reported"
-
-    def mismatches(self) -> tuple[LineMatch, ...]:
-        return tuple(l for l in self.lines if not l.matched)
 
 
 def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, pole_pairs):

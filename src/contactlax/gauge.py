@@ -21,10 +21,8 @@ from itertools import chain
 
 from .compat import PSI, homogenize_rational, rational_from_psi_quotient
 from .jetalg import (
-    ONE,
     POTENTIAL,
     WAVE,
-    ZERO,
     DiffPoly,
     FieldId,
     JetQuotient,
@@ -97,21 +95,6 @@ def constraint_rules() -> dict:
         JetVariable(Q, (0, 1, 0, 0)): JetQuotient(jet(A0) * qz),
         JetVariable(Q, (0, 0, 0, 1)): JetQuotient(jet(B0) * qz),
     }
-
-
-def q_is_z() -> dict:
-    """Jet values of the identity gauge q = z."""
-    return {
-        JetVariable(Q, (1, 0, 0, 0)): JetQuotient(ZERO),
-        JetVariable(Q, (0, 1, 0, 0)): JetQuotient(ZERO),
-        JetVariable(Q, (0, 0, 1, 0)): JetQuotient(ONE),
-        JetVariable(Q, (0, 0, 0, 1)): JetQuotient(ZERO),
-    }
-
-
-def unit_q_z() -> dict:
-    """The q_z = 1 slice (q_x, q_y, q_t remain free)."""
-    return {JetVariable(Q, (0, 0, 1, 0)): JetQuotient(ONE)}
 
 
 def _residue_pole_pairs(lax: LaxPair) -> tuple[tuple, tuple]:

@@ -421,11 +421,6 @@ def jet(field: FieldId, d: tuple[int, int, int, int] = ZERO_INDEX) -> DiffPoly:
     return DiffPoly.from_jet(JetVariable(field, tuple(d)))
 
 
-def independent(name: str) -> DiffPoly:
-    """An independent variable (x, y, z, t) as an expression."""
-    return jet(FieldId(name, INDEPENDENT))
-
-
 # -- content / primitive part / exact division -------------------------
 
 
@@ -574,10 +569,6 @@ class JetQuotient(Frozen):
         _set(self, "num", num)
         _set(self, "den", den)
 
-    @staticmethod
-    def const(c) -> "JetQuotient":
-        return JetQuotient(DiffPoly.const(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -696,14 +687,20 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     return DiffPoly(out)
 
 
+def quotient_rule(make, num, den, dnum, dden):
+    """The one quotient rule: make(dnum * den - num * dden, den * den),
+    or make(dnum, den) when dden is zero.  Jet quotients, p-rational
+    coefficients and d/dp all differentiate through it."""
+    if dden.is_zero():
+        return make(dnum, den)
+    return make(dnum * den - num * dden, den * den)
+
+
 def total_derivative_q(q: JetQuotient | DiffPoly, direction) -> JetQuotient:
     if isinstance(q, DiffPoly):
         return JetQuotient(total_derivative(q, direction))
-    dn = total_derivative(q.num, direction)
-    dd = total_derivative(q.den, direction)
-    if dd.is_zero():
-        return JetQuotient(dn, q.den)
-    return JetQuotient(dn * q.den - q.num * dd, q.den * q.den)
+    return quotient_rule(JetQuotient, q.num, q.den, total_derivative(q.num, direction),
+                         total_derivative(q.den, direction))
 
 
 # -- substitution ----------------------------------------------------------
@@ -842,31 +839,6 @@ def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(e: DiffPoly | JetQuotient, point: dict) -> Fraction:
-    """Exact evaluation at a point mapping JetVariable -> rational."""
-    if isinstance(e, JetQuotient):
-        den = evaluate(e.den, point)
-        if den == 0:
-            raise PoleError("denominator vanishes at the point")
-        return evaluate(e.num, point) / den
-    vals = {}
-    total = Fraction(0)
-    for m, c in e._terms.items():
-        prod = Fraction(c)
-        for i in range(0, len(m), 2):
-            jid = m[i]
-            v = vals.get(jid)
-            if v is None:
-                jv = _JETS[jid]
-                if jv not in point:
-                    raise CoverageError(f"no value for {jv!r}")
-                v = Fraction(point[jv])
-                vals[jid] = v
-            prod *= v ** m[i + 1]
-        total += prod
-    return total
-
-
 PRIME = 2 ** 61 - 1
 
 
@@ -974,24 +946,3 @@ def to_tree(e: DiffPoly) -> dict:
         terms.append(parts[0] if len(parts) == 1 else {"op": "mul", "args": parts})
     return terms[0] if len(terms) == 1 else {"op": "add", "args": terms}
 
-
-def eval_tree(node, point_by_name: dict) -> Fraction:
-    """Direct tree evaluation without normalization (test oracle)."""
-    op = node["op"]
-    if op == "num":
-        return _parse_frac(str(node["value"]))
-    if op == "jet":
-        key = (node["field"], tuple(node.get("d", (0, 0, 0, 0))))
-        if key not in point_by_name:
-            raise CoverageError(f"no value for {key}")
-        return Fraction(point_by_name[key])
-    if op == "add":
-        return sum((eval_tree(a, point_by_name) for a in node["args"]), Fraction(0))
-    if op == "mul":
-        out = Fraction(1)
-        for a in node["args"]:
-            out *= eval_tree(a, point_by_name)
-        return out
-    if op == "pow":
-        return eval_tree(node["base"], point_by_name) ** node["exp"]
-    raise StructureError(f"unknown op {op!r}")

@@ -135,12 +135,3 @@ def make_family(family: str, m: int, n: int) -> LaxPair:
         raise ParameterError(f"unknown family {family!r}") from None
     return ctor(m, n)
 
-
-def expected_roster_size(family: str, m: int, n: int) -> int:
-    if family == POLY:
-        return m + n + 1
-    if family == RAT:
-        return 2 * (m + n)
-    if family == RATGP:
-        return 2 * (m + n + 1)
-    raise ParameterError(f"unknown family {family!r}")

@@ -11,7 +11,6 @@ equations' original (x, y, z, t) form.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections import Counter, deque
@@ -281,6 +280,24 @@ class HarmonicField:
         return self.jet((0, 0, 0, 0), coords, T)
 
 
+def manufactured_fields(unknowns) -> dict:
+    """The one table of manufactured fields: hand-picked travelling modes
+    for the rat (1, 1) unknowns v1, w1, a1, b1, and a generic mode for
+    every other unknown."""
+    tp = 2 * np.pi
+    specs = {
+        "v1": (-1.0, (1, 0, 1), 0.3, tp * 0.7),
+        "w1": (1.0, (0, 1, 1), 1.1, tp * 0.5),
+        "a1": (1.0, (1, 1, 0), 2.0, tp * 0.6),
+        "b1": (0.7, (1, 0, 0), 0.9, tp * 0.8),
+    }
+    out = {}
+    for i, u in enumerate(unknowns):
+        mean, k, phase, omega = specs.get(u, (1.0 + 0.5 * i, (1, 0, 0), 0.1 * i, 2 * 3.14159 * 0.5))
+        out[u] = HarmonicField(mean, (Mode(k, 0.05, phase, omega),))
+    return out
+
+
 # -- integration -------------------------------------------------------------------
 
 
@@ -398,13 +415,10 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
 # -- initial data -----------------------------------------------------------------
 
 
-def load_initial_data(spec: dict | str, unknowns, coords) -> dict:
-    """Initial-data description: each unknown maps to either
-    {"constant": value} or {"fourier": {"mean": c, "modes": [{"k":
-    [kx,ky,kz], "amp": a, "phase": p}]}}."""
-    if isinstance(spec, str):
-        with open(spec) as f:
-            spec = json.load(f)
+def load_initial_data(spec: dict, unknowns, coords) -> dict:
+    """Initial data from its parsed JSON description: each unknown maps
+    to either {"constant": value} or {"fourier": {"mean": c, "modes":
+    [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     out = {}
     for u in unknowns:

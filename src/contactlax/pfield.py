@@ -26,6 +26,7 @@ from .jetalg import (
     evaluate_mod,
     jet,
     monomial_gcd,
+    quotient_rule,
     strip_monomial,
     _as_quotient,
     _rebuild,
@@ -328,22 +329,7 @@ class PRational(Frozen):
 
     def pdiff(self) -> "PRational":
         """Formal d/dp by the quotient rule."""
-        dn = self.num.deriv()
-        dd = self.den.deriv()
-        if dd.is_zero():
-            return PRational(dn, self.den)
-        return PRational(dn * self.den - self.num * dd, self.den * self.den)
-
-    def compose_linear(self, c1, c0) -> "PRational":
-        """Evaluate at p -> c1*p + c0 (jet-quotient constants, c1 != 0)."""
-        arg = PPoly([_q(c0), _q(c1)])
-        num = PPoly()
-        for c in reversed(self.num.coeffs):
-            num = num * arg + PPoly([c])
-        den = PPoly()
-        for c in reversed(self.den.coeffs):
-            den = den * arg + PPoly([c])
-        return PRational(num, den)
+        return quotient_rule(PRational, self.num, self.den, self.num.deriv(), self.den.deriv())
 
     def eval_mod(self, pval: int, point: dict) -> int:
         dv = self.den.eval_mod(pval, point)

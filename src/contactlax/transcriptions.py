@@ -15,30 +15,15 @@ from __future__ import annotations
 import json
 from importlib.resources import files
 
-from .jetalg import (
-    DiffPoly,
-    FieldId,
-    JetQuotient,
-    JetVariable,
-    StructureError,
-    _as_quotient,
-    total_derivative_q,
-)
+from .jetalg import FieldId, JetQuotient, StructureError, from_tree, total_derivative_q
 
 
 def quotient_from_tree(node, fields: dict[str, FieldId] | None = None) -> JetQuotient:
     if not isinstance(node, dict) or "op" not in node:
         raise StructureError(f"malformed node: {node!r}")
     op = node["op"]
-    if op == "num":
-        from fractions import Fraction
-
-        return JetQuotient(DiffPoly.const(Fraction(str(node["value"]))))
-    if op == "jet":
-        name = node["field"]
-        fid = (fields or {}).get(name) or FieldId(name)
-        d = tuple(node.get("d", (0, 0, 0, 0)))
-        return _as_quotient(DiffPoly.from_jet(JetVariable(fid, d)))
+    if op in ("num", "jet"):  # leaves read as the wire format reads them
+        return JetQuotient(from_tree(node, fields))
     if op == "add":
         acc = quotient_from_tree(node["args"][0], fields)
         for a in node["args"][1:]:

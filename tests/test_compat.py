@@ -31,10 +31,11 @@ from contactlax.compat import (
     _compare_as_equations,
     _det_mod,
 )
-from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, evaluate, jet
+from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, StructureError, jet
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
 from contactlax.sampling import pole_pairs_for
+from conftest import evaluate
 
 
 def test_cc_single_field_no_p():
@@ -406,7 +407,7 @@ def test_match_printed_system_adjudication():
 def test_match_printed_system_2_1():
     rep = match_printed_system(2, 1)
     assert rep.verdict == "mismatch-reported"
-    mismatched = [l.label for l in rep.mismatches()]
+    mismatched = [l.label for l in rep.lines if not l.matched]
     assert mismatched == ["(w1)_y"]
 
 
@@ -445,6 +446,18 @@ def test_corrected_line2_matches_derivation():
     perturbed = corrected + JetQuotient(jet(FieldId("a1"), (0, 0, 1, 0)), wv)
     matched, eval_matched, diff_terms = _rls_comparison(derived, perturbed)
     assert not matched and not eval_matched and diff_terms
+
+
+@pytest.mark.parametrize("leaf", [
+    {"op": "jet", "field": "w1", "d": [0, 1]},
+    {"op": "jet", "field": "w1", "d": [0, -1, 0, 0]},
+    {"op": "num", "value": "1/0"},
+], ids=["short-multi-index", "negative-multi-index", "zero-denominator-literal"])
+def test_transcription_leaves_are_validated_like_the_wire_format(leaf):
+    from contactlax.transcriptions import quotient_from_tree
+
+    with pytest.raises(StructureError):
+        quotient_from_tree({"op": "add", "args": [{"op": "num", "value": "1"}, leaf]})
 
 
 def test_random_custom_pairs_dual_path(rng):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import contactlax
+from contactlax import cli
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
 from contactlax.laxfamilies import make_rat
@@ -388,13 +390,69 @@ def test_lax_pair_output_is_pinned(tmp_path, family, m, n, F, G):
     ["derive", "--family", "rat", "--out-json", "DIR"],
     ["verify", "qsolution", "--report-json", "DIR"],
     ["simulate", "--init", "DIR"],
-    ["simulate", "--system-json", "DIR"],
+    ["simulate", "--manufactured", "--system-json", "DIR"],
 ], ids=["derive-out-json", "verify-report-json", "simulate-init", "simulate-system-json"])
 def test_unusable_path_is_a_parameter_error(tmp_path, args):
     # a directory can be neither written nor read as a file
     done = _cli([str(tmp_path) if a == "DIR" else a for a in args], tmp_path)
     assert done.returncode == 2
     assert done.stderr.startswith("parameter error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["derive", "--family", "rat", "-m", "2", "-n", "3", "--form", "residues", "--out-json", "DIR"],
+    ["derive", "--family", "rat", "--out-json", "KEEP", "--latex", "NODIR/sys.tex"],
+    ["ck", "--family", "rat", "--report-json", "NODIR/report.json"],
+    ["export", "--family", "rat", "--out", "DIR"],
+    ["simulate", "--init", "DIR"],
+    ["simulate", "--init", "KEEP", "--monitor", "DIR"],
+    ["simulate", "--manufactured", "--convergence", "NODIR/conv.csv"],
+], ids=["derive-out-json", "derive-latex", "ck-report-json", "export-out", "simulate-init", "simulate-monitor",
+        "simulate-convergence"])
+def test_unusable_path_is_refused_before_the_work(tmp_path, monkeypatch, capsys, args):
+    # DIR is a directory, NODIR/... has no parent directory, KEEP is a
+    # file that must come out unchanged
+    calls = []
+
+    def recording_derive(family, m, n, form="coefficients"):
+        calls.append((family, m, n, form))
+        return derive("rat", 1, 1, form=form)
+
+    monkeypatch.setattr(cli, "derive", recording_derive)
+    keep = tmp_path / "keep.json"
+    keep.write_text("{}")
+    paths = {"DIR": tmp_path, "KEEP": keep}
+    argv = [str(paths.get(a) or (tmp_path / a if a.startswith("NODIR/") else a)) for a in args]
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("parameter error:")
+    assert keep.read_text() == "{}" and sorted(tmp_path.iterdir()) == [keep]
+
+
+# sha256 of the exact output under PYTHONHASHSEED=0: a changed normal
+# form, term order or layout changes them
+_PINNED_OUTPUT = [
+    (["derive", "--family", "poly", "-m", "2", "-n", "2", "--out-json", "sys.json"],
+     {"sys.json": "aee6ca57e4f3fef81dda789d4991b8cf8238aaf484d89ea021b14e68e9221f3a"}),
+    (["derive", "--family", "rat", "-m", "2", "-n", "1", "--form", "residues", "--out-json", "sys.json",
+      "--latex", "sys.tex"],
+     {"sys.json": "1bae2a6b461a042e35a30de31a9969862f6f4d00e7bc1f642870db73f9a25515",
+      "sys.tex": "1fd173f314d47e99ffd57587b4cdf9902e6f89675d14dc0677a6c9b5235b4f40"}),
+    (["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", "sys.json"],
+     {"sys.json": "993f962b3dcca1093091d6798131c0926144b5d80afb60934d2971e9b25ce7c3"}),
+    (["verify", "rls", "-m", "2", "-n", "1", "--diff"],
+     {"stdout": "d1ef8a3cea3a55e015249a2cc6f9b9232ab81381f3d5df73863c88881d6ee7ec"}),
+]
+
+
+@pytest.mark.parametrize("args,digests", _PINNED_OUTPUT,
+                         ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff"])
+def test_exact_output_is_pinned(tmp_path, args, digests):
+    done = _cli(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    for name, want in digests.items():
+        data = done.stdout.encode() if name == "stdout" else (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, name
 
 
 def test_goldens_present_and_marked():

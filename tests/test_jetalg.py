@@ -21,22 +21,21 @@ from contactlax.jetalg import (
     content,
     decompose_by_jets,
     divide_exact,
-    evaluate,
     evaluate_mod,
-    eval_tree,
     from_tree,
-    independent,
     jet,
     linear_coefficient,
     monomial_gcd,
     primitive,
+    quotient_rule,
     strip_monomial,
     substitute,
     to_tree,
     total_derivative,
+    total_derivative_q,
 )
 from contactlax.sampling import random_point
-from conftest import FIELD_NAMES, random_tree
+from conftest import FIELD_NAMES, eval_tree, evaluate, independent, random_tree
 
 V = FieldId("v")
 W = FieldId("w")
@@ -101,6 +100,14 @@ def test_total_derivative_jet_bump():
 
 def test_total_derivative_leibniz_example():
     assert total_derivative(v * w, "x") == vx * w + v * jet(W, (1, 0, 0, 0))
+
+
+def test_quotient_rule_operand_order_and_shortcut():
+    wx = jet(W, (1, 0, 0, 0))
+    assert quotient_rule(lambda n, d: (n, d), v, w, vx, wx) == (vx * w - v * wx, w * w)
+    # a constant denominator keeps its one power
+    assert quotient_rule(lambda n, d: (n, d), v, w, vx, DiffPoly()) == (vx, w)
+    assert total_derivative_q(JetQuotient(v, w), "x") == JetQuotient(vx * w - v * wx, w * w)
 
 
 def test_mixed_partials_example():

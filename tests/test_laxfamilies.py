@@ -5,7 +5,6 @@ import pytest
 from contactlax.jetalg import ONE, FieldId, JetQuotient, jet
 from contactlax.laxfamilies import (
     LaxPair,
-    expected_roster_size,
     make_custom,
     make_family,
     make_poly,
@@ -13,6 +12,7 @@ from contactlax.laxfamilies import (
     make_ratgp,
 )
 from contactlax.pfield import ParameterError, PPoly, PRational, collect, partial_fraction
+from conftest import expected_roster_size
 
 
 def test_make_poly_1_1():

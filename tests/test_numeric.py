@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contactlax.compat import CK_INDEPENDENTS, PDESystem, TransformDegenerateError, ck_transform, derive
-from contactlax.jetalg import FieldId, JetQuotient, JetVariable, evaluate, jet
+from contactlax.jetalg import FieldId, JetQuotient, JetVariable, jet
 from contactlax.numeric import (
     CompileError,
     Grid,
@@ -29,7 +29,7 @@ from contactlax.numeric import (
     write_monitor_csv,
 )
 from contactlax.sampling import pole_pairs_for
-from conftest import rational_point
+from conftest import evaluate, rational_point
 
 TP = 2 * np.pi
 
