@@ -29,7 +29,6 @@ from .compat import (
 )
 from .gauge import (
     apply_change_of_variables,
-    eliminate_gauge,
     gauge_residual,
     potential_solution,
     verify_gauge_removal,
@@ -45,6 +44,6 @@ __all__ = [
     "PDESystem", "ck_transform", "compatibility_condition", "derive",
     "determinedness_report", "extract_system", "match_printed_system",
     "reduce_2plus1", "reduce_system", "residue_system",
-    "apply_change_of_variables", "eliminate_gauge",
-    "gauge_residual", "potential_solution", "verify_gauge_removal",
+    "apply_change_of_variables", "gauge_residual", "potential_solution",
+    "verify_gauge_removal",
 ]

@@ -223,7 +223,7 @@ def cmd_simulate(args, rep: RunReport) -> int:
         spec = _read_input(args.init)
     if args.system_json:
         sys = _read_input(args.system_json, pdesystem_from_json)
-        if tuple(sys.independents) != ("X", "Y", "Z", "T"):
+        if tuple(sys.independents) != compat.CK_INDEPENDENTS:
             sys = ck_transform(sys)
     else:
         sys = ck_transform(derive(args.family, args.m, args.n, form="residues"))

@@ -38,7 +38,6 @@ from .jetalg import (
     ZERO,
     DiffPoly,
     FieldId,
-    INDEPENDENT,
     JetQuotient,
     JetVariable,
     StructureError,
@@ -216,7 +215,7 @@ class PDESystem:
         known = set(self.unknowns)
         for eq in self.equations:
             for jv in eq.jet_variables():
-                if jv.field not in known and jv.field.role != INDEPENDENT:
+                if jv.field not in known:
                     raise StructureError(f"equation references unknown field {jv.field.name}")
 
     def counts(self) -> tuple[int, int]:
@@ -339,7 +338,7 @@ def ck_transform(sys: PDESystem) -> PDESystem:
         raise StructureError("evolution transform expects (x, y, z, t) independents")
 
     def expand(jv):
-        if jv.field.role != INDEPENDENT and (jv.d[1] or jv.d[3]):
+        if jv.d[1] or jv.d[3]:
             return _ck_jet_expansion(jv)
         return None
 
@@ -379,7 +378,7 @@ def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[DiffPoly]]:
             raise TransformDegenerateError(f"not linear in {t_jets[min(squared)]!r}")
         for part in (*row, rest):
             for jv in part.jet_variables():
-                if jv.d[3] and jv.field.role != INDEPENDENT:
+                if jv.d[3]:
                     raise TransformDegenerateError(f"a T-jet coefficient or remainder contains the T-jet {jv!r}")
         if not rest.is_zero():  # else the content may hold a T-jet
             rat, mono = content(eq.num)
@@ -441,7 +440,7 @@ def t_solvability_witness(sys: PDESystem) -> tuple[int, tuple[int, ...]]:
 
 
 def _kill_z_jets(e: DiffPoly) -> DiffPoly:
-    z_jets = [jv for jv in e.jet_variables() if jv.field.role != INDEPENDENT and jv.d[2] > 0]
+    z_jets = [jv for jv in e.jet_variables() if jv.d[2] > 0]
     return decompose_by_jets(e, z_jets).get((0,) * len(z_jets), ZERO)
 
 

@@ -16,7 +16,6 @@ the pole-only template; the chain-rule computation is the judge.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain
 
 from .compat import PSI, homogenize_rational, rational_from_psi_quotient
@@ -35,7 +34,7 @@ from .jetalg import (
     to_tree,
     total_derivative_q,
 )
-from .laxfamilies import LaxPair, RAT, RATGP, make_rat, make_ratgp
+from .laxfamilies import LaxPair, RAT, RATGP, make_ratgp
 from .pfield import PPoly, PRational, collect, p_minus
 
 PSI_NEW = FieldId("psi_tilde", WAVE)
@@ -236,21 +235,3 @@ def verify_gauge_removal(m: int, n: int, q_jet_values: dict | None = None) -> di
         "validated": [name for name, r in reports.items() if r["pole_structure_ok"]],
         "maps_agree": all(maps["printed"][k] == v for k, v in maps["solved"].items()),
     }
-
-
-def eliminate_gauge(lax: LaxPair) -> LaxPair:
-    """Full pipeline: confirm the potential solves the constant-term
-    equation, then apply the validated (engine-solved) map; the output
-    is the pole-only pair in the new symbols (tildes dropped)."""
-    a0e, b0e = potential_solution()
-    if not gauge_residual(a0e, b0e).is_zero():
-        raise GaugeError("gauge pair is incompatible: nonzero constant-term residual")
-    field_map = solved_field_map(lax)
-    report = apply_change_of_variables(lax, transform_pair(lax), field_map, "solved")
-    if not (report["polynomial_part_zero"] and report["pole_structure_ok"]):
-        raise GaugeError("gauge elimination did not reach the pole-only shape")
-    provenance = (
-        ("gauge_map", "solved"),
-        ("field_map", tuple(sorted((k, repr(v)) for k, v in field_map.items()))),
-    )
-    return replace(make_rat(lax.m, lax.n), provenance=provenance)

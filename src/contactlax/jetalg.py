@@ -57,9 +57,6 @@ class JetVariable:
     field: FieldId
     d: tuple[int, int, int, int] = ZERO_INDEX
 
-    def order(self) -> int:
-        return sum(self.d)
-
     def __repr__(self):
         if self.d == ZERO_INDEX:
             return self.field.name
@@ -74,10 +71,14 @@ def jet_sort_key(jv: JetVariable) -> tuple:
 
 # Global interner.  Monomial keys store small integer ids, assigned in
 # the order jets are first met in the process, and list their factors in
-# id order.  Output orders the terms of a polynomial canonically (by
-# jet_sort_key), but the factors of one term in id order, so emitted
-# expressions depend on the interning order of the process; pickles
-# carry the jets themselves (DiffPoly.__reduce__).
+# id order.  Emitted expressions depend on that interning order in three
+# ways: a term lists its factors in id order; terms are sorted by those
+# id-ordered factor lists (each factor compared by jet_sort_key), so
+# a*c + b prints as b + c*a once c was interned before a; and a
+# quotient's denominator is made monic at its leading term in the graded
+# order of _mono_key, whose ties fall to jet ids, so c/(2a + 3b) becomes
+# (1/2 c)/(a + 3/2 b) or (1/3 c)/(2/3 a + b).  Pickles carry the jets
+# themselves (DiffPoly.__reduce__).
 _JET_IDS: dict[JetVariable, int] = {}
 _JETS: list[JetVariable] = []
 _JET_SORT: list[tuple] = []
@@ -243,16 +244,6 @@ class DiffPoly(Frozen):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_const(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
-
-    def const_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return Fraction(self._terms[()])
-        raise StructureError("not a constant")
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -362,8 +353,9 @@ class DiffPoly(Frozen):
         return sorted((_JETS[i] for i in seen), key=jet_sort_key)
 
     def monomials(self):
-        """(coeff, ((JetVariable, power), ...)) view: terms in canonical
-        order, the factors of a term in jet-id order."""
+        """(coeff, ((JetVariable, power), ...)) view: the factors of a
+        term in jet-id order, and the terms sorted by those factor lists,
+        so both orders depend on the interning order of the process."""
         items = sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
         for m, c in items:
             yield Fraction(c), tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))
@@ -660,7 +652,7 @@ def _as_quotient(x):
 
 def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     """Total derivative: bumps jet multi-indices via Leibniz and the chain
-    rule; independent-variable symbols differentiate to 0 or 1."""
+    rule."""
     ax = _axis(direction)
     out = {}
     for m, c in e._terms.items():
@@ -672,18 +664,10 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
                 del rest[i:i + 2]
             else:
                 rest[i + 1] = pw - 1
-            rest = tuple(rest)
-            coeff = c * pw
-            if jv.field.role == INDEPENDENT:
-                if jv.d != ZERO_INDEX:
-                    raise StructureError(f"derived independent symbol {jv!r}")
-                if _AXIS.get(jv.field.name) == ax:
-                    _add_term(out, rest, coeff)
-                continue
             d = list(jv.d)
             d[ax] += 1
             bumped = _jet_id(JetVariable(jv.field, tuple(d)))
-            _add_term(out, _mul_mono(rest, (bumped, 1)), coeff)
+            _add_term(out, _mul_mono(tuple(rest), (bumped, 1)), c * pw)
     return DiffPoly(out)
 
 
@@ -764,14 +748,7 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     replacement; jets above a base are rewritten by total differentiation
     of the rule (prolongation).  Jets of a ruled field lying below every
     base are left untouched.  Passes repeat until no rule matches."""
-    rules_q = {}
-    for base, rhs in rules.items():
-        if isinstance(base, DiffPoly):
-            jvs = base.jet_variables()
-            if len(base._terms) != 1 or len(jvs) != 1:
-                raise StructureError("rule pattern must be a single jet")
-            base = jvs[0]
-        rules_q[base] = _as_quotient(rhs)
+    rules_q = {base: _as_quotient(rhs) for base, rhs in rules.items()}
     by_field: dict[FieldId, list] = {}
     for base in rules_q:
         by_field.setdefault(base.field, []).append(base)

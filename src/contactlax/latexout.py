@@ -5,13 +5,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .compat import PDESystem
-from .jetalg import DiffPoly, JetQuotient, JetVariable
+from .compat import CK_INDEPENDENTS, XYZT, PDESystem
+from .jetalg import ONE, DiffPoly, JetQuotient, JetVariable
 from .laxfamilies import LaxPair
 from .pfield import PartialFractions, PRational
-
-_DIR_NAMES = ("x", "y", "z", "t")
-_DIR_NAMES_CK = ("X", "Y", "Z", "T")
 
 
 def _symbol(name: str) -> str:
@@ -24,7 +21,7 @@ def _symbol(name: str) -> str:
     return f"{head}_{{{tail}}}" if tail else head
 
 
-def jet_latex(jv: JetVariable, dirs=_DIR_NAMES) -> str:
+def jet_latex(jv: JetVariable, dirs=XYZT) -> str:
     sym = _symbol(jv.field.name)
     if jv.d == (0, 0, 0, 0):
         return sym
@@ -42,7 +39,7 @@ def _frac_latex(c: Fraction) -> str:
     return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def poly_latex(e: DiffPoly, dirs=_DIR_NAMES) -> str:
+def poly_latex(e: DiffPoly, dirs=XYZT) -> str:
     if e.is_zero():
         return "0"
     parts = []
@@ -65,8 +62,8 @@ def poly_latex(e: DiffPoly, dirs=_DIR_NAMES) -> str:
     return out
 
 
-def quotient_latex(q: JetQuotient, dirs=_DIR_NAMES) -> str:
-    if q.den.is_const() and q.den.const_value() == 1:
+def quotient_latex(q: JetQuotient, dirs=XYZT) -> str:
+    if q.den == ONE:
         return poly_latex(q.num, dirs)
     return f"\\frac{{{poly_latex(q.num, dirs)}}}{{{poly_latex(q.den, dirs)}}}"
 
@@ -105,7 +102,7 @@ def prational_latex(r: PRational, var: str = "p", pf: PartialFractions | None = 
 
 
 def system_latex(sys: PDESystem) -> str:
-    dirs = _DIR_NAMES_CK if sys.independents and sys.independents[0] == "X" else _DIR_NAMES
+    dirs = CK_INDEPENDENTS if sys.independents[:1] == CK_INDEPENDENTS[:1] else XYZT
     lines = [f"{quotient_latex(eq, dirs)} = 0" for eq in sys.equations]
     body = ", \\\\\n".join(lines)
     return "\\begin{array}{l}\n" + body + "\n\\end{array}"

@@ -6,7 +6,7 @@ so derived systems and golden comparisons are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
@@ -27,7 +27,6 @@ class LaxPair:
     m: int | None = None
     n: int | None = None
     dimension: str = "3+1"  # "2+1" after the planar reduction
-    provenance: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         roster = set(self.fields)
@@ -123,9 +122,9 @@ def _sum_of_poles(const_field: FieldId | None, residues, poles) -> PRational:
     return PRational(acc, den)
 
 
-def make_custom(F: PRational, G: PRational, fields, m=None, n=None, dimension="3+1") -> LaxPair:
+def make_custom(F: PRational, G: PRational, fields) -> LaxPair:
     """Arbitrary pair; roster coverage is still validated."""
-    return LaxPair(F, G, tuple(fields), CUSTOM, m, n, dimension)
+    return LaxPair(F, G, tuple(fields), CUSTOM)
 
 
 def make_family(family: str, m: int, n: int) -> LaxPair:

@@ -197,13 +197,8 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
     rows, rests = t_jet_split(sys)
     _, pivots = t_solvability_witness(sys)
-    required = set()
-    for e in (*(c for row in rows for c in row), *rests):
-        for jv in e.jet_variables():
-            if jv.field.role == "independent":
-                raise CompileError("independent-variable symbols are not grid data")
-            required.add((jv.field.name, jv.d))
-    required = tuple(sorted(required))
+    required = tuple(sorted({(jv.field.name, jv.d) for e in (*(c for row in rows for c in row), *rests)
+                             for jv in e.jet_variables()}))
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     original = sys.provenance.get("original_system")
     return CompiledSystem(tuple(u.name for u in sys.unknowns), pivots, required,
@@ -330,6 +325,8 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
         raise CompileError(f"steps must not be negative, got {steps}")
     if not (math.isfinite(dt) and dt > 0):
         raise CompileError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(guard) and guard > 0):
+        raise CompileError(f"guard must be finite and positive, got {guard}")
     op = SPATIAL_OPS[spatial]
     coords = grid.coords()
     state = {k: np.array(v, dtype=float) for k, v in state.items()}
@@ -415,10 +412,26 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
 # -- initial data -----------------------------------------------------------------
 
 
+def _finite(name: str, key: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise CompileError(f"malformed initial data for {name}: {key} must be finite, got {value!r}")
+    return x
+
+
+def _wavevector(name: str, k) -> tuple[int, int, int]:
+    if not (isinstance(k, (list, tuple)) and len(k) == 3
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in k)):
+        raise CompileError(f"malformed initial data for {name}: k must be three integers, got {k!r}")
+    return tuple(k)
+
+
 def load_initial_data(spec: dict, unknowns, coords) -> dict:
     """Initial data from its parsed JSON description: each unknown maps
     to either {"constant": value} or {"fourier": {"mean": c, "modes":
-    [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}."""
+    [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}.  Values must be finite,
+    and each k three integers, so that every mode is periodic on the
+    unit box."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     out = {}
     for u in unknowns:
@@ -427,12 +440,12 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
             raise CompileError(f"initial data missing for {name}")
         entry = spec[name]
         if "constant" in entry:
-            hf = HarmonicField(float(entry["constant"]))
+            hf = HarmonicField(_finite(name, "constant", entry["constant"]))
         elif "fourier" in entry:
             fz = entry["fourier"]
-            modes = tuple(Mode(tuple(m["k"]), float(m["amp"]), float(m.get("phase", 0.0)))
-                          for m in fz.get("modes", ()))
-            hf = HarmonicField(float(fz.get("mean", 0.0)), modes)
+            modes = tuple(Mode(_wavevector(name, m["k"]), _finite(name, "amp", m["amp"]),
+                               _finite(name, "phase", m.get("phase", 0.0))) for m in fz.get("modes", ()))
+            hf = HarmonicField(_finite(name, "mean", fz.get("mean", 0.0)), modes)
         else:
             raise CompileError(f"bad initial-data entry for {name}")
         arr = hf.value(coords, 0.0)

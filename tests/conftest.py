@@ -5,15 +5,12 @@ import pytest
 
 from contactlax.gauge import Q
 from contactlax.jetalg import (
-    INDEPENDENT,
     ONE,
     ZERO,
     CoverageError,
-    FieldId,
     JetQuotient,
     JetVariable,
     PoleError,
-    jet,
 )
 from contactlax.laxfamilies import POLY, RAT, RATGP
 from contactlax.pfield import ParameterError, PPoly, PRational
@@ -62,11 +59,6 @@ def rational_point(jet_vars, rng: random.Random, pole_pairs=()):
 
 
 # -- exact oracles, written against the public API -----------------------------
-
-
-def independent(name: str):
-    """An independent variable (x, y, z, t) as an expression."""
-    return jet(FieldId(name, INDEPENDENT))
 
 
 def evaluate(e, point: dict) -> Fraction:

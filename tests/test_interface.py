@@ -162,7 +162,12 @@ def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     (["--dt", "0"], "dt must be finite and positive"),
     (["--dt", "-0.01"], "dt must be finite and positive"),
     (["--dt", "nan"], "dt must be finite and positive"),
-], ids=["negative-steps", "zero-dt", "negative-dt", "nan-dt"])
+    (["--guard", "nan"], "guard must be finite and positive"),
+    (["--guard", "-1"], "guard must be finite and positive"),
+    (["--guard", "inf"], "guard must be finite and positive"),
+    (["--guard", "0"], "guard must be finite and positive"),
+], ids=["negative-steps", "zero-dt", "negative-dt", "nan-dt", "nan-guard", "negative-guard", "inf-guard",
+        "zero-guard"])
 def test_simulate_impossible_step_parameters_exit_2(tmp_path, capsys, params, message):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({
@@ -183,6 +188,14 @@ def test_simulate_impossible_step_parameters_exit_2(tmp_path, capsys, params, me
 _XYZT = ["X", "Y", "Z", "T"]
 
 
+def _rat11_init(**entries):
+    """Constant rat (1, 1) initial data as JSON text, with some entries replaced."""
+    return json.dumps({
+        "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
+        "a1": {"constant": 1.0}, "b1": {"constant": 0.5}, **entries,
+    })
+
+
 @pytest.mark.parametrize("system,init,message", [
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "bogus"}]}, None,
      "StructureError: unknown op 'bogus'"),
@@ -191,16 +204,19 @@ _XYZT = ["X", "Y", "Z", "T"]
       "provenance": {"denominators": [{"op": "num", "value": "1"}] * 2}}, None,
      "provenance.denominators and equations differ in length"),
     (None, "{not json", "JSONDecodeError"),
-], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json"])
+    (None, _rat11_init(v1={"fourier": {"mean": -1.0, "modes": [{"k": [0.5, 0, 0], "amp": 0.05}]}}),
+     "k must be three integers, got [0.5, 0, 0]"),
+    (None, _rat11_init(v1={"fourier": {"mean": -1.0, "modes": [{"k": [1, 0, 0, 7], "amp": 0.05}]}}),
+     "k must be three integers, got [1, 0, 0, 7]"),
+    (None, _rat11_init(v1={"constant": float("nan")}), "constant must be finite"),
+], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
+        "nan-constant"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
     if system is not None:
         (tmp_path / "system.json").write_text(json.dumps(system))
         args += ["--system-json", str(tmp_path / "system.json")]
-    (tmp_path / "init.json").write_text(init if init is not None else json.dumps({
-        "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
-        "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
-    }))
+    (tmp_path / "init.json").write_text(init if init is not None else _rat11_init())
     report = tmp_path / "report.json"
     code = main([*args, "--init", str(tmp_path / "init.json"), "--report-json", str(report)])
     assert code == 2

@@ -35,7 +35,7 @@ from contactlax.jetalg import (
     total_derivative_q,
 )
 from contactlax.sampling import random_point
-from conftest import FIELD_NAMES, eval_tree, evaluate, independent, random_tree
+from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree
 
 V = FieldId("v")
 W = FieldId("w")
@@ -255,13 +255,6 @@ def test_json_roundtrip_bit_exact(t):
     again = to_tree(from_tree(emitted))
     assert json.dumps(emitted) == json.dumps(again)
     assert from_tree(emitted) == e
-
-
-def test_independent_variables():
-    z, t = independent("z"), independent("t")
-    assert total_derivative(z, "z") == ONE
-    assert total_derivative(z, "t").is_zero()
-    assert total_derivative(z * t, "t") == z
 
 
 def test_quotient_collapses_when_divisible():
