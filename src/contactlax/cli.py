@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 pass (including adjudicated
 mismatch-reported comparisons), 1 verification failure, 2 usage or
-parameter error, 3 numerical abort.
+parameter error, 3 numerical abort.  A command records its verdicts and
+returns when it passes, and raises otherwise; `_run` alone maps what it
+raises to an exit code and to the report's `error`.
 """
 
 from __future__ import annotations
@@ -86,19 +88,32 @@ def _check_outputs(args) -> None:
         raise ParameterError(f"--{opt.replace('_', '-')} {path} {problem}")
 
 
+class CheckFailed(Exception):
+    """A verification check came out false."""
+
+
+def _check(rep: RunReport, key: str, ok: bool, verdict: str = "pass") -> None:
+    """Record a passed check's verdict under key, or raise CheckFailed."""
+    if not ok:
+        raise CheckFailed(f"{key}: fail")
+    rep.verdicts[key] = verdict
+
+
 def _run(args) -> int:
-    """Run one command: time it and report on every path that returns
-    an exit code, handled errors included."""
+    """Run one command, time it and report it.  A command that returns
+    has passed (exit 0, `error` null); a handled error it raises becomes
+    exit 1, 2 or 3, and its message goes to `error` and to stderr."""
     rep = RunReport(args.command)
     t0 = time.perf_counter()
     try:
         _check_outputs(args)
-        code = args.fn(args, rep)
+        args.fn(args, rep)
+        code = 0
     except (ParameterError, numeric.CompileError, OSError) as e:
         code, rep.error = 2, f"parameter error: {e}"
     except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
         code, rep.error = 3, f"numerical abort: {e}"
-    except (compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
+    except (CheckFailed, compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
         code, rep.error = 1, f"verification failure: {e}"
     rep.seconds = time.perf_counter() - t0
     if rep.error:
@@ -107,7 +122,7 @@ def _run(args) -> int:
     return code
 
 
-def cmd_derive(args, rep: RunReport) -> int:
+def cmd_derive(args, rep: RunReport) -> None:
     sys = derive(args.family, args.m, args.n, form=args.form)
     d = determinedness_report(sys)
     rep.verdicts["equations"] = d.equations
@@ -117,7 +132,6 @@ def cmd_derive(args, rep: RunReport) -> int:
     if dropped:
         rep.verdicts["dropped_zero_coefficients"] = list(dropped)
     _write_system(sys, args, rep)
-    return 0
 
 
 def _check_ab(m: int, n: int) -> bool:
@@ -135,29 +149,21 @@ def _check_reduce21(family: str, m: int, n: int) -> bool:
     return d4 == d21
 
 
-def cmd_verify(args, rep: RunReport) -> int:
+def cmd_verify(args, rep: RunReport) -> None:
     rep.command = f"verify {args.check}"
-    code = 0
     if args.check == "ab":
-        ok = _check_ab(args.m, args.n)
-        rep.verdicts["top-coefficient identity"] = "pass" if ok else "fail"
-        code = 0 if ok else 1
+        _check(rep, "top-coefficient identity", _check_ab(args.m, args.n))
     elif args.check == "qsolution":
         a0e, b0e = gauge.potential_solution()
-        ok = gauge.gauge_residual(a0e, b0e).is_zero()
-        rep.verdicts["potential solution residual"] = "pass (exact zero)" if ok else "fail"
-        code = 0 if ok else 1
+        _check(rep, "potential solution residual", gauge.gauge_residual(a0e, b0e).is_zero(),
+               "pass (exact zero)")
     elif args.check == "theorem1":
-        try:
-            out = gauge.verify_gauge_removal(args.m, args.n)
-        except gauge.GaugeError as e:
-            rep.verdicts["gauge removal"] = f"fail ({e})"
-            return 1
+        out = gauge.verify_gauge_removal(args.m, args.n)
         rep.verdicts["gauge removal"] = "pass"
         rep.verdicts["validated maps"] = ",".join(out["validated"])
         rep.verdicts["maps"] = out["maps"]
-        code = 0
     elif args.check == "rls":
+        # mismatch-reported is an adjudication outcome, not a failure
         mrep = match_printed_system(args.m, args.n)
         rep.verdicts["published-form comparison"] = mrep.verdict
         for line in mrep.lines:
@@ -167,27 +173,17 @@ def cmd_verify(args, rep: RunReport) -> int:
             if not line.matched and args.diff:
                 for t in line.diff_terms:
                     print(f"  {line.label} diff term: {t}")
-        code = 0  # mismatch-reported is an adjudication outcome, not a failure
     elif args.check == "reduce21":
-        ok = _check_reduce21(args.family, args.m, args.n)
-        rep.verdicts["planar reduction commutes"] = "pass" if ok else "fail"
-        code = 0 if ok else 1
-    return code
+        _check(rep, "planar reduction commutes", _check_reduce21(args.family, args.m, args.n))
 
 
-def cmd_ck(args, rep: RunReport) -> int:
-    sys = derive(args.family, args.m, args.n, form=args.form)
-    try:
-        ck = ck_transform(sys)
-    except compat.TransformDegenerateError as e:
-        rep.verdicts["T-solvability"] = f"fail ({e})"
-        return 1
+def cmd_ck(args, rep: RunReport) -> None:
+    ck = ck_transform(derive(args.family, args.m, args.n, form=args.form))
     rep.verdicts["T-solvability"] = "pass"
     _write_system(ck, args, rep)
-    return 0
 
 
-def cmd_reduce21(args, rep: RunReport) -> int:
+def cmd_reduce21(args, rep: RunReport) -> None:
     lax = make_family(args.family, args.m, args.n)
     lax21, sys21 = reduce_2plus1(lax)
     d = determinedness_report(sys21)
@@ -196,7 +192,6 @@ def cmd_reduce21(args, rep: RunReport) -> int:
     rep.verdicts["verdict"] = d.verdict
     rep.verdicts["pair"] = laxpair_latex(lax21)
     _write_system(sys21, args, rep)
-    return 0
 
 
 def _parsed(path: str, parse):
@@ -214,7 +209,7 @@ def _read_input(path: str, parse=lambda data: data):
         return _parsed(path, lambda: parse(json.load(f)))
 
 
-def cmd_simulate(args, rep: RunReport) -> int:
+def cmd_simulate(args, rep: RunReport) -> None:
     if len(args.grid) not in (1, 3):
         raise ParameterError(f"--grid takes one or three sizes, got {len(args.grid)}")
     if not args.manufactured:
@@ -243,19 +238,15 @@ def cmd_simulate(args, rep: RunReport) -> int:
                     o = conv.spatial_orders[i - 1] if i else float("nan")
                     f.write(f"spatial,{i},{e!r},{o!r}\n")
             rep.artifacts.append(args.convergence)
-        return 0
+        return
     shape = tuple(args.grid) if len(args.grid) == 3 else (args.grid[0],) * 3
     grid = numeric.Grid(shape)
     coords = grid.coords()
     state = _parsed(args.init, lambda: numeric.load_initial_data(spec, cs.unknowns, coords))
-    try:
-        traj = numeric.integrate(
-            cs, grid, state, args.steps, args.dt,
-            spatial=args.spatial, guard=args.guard, monitor_every=args.monitor_every,
-        )
-    except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
-        rep.verdicts["integration"] = f"abort ({e})"
-        return 3
+    traj = numeric.integrate(
+        cs, grid, state, args.steps, args.dt,
+        spatial=args.spatial, guard=args.guard, monitor_every=args.monitor_every,
+    )
     rep.verdicts["integration"] = "pass"
     rep.verdicts["steps"] = args.steps
     rep.verdicts["final min pole distance"] = traj.monitors[-1][2]
@@ -263,10 +254,9 @@ def cmd_simulate(args, rep: RunReport) -> int:
     if args.monitor:
         numeric.write_monitor_csv(traj, args.monitor)
         rep.artifacts.append(args.monitor)
-    return 0
 
 
-def cmd_export(args, rep: RunReport) -> int:
+def cmd_export(args, rep: RunReport) -> None:
     lax = make_family(args.family, args.m, args.n)
     if args.what == "lax":
         payload = laxpair_to_json(lax)
@@ -284,7 +274,6 @@ def cmd_export(args, rep: RunReport) -> int:
     _write(args.out, json.dumps(payload, indent=1), rep)
     if args.latex:
         _write(args.latex, tex + "\n", rep)
-    return 0
 
 
 def _add_family_params(p, default_family=None):

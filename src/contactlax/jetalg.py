@@ -747,7 +747,8 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     """Replace jets matching the rules.  A rule maps a base jet to its
     replacement; jets above a base are rewritten by total differentiation
     of the rule (prolongation).  Jets of a ruled field lying below every
-    base are left untouched.  Passes repeat until no rule matches."""
+    base are left untouched.  The replacement is one simultaneous pass:
+    the output is not rescanned, so {u: v, v: w} takes u to v."""
     rules_q = {base: _as_quotient(rhs) for base, rhs in rules.items()}
     by_field: dict[FieldId, list] = {}
     for base in rules_q:
@@ -758,16 +759,14 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
         b = _match_base(jv, by_field.get(jv.field, ()))
         return None if b is None else _prolonged(b, jv.d, rules_q, cache)
 
-    cur = _as_quotient(e)
-    for _ in range(100):
-        rn = _replace_jets(cur.num, rule, _as_quotient)
-        rd = _replace_jets(cur.den, rule, _as_quotient)
-        if rn is None and rd is None:
-            return cur
-        qn = rn if rn is not None else _as_quotient(cur.num)
-        qd = rd if rd is not None else _as_quotient(cur.den)
-        cur = qn / qd
-    raise StructureError("substitution did not reach a fixed point")
+    q = _as_quotient(e)
+    num = _replace_jets(q.num, rule, _as_quotient)
+    den = _replace_jets(q.den, rule, _as_quotient)
+    if num is None and den is None:
+        return q
+    num = _as_quotient(q.num) if num is None else num
+    den = _as_quotient(q.den) if den is None else den
+    return num / den
 
 
 # -- structural decomposition ------------------------------------------------
@@ -798,9 +797,10 @@ def decompose_by_jets(e: DiffPoly, jets: list[JetVariable]) -> dict[tuple, DiffP
 
 def map_jets(e: DiffPoly, fn) -> DiffPoly:
     """Simultaneous one-pass replacement of jet variables by polynomials;
-    fn returns None to keep a jet.  Unlike substitute(), the output is
-    not rescanned, so self-referential maps (a change of independent
-    variables reusing the same index slots) are safe."""
+    fn returns None to keep a jet.  Like substitute(), the output is not
+    rescanned, so self-referential maps (a change of independent
+    variables reusing the same index slots) are safe; unlike it, there is
+    no prolongation and the result stays a polynomial."""
     out = _replace_jets(e, fn, lambda rest: rest)
     return e if out is None else out
 

@@ -2,8 +2,8 @@
 
 Expression nodes use the wire format of the core algebra; rational
 functions of p serialize as coefficient arrays by ascending degree with
-jet denominators cleared.  Export -> import is the identity on normal
-forms.
+jet denominators cleared.  Lax pairs are written and never read back;
+for systems, export -> import is the identity on normal forms.
 """
 
 from __future__ import annotations
@@ -11,15 +11,11 @@ from __future__ import annotations
 from .compat import PDESystem
 from .jetalg import DiffPoly, FieldId, JetQuotient, from_tree, to_tree
 from .laxfamilies import LaxPair
-from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, collect
+from .pfield import ParameterError, PartialFractions, PRational, collect
 
 
 def _quotient_to_json(q: JetQuotient) -> dict:
     return {"num": to_tree(q.num), "den": to_tree(q.den)}
-
-
-def _quotient_from_json(d: dict, fields=None) -> JetQuotient:
-    return JetQuotient(from_tree(d["num"], fields), from_tree(d["den"], fields))
 
 
 def prational_to_json(r: PRational, pf: PartialFractions | None = None) -> dict:
@@ -44,28 +40,6 @@ def prational_to_json(r: PRational, pf: PartialFractions | None = None) -> dict:
     return out
 
 
-def prational_from_json(d: dict, fields=None) -> PRational:
-    """num/den; an included view is checked against them and dropped."""
-    num = PPoly([JetQuotient(from_tree(t, fields)) for t in d["num"]])
-    den = PPoly([JetQuotient(from_tree(t, fields)) for t in d["den"]])
-    r = PRational(num, den)
-    if "pf" in d:
-        blocks = tuple(
-            PoleBlock(
-                (fields or {}).get(b["pole"]) or FieldId(b["pole"]),
-                b["order"],
-                tuple(_quotient_from_json(r, fields) for r in b["residues"]),
-            )
-            for b in d["pf"]["poles"]
-        )
-        pf = PartialFractions(
-            PPoly([_quotient_from_json(c, fields) for c in d["pf"]["polypart"]]), blocks
-        )
-        if not (pf.reassemble() == r):
-            raise ParameterError("the partial-fraction view does not match num/den")
-    return r
-
-
 def laxpair_to_json(lax: LaxPair) -> dict:
     pf_F, pf_G = lax.partial_fractions()
     return {
@@ -77,19 +51,6 @@ def laxpair_to_json(lax: LaxPair) -> dict:
         "F": prational_to_json(lax.F, pf_F),
         "G": prational_to_json(lax.G, pf_G),
     }
-
-
-def laxpair_from_json(d: dict) -> LaxPair:
-    fields = {name: FieldId(name) for name in d["fields"]}
-    return LaxPair(
-        prational_from_json(d["F"], fields),
-        prational_from_json(d["G"], fields),
-        tuple(fields.values()),
-        d["family"],
-        d.get("m"),
-        d.get("n"),
-        d.get("dimension", "3+1"),
-    )
 
 
 _PROV_SCALARS = ("family", "m", "n", "dimension", "path", "ck_of")

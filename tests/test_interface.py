@@ -9,19 +9,10 @@ from pathlib import Path
 import pytest
 
 import contactlax
-from contactlax import cli
+from contactlax import cli, gauge
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
-from contactlax.laxfamilies import make_rat
-from contactlax.pfield import ParameterError
-from contactlax.serialize import (
-    laxpair_from_json,
-    laxpair_to_json,
-    pdesystem_from_json,
-    pdesystem_to_json,
-    prational_from_json,
-    prational_to_json,
-)
+from contactlax.serialize import pdesystem_from_json, pdesystem_to_json
 
 
 def test_derive_rat_counts(tmp_path, capsys):
@@ -110,8 +101,33 @@ def test_simulate_constant_and_abort(tmp_path, capsys):
     ])
     assert code == 3
     rep = json.loads(report.read_text())
-    assert rep["verdicts"]["integration"].startswith("abort (")
+    assert rep["error"].startswith("numerical abort: pole proximity")
+    assert capsys.readouterr().err.strip() == rep["error"]
     assert rep["seconds"] > 0
+
+
+def _gauge_error(m, n):
+    raise gauge.GaugeError("no candidate map removes the gauge")
+
+
+@pytest.mark.parametrize("args,key,patch,message", [
+    (["ck", "--family", "ratgp", "-m", "1", "-n", "1"], "T-solvability", None,
+     "T-jet matrix is not square: 5 equations, 6 unknowns"),
+    (["verify", "ab"], "top-coefficient identity", (cli, "_check_ab", lambda m, n: False),
+     "top-coefficient identity: fail"),
+    (["verify", "theorem1"], "gauge removal", (gauge, "verify_gauge_removal", _gauge_error),
+     "no candidate map removes the gauge"),
+], ids=["ck-not-square", "verify-ab-false", "verify-theorem1-gauge-error"])
+def test_verification_failure_exit_1(tmp_path, monkeypatch, capsys, args, key, patch, message):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    report = tmp_path / "report.json"
+    assert main([*args, "--report-json", str(report)]) == 1
+    rep = json.loads(report.read_text())
+    assert rep["error"].startswith("verification failure:") and message in rep["error"]
+    captured = capsys.readouterr()
+    assert captured.err.strip() == rep["error"]
+    assert key not in rep["verdicts"] and f"{key}:" not in captured.out
 
 
 def test_report_json_written_on_handled_errors(tmp_path, capsys):
@@ -312,12 +328,13 @@ def test_report_json_error_field_empty_on_success(tmp_path, capsys):
     assert json.loads(report.read_text())["error"] is None
 
 
-def test_export_and_roundtrip(tmp_path, capsys):
+def test_export_lax_pair(tmp_path, capsys):
     out = tmp_path / "lax.json"
     assert main(["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    again = laxpair_to_json(laxpair_from_json(data))
-    assert again == data
+    assert (data["family"], data["m"], data["n"], data["dimension"]) == ("ratgp", 2, 1, "3+1")
+    assert data["fields"] == ["a0", "a1", "a2", "v1", "v2", "b0", "b1", "w1"]
+    assert [len(data[r]["pf"]["poles"]) for r in ("F", "G")] == [2, 1]
 
 
 @pytest.mark.parametrize("family,m,n,form", [
@@ -345,20 +362,6 @@ def test_ck_system_json_roundtrip_preserves_original():
     orig = back.provenance["original_system"]
     for a, b in zip(orig.equations, sys.provenance["original_system"].equations):
         assert a == b
-
-
-def test_prational_json_roundtrip():
-    lax = make_rat(2, 1)
-    for r, pf in zip((lax.F, lax.G), lax.partial_fractions()):
-        data = prational_to_json(r, pf)
-        back = prational_from_json(data)
-        assert back == r
-        assert prational_to_json(back, pf) == data
-    # an imported view must reassemble to the imported num/den
-    data = prational_to_json(lax.F, lax.partial_fractions()[0])
-    data["pf"]["poles"][0]["residues"] = data["pf"]["poles"][1]["residues"]
-    with pytest.raises(ParameterError):
-        prational_from_json(data)
 
 
 def _cli(args, cwd):
@@ -458,11 +461,14 @@ _PINNED_OUTPUT = [
      {"sys.json": "993f962b3dcca1093091d6798131c0926144b5d80afb60934d2971e9b25ce7c3"}),
     (["verify", "rls", "-m", "2", "-n", "1", "--diff"],
      {"stdout": "d1ef8a3cea3a55e015249a2cc6f9b9232ab81381f3d5df73863c88881d6ee7ec"}),
+    (["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", "lax.json"],
+     {"lax.json": "ae26af6bbd2d8beed78efb7b2f033c2808099a52e120445bccec2aff556c41ae"}),
 ]
 
 
 @pytest.mark.parametrize("args,digests", _PINNED_OUTPUT,
-                         ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff"])
+                         ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
+                              "export-lax-ratgp-2-1"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

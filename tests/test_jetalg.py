@@ -160,6 +160,12 @@ def test_substitute_leaves_lower_jets_alone():
     assert substitute(e, rule) == JetQuotient(jet(psi, (1, 0, 0, 0)) * v)
 
 
+def test_substitute_is_one_simultaneous_pass():
+    u = FieldId("u")
+    rules = {JetVariable(u): JetQuotient(v), JetVariable(V): JetQuotient(w)}
+    assert substitute(jet(u), rules) == JetQuotient(v)
+
+
 def test_eval_examples():
     pt = {JetVariable(V): Fraction(2), JetVariable(W): Fraction(3)}
     assert evaluate(v * w, pt) == 6
