@@ -30,7 +30,7 @@ from .jetalg import jet
 from .laxfamilies import make_family
 from .latexout import laxpair_latex, system_latex
 from .pfield import ParameterError, collect
-from .serialize import laxpair_to_json, pdesystem_from_json, pdesystem_to_json
+from .serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
 
 
 @dataclass
@@ -61,7 +61,7 @@ def _write(path: str, text: str, report: RunReport):
 
 def _write_system(sys, args, rep: RunReport):
     if args.out_json:
-        _write(args.out_json, json.dumps(pdesystem_to_json(sys), indent=1), rep)
+        _write(args.out_json, pdesystem_dumps(sys), rep)
     if args.latex:
         _write(args.latex, system_latex(sys) + "\n", rep)
 
@@ -259,19 +259,15 @@ def cmd_simulate(args, rep: RunReport) -> None:
 def cmd_export(args, rep: RunReport) -> None:
     lax = make_family(args.family, args.m, args.n)
     if args.what == "lax":
-        payload = laxpair_to_json(lax)
+        text = laxpair_dumps(lax)
         tex = laxpair_latex(lax)
-    elif args.what == "system":
-        sys = derive(args.family, args.m, args.n, form=args.form)
-        payload = pdesystem_to_json(sys)
-        tex = system_latex(sys)
-    elif args.what == "ck":
-        sys = ck_transform(derive(args.family, args.m, args.n, form=args.form))
-        payload = pdesystem_to_json(sys)
-        tex = system_latex(sys)
     else:
-        raise ParameterError(f"unknown export target {args.what!r}")
-    _write(args.out, json.dumps(payload, indent=1), rep)
+        sys = derive(args.family, args.m, args.n, form=args.form)
+        if args.what == "ck":
+            sys = ck_transform(sys)
+        text = pdesystem_dumps(sys)
+        tex = system_latex(sys)
+    _write(args.out, text, rep)
     if args.latex:
         _write(args.latex, tex + "\n", rep)
 

@@ -16,6 +16,7 @@ function, so values can be shared freely between workers.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -907,19 +908,62 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
     raise StructureError(f"unknown op {op!r}")
 
 
-def to_tree(e: DiffPoly) -> dict:
-    """Emission in the order of DiffPoly.monomials(); to_tree/from_tree
-    round-trips bit-exact on normal forms."""
-    if e.is_zero():
-        return {"op": "num", "value": "0"}
-    terms = []
-    for c, factors in e.monomials():
-        parts = []
-        if c != 1 or not factors:
-            parts.append({"op": "num", "value": _frac_str(c)})
-        for jv, p in factors:
-            base = {"op": "jet", "field": jv.field.name, "d": list(jv.d)}
-            parts.append(base if p == 1 else {"op": "pow", "base": base, "exp": p})
-        terms.append(parts[0] if len(parts) == 1 else {"op": "mul", "args": parts})
-    return terms[0] if len(terms) == 1 else {"op": "add", "args": terms}
+def _num_node(c, depth: int) -> str:
+    pad = "\n" + " " * (depth + 1)
+    return f'{{{pad}"op": "num",{pad}"value": "{_frac_str(c)}"\n{" " * depth}}}'
 
+
+def _args_node(op: str, items: list, depth: int) -> str:
+    pad = "\n" + " " * (depth + 1)
+    ipad = pad + " "
+    return f'{{{pad}"op": "{op}",{pad}"args": [{ipad}{("," + ipad).join(items)}{pad}]\n{" " * depth}}}'
+
+
+def _jet_node(jid: int, depth: int) -> str:
+    jv = _JETS[jid]
+    pad = "\n" + " " * (depth + 1)
+    ipad = pad + " "
+    return (f'{{{pad}"op": "jet",{pad}"field": {json.dumps(jv.field.name)},'
+            f'{pad}"d": [{ipad}{("," + ipad).join(map(str, jv.d))}{pad}]\n{" " * depth}}}')
+
+
+def write_tree(e: DiffPoly, depth: int = 0) -> str:
+    """The wire-format tree of e as JSON text, laid out as
+    json.dumps(..., indent=1) lays out a node nested `depth` levels deep
+    (its first line unindented).  Terms come in the order of
+    DiffPoly.monomials(), a term's factors in jet-id order; write_tree and
+    from_tree round-trip bit-exact on normal forms."""
+    if not e._terms:
+        return _num_node(0, depth)
+    factors = {}  # (jet id, power, depth) -> text, for this call only
+
+    def factor(jid: int, k: int, d: int) -> str:
+        text = factors.get((jid, k, d))
+        if text is None:
+            if k == 1:
+                text = _jet_node(jid, d)
+            else:
+                pad = "\n" + " " * (d + 1)
+                text = (f'{{{pad}"op": "pow",{pad}"base": {factor(jid, 1, d + 1)},'
+                        f'{pad}"exp": {k}\n{" " * d}}}')
+            factors[(jid, k, d)] = text
+        return text
+
+    terms = sorted(e._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+    td = depth if len(terms) == 1 else depth + 2  # depth of a term's node
+    out = []
+    for m, c in terms:
+        if not m:
+            out.append(_num_node(c, td))
+        elif c == 1 and len(m) == 2:
+            out.append(factor(m[0], m[1], td))
+        else:
+            parts = [] if c == 1 else [_num_node(c, td + 2)]
+            parts.extend(factor(m[i], m[i + 1], td + 2) for i in range(0, len(m), 2))
+            out.append(_args_node("mul", parts, td))
+    return out[0] if len(out) == 1 else _args_node("add", out, depth)
+
+
+def to_tree(e: DiffPoly) -> dict:
+    """The wire-format tree of e, parsed from write_tree's text."""
+    return json.loads(write_tree(e))

@@ -2,37 +2,71 @@
 
 Expression nodes use the wire format of the core algebra; rational
 functions of p serialize as coefficient arrays by ascending degree with
-jet denominators cleared.  Lax pairs are written and never read back;
-for systems, export -> import is the identity on normal forms.
+jet denominators cleared.  Documents are written as text in the layout
+of json.dumps(..., indent=1) by one writer (write_document, which hands
+expression leaves to jetalg.write_tree); no dict tree is built on the
+way.  Lax pairs are written and never read back; for systems, export ->
+import is the identity on normal forms.
 """
 
 from __future__ import annotations
 
+import json
+
 from .compat import PDESystem
-from .jetalg import DiffPoly, FieldId, JetQuotient, from_tree, to_tree
+from .jetalg import DiffPoly, FieldId, JetQuotient, from_tree, write_tree
 from .laxfamilies import LaxPair
 from .pfield import ParameterError, PartialFractions, PRational, collect
 
 
-def _quotient_to_json(q: JetQuotient) -> dict:
-    return {"num": to_tree(q.num), "den": to_tree(q.den)}
+def write_document(doc) -> str:
+    """json.dumps(doc, indent=1) of a document of dicts, lists and JSON
+    scalars whose DiffPoly leaves stand for their wire-format trees."""
+    out = []
+    _write(doc, 0, out)
+    return "".join(out)
 
 
-def prational_to_json(r: PRational, pf: PartialFractions | None = None) -> dict:
+def _write(node, depth: int, out: list) -> None:
+    if isinstance(node, DiffPoly):
+        out.append(write_tree(node, depth))
+    elif isinstance(node, dict) and node:
+        pad = "\n" + " " * (depth + 1)
+        out.append("{")
+        for i, (k, v) in enumerate(node.items()):
+            out.append(f"{',' if i else ''}{pad}{json.dumps(k)}: ")
+            _write(v, depth + 1, out)
+        out.append(f"\n{' ' * depth}}}")
+    elif isinstance(node, (list, tuple)) and node:
+        pad = "\n" + " " * (depth + 1)
+        out.append("[")
+        for i, v in enumerate(node):
+            out.append(f"{',' if i else ''}{pad}")
+            _write(v, depth + 1, out)
+        out.append(f"\n{' ' * depth}]")
+    else:
+        out.append(json.dumps(node))
+
+
+def _quotient_doc(q: JetQuotient) -> dict:
+    return {"num": q.num, "den": q.den}
+
+
+def _prational_doc(r: PRational, pf: PartialFractions | None = None) -> dict:
     """num/den with jet denominators cleared, and the view pf of r if given."""
     num, den = collect(r)
     out = {
-        "num": [to_tree(c.num) for c in num.coeffs],
-        "den": [to_tree(c.num) for c in den.coeffs],
+        "num": [c.num for c in num.coeffs],
+        "den": [c.num for c in den.coeffs],
     }
     if pf is not None:
         out["pf"] = {
-            "polypart": [_quotient_to_json(c) for c in pf.polypart.coeffs],
+            "polypart": [_quotient_doc(c) for c in pf.polypart.coeffs],
             "poles": [
                 {
                     "pole": blk.pole.name,
                     "order": blk.order,
-                    "residues": [_quotient_to_json(res) for res in blk.residues],
+                    "residues": [_quotient_doc(res) for res in blk.residues],
                 }
                 for blk in pf.poles
             ],
@@ -40,43 +74,44 @@ def prational_to_json(r: PRational, pf: PartialFractions | None = None) -> dict:
     return out
 
 
-def laxpair_to_json(lax: LaxPair) -> dict:
+def laxpair_dumps(lax: LaxPair) -> str:
+    """The lax pair's JSON text."""
     pf_F, pf_G = lax.partial_fractions()
-    return {
+    return write_document({
         "family": lax.family,
         "m": lax.m,
         "n": lax.n,
         "dimension": lax.dimension,
         "fields": [f.name for f in lax.fields],
-        "F": prational_to_json(lax.F, pf_F),
-        "G": prational_to_json(lax.G, pf_G),
-    }
+        "F": _prational_doc(lax.F, pf_F),
+        "G": _prational_doc(lax.G, pf_G),
+    })
 
 
 _PROV_SCALARS = ("family", "m", "n", "dimension", "path", "ck_of")
 _PROV_LISTS = ("p_degrees", "dropped_zero_coefficients", "labels", "kept_equations")
 
 
-def pdesystem_to_json(sys: PDESystem) -> dict:
-    prov = {}
-    for k in _PROV_SCALARS:
-        if k in sys.provenance:
-            prov[k] = sys.provenance[k]
-    for k in _PROV_LISTS:
-        if k in sys.provenance:
-            prov[k] = list(sys.provenance[k])
+def _system_doc(sys: PDESystem) -> dict:
+    prov = {k: sys.provenance[k] for k in _PROV_SCALARS + _PROV_LISTS if k in sys.provenance}
     if "pole_fields" in sys.provenance:
         vs, ws = sys.provenance["pole_fields"]
         prov["pole_fields"] = [[f.name for f in vs], [f.name for f in ws]]
-    prov["denominators"] = [to_tree(eq.den) for eq in sys.equations]
+    prov["denominators"] = [eq.den for eq in sys.equations]
     if "original_system" in sys.provenance:
-        prov["original_system"] = pdesystem_to_json(sys.provenance["original_system"])
+        prov["original_system"] = _system_doc(sys.provenance["original_system"])
     return {
         "unknowns": [f.name for f in sys.unknowns],
-        "independents": list(sys.independents),
-        "equations": [to_tree(eq.num) for eq in sys.equations],
+        "independents": sys.independents,
+        "equations": [eq.num for eq in sys.equations],
         "provenance": prov,
     }
+
+
+def pdesystem_dumps(sys: PDESystem) -> str:
+    """The system's JSON text; pdesystem_from_json(json.loads(...)) gives
+    back its normal forms."""
+    return write_document(_system_doc(sys))
 
 
 def pdesystem_from_json(d: dict) -> PDESystem:

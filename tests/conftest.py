@@ -8,12 +8,13 @@ from contactlax.jetalg import (
     ONE,
     ZERO,
     CoverageError,
+    DiffPoly,
     JetQuotient,
     JetVariable,
     PoleError,
 )
-from contactlax.laxfamilies import POLY, RAT, RATGP
-from contactlax.pfield import ParameterError, PPoly, PRational
+from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
+from contactlax.pfield import ParameterError, PartialFractions, PPoly, PRational, collect
 
 
 FIELD_NAMES = ("u1", "u2", "v1", "w1")
@@ -99,6 +100,92 @@ def eval_tree(node, point_by_name: dict) -> Fraction:
     if op == "pow":
         return eval_tree(node["base"], point_by_name) ** node["exp"]
     raise ValueError(f"unknown op {op!r}")
+
+
+def _frac_str(c) -> str:
+    f = Fraction(c)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def tree_oracle(e: DiffPoly) -> dict:
+    """The wire-format tree of e built node by node as a dict, in the
+    order of DiffPoly.monomials(); the oracle for jetalg.write_tree."""
+    if e.is_zero():
+        return {"op": "num", "value": "0"}
+    terms = []
+    for c, factors in e.monomials():
+        parts = []
+        if c != 1 or not factors:
+            parts.append({"op": "num", "value": _frac_str(c)})
+        for jv, p in factors:
+            base = {"op": "jet", "field": jv.field.name, "d": list(jv.d)}
+            parts.append(base if p == 1 else {"op": "pow", "base": base, "exp": p})
+        terms.append(parts[0] if len(parts) == 1 else {"op": "mul", "args": parts})
+    return terms[0] if len(terms) == 1 else {"op": "add", "args": terms}
+
+
+def _quotient_oracle(q: JetQuotient) -> dict:
+    return {"num": tree_oracle(q.num), "den": tree_oracle(q.den)}
+
+
+def _prational_oracle(r: PRational, pf: PartialFractions | None = None) -> dict:
+    num, den = collect(r)
+    out = {
+        "num": [tree_oracle(c.num) for c in num.coeffs],
+        "den": [tree_oracle(c.num) for c in den.coeffs],
+    }
+    if pf is not None:
+        out["pf"] = {
+            "polypart": [_quotient_oracle(c) for c in pf.polypart.coeffs],
+            "poles": [
+                {
+                    "pole": blk.pole.name,
+                    "order": blk.order,
+                    "residues": [_quotient_oracle(res) for res in blk.residues],
+                }
+                for blk in pf.poles
+            ],
+        }
+    return out
+
+
+def laxpair_oracle(lax: LaxPair) -> dict:
+    """A lax pair's JSON document built as a dict tree; the oracle for
+    serialize.laxpair_dumps."""
+    pf_F, pf_G = lax.partial_fractions()
+    return {
+        "family": lax.family,
+        "m": lax.m,
+        "n": lax.n,
+        "dimension": lax.dimension,
+        "fields": [f.name for f in lax.fields],
+        "F": _prational_oracle(lax.F, pf_F),
+        "G": _prational_oracle(lax.G, pf_G),
+    }
+
+
+def pdesystem_oracle(sys) -> dict:
+    """A system's JSON document built as a dict tree; the oracle for
+    serialize.pdesystem_dumps."""
+    prov = {}
+    for k in ("family", "m", "n", "dimension", "path", "ck_of"):
+        if k in sys.provenance:
+            prov[k] = sys.provenance[k]
+    for k in ("p_degrees", "dropped_zero_coefficients", "labels", "kept_equations"):
+        if k in sys.provenance:
+            prov[k] = list(sys.provenance[k])
+    if "pole_fields" in sys.provenance:
+        vs, ws = sys.provenance["pole_fields"]
+        prov["pole_fields"] = [[f.name for f in vs], [f.name for f in ws]]
+    prov["denominators"] = [tree_oracle(eq.den) for eq in sys.equations]
+    if "original_system" in sys.provenance:
+        prov["original_system"] = pdesystem_oracle(sys.provenance["original_system"])
+    return {
+        "unknowns": [f.name for f in sys.unknowns],
+        "independents": list(sys.independents),
+        "equations": [tree_oracle(eq.num) for eq in sys.equations],
+        "provenance": prov,
+    }
 
 
 def compose_linear(r: PRational, c1, c0) -> PRational:

@@ -12,7 +12,9 @@ import contactlax
 from contactlax import cli, gauge
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
-from contactlax.serialize import pdesystem_from_json, pdesystem_to_json
+from contactlax.laxfamilies import make_family
+from contactlax.serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
+from conftest import laxpair_oracle, pdesystem_oracle
 
 
 def test_derive_rat_counts(tmp_path, capsys):
@@ -345,23 +347,37 @@ def test_export_lax_pair(tmp_path, capsys):
 ])
 def test_pdesystem_json_roundtrip(family, m, n, form):
     sys = derive(family, m, n, form=form)
-    data = pdesystem_to_json(sys)
-    back = pdesystem_from_json(data)
+    text = pdesystem_dumps(sys)
+    back = pdesystem_from_json(json.loads(text))
     assert back.unknowns == sys.unknowns
     assert back.independents == sys.independents
     assert len(back.equations) == len(sys.equations)
     for a, b in zip(back.equations, sys.equations):
         assert a == b
-    assert pdesystem_to_json(back) == data
+    assert pdesystem_dumps(back) == text
 
 
 def test_ck_system_json_roundtrip_preserves_original():
     sys = ck_transform(derive("rat", 1, 1, form="residues"))
-    data = pdesystem_to_json(sys)
-    back = pdesystem_from_json(data)
+    back = pdesystem_from_json(json.loads(pdesystem_dumps(sys)))
     orig = back.provenance["original_system"]
     for a, b in zip(orig.equations, sys.provenance["original_system"].equations):
         assert a == b
+
+
+@pytest.mark.parametrize("what,family,m", [("system", "rat", 1), ("ck", "rat", 2), ("lax", "ratgp", 2)])
+def test_writer_matches_dict_oracle(what, family, m):
+    """The streamed text is json.dumps(..., indent=1) of the dict tree,
+    nested original systems and partial-fraction views included."""
+    if what == "lax":
+        lax = make_family(family, m, 1)
+        assert laxpair_dumps(lax) == json.dumps(laxpair_oracle(lax), indent=1)
+        return
+    sys = derive(family, m, 1, form="residues")
+    if what == "ck":
+        sys = ck_transform(sys)
+        assert "original_system" in sys.provenance
+    assert pdesystem_dumps(sys) == json.dumps(pdesystem_oracle(sys), indent=1)
 
 
 def _cli(args, cwd):
@@ -463,12 +479,19 @@ _PINNED_OUTPUT = [
      {"stdout": "d1ef8a3cea3a55e015249a2cc6f9b9232ab81381f3d5df73863c88881d6ee7ec"}),
     (["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", "lax.json"],
      {"lax.json": "ae26af6bbd2d8beed78efb7b2f033c2808099a52e120445bccec2aff556c41ae"}),
+    (["derive", "--family", "rat", "-m", "3", "-n", "3", "--out-json", "sys.json"],
+     {"sys.json": "ec8447543a90d6df8c777d576139818577edc799c45e48099a4a9d462e11fc92"}),
+    (["reduce21", "--family", "ratgp", "-m", "2", "-n", "1", "--out-json", "sys.json"],
+     {"sys.json": "9ff0f9f11939773eec005eb8bb7b72199374fa161086adab3eca87e48c649cce"}),
+    (["export", "--family", "rat", "-m", "2", "-n", "1", "--what", "ck", "--form", "residues", "--out", "ck.json"],
+     {"ck.json": "672d80c877be0bc5ae0b168228be6b53155391aaaf8d6a192b30cbd48c4b38d0"}),
 ]
 
 
 @pytest.mark.parametrize("args,digests", _PINNED_OUTPUT,
                          ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
-                              "export-lax-ratgp-2-1"])
+                              "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
+                              "export-ck-rat-2-1-residues"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from contactlax.jetalg import (
     PoleError,
     StructureError,
     WAVE,
+    ZERO,
     content,
     decompose_by_jets,
     divide_exact,
@@ -33,9 +35,10 @@ from contactlax.jetalg import (
     to_tree,
     total_derivative,
     total_derivative_q,
+    write_tree,
 )
 from contactlax.sampling import random_point
-from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree
+from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree, tree_oracle
 
 V = FieldId("v")
 W = FieldId("w")
@@ -254,13 +257,27 @@ def test_zero_iff_eval_zero_cross_oracle():
 @given(tree_nodes())
 @settings(max_examples=150, deadline=None)
 def test_json_roundtrip_bit_exact(t):
-    import json
-
     e = from_tree(t)
     emitted = to_tree(e)
     again = to_tree(from_tree(emitted))
     assert json.dumps(emitted) == json.dumps(again)
     assert from_tree(emitted) == e
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_write_tree_matches_dict_oracle(rng, depth):
+    """write_tree's text is json.dumps(..., indent=1) of the node-by-node
+    dict tree, nested depth levels deep."""
+    cases = [
+        ZERO, ONE, DiffPoly.const(-3), DiffPoly.const(Fraction(-5, 7)),  # constants
+        v, vx ** 3,  # a lone jet, a lone pow
+        -v, v * w, Fraction(3, 2) * vx * w ** 2,  # coefficient -1, 1 and other single-term muls
+        v + 1, v * w - 2 * vx ** 2 + Fraction(1, 3),
+    ]
+    cases += [from_tree(random_tree(rng)) for _ in range(60)]
+    for e in cases:
+        want = json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
+        assert write_tree(e, depth) == want, e
 
 
 def test_quotient_collapses_when_divisible():
