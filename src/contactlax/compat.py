@@ -54,7 +54,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import PPoly, PRational, cancel_shared_factors, collect, partial_fraction
+from .pfield import ParameterError, PPoly, PRational, cancel_shared_factors, collect, partial_fraction
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -281,12 +281,16 @@ def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
     return JetQuotient(*cancel_shared_factors(q.num, q.den, diffs, divide_exact))
 
 
+def _check_residue_family(lax: LaxPair) -> None:
+    if lax.family not in (RAT, RATGP):
+        raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
+
+
 def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     """The same compatibility content organized the way the published
     rational-family system is: order-2 then order-1 residue equations at
     each pole (and the p->infinity coefficient first, when nonzero)."""
-    if lax.family not in (RAT, RATGP):
-        raise StructureError("residue organization applies to the rational families")
+    _check_residue_family(lax)
     vs, ws = lax.pole_fields()
     pf = partial_fraction(cc, [(f, 2) for f in (*vs, *ws)])
     blocks = {b.pole.name: b for b in pf.poles}
@@ -311,6 +315,8 @@ def family_cc(family: str, m: int, n: int) -> PRational:
 @lru_cache(maxsize=None)
 def derive(family: str, m: int, n: int, form: str = "coefficients") -> PDESystem:
     lax = make_family(family, m, n)
+    if form == "residues":
+        _check_residue_family(lax)  # before the compatibility condition is derived
     cc = family_cc(family, m, n)
     if form == "residues":
         return residue_system(cc, lax)

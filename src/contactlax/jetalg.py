@@ -20,6 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter, or_
 from types import MappingProxyType
 
 DIRS = ("x", "y", "z", "t")
@@ -70,28 +72,39 @@ def jet_sort_key(jv: JetVariable) -> tuple:
     return jv.field.name, jv.field.role, jv.d
 
 
-# Global interner.  Monomial keys store small integer ids, assigned in
-# the order jets are first met in the process, and list their factors in
-# id order.  Emitted expressions depend on that interning order in three
-# ways: a term lists its factors in id order; terms are sorted by those
-# id-ordered factor lists (each factor compared by jet_sort_key), so
-# a*c + b prints as b + c*a once c was interned before a; and a
-# quotient's denominator is made monic at its leading term in the graded
-# order of _mono_key, whose ties fall to jet ids, so c/(2a + 3b) becomes
-# (1/2 c)/(a + 3/2 b) or (1/3 c)/(2/3 a + b).  Pickles carry the jets
-# themselves (DiffPoly.__reduce__).
+# Global interner.  A monomial key is one int: jet id i owns bits
+# [8i, 8i + 8), seven exponent bits under a guard bit, and the unit
+# monomial is 0, so a product of monomials is the sum of their keys.
+# _GUARD holds the guard bit of every interned id: a product overflows
+# exactly when it has a guard bit set, and d divides m (both free of
+# guard bits, as every stored key is) exactly when m - d borrows from no
+# byte, which would set that byte's guard bit.  An
+# exponent above _MAX_EXP raises StructureError; it never wraps.  Ids are
+# assigned in the order jets are first met in the process and never
+# reused, so keys stay valid.  Emitted expressions depend on that
+# interning order in three ways: a term lists its factors in id order;
+# terms are sorted by those id-ordered factor lists (each factor compared
+# by jet_sort_key), so a*c + b prints as b + c*a once c was interned
+# before a; and a quotient's denominator is made monic at its leading
+# term in the graded order of _graded_key, whose ties fall to jet ids, so
+# c/(2a + 3b) becomes (1/2 c)/(a + 3/2 b) or (1/3 c)/(2/3 a + b).
+# Pickles carry the jets themselves (DiffPoly.__reduce__).
 _JET_IDS: dict[JetVariable, int] = {}
 _JETS: list[JetVariable] = []
 _JET_SORT: list[tuple] = []
+_GUARD = 0
+_MAX_EXP = 127
 
 
 def _jet_id(jv: JetVariable) -> int:
+    global _GUARD
     i = _JET_IDS.get(jv)
     if i is None:
         i = len(_JETS)
         _JET_IDS[jv] = i
         _JETS.append(jv)
         _JET_SORT.append(jet_sort_key(jv))
+        _GUARD |= 0x80 << (i << 3)
     return i
 
 
@@ -115,70 +128,59 @@ def _coeff(c):
     raise StructureError(f"coefficient must be an exact rational, got {type(c)}")
 
 
-def _mul_mono(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+def _factors(m: int) -> list[tuple[int, int]]:
+    """The (jet id, exponent) factors of a monomial key, ids ascending.
+    The top byte is peeled off first: it needs no mask."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        if a == b:
-            out.append(a)
-            out.append(m1[i + 1] + m2[j + 1])
-            i += 2
-            j += 2
-        elif a < b:
-            out.append(a)
-            out.append(m1[i + 1])
-            i += 2
-        else:
-            out.append(b)
-            out.append(m2[j + 1])
-            j += 2
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    while m:
+        s = (m.bit_length() - 1) & -8
+        e = m >> s
+        out.append((s >> 3, e))
+        m -= e << s
+    out.reverse()
+    return out
 
 
-def _mono_key(m: tuple) -> tuple:
-    """Sort key of the graded order used for exact division: ascending
-    keys are descending monomials.  Higher total degree comes first; ties
-    are broken lexicographically by ascending jet id, a higher exponent on
-    an earlier id winning.  The order is compatible with monomial
-    multiplication, so it is safe for division.  The key is
-    (-deg, id0, -e0, id1, -e1, ...), compared in C; of two distinct
-    monomials of equal degree neither key is a prefix of the other."""
-    exps = m[1::2]
-    k = [-sum(exps)]
-    k += m
-    k[2::2] = [-e for e in exps]
-    return tuple(k)
+def _check_exponents(terms) -> None:
+    """Raise StructureError when a key of terms has an exponent above
+    _MAX_EXP (a guard bit set)."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise StructureError(f"jet exponent above {_MAX_EXP}")
 
 
-def _mono_div(m: tuple, d: tuple):
-    """Divide monomial m by d; None when not divisible."""
-    need = dict(zip(d[0::2], d[1::2]))
-    out = []
-    i = 0
-    while i < len(m):
-        jid, pw = m[i], m[i + 1]
-        i += 2
-        want = need.pop(jid, 0)
-        if want > pw:
-            return None
-        if pw > want:
-            out.append(jid)
-            out.append(pw - want)
-    if need:
-        return None
-    return tuple(out)
+def _graded_key(nbytes: int):
+    """Sort key of the graded order on keys of at most nbytes bytes:
+    total degree, then the exponent vector over ascending jet ids,
+    compared lexicographically; larger is higher.  The order is compatible
+    with monomial multiplication."""
+
+    def key(m: int):
+        exps = m.to_bytes(nbytes, "little")
+        return sum(exps), exps
+
+    return key
 
 
-def _mono_sort_key(m: tuple):
-    return tuple(_JET_SORT[m[i]] + (m[i + 1],) for i in range(0, len(m), 2))
+def _sorted_terms(terms: dict) -> tuple[list, list]:
+    """The jet ids of terms by rank, and the terms as (factors, coeff)
+    rows sorted by their factor lists.  A jet's rank is its place in
+    jet_sort_key order among the jets of terms; a factor is (rank,
+    exponent), and a row lists its factors in jet-id order, so rows
+    compare as lists of (jet_sort_key, exponent) pairs would."""
+    ids = sorted((i for i, _ in _factors(reduce(or_, terms, 0))), key=_JET_SORT.__getitem__)
+    rank = {i << 3: r for r, i in enumerate(ids)}  # bit offset -> rank
+    rows = []
+    for m, c in terms.items():
+        fs = []
+        while m:  # as in _factors
+            s = (m.bit_length() - 1) & -8
+            e = m >> s
+            m -= e << s
+            fs.append((rank[s], e))
+        fs.reverse()
+        rows.append((fs, c))
+    rows.sort(key=itemgetter(0))
+    return ids, rows
 
 
 _set = object.__setattr__
@@ -222,7 +224,7 @@ class DiffPoly(Frozen):
     def __reduce__(self):
         # jet ids are local to a process: pickle the jets themselves
         return _from_factors, (
-            tuple((c, tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))) for m, c in self._terms.items()),
+            tuple((c, tuple((_JETS[i], k) for i, k in _factors(m))) for m, c in self._terms.items()),
         )
 
     # -- construction -------------------------------------------------
@@ -230,7 +232,7 @@ class DiffPoly(Frozen):
     @staticmethod
     def const(c) -> "DiffPoly":
         c = _coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        return DiffPoly({(): c} if c != 0 else {})
+        return DiffPoly({0: c} if c != 0 else {})
 
     @staticmethod
     def from_jet(jv: JetVariable, power: int = 1) -> "DiffPoly":
@@ -238,7 +240,9 @@ class DiffPoly(Frozen):
             raise StructureError("negative power")
         if power == 0:
             return ONE
-        return DiffPoly({(_jet_id(jv), power): 1})
+        if power > _MAX_EXP:
+            raise StructureError(f"jet exponent above {_MAX_EXP}")
+        return DiffPoly({power << (_jet_id(jv) << 3): 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -306,7 +310,7 @@ class DiffPoly(Frozen):
         out = {}
         for m1, c1 in t1.items():
             for m2, c2 in t2.items():
-                key = _mul_mono(m1, m2)
+                key = m1 + m2
                 c = c1 * c2
                 acc = out.get(key)
                 if acc is None:
@@ -317,6 +321,7 @@ class DiffPoly(Frozen):
                         del out[key]
                     else:
                         out[key] = acc
+        _check_exponents(out)
         return DiffPoly(out)
 
     __rmul__ = __mul__
@@ -347,26 +352,23 @@ class DiffPoly(Frozen):
     # -- views -----------------------------------------------------------
 
     def jet_variables(self):
-        seen = set()
-        for m in self._terms:
-            for i in range(0, len(m), 2):
-                seen.add(m[i])
-        return sorted((_JETS[i] for i in seen), key=jet_sort_key)
+        return sorted((_JETS[i] for i, _ in _factors(reduce(or_, self._terms, 0))), key=jet_sort_key)
 
     def monomials(self):
         """(coeff, ((JetVariable, power), ...)) view: the factors of a
         term in jet-id order, and the terms sorted by those factor lists,
         so both orders depend on the interning order of the process."""
-        items = sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-        for m, c in items:
-            yield Fraction(c), tuple((_JETS[m[i]], m[i + 1]) for i in range(0, len(m), 2))
+        ids, rows = _sorted_terms(self._terms)
+        for factors, c in rows:
+            yield Fraction(c), tuple((_JETS[ids[r]], k) for r, k in factors)
 
     def leading(self):
-        """Term maximal in the graded order used for exact division."""
-        if not self._terms:
+        """Term maximal in the graded order of _graded_key."""
+        terms = self._terms
+        if not terms:
             return None
-        m = min(self._terms, key=_mono_key)
-        return m, self._terms[m]
+        m = max(terms, key=_graded_key((max(terms).bit_length() + 7) >> 3))
+        return m, terms[m]
 
     def __repr__(self):
         if not self._terms:
@@ -385,7 +387,7 @@ class DiffPoly(Frozen):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _add_term(out: dict, m: tuple, c) -> None:
+def _add_term(out: dict, m: int, c) -> None:
     """out[m] += c on a term dict, deleting the entry when it cancels."""
     acc = out.get(m)
     if acc is None:
@@ -399,15 +401,12 @@ def _add_term(out: dict, m: tuple, c) -> None:
 
 
 ZERO = DiffPoly({})
-ONE = DiffPoly({(): 1})
+ONE = DiffPoly({0: 1})
 
 
 def _from_factors(terms) -> DiffPoly:
     """Rebuild a pickled DiffPoly, interning its jets in this process."""
-    out = {}
-    for c, factors in terms:
-        out[tuple(x for jid, p in sorted((_jet_id(jv), p) for jv, p in factors) for x in (jid, p))] = c
-    return DiffPoly(out)
+    return DiffPoly({sum(p << (_jet_id(jv) << 3) for jv, p in factors): c for c, factors in terms})
 
 
 def jet(field: FieldId, d: tuple[int, int, int, int] = ZERO_INDEX) -> DiffPoly:
@@ -417,17 +416,23 @@ def jet(field: FieldId, d: tuple[int, int, int, int] = ZERO_INDEX) -> DiffPoly:
 # -- content / primitive part / exact division -------------------------
 
 
-def monomial_gcd(*polys: DiffPoly) -> tuple:
+def monomial_gcd(*polys: DiffPoly) -> int:
     """The monomial gcd of all terms of the given nonzero polynomials,
-    scanned in order; the scan stops at the first term that leaves it 1."""
+    scanned in order; the scan stops at the first term that leaves it 1.
+    Each step takes the bytewise minimum: a byte of m replaces the byte of
+    the gcd where it is no larger."""
+    guard = _GUARD
     common = None
     for e in polys:
         for m in e._terms:
-            here = dict(zip(m[0::2], m[1::2]))
-            common = here if common is None else {jid: min(pw, here[jid]) for jid, pw in common.items() if jid in here}
+            if common is None:
+                common = m
+            else:
+                no_larger = (((common | guard) - m) & guard) >> 7
+                common ^= (common ^ m) & (no_larger * 0xFF)
             if not common:
-                return ()
-    return tuple(x for item in common.items() for x in item) if common else ()
+                return 0
+    return common or 0
 
 
 def content(e: DiffPoly):
@@ -439,13 +444,14 @@ def content(e: DiffPoly):
     return rat, monomial_gcd(e)
 
 
-def strip_monomial(e: DiffPoly, mono: tuple) -> DiffPoly:
+def strip_monomial(e: DiffPoly, mono: int) -> DiffPoly:
     if not mono:
         return e
+    guard = _GUARD
     out = {}
     for m, c in e._terms.items():
-        q = _mono_div(m, mono)
-        if q is None:
+        q = m - mono
+        if q & guard:  # a byte borrowed
             raise StructureError("monomial does not divide every term")
         out[q] = c
     return DiffPoly(out)
@@ -456,7 +462,7 @@ def primitive(e: DiffPoly):
     term is positive.  Returns (primitive part, rational scale, monomial)
     with e == scale * monomial * primitive part."""
     if e.is_zero():
-        return e, Fraction(1), ()
+        return e, Fraction(1), 0
     rat, mono = content(e)
     out = strip_monomial(e, mono)
     lead = out.leading()
@@ -470,45 +476,55 @@ def primitive(e: DiffPoly):
 def divide_exact(a: DiffPoly, b: DiffPoly):
     """Exact polynomial division a/b; None when b does not divide a.
 
-    The remainder's monomials sit in a min-heap of graded-order keys
-    (heap division, Johnson 1974; Monagan & Pearce 2011).  A monomial is
-    pushed when it enters the remainder; a popped monomial that has since
+    The remainder's monomials sit in a heap ordered by the keys as plain
+    ints, which is lex order with the highest jet id first (heap division,
+    Johnson 1974; Monagan & Pearce 2011).  A monomial is pushed (negated)
+    when it enters the remainder; a popped monomial that has since
     cancelled is skipped.  No cancelled monomial can come back above the
-    current leading term, so each pop yields the remainder's leading term."""
+    current leading term, so each pop yields the remainder's leading term.
+    Exact quotients are unique, so the answer does not depend on the
+    order; the quotient's terms are listed in the graded order of
+    _graded_key, highest first.  When b divides a, no quotient exponent
+    exceeds a's degree in that jet, so a quotient term with a guard bit
+    set proves that b does not, as a borrow does.  A quotient term free of
+    guard bits plus a term of b cannot carry out of a byte, so remainder
+    keys stay exact."""
     if b.is_zero():
         raise PoleError("division by the zero polynomial")
     if a.is_zero():
         return ZERO
-    bl_m, bl_c = b.leading()
-    bl_c = Fraction(bl_c)
+    guard = _GUARD
+    bl_m = max(b._terms)  # leading in int order
+    inv = _coeff(1 / Fraction(b._terms[bl_m]))
     rest = [(m2, c2) for m2, c2 in b._terms.items() if m2 != bl_m]
     rem = dict(a._terms)
-    heap = [(_mono_key(m), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
     quot = {}
     while rem:
-        _, best = heapq.heappop(heap)
+        best = -heapq.heappop(heap)
         c = rem.pop(best, None)
         if c is None:
             continue
-        qm = _mono_div(best, bl_m)
-        if qm is None:
+        qm = best - bl_m
+        if qm & guard:  # a byte borrowed, or an exponent past _MAX_EXP
             return None
-        qc = _coeff(Fraction(c) / bl_c)
+        qc = _coeff(c * inv)
         quot[qm] = qc
         for m2, c2 in rest:
-            key = _mul_mono(qm, m2)
+            key = qm + m2
             acc = rem.get(key)
             if acc is None:
                 rem[key] = -qc * c2
-                heapq.heappush(heap, (_mono_key(key), key))
+                heapq.heappush(heap, -key)
             else:
                 acc -= qc * c2
                 if acc == 0:
                     del rem[key]
                 else:
                     rem[key] = acc
-    return DiffPoly(quot)
+    graded = _graded_key((next(iter(quot)).bit_length() + 7) >> 3)  # the first term is the largest int
+    return DiffPoly({m: quot[m] for m in sorted(quot, key=graded, reverse=True)})
 
 
 # -- quotients ----------------------------------------------------------
@@ -656,19 +672,17 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     rule."""
     ax = _axis(direction)
     out = {}
+    step = {}  # jet id -> key of (its bumped jet) / (itself)
     for m, c in e._terms.items():
-        for i in range(0, len(m), 2):
-            jid, pw = m[i], m[i + 1]
-            jv = _JETS[jid]
-            rest = list(m)
-            if pw == 1:
-                del rest[i:i + 2]
-            else:
-                rest[i + 1] = pw - 1
-            d = list(jv.d)
-            d[ax] += 1
-            bumped = _jet_id(JetVariable(jv.field, tuple(d)))
-            _add_term(out, _mul_mono(tuple(rest), (bumped, 1)), c * pw)
+        for jid, pw in _factors(m):
+            u = step.get(jid)
+            if u is None:
+                jv = _JETS[jid]
+                d = list(jv.d)
+                d[ax] += 1
+                u = step[jid] = (1 << (_jet_id(JetVariable(jv.field, tuple(d))) << 3)) - (1 << (jid << 3))
+            _add_term(out, m + u, c * pw)
+    _check_exponents(out)
     return DiffPoly(out)
 
 
@@ -727,10 +741,13 @@ def _replace_jets(poly: DiffPoly, fn, lift):
     by its replacement powers once, and the groups are summed in order of
     first occurrence.  None when nothing is replaced."""
     repl = {}
+    unseen = -1  # a mask with a 0 byte for every jet already mapped
     for m in poly._terms:
-        for jid in m[::2]:
-            if jid not in repl:
+        new = m & unseen
+        if new:
+            for jid, _ in _factors(new):
                 repl[jid] = fn(_JETS[jid])
+                unseen ^= 0xFF << (jid << 3)
     ids = sorted(jid for jid, r in repl.items() if r is not None)
     if not ids:
         return None
@@ -781,19 +798,15 @@ def decompose_by_jets(e: DiffPoly, jets: list[JetVariable]) -> dict[tuple, DiffP
     """Group terms by the exponent vector of the given jets; values are
     the residual polynomials with those factors removed.  Groups and the
     terms in each keep the order of first occurrence in e."""
-    pos = {_jet_id(jv): k for k, jv in enumerate(jets)}
-    out: dict[tuple, dict] = {}
+    shifts = [_jet_id(jv) << 3 for jv in jets]
+    mask = 0
+    for s in shifts:
+        mask |= 0xFF << s
+    out: dict[int, dict] = {}  # the selected factors' key -> terms
     for m, c in e._terms.items():
-        pows = [0] * len(jets)
-        rest = []
-        for i in range(0, len(m), 2):
-            k = pos.get(m[i])
-            if k is None:
-                rest += m[i:i + 2]
-            else:
-                pows[k] = m[i + 1]
-        out.setdefault(tuple(pows), {})[tuple(rest)] = c
-    return {k: DiffPoly(v) for k, v in out.items()}
+        sel = m & mask
+        out.setdefault(sel, {})[m ^ sel] = c
+    return {tuple((sel >> s) & 0xFF for s in shifts): DiffPoly(v) for sel, v in out.items()}
 
 
 def map_jets(e: DiffPoly, fn) -> DiffPoly:
@@ -829,7 +842,7 @@ def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
         if den == 0:
             raise PoleError("denominator vanishes mod p at the point")
         return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
-    vals = {}
+    vals = {}  # key of a factor (one jet to a power) -> its value
     total = 0
     for m, c in e._terms.items():
         if isinstance(c, int):
@@ -839,17 +852,17 @@ def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
             if d == 0:
                 raise PoleError("coefficient denominator vanishes mod p")
             prod = c.numerator * pow(d, -1, PRIME)
-        for i in range(0, len(m), 2):
-            jid = m[i]
-            v = vals.get(jid)
+        while m:  # the factors, top byte first, as in _factors
+            s = (m.bit_length() - 1) & -8
+            f = (m >> s) << s
+            m -= f
+            v = vals.get(f)
             if v is None:
-                jv = _JETS[jid]
+                jv = _JETS[s >> 3]
                 if jv not in point:
                     raise CoverageError(f"no value for {jv!r}")
-                v = point[jv] % PRIME
-                vals[jid] = v
-            k = m[i + 1]
-            prod = prod * (v if k == 1 else pow(v, k, PRIME)) % PRIME
+                v = vals[f] = pow(point[jv], f >> s, PRIME)
+            prod = prod * v % PRIME
         total += prod
     return total % PRIME
 
@@ -935,31 +948,31 @@ def write_tree(e: DiffPoly, depth: int = 0) -> str:
     from_tree round-trip bit-exact on normal forms."""
     if not e._terms:
         return _num_node(0, depth)
-    factors = {}  # (jet id, power, depth) -> text, for this call only
+    ids, terms = _sorted_terms(e._terms)
+    factors = {}  # (jet rank, power, depth) -> text, for this call only
 
-    def factor(jid: int, k: int, d: int) -> str:
-        text = factors.get((jid, k, d))
+    def factor(r: int, k: int, d: int) -> str:
+        text = factors.get((r, k, d))
         if text is None:
             if k == 1:
-                text = _jet_node(jid, d)
+                text = _jet_node(ids[r], d)
             else:
                 pad = "\n" + " " * (d + 1)
-                text = (f'{{{pad}"op": "pow",{pad}"base": {factor(jid, 1, d + 1)},'
+                text = (f'{{{pad}"op": "pow",{pad}"base": {factor(r, 1, d + 1)},'
                         f'{pad}"exp": {k}\n{" " * d}}}')
-            factors[(jid, k, d)] = text
+            factors[(r, k, d)] = text
         return text
 
-    terms = sorted(e._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
     td = depth if len(terms) == 1 else depth + 2  # depth of a term's node
     out = []
-    for m, c in terms:
-        if not m:
+    for fs, c in terms:
+        if not fs:
             out.append(_num_node(c, td))
-        elif c == 1 and len(m) == 2:
-            out.append(factor(m[0], m[1], td))
+        elif c == 1 and len(fs) == 1:
+            out.append(factor(*fs[0], td))
         else:
             parts = [] if c == 1 else [_num_node(c, td + 2)]
-            parts.extend(factor(m[i], m[i + 1], td + 2) for i in range(0, len(m), 2))
+            parts.extend(factor(r, k, td + 2) for r, k in fs)
             out.append(_args_node("mul", parts, td))
     return out[0] if len(out) == 1 else _args_node("add", out, depth)
 

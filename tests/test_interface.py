@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import contactlax
-from contactlax import cli, gauge
+from contactlax import cli, compat, gauge
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
 from contactlax.laxfamilies import make_family
@@ -132,6 +132,27 @@ def test_verification_failure_exit_1(tmp_path, monkeypatch, capsys, args, key, p
     assert key not in rep["verdicts"] and f"{key}:" not in captured.out
 
 
+@pytest.mark.parametrize("args", [
+    ["derive"],
+    ["ck"],
+    ["export", "--what", "system", "--out", "OUT"],
+    ["export", "--what", "ck", "--out", "OUT"],
+], ids=["derive", "ck", "export-system", "export-ck"])
+def test_poly_residue_form_is_a_parameter_error(tmp_path, monkeypatch, capsys, args):
+    def no_cc(*_):
+        raise AssertionError("the compatibility condition was derived")
+
+    monkeypatch.setattr(compat, "family_cc", no_cc)
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    args = [str(out) if a == "OUT" else a for a in args]
+    code = main([*args, "--family", "poly", "-m", "1", "-n", "1", "--form", "residues", "--report-json", str(report)])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"] == "parameter error: the residue form applies to the rational families, not poly"
+    assert capsys.readouterr().err.strip() == rep["error"]
+    assert not out.exists()
+
+
 def test_report_json_written_on_handled_errors(tmp_path, capsys):
     report = tmp_path / "rls.json"
     code = main(["verify", "rls", "-m", "2", "-n", "2", "--report-json", str(report)])
@@ -227,8 +248,11 @@ def _rat11_init(**entries):
     (None, _rat11_init(v1={"fourier": {"mean": -1.0, "modes": [{"k": [1, 0, 0, 7], "amp": 0.05}]}}),
      "k must be three integers, got [1, 0, 0, 7]"),
     (None, _rat11_init(v1={"constant": float("nan")}), "constant must be finite"),
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [
+        {"op": "pow", "base": {"op": "jet", "field": "u", "d": [0, 0, 0, 1]}, "exp": 128}]}, None,
+     "StructureError: jet exponent above 127"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
-        "nan-constant"])
+        "nan-constant", "exponent-128"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
     if system is not None:
@@ -485,13 +509,22 @@ _PINNED_OUTPUT = [
      {"sys.json": "9ff0f9f11939773eec005eb8bb7b72199374fa161086adab3eca87e48c649cce"}),
     (["export", "--family", "rat", "-m", "2", "-n", "1", "--what", "ck", "--form", "residues", "--out", "ck.json"],
      {"ck.json": "672d80c877be0bc5ae0b168228be6b53155391aaaf8d6a192b30cbd48c4b38d0"}),
+    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--out-json", "sys.json"],
+     {"sys.json": "4ef8e6500924017321577dad8484b73efc00b538c46138533a787c61043cb847"}),
+    (["derive", "--family", "rat", "-m", "2", "-n", "2", "--form", "residues", "--out-json", "sys.json",
+      "--latex", "sys.tex"],
+     {"sys.json": "f1f2f510c9df180ec953a77fea8e1389197f1ebf34272e2039ea4d9cce700d42",
+      "sys.tex": "a62874f2bd781c053514f570ab54f90387ea61c9da64ff1c6e965e0f929c5b84"}),
+    (["verify", "theorem1", "-m", "3", "-n", "3"],
+     {"stdout": "aa282af7487d223a0ef6fc05168d1d80fc38d89aacac60944268164a7aa79e5c"}),
 ]
 
 
 @pytest.mark.parametrize("args,digests", _PINNED_OUTPUT,
                          ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
                               "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
-                              "export-ck-rat-2-1-residues"])
+                              "export-ck-rat-2-1-residues", "derive-ratgp-3-3", "derive-rat-2-2-residues",
+                              "verify-theorem1-3-3"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

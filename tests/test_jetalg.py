@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlax.jetalg import (
+    _jet_id,
     ONE,
     PRIME,
     CoverageError,
@@ -315,11 +317,17 @@ def test_primitive_strips_content_and_sign():
 # -- division and the graded order: fixed-seed property checks -----------
 
 
-def _graded_oracle(m: tuple) -> tuple:
+def _factors(mono) -> dict:
+    """{JetVariable: exponent} of a monomial key, read through monomials()."""
+    (_, factors), = DiffPoly({mono: 1}).monomials()
+    return dict(factors)
+
+
+def _graded_oracle(m) -> tuple:
     """Reference form of the graded order: total degree, then the dense
     exponent vector over ascending jet ids, compared lexicographically;
     larger is higher in the order."""
-    exps = dict(zip(m[0::2], m[1::2]))
+    exps = {_jet_id(jv): k for jv, k in _factors(m).items()}
     top = max(exps, default=-1)
     return sum(exps.values()), tuple(exps.get(i, 0) for i in range(top + 1))
 
@@ -431,7 +439,7 @@ def test_content_mixed_int_and_fraction():
 def test_content_negative_leading_coefficient():
     e = -12 * v ** 3 + 8 * w
     rat, mono, prim, scale = _check_content(e)
-    assert rat == 4 and scale == -4 and mono == ()
+    assert rat == 4 and scale == -4 and _factors(mono) == {}
     assert prim == 3 * v ** 3 - 2 * w
 
 
@@ -454,11 +462,6 @@ def test_content_random_trees():
 
 
 # -- monomial gcd and term split ---------------------------------------------
-
-
-def _factors(mono: tuple) -> dict:
-    (_, factors), = DiffPoly({mono: 1}).monomials()
-    return dict(factors)
 
 
 def _dense_gcd(polys) -> dict:
@@ -498,7 +501,7 @@ def test_monomial_gcd_matches_dense_oracle():
 
 
 def test_monomial_gcd_stops_at_one():
-    assert monomial_gcd(v + w, _Unread()) == ()
+    assert _factors(monomial_gcd(v + w, _Unread())) == {}
     with pytest.raises(AssertionError):  # the gcd is still v: reads on
         monomial_gcd(v * w, v * vx, _Unread())
     assert _factors(monomial_gcd(v * v * w, v ** 3 * vx, 2 * v * w)) == {V_JV: 1}
@@ -516,6 +519,108 @@ def test_decompose_by_jets_reassembles():
             assert not set(rest.jet_variables()) & set(picked)
             total = total + math.prod(map(DiffPoly.from_jet, picked, pows), start=rest)
         assert total == e
+
+
+# -- keys past one machine word: dict-of-exponent oracles ---------------------
+
+
+_WIDE_NAMES = ("wide_u", "wide_v", "wide_w", "wide_z")
+
+
+def _wide_polys(seed: int, count: int) -> list:
+    """Nonzero random_tree polynomials over jets interned after 70 others,
+    so that their monomial keys span several machine words."""
+    for k in range(70):
+        jet(FieldId(f"pad{k}"))
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        e = from_tree(random_tree(rng, names=_WIDE_NAMES))
+        if not e.is_zero():
+            out.append(e)
+    assert min(_jet_id(jv) for e in out for jv in e.jet_variables()) >= 70
+    return out
+
+
+def _dense(e: DiffPoly) -> dict:
+    """Oracle form: {frozenset of (jet, exponent): coefficient}."""
+    return {frozenset(f): c for c, f in e.monomials()}
+
+
+def _dense_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            exps = Counter(dict(ma))
+            exps.update(dict(mb))
+            key = frozenset(exps.items())
+            out[key] = out.get(key, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def test_wide_products_match_oracle():
+    polys = _wide_polys(7001, 80)
+    for a, b in zip(polys, polys[1:]):
+        assert _dense(a * b) == _dense_mul(_dense(a), _dense(b))
+        assert _dense(a * a * b) == _dense_mul(_dense_mul(_dense(a), _dense(a)), _dense(b))
+
+
+def test_wide_division_and_leading_match_oracle():
+    polys = _wide_polys(7002, 80)
+    refused = 0
+    for a, b in zip(polys, polys[1:]):
+        q = divide_exact(a * b, b)
+        assert _dense(q) == _dense(a)
+        keys = list(q.terms)
+        assert all(_oracle_lt(later, earlier) for earlier, later in zip(keys, keys[1:]))
+        for e in (a, b, a * b):
+            lead_m, lead_c = e.leading()
+            assert lead_c == e.terms[lead_m]
+            assert not any(_oracle_lt(lead_m, m) for m in e.terms)
+        if len(b.terms) > 1:
+            r = DiffPoly({next(iter(b.terms)): 1})
+            assert divide_exact(a * b + r, b) is None
+            refused += 1
+    assert refused > 20
+
+
+def test_wide_gcd_and_term_split_match_oracle():
+    polys = _wide_polys(7003, 90)
+    rng = random.Random(7004)
+    for a, b, c in zip(polys[0::3], polys[1::3], polys[2::3]):
+        group = [a * c, b * c]
+        assert _factors(monomial_gcd(*group)) == _dense_gcd(group)
+        jvs = a.jet_variables()
+        picked = rng.sample(jvs, rng.randint(0, len(jvs)))
+        want = {}
+        for coeff, f in a.monomials():
+            f = dict(f)
+            pows = tuple(f.pop(jv, 0) for jv in picked)
+            want.setdefault(pows, {})[frozenset(f.items())] = coeff
+        assert {pows: _dense(rest) for pows, rest in decompose_by_jets(a, picked).items()} == want
+
+
+def test_strip_monomial_refuses_a_non_divisor():
+    # v*w divides neither v^2 nor w^2; one of the two subtractions borrows
+    # from a lower byte without turning negative
+    for e in (v ** 2 + v * w, w ** 2 + v * w):
+        with pytest.raises(StructureError, match="does not divide"):
+            strip_monomial(e, next(iter((v * w).terms)))
+
+
+def test_exponents_above_127_raise():
+    assert _factors(next(iter((v ** 127).terms))) == {V_JV: 127}
+    with pytest.raises(StructureError, match="above 127"):
+        v ** 127 * v
+    with pytest.raises(StructureError, match="above 127"):
+        DiffPoly.from_jet(V_JV, 128)
+    with pytest.raises(StructureError, match="above 127"):
+        total_derivative(v * vx ** 127, "x")
+    # a remainder term past 127 proves that the division fails, whichever
+    # of v and w has the higher id; an exact quotient reaching 127 does not
+    assert divide_exact(w * v ** 100, w + v ** 50) is None
+    assert divide_exact(v * w ** 100, v + w ** 50) is None
+    assert divide_exact((w + v ** 50) * v ** 77, w + v ** 50) == v ** 77
 
 
 def test_linear_coefficient():
