@@ -162,21 +162,26 @@ def _graded_key(nbytes: int):
 
 
 def _sorted_terms(terms: dict) -> tuple[list, list]:
-    """The jet ids of terms by rank, and the terms as (factors, coeff)
-    rows sorted by their factor lists.  A jet's rank is its place in
-    jet_sort_key order among the jets of terms; a factor is (rank,
-    exponent), and a row lists its factors in jet-id order, so rows
-    compare as lists of (jet_sort_key, exponent) pairs would."""
+    """The jet ids of terms by rank, and the terms as (codes, coeff) rows
+    sorted by their code lists.  A jet's rank is its place in
+    jet_sort_key order among the jets of terms; a factor's code is
+    rank << 7 | exponent (exponents stay below 128), and a row lists its
+    codes in jet-id order, so rows compare as lists of (jet_sort_key,
+    exponent) pairs would."""
     ids = sorted((i for i, _ in _factors(reduce(or_, terms, 0))), key=_JET_SORT.__getitem__)
-    rank = {i << 3: r for r, i in enumerate(ids)}  # bit offset -> rank
+    rank = {i << 3: r << 7 for r, i in enumerate(ids)}  # bit offset -> rank << 7
+    codes = {}  # one-factor key -> its code, for this call only
     rows = []
     for m, c in terms.items():
         fs = []
         while m:  # as in _factors
             s = (m.bit_length() - 1) & -8
-            e = m >> s
-            m -= e << s
-            fs.append((rank[s], e))
+            f = (m >> s) << s
+            m -= f
+            code = codes.get(f)
+            if code is None:
+                code = codes[f] = rank[s] | f >> s
+            fs.append(code)
         fs.reverse()
         rows.append((fs, c))
     rows.sort(key=itemgetter(0))
@@ -307,6 +312,11 @@ class DiffPoly(Frozen):
             return ZERO
         if len(t1) > len(t2):
             t1, t2 = t2, t1
+        if len(t1) == 1:  # a monomial times t2: no two keys collide
+            (m1, c1), = t1.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
+            _check_exponents(out)
+            return DiffPoly(out)
         out = {}
         for m1, c1 in t1.items():
             for m2, c2 in t2.items():
@@ -359,8 +369,8 @@ class DiffPoly(Frozen):
         term in jet-id order, and the terms sorted by those factor lists,
         so both orders depend on the interning order of the process."""
         ids, rows = _sorted_terms(self._terms)
-        for factors, c in rows:
-            yield Fraction(c), tuple((_JETS[ids[r]], k) for r, k in factors)
+        for codes, c in rows:
+            yield Fraction(c), tuple((_JETS[ids[k >> 7]], k & _MAX_EXP) for k in codes)
 
     def leading(self):
         """Term maximal in the graded order of _graded_key."""
@@ -495,6 +505,11 @@ def divide_exact(a: DiffPoly, b: DiffPoly):
         return ZERO
     guard = _GUARD
     bl_m = max(b._terms)  # leading in int order
+    # int order is a monomial order, so a multiple of b has as its
+    # int-largest and int-smallest terms those of b times those of the
+    # quotient: both extreme terms of b must divide those of a
+    if (max(a._terms) - bl_m) & guard or (min(a._terms) - min(b._terms)) & guard:
+        return None
     inv = _coeff(1 / Fraction(b._terms[bl_m]))
     rest = [(m2, c2) for m2, c2 in b._terms.items() if m2 != bl_m]
     rem = dict(a._terms)
@@ -834,37 +849,45 @@ PRIME = 2 ** 61 - 1
 
 
 def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
-    """Evaluation in GF(PRIME) at a point mapping JetVariable -> int.
-    Raises PoleError when a denominator, or the denominator of a rational
-    coefficient, is 0 mod PRIME."""
+    """Evaluation in GF(PRIME) at a point mapping JetVariable -> int (see
+    evaluate_mod_points)."""
+    return evaluate_mod_points(e, [point])[0]
+
+
+def evaluate_mod_points(e: DiffPoly | JetQuotient, points: list[dict]) -> list[int]:
+    """The values of e in GF(PRIME) at each of the points, each mapping
+    JetVariable -> int.  Each term is unpacked once for all the points.
+    Raises PoleError when a denominator, at some point, or the denominator
+    of a rational coefficient is 0 mod PRIME."""
     if isinstance(e, JetQuotient):
-        den = evaluate_mod(e.den, point)
-        if den == 0:
+        dens = evaluate_mod_points(e.den, points)
+        if 0 in dens:
             raise PoleError("denominator vanishes mod p at the point")
-        return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
-    vals = {}  # key of a factor (one jet to a power) -> its value
-    total = 0
+        return [n * pow(d, -1, PRIME) % PRIME for n, d in zip(evaluate_mod_points(e.num, points), dens)]
+    if not points:
+        return []
+    tables = [{} for _ in points]  # per point: key of a factor (one jet to a power) -> its value
+    rows = []  # (coefficient mod PRIME, factor keys) of each term
     for m, c in e._terms.items():
-        if isinstance(c, int):
-            prod = c
-        else:
+        if not isinstance(c, int):
             d = c.denominator % PRIME
             if d == 0:
                 raise PoleError("coefficient denominator vanishes mod p")
-            prod = c.numerator * pow(d, -1, PRIME)
+            c = c.numerator * pow(d, -1, PRIME)
+        fs = []
         while m:  # the factors, top byte first, as in _factors
             s = (m.bit_length() - 1) & -8
             f = (m >> s) << s
             m -= f
-            v = vals.get(f)
-            if v is None:
+            if f not in tables[0]:
                 jv = _JETS[s >> 3]
-                if jv not in point:
-                    raise CoverageError(f"no value for {jv!r}")
-                v = vals[f] = pow(point[jv], f >> s, PRIME)
-            prod = prod * v % PRIME
-        total += prod
-    return total % PRIME
+                for vals, point in zip(tables, points):
+                    if jv not in point:
+                        raise CoverageError(f"no value for {jv!r}")
+                    vals[f] = pow(point[jv], f >> s, PRIME)
+            fs.append(f)
+        rows.append((c, fs))
+    return [sum(c * math.prod(map(vals.__getitem__, fs)) for c, fs in rows) % PRIME for vals in tables]
 
 
 # -- expression trees (JSON wire format) ------------------------------------
@@ -949,31 +972,33 @@ def write_tree(e: DiffPoly, depth: int = 0) -> str:
     if not e._terms:
         return _num_node(0, depth)
     ids, terms = _sorted_terms(e._terms)
-    factors = {}  # (jet rank, power, depth) -> text, for this call only
 
-    def factor(r: int, k: int, d: int) -> str:
-        text = factors.get((r, k, d))
-        if text is None:
-            if k == 1:
-                text = _jet_node(ids[r], d)
-            else:
-                pad = "\n" + " " * (d + 1)
-                text = (f'{{{pad}"op": "pow",{pad}"base": {factor(r, 1, d + 1)},'
-                        f'{pad}"exp": {k}\n{" " * d}}}')
-            factors[(r, k, d)] = text
-        return text
+    def factor(code: int, d: int) -> str:
+        k = code & _MAX_EXP
+        if k == 1:
+            return _jet_node(ids[code >> 7], d)
+        pad = "\n" + " " * (d + 1)
+        base = factor(code - k + 1, d + 1)  # the same jet to the power 1
+        return f'{{{pad}"op": "pow",{pad}"base": {base},{pad}"exp": {k}\n{" " * d}}}'
 
     td = depth if len(terms) == 1 else depth + 2  # depth of a term's node
+    pad = "\n" + " " * (td + 1)
+    sep = f",{pad} "
+    head = f'{{{pad}"op": "mul",{pad}"args": [{pad} '
+    tail = f'{pad}]\n{" " * td}}}'
+    # text tables for this call only: each factor inside a product by its
+    # code, and a product's text up to its first factor by coefficient
+    factors = {k: factor(k, td + 2) for k in set().union(*[fs for fs, _ in terms])}
+    heads = {c: head if c == 1 else head + _num_node(c, td + 2) + sep for c in {c for _, c in terms}}
+    fac = factors.__getitem__
     out = []
     for fs, c in terms:
         if not fs:
             out.append(_num_node(c, td))
         elif c == 1 and len(fs) == 1:
-            out.append(factor(*fs[0], td))
+            out.append(factor(fs[0], td))
         else:
-            parts = [] if c == 1 else [_num_node(c, td + 2)]
-            parts.extend(factor(r, k, td + 2) for r, k in fs)
-            out.append(_args_node("mul", parts, td))
+            out.append(heads[c] + sep.join(map(fac, fs)) + tail)
     return out[0] if len(out) == 1 else _args_node("add", out, depth)
 
 

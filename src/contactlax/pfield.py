@@ -23,7 +23,7 @@ from .jetalg import (
     PoleError,
     StructureError,
     divide_exact,
-    evaluate_mod,
+    evaluate_mod_points,
     jet,
     monomial_gcd,
     quotient_rule,
@@ -146,12 +146,14 @@ class PPoly(Frozen):
             acc = acc * v + c
         return acc
 
-    def eval_mod(self, pval: int, point: dict) -> int:
-        """Horner evaluation in GF(PRIME) (see jetalg.evaluate_mod)."""
-        acc = 0
+    def eval_mod(self, pvals: list[int], points: list[dict]) -> list[int]:
+        """Horner evaluation in GF(PRIME) at each point, p taking the value
+        of the same place in pvals (see jetalg.evaluate_mod_points)."""
+        accs = [0] * len(points)
         for c in reversed(self.coeffs):
-            acc = (acc * pval + evaluate_mod(c, point)) % PRIME
-        return acc
+            vals = evaluate_mod_points(c, points)
+            accs = [(acc * pval + v) % PRIME for acc, pval, v in zip(accs, pvals, vals)]
+        return accs
 
     def map_coeffs(self, fn) -> "PPoly":
         return PPoly([fn(c) for c in self.coeffs])
@@ -331,11 +333,12 @@ class PRational(Frozen):
         """Formal d/dp by the quotient rule."""
         return quotient_rule(PRational, self.num, self.den, self.num.deriv(), self.den.deriv())
 
-    def eval_mod(self, pval: int, point: dict) -> int:
-        dv = self.den.eval_mod(pval, point)
-        if dv == 0:
+    def eval_mod(self, pvals: list[int], points: list[dict]) -> list[int]:
+        """The values in GF(PRIME) at each point (see PPoly.eval_mod)."""
+        dens = self.den.eval_mod(pvals, points)
+        if 0 in dens:
             raise PoleError("p-denominator vanishes mod p")
-        return self.num.eval_mod(pval, point) * pow(dv, -1, PRIME) % PRIME
+        return [n * pow(d, -1, PRIME) % PRIME for n, d in zip(self.num.eval_mod(pvals, points), dens)]
 
     def field_ids(self) -> set[FieldId]:
         out = set()
@@ -441,8 +444,8 @@ _P = JetVariable(FieldId("p", INDEPENDENT))
 
 def _pf_spot_check(pf: PartialFractions, r: PRational):
     """Cross-oracle only: compare the view and the fraction at five
-    random points of GF(PRIME); the value of p is one more coordinate,
-    kept off every pole."""
+    random points of GF(PRIME), evaluated together; the value of p is one
+    more coordinate, kept off every pole."""
     rng = random.Random(60170)
     jvs = {_P}
     for c in r.num.coeffs + r.den.coeffs:
@@ -453,15 +456,15 @@ def _pf_spot_check(pf: PartialFractions, r: PRational):
         for res in blk.residues:
             jvs.update(res.jet_variables())
     pairs = pole_pairs_for([blk.pole for blk in pf.poles]) + [(_P, pj) for pj in pole_jets]
-    for _ in range(5):
-        pt = random_point(jvs, rng, pole_pairs=pairs)
-        pval = pt[_P]
-        lhs = r.eval_mod(pval, pt)
-        rhs = pf.polypart.eval_mod(pval, pt)
-        for blk, pj in zip(pf.poles, pole_jets):
-            inv = pow(pval - pt[pj], -1, PRIME)
-            for k, res in enumerate(blk.residues):
-                if not res.is_zero():
-                    rhs += evaluate_mod(res, pt) * pow(inv, k + 1, PRIME)
-        if lhs != rhs % PRIME:
-            raise ParameterError("partial fractions fail the random-point cross-check")
+    pts = [random_point(jvs, rng, pole_pairs=pairs) for _ in range(5)]
+    pvals = [pt[_P] for pt in pts]
+    lhs = r.eval_mod(pvals, pts)
+    rhs = pf.polypart.eval_mod(pvals, pts)
+    for blk, pj in zip(pf.poles, pole_jets):
+        invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
+        for k, res in enumerate(blk.residues):
+            if not res.is_zero():
+                vals = evaluate_mod_points(res, pts)
+                rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
+    if any(a != b % PRIME for a, b in zip(lhs, rhs)):
+        raise ParameterError("partial fractions fail the random-point cross-check")

@@ -517,6 +517,8 @@ _PINNED_OUTPUT = [
       "sys.tex": "a62874f2bd781c053514f570ab54f90387ea61c9da64ff1c6e965e0f929c5b84"}),
     (["verify", "theorem1", "-m", "3", "-n", "3"],
      {"stdout": "aa282af7487d223a0ef6fc05168d1d80fc38d89aacac60944268164a7aa79e5c"}),
+    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--latex", "sys.tex"],
+     {"sys.tex": "d61c832738422435e09086fcc53cee4e15751948349bd58886bc0b27b164b9ba"}),
 ]
 
 
@@ -524,7 +526,7 @@ _PINNED_OUTPUT = [
                          ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
                               "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
                               "export-ck-rat-2-1-residues", "derive-ratgp-3-3", "derive-rat-2-2-residues",
-                              "verify-theorem1-3-3"])
+                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

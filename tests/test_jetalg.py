@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactlax import jetalg
 from contactlax.jetalg import (
     _jet_id,
     ONE,
@@ -26,8 +27,10 @@ from contactlax.jetalg import (
     decompose_by_jets,
     divide_exact,
     evaluate_mod,
+    evaluate_mod_points,
     from_tree,
     jet,
+    jet_sort_key,
     linear_coefficient,
     monomial_gcd,
     primitive,
@@ -216,6 +219,23 @@ def test_evaluate_mod_pole_errors():
         evaluate_mod(v, {})
 
 
+def test_evaluate_mod_points_matches_single_points():
+    rng = random.Random(62)
+    for _ in range(40):
+        a, b = from_tree(random_tree(rng)), from_tree(random_tree(rng))
+        jvs = set(a.jet_variables()) | set(b.jet_variables())
+        pts = [random_point(jvs, rng) for _ in range(rng.randint(1, 4))]
+        for e in (a, b, JetQuotient(a, b) if not b.is_zero() else a):
+            assert evaluate_mod_points(e, pts) == [evaluate_mod(e, pt) for pt in pts]
+    assert evaluate_mod_points(v, []) == []
+    # a denominator that vanishes at one point of several
+    pts = [{JetVariable(V): 3, JetVariable(W): 2}, {JetVariable(V): 3, JetVariable(W): PRIME}]
+    with pytest.raises(PoleError):
+        evaluate_mod_points(JetQuotient(v, w), pts)
+    with pytest.raises(CoverageError):
+        evaluate_mod_points(v * w, [pts[0], {JetVariable(V): 3}])
+
+
 def test_eval_of_normalized_matches_tree_oracle():
     rng = random.Random(99)
     for _ in range(100):
@@ -280,6 +300,55 @@ def test_write_tree_matches_dict_oracle(rng, depth):
     for e in cases:
         want = json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
         assert write_tree(e, depth) == want, e
+
+
+def _shuffled_jets(rng: random.Random, count: int) -> list:
+    """count fresh jets over a few field names (one of them also with the
+    WAVE role) and multi-indices, interned in shuffled order."""
+    fields = [FieldId(f"ord_{name}") for name in "qbzam"] + [FieldId("ord_q", WAVE)]
+    jvs = [JetVariable(f, (i, j, 0, k)) for f in fields for i in range(3) for j in range(3) for k in range(3)]
+    jvs = rng.sample(jvs, count)
+    for jv in jvs:
+        _jet_id(jv)
+    return jvs
+
+
+def _random_poly(rng: random.Random, jvs: list, nterms: int) -> DiffPoly:
+    out = ZERO
+    for _ in range(nterms):
+        term = DiffPoly.const(Fraction(rng.choice([-3, -1, 1, 1, 2, 5]), rng.choice([1, 1, 2, 7])))
+        for jv in rng.sample(jvs, rng.randint(0, min(5, len(jvs)))):
+            term = term * DiffPoly.from_jet(jv, rng.choice([1, 1, 2, 3, rng.randint(1, 127)]))
+        out = out + term
+    return out
+
+
+def _order_oracle(e: DiffPoly) -> list:
+    """The terms of e as (factor list, coeff), each factor list
+    [(jet_sort_key(jv), k), ...] in jet-id order, sorted by factor list."""
+    rows = [([(jet_sort_key(jetalg._JETS[i]), k) for i, k in jetalg._factors(m)], c) for m, c in e.terms.items()]
+    return sorted(rows, key=lambda row: row[0])
+
+
+def test_term_order_matches_sort_key_oracle():
+    """monomials() and write_tree order terms as a sort of their
+    jet_sort_key factor lists does, for jets interned in shuffled order,
+    more than 127 jets in one polynomial and exponents up to 127."""
+    rng = random.Random(1807)
+    jvs = _shuffled_jets(rng, 150)
+    wide = ZERO
+    for k in range(0, 150, 3):  # every jet, so ranks pass 127
+        wide = wide + (k - 70) * DiffPoly.from_jet(jvs[k]) * DiffPoly.from_jet(jvs[k + 1], 127) \
+            * DiffPoly.from_jet(jvs[k + 2], rng.randint(1, 127))
+    wide = wide + _random_poly(rng, jvs, 40)
+    cases = [wide] + [_random_poly(rng, rng.sample(jvs, rng.randint(1, 20)), rng.randint(1, 30)) for _ in range(60)]
+    assert len(wide.jet_variables()) == 150
+    for e in cases:
+        want = _order_oracle(e)
+        got = [([(jet_sort_key(jv), k) for jv, k in fs], c) for c, fs in e.monomials()]
+        assert got == want
+        for depth in range(4):
+            assert write_tree(e, depth) == json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
 
 
 def test_quotient_collapses_when_divisible():
@@ -621,6 +690,57 @@ def test_exponents_above_127_raise():
     assert divide_exact(w * v ** 100, w + v ** 50) is None
     assert divide_exact(v * w ** 100, v + w ** 50) is None
     assert divide_exact((w + v ** 50) * v ** 77, w + v ** 50) == v ** 77
+
+
+def _general_product(a: DiffPoly, b: DiffPoly) -> dict:
+    """The term dict of a * b by the double loop over both operands, the
+    shorter outside, as DiffPoly.__mul__ multiplies two polynomials of
+    several terms each."""
+    t1, t2 = (b.terms, a.terms) if len(a.terms) > len(b.terms) else (a.terms, b.terms)
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def test_monomial_products_match_the_general_product():
+    rng = random.Random(1808)
+    monos = [DiffPoly.const(-3), v * w, Fraction(3, 7) * vx * w ** 2]  # constant, unit and fractional
+    polys = [e for e in (from_tree(random_tree(rng)) for _ in range(40)) if len(e.terms) > 1]
+    assert len(polys) > 10
+    for mono in monos:
+        for p in polys:
+            want = list(_general_product(mono, p).items())
+            assert list((mono * p).terms.items()) == want
+            assert list((p * mono).terms.items()) == want
+    with pytest.raises(StructureError, match="above 127"):
+        v ** 100 * (v ** 28 + w)
+
+
+def test_divide_exact_extreme_term_checks():
+    guard = jetalg._GUARD
+    b = v + w
+    a = b * (v + 1)
+    z = jet(FieldId("extreme_z"))  # interned last: the highest id
+    # b's int-smallest term does not divide a's (the constant 1)
+    assert divide_exact(a + 1, b) is None
+    assert (min((a + 1).terms) - min(b.terms)) & guard
+    # b's int-largest term does not divide a's (z)
+    assert divide_exact(a + z, b) is None
+    assert (max((a + z).terms) - max(b.terms)) & guard
+    # both checks pass when only the int-largest term's coefficient
+    # changes, so the division runs and fails
+    bumped = a + DiffPoly({max(a.terms): 1})
+    assert not (max(bumped.terms) - max(b.terms)) & guard
+    assert not (min(bumped.terms) - min(b.terms)) & guard
+    assert divide_exact(bumped, b) is None
+    # an exact division is unchanged: the quotient, its terms in the graded
+    # order, highest first
+    q = divide_exact(a * z, b * z)
+    assert q == v + 1
+    keys = list(q.terms)
+    assert all(_oracle_lt(later, earlier) for earlier, later in zip(keys, keys[1:]))
 
 
 def test_linear_coefficient():

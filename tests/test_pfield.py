@@ -172,14 +172,13 @@ def test_evaluation_commutes_with_operations(rng):
     r2 = simple(BF, WF)
     v, w, p = JetVariable(VF), JetVariable(WF), JetVariable(FieldId("p"))
     jvs = {v, w, p, JetVariable(AF), JetVariable(BF)}
-    for _ in range(10):
-        pt = random_point(jvs, rng, pole_pairs=[(v, w), (p, v), (p, w)])
-        pval = pt[p]
-        e1, e2 = r1.eval_mod(pval, pt), r2.eval_mod(pval, pt)
-        assert (r1 + r2).eval_mod(pval, pt) == (e1 + e2) % PRIME
-        assert (r1 * r2).eval_mod(pval, pt) == e1 * e2 % PRIME
-        n, d = collect(r1 * r2 + r2)
-        assert PRational(n, d).eval_mod(pval, pt) == (e1 * e2 + e2) % PRIME
+    pts = [random_point(jvs, rng, pole_pairs=[(v, w), (p, v), (p, w)]) for _ in range(10)]
+    pvals = [pt[p] for pt in pts]
+    n, d = collect(r1 * r2 + r2)
+    got = [r.eval_mod(pvals, pts) for r in (r1, r2, r1 + r2, r1 * r2, PRational(n, d))]
+    for k, (pval, pt) in enumerate(zip(pvals, pts)):
+        e1, e2 = r1.eval_mod([pval], [pt])[0], r2.eval_mod([pval], [pt])[0]
+        assert [vals[k] for vals in got] == [e1, e2, (e1 + e2) % PRIME, e1 * e2 % PRIME, (e1 * e2 + e2) % PRIME]
 
 
 def _ppoly_case():
