@@ -33,6 +33,7 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .jetalg import (
+    INDEPENDENT,
     PRIME,
     WAVE,
     ZERO,
@@ -45,6 +46,8 @@ from .jetalg import (
     decompose_by_jets,
     divide_exact,
     evaluate_mod,
+    evaluate_mod_points,
+    jet,
     jets_of_field,
     map_jets,
     primitive,
@@ -54,7 +57,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError, PPoly, PRational, cancel_shared_factors, collect, partial_fraction
+from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, collect
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -276,9 +279,13 @@ def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
 
 def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
     """Cancel pole-difference factors shared by numerator and denominator
-    of a residue equation (the quotient normalization itself never runs a
-    multivariate gcd)."""
-    return JetQuotient(*cancel_shared_factors(q.num, q.den, diffs, divide_exact))
+    of a residue equation, each for as long as both allow it (the quotient
+    normalization itself never runs a multivariate gcd)."""
+    num, den = q.num, q.den
+    for f in diffs:
+        while (qn := divide_exact(num, f)) is not None and (qd := divide_exact(den, f)) is not None:
+            num, den = qn, qd
+    return JetQuotient(num, den)
 
 
 def _check_residue_family(lax: LaxPair) -> None:
@@ -286,25 +293,93 @@ def _check_residue_family(lax: LaxPair) -> None:
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
 
 
+def _laurent_coefficients(view: PartialFractions, other: PRational, direction: str, planar: bool):
+    """The order-2 and order-1 Laurent coefficients of the bracket
+    F_t - G_y + F_p G_x - G_p F_x + (F - p F_p) G_z - (G - p G_p) F_z at
+    each simple pole P, residue A, of F (view), G = other being regular
+    there; direction is t.  With H = G - p G_p and ' = d/dp they are
+      A P_t - A G_x - A P_x G_p + P A G_z - A P_z H,
+      A_t - A G_x' - A_x G_p - A P_x G_p' + P A G_z' + 2 A G_z - A_z H - A P_z H'.
+    Each is one rational function of p, evaluated once at p = P.  Yields
+    (pole field, (order-1, order-2 coefficient)), as PoleBlock lists
+    residues."""
+    gx, gp = _coeff_derivative(other, "x"), other.pdiff()
+    if planar:  # the planar bracket has no z-terms
+        gz = h = PRational(PPoly())
+    else:
+        gz, h = _coeff_derivative(other, "z"), other - PRational.p() * gp
+    gx1, gp1, gz1, h1 = gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff()
+    for blk in view.poles:
+        a, pole = blk.residues[0], JetQuotient(jet(blk.pole))
+        a_t, a_x, a_z = (total_derivative_q(a, s) for s in (direction, "x", "z"))
+        p_t, p_x, p_z = (total_derivative_q(pole, s) for s in (direction, "x", "z"))
+        order2 = a * p_t - a * gx - a * p_x * gp + pole * a * gz - a * p_z * h
+        order1 = (a_t - a * gx1 - a_x * gp - a * p_x * gp1 + pole * a * gz1 + 2 * a * gz
+                  - a_z * h - a * p_z * h1)
+        yield blk.pole, tuple(r.num.eval_at(pole) / r.den.eval_at(pole) for r in (order1, order2))
+
+
 def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     """The same compatibility content organized the way the published
     rational-family system is: order-2 then order-1 residue equations at
-    each pole (and the p->infinity coefficient first, when nonzero)."""
+    each pole (and the p->infinity constant first, when nonzero).  They
+    are read off the pair's own simple poles: the bracket is antisymmetric
+    under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
+    with F and y, negated.  The view they make is checked against cc at
+    random points of GF(PRIME)."""
     _check_residue_family(lax)
     vs, ws = lax.pole_fields()
-    pf = partial_fraction(cc, [(f, 2) for f in (*vs, *ws)])
-    blocks = {b.pole.name: b for b in pf.poles}
+    pf_f, pf_g = lax.partial_fractions()
+    planar = lax.dimension == "2+1"
+    coeffs = list(_laurent_coefficients(pf_f, lax.G, "t", planar))
+    coeffs += [(f, tuple(-r for r in res)) for f, res in _laurent_coefficients(pf_g, lax.F, "y", planar)]
+    # the polynomial parts have degree <= 0, so only a0_t - b0_y + a0 b0_z - b0 a0_z survives
+    a0, b0 = pf_f.polypart[0], pf_g.polypart[0]
+    const = total_derivative_q(a0, "t") - total_derivative_q(b0, "y")
+    if not planar:
+        const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
     diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for((*vs, *ws))]
-    eqs, labels = [], []
-    for c in pf.polypart.coeffs:
-        if not c.is_zero():
-            eqs.append(c)
-            labels.append("constant")
+    view = PartialFractions(PPoly([const]), tuple(
+        PoleBlock(f, 2, tuple(_reduce_known_factors(r, diffs) for r in res)) for f, res in coeffs))
+    _residue_spot_check(view, cc)
+    eqs, labels = ([const], ["constant"]) if not const.is_zero() else ([], [])
     for order in (2, 1):
-        for f in (*vs, *ws):
-            eqs.append(_reduce_known_factors(blocks[f.name].residues[order - 1], diffs))
-            labels.append(f"{f.name}:{order}")
+        for blk in view.poles:
+            eqs.append(blk.residues[order - 1])
+            labels.append(f"{blk.pole.name}:{order}")
     return _system(lax, eqs, path="residues", labels=tuple(labels))
+
+
+# the formal p as one more coordinate of a sample point
+_P = JetVariable(FieldId("p", INDEPENDENT))
+
+
+def _residue_spot_check(view: PartialFractions, cc: PRational):
+    """Compare the residue view and the compatibility condition at five
+    random points of GF(PRIME), evaluated together; the value of p is one
+    more coordinate, kept off every pole.  A mismatch is an engine bug."""
+    rng = random.Random(60170)
+    jvs = {_P}
+    for c in cc.num.coeffs + cc.den.coeffs:
+        jvs.update(c.jet_variables())
+    pole_jets = [JetVariable(blk.pole) for blk in view.poles]
+    jvs.update(pole_jets)
+    for blk in view.poles:
+        for res in blk.residues:
+            jvs.update(res.jet_variables())
+    pairs = pole_pairs_for([blk.pole for blk in view.poles]) + [(_P, pj) for pj in pole_jets]
+    pts = [random_point(jvs, rng, pole_pairs=pairs) for _ in range(5)]
+    pvals = [pt[_P] for pt in pts]
+    lhs = cc.eval_mod(pvals, pts)
+    rhs = view.polypart.eval_mod(pvals, pts)
+    for blk, pj in zip(view.poles, pole_jets):
+        invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
+        for k, res in enumerate(blk.residues):
+            if not res.is_zero():
+                vals = evaluate_mod_points(res, pts)
+                rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
+    if any(a != b % PRIME for a, b in zip(lhs, rhs)):
+        raise DerivationError("the residue equations fail the random-point check against the compatibility condition")
 
 
 @lru_cache(maxsize=None)

@@ -100,6 +100,12 @@ def _jet_id(jv: JetVariable) -> int:
     global _GUARD
     i = _JET_IDS.get(jv)
     if i is None:
+        # validate before interning: a half-written entry would shift
+        # every later jet's sort key
+        d = jv.d
+        if not (isinstance(jv.field, FieldId) and isinstance(d, tuple) and len(d) == 4
+                and all(isinstance(k, int) and k >= 0 for k in d)):
+            raise StructureError(f"not a jet of a field: {jv.field!r} with multi-index {d!r}")
         i = len(_JETS)
         _JET_IDS[jv] = i
         _JETS.append(jv)
@@ -916,7 +922,7 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
     if op == "jet":
         name = node["field"]
         d = node.get("d", [0, 0, 0, 0])
-        if len(d) != 4 or any((not isinstance(k, int)) or k < 0 for k in d):
+        if not isinstance(d, (list, tuple)):
             raise StructureError(f"bad multi-index {d!r}")
         fid = fields.get(name) if fields else None
         if fid is None:

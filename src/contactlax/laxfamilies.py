@@ -49,7 +49,7 @@ class LaxPair:
         if self.family not in (RAT, RATGP):
             return None, None
         vs, ws = self.pole_fields()
-        return partial_fraction(self.F, [(v, 1) for v in vs]), partial_fraction(self.G, [(w, 1) for w in ws])
+        return partial_fraction(self.F, vs), partial_fraction(self.G, ws)
 
 
 def _check_params(m: int, n: int):

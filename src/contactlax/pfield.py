@@ -6,12 +6,10 @@ for vanishing)."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import (
-    INDEPENDENT,
     ONE,
     PRIME,
     ZERO,
@@ -19,7 +17,6 @@ from .jetalg import (
     FieldId,
     Frozen,
     JetQuotient,
-    JetVariable,
     PoleError,
     StructureError,
     divide_exact,
@@ -32,7 +29,6 @@ from .jetalg import (
     _rebuild,
     _set,
 )
-from .sampling import pole_pairs_for, random_point
 
 
 class ParameterError(ValueError):
@@ -199,21 +195,6 @@ def poly_divmod(a: PPoly, b: PPoly) -> tuple[PPoly, PPoly]:
 def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
     q, r = poly_divmod(a, b)
     return q if r.is_zero() else None
-
-
-def cancel_shared_factors(num, den, factors, divide):
-    """Divide each factor out of num and den for as long as both allow
-    it; divide(a, b) returns the exact quotient or None."""
-    for f in factors:
-        while True:
-            qn = divide(num, f)
-            if qn is None:
-                break
-            qd = divide(den, f)
-            if qd is None:
-                break
-            num, den = qn, qd
-    return num, den
 
 
 @dataclass(frozen=True)
@@ -385,86 +366,21 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
     return PPoly(num), PPoly(den)
 
 
-def partial_fraction(r: PRational, poles: list[tuple[FieldId, int]]) -> PartialFractions:
-    """The partial-fraction view of r over the given symbolic poles.
-
-    Pole orders above 2 are rejected.  Each block is solved locally from
-    the Laurent data after deflating the denominator by synthetic
-    division, which is the triangular special case of the linear system
-    that matching coefficients would set up.
-
-    The view is checked against the fraction it came from: exactly (full
-    reassembly) when the denominator degree stays small, otherwise at
-    random points of GF(PRIME), since symbolic reassembly of large residue
-    quotients is quadratically expensive and the extraction itself is
-    already exact."""
-    for _, order in poles:
-        if order > 2:
-            raise ParameterError("pole orders above 2 are not supported")
-        if order < 1:
-            raise ParameterError("pole order must be positive")
-    # additive chains can leave the fraction unreduced in the declared
-    # poles (no polynomial gcd at this level); cancel those first
-    lins = (p_minus(jet(fid)) for fid, _ in poles)
-    num, den = cancel_shared_factors(r.num, r.den, lins, poly_div_exact)
-    r = PRational(num, den)
+def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
+    """The partial-fraction view of r over the given simple symbolic poles:
+    the residue at a pole P is rem(P)/D'(P), rem the remainder of the
+    numerator modulo the denominator D.  The view is checked by exact
+    reassembly."""
     polypart, rem = poly_divmod(r.num, r.den)
+    dden = r.den.deriv()
     blocks = []
-    for fid, order in poles:
+    for fid in poles:
         pole_val = _q(jet(fid))
-        lin = p_minus(pole_val)
-        deflated = r.den
-        for _ in range(order):
-            deflated, rr = poly_divmod(deflated, lin)
-            if not rr.is_zero():
-                raise ParameterError(f"{fid.name} is not a pole of order {order}")
-        q_at = deflated.eval_at(pole_val)
-        if q_at.is_zero():
-            raise ParameterError(f"pole {fid.name} not in general position")
-        n_at = rem.eval_at(pole_val)
-        if order == 1:
-            blocks.append(PoleBlock(fid, 1, (n_at / q_at,)))
-        else:
-            top = n_at / q_at
-            np_at = rem.deriv().eval_at(pole_val)
-            qp_at = deflated.deriv().eval_at(pole_val)
-            first = (np_at * q_at - n_at * qp_at) / (q_at * q_at)
-            blocks.append(PoleBlock(fid, 2, (first, top)))
+        d_at = dden.eval_at(pole_val)
+        if d_at.is_zero():
+            raise ParameterError(f"{fid.name} is not a simple pole")
+        blocks.append(PoleBlock(fid, 1, (rem.eval_at(pole_val) / d_at,)))
     pf = PartialFractions(polypart, tuple(blocks))
-    if r.den.degree() > 4:
-        _pf_spot_check(pf, r)
-    elif not (pf.reassemble() == r):
+    if not (pf.reassemble() == r):
         raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
     return pf
-
-
-# the formal p as one more coordinate of a sample point
-_P = JetVariable(FieldId("p", INDEPENDENT))
-
-
-def _pf_spot_check(pf: PartialFractions, r: PRational):
-    """Cross-oracle only: compare the view and the fraction at five
-    random points of GF(PRIME), evaluated together; the value of p is one
-    more coordinate, kept off every pole."""
-    rng = random.Random(60170)
-    jvs = {_P}
-    for c in r.num.coeffs + r.den.coeffs:
-        jvs.update(c.jet_variables())
-    pole_jets = [JetVariable(blk.pole) for blk in pf.poles]
-    jvs.update(pole_jets)
-    for blk in pf.poles:
-        for res in blk.residues:
-            jvs.update(res.jet_variables())
-    pairs = pole_pairs_for([blk.pole for blk in pf.poles]) + [(_P, pj) for pj in pole_jets]
-    pts = [random_point(jvs, rng, pole_pairs=pairs) for _ in range(5)]
-    pvals = [pt[_P] for pt in pts]
-    lhs = r.eval_mod(pvals, pts)
-    rhs = pf.polypart.eval_mod(pvals, pts)
-    for blk, pj in zip(pf.poles, pole_jets):
-        invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
-        for k, res in enumerate(blk.residues):
-            if not res.is_zero():
-                vals = evaluate_mod_points(res, pts)
-                rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
-    if any(a != b % PRIME for a, b in zip(lhs, rhs)):
-        raise ParameterError("partial fractions fail the random-point cross-check")

@@ -1,6 +1,6 @@
 """Random points of GF(p), p = 2^61 - 1, for the randomized identity checks.
 
-The partial-fraction spot check, the printed-system line comparison and
+The residue spot check, the printed-system line comparison and
 the T-solvability witness all sample here and evaluate with
 ``jetalg.evaluate_mod``.  A nonzero polynomial of total degree d vanishes
 at a uniform point of GF(p)^k with probability at most d/p (Schwartz,

@@ -12,9 +12,20 @@ from contactlax.jetalg import (
     JetQuotient,
     JetVariable,
     PoleError,
+    divide_exact,
+    jet,
 )
 from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
-from contactlax.pfield import ParameterError, PartialFractions, PPoly, PRational, collect
+from contactlax.pfield import (
+    ParameterError,
+    PartialFractions,
+    PPoly,
+    PRational,
+    collect,
+    p_minus,
+    poly_divmod,
+)
+from contactlax.sampling import pole_pairs_for
 
 
 FIELD_NAMES = ("u1", "u2", "v1", "w1")
@@ -186,6 +197,38 @@ def pdesystem_oracle(sys) -> dict:
         "equations": [tree_oracle(eq.num) for eq in sys.equations],
         "provenance": prov,
     }
+
+
+def residue_oracle(cc: PRational, lax: LaxPair) -> list:
+    """The residue equations of a rational-family pair the global way:
+    the order-2 partial fraction of the whole compatibility condition
+    (remainder modulo its denominator, two deflations per pole, the
+    quotient rule for the order-1 residue), each residue then reduced
+    over the pole differences.  Returns (label, equation) pairs; the
+    oracle for compat.residue_system."""
+    vs, ws = lax.pole_fields()
+    poles = (*vs, *ws)
+    polypart, rem = poly_divmod(cc.num, cc.den)
+    diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for(poles)]
+    residues = {}
+    for f in poles:
+        at = JetQuotient(jet(f))
+        q = cc.den
+        for _ in range(2):
+            q, r = poly_divmod(q, p_minus(at))
+            assert r.is_zero(), f"{f.name} is not a double pole"
+        n_at, q_at = rem.eval_at(at), q.eval_at(at)
+        first = (rem.deriv().eval_at(at) * q_at - n_at * q.deriv().eval_at(at)) / (q_at * q_at)
+        residues[f.name] = {2: n_at / q_at, 1: first}
+    out = [("constant", c) for c in polypart.coeffs if not c.is_zero()]
+    for order in (2, 1):
+        for f in poles:
+            num, den = residues[f.name][order].num, residues[f.name][order].den
+            for d in diffs:
+                while (qn := divide_exact(num, d)) is not None and (qd := divide_exact(den, d)) is not None:
+                    num, den = qn, qd
+            out.append((f"{f.name}:{order}", JetQuotient(num, den)))
+    return out
 
 
 def compose_linear(r: PRational, c1, c0) -> PRational:

@@ -3,11 +3,12 @@ import pickle
 import random
 import subprocess
 import sys as _sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from contactlax import compat
+from contactlax import cli, compat
 from contactlax.compat import (
     CK_INDEPENDENTS,
     XYZT,
@@ -30,12 +31,13 @@ from contactlax.compat import (
     t_solvability_witness,
     _compare_as_equations,
     _det_mod,
+    _reduce_known_factors,
 )
-from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, StructureError, jet
+from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, StructureError, divide_exact, jet
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate
+from conftest import evaluate, residue_oracle
 
 
 def test_cc_single_field_no_p():
@@ -125,6 +127,58 @@ def test_residue_system_shape():
     rsg = derive("ratgp", 1, 1, form="residues")
     assert rsg.provenance["labels"][0] == "constant"
     assert len(rsg.equations) == 5
+
+
+@pytest.mark.parametrize("dimension", ["3+1", "2+1"])
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_residue_system_matches_the_global_partial_fraction(family, m, n, dimension):
+    # the planar bracket has no z-terms, and the formulas drop them too
+    lax = replace(make_family(family, m, n), dimension=dimension)
+    cc = compatibility_condition(lax)
+    rs = compat.residue_system(cc, lax)
+    want = residue_oracle(cc, lax)
+    assert rs.provenance["labels"] == tuple(label for label, _ in want)
+    for eq, (label, w) in zip(rs.equations, want):
+        assert dict(eq.num.terms) == dict(w.num.terms) and dict(eq.den.terms) == dict(w.den.terms), label
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["F-pole", "G-pole"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, side, order):
+    # the residue view must fail its random-point check against the
+    # compatibility condition: exit 1, a verification failure
+    real, calls = compat._laurent_coefficients, []
+
+    def flipped(*args):
+        out = list(real(*args))
+        if len(calls) == side:
+            pole, res = out[0]
+            out[0] = pole, tuple(-r if k == order - 1 else r for k, r in enumerate(res))
+        calls.append(args)
+        return out
+
+    monkeypatch.setattr(compat, "_laurent_coefficients", flipped)
+    compat.derive.cache_clear()
+    assert cli.main(["derive", "--family", "rat", "-m", "1", "-n", "1", "--form", "residues"]) == 1
+    assert capsys.readouterr().err.startswith("verification failure:")
+    assert len(calls) == 2
+
+
+def test_reduce_known_factors(monkeypatch):
+    v, w = jet(FieldId("v")), jet(FieldId("w"))
+    d, other, a, b = v - w, v + w, jet(FieldId("a")) + v, 2 * jet(FieldId("b")) - w
+    calls = []
+
+    def counting(x, f):
+        calls.append(f)
+        return divide_exact(x, f)
+
+    monkeypatch.setattr(compat, "divide_exact", counting)
+    assert _reduce_known_factors(JetQuotient(d ** 3 * a, d ** 2 * b), [d, other]) == JetQuotient(d * a, b)
+    # two shared copies (num and den each), then num divides once more but
+    # den does not: stop; the second factor divides neither, one call
+    assert calls == [d] * 6 + [other]
 
 
 def test_cached_provenance_is_read_only():

@@ -519,6 +519,10 @@ _PINNED_OUTPUT = [
      {"stdout": "aa282af7487d223a0ef6fc05168d1d80fc38d89aacac60944268164a7aa79e5c"}),
     (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--latex", "sys.tex"],
      {"sys.tex": "d61c832738422435e09086fcc53cee4e15751948349bd58886bc0b27b164b9ba"}),
+    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--form", "residues", "--out-json", "sys.json",
+      "--latex", "sys.tex"],
+     {"sys.json": "9dc2f10260b8e11fb3775c8a40230de5c62ff33bd456d340ac702630f4730a9e",
+      "sys.tex": "a27390b5d7f3eda2a5e5460825de4087623e5d7e38e35757004ad525f8068a84"}),
 ]
 
 
@@ -526,7 +530,7 @@ _PINNED_OUTPUT = [
                          ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
                               "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
                               "export-ck-rat-2-1-residues", "derive-ratgp-3-3", "derive-rat-2-2-residues",
-                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex"])
+                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex", "derive-ratgp-3-3-residues"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

@@ -313,6 +313,25 @@ def _shuffled_jets(rng: random.Random, count: int) -> list:
     return jvs
 
 
+@pytest.mark.parametrize("field,d", [
+    ("bad_str", (0, 0, 0, 0)),
+    (FieldId("bad_neg"), (0, -1, 0, 0)),
+    (FieldId("bad_short"), (0, 0, 0)),
+    (FieldId("bad_float"), (0.5, 0, 0, 0)),
+], ids=["str-field", "negative", "three-axes", "float"])
+def test_a_rejected_jet_leaves_the_interner_intact(field, d):
+    sizes = (len(jetalg._JET_IDS), len(jetalg._JETS), len(jetalg._JET_SORT))
+    for _ in range(2):  # rejected again, not half-interned the first time
+        with pytest.raises(StructureError):
+            jet(field, d)
+    assert (len(jetalg._JET_IDS), len(jetalg._JETS), len(jetalg._JET_SORT)) == sizes
+    # fresh jets still sort and print by name
+    tag = f"after{sizes[0]}_"
+    x, y, z, a, b, c = (jet(FieldId(tag + s)) for s in "xyzabc")
+    assert repr(x + y + z + a) == " + ".join(tag + s for s in "axyz")
+    assert repr(c + b) == f"{tag}b + {tag}c"
+
+
 def _random_poly(rng: random.Random, jvs: list, nterms: int) -> DiffPoly:
     out = ZERO
     for _ in range(nterms):

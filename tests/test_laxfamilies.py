@@ -82,7 +82,7 @@ def test_family_pf_views_roundtrip(family, m, n):
     vs, ws = lax.pole_fields()
     views = []
     for r, res, poles in ((lax.F, "a", vs), (lax.G, "b", ws)):
-        pf = partial_fraction(r, [(f, 1) for f in poles])
+        pf = partial_fraction(r, poles)
         views.append(pf)
         assert pf.reassemble() == r
         const = [JetQuotient(jet(FieldId(f"{res}0")))] if family == "ratgp" else []
