@@ -218,8 +218,11 @@ def cmd_simulate(args, rep: RunReport) -> None:
         spec = _read_input(args.init)
     if args.system_json:
         sys = _read_input(args.system_json, pdesystem_from_json)
-        if tuple(sys.independents) != compat.CK_INDEPENDENTS:
+        if sys.independents == compat.XYZT:
             sys = ck_transform(sys)
+        elif sys.independents != compat.CK_INDEPENDENTS:
+            raise ParameterError(f"{args.system_json} has independents ({', '.join(map(str, sys.independents))}), "
+                                 "not (x, y, z, t) or (X, Y, Z, T)")
     else:
         sys = ck_transform(derive(args.family, args.m, args.n, form="residues"))
     cs = numeric.compile_system(sys)

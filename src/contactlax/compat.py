@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod
 from types import MappingProxyType
@@ -57,7 +57,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, collect
+from .pfield import ParameterError, PartialFractions, PPoly, PRational, collect
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -301,8 +301,7 @@ def _laurent_coefficients(view: PartialFractions, other: PRational, direction: s
       A P_t - A G_x - A P_x G_p + P A G_z - A P_z H,
       A_t - A G_x' - A_x G_p - A P_x G_p' + P A G_z' + 2 A G_z - A_z H - A P_z H'.
     Each is one rational function of p, evaluated once at p = P.  Yields
-    (pole field, (order-1, order-2 coefficient)), as PoleBlock lists
-    residues."""
+    (pole field, (order-1, order-2 coefficient))."""
     gx, gp = _coeff_derivative(other, "x"), other.pdiff()
     if planar:  # the planar bracket has no z-terms
         gz = h = PRational(PPoly())
@@ -310,7 +309,7 @@ def _laurent_coefficients(view: PartialFractions, other: PRational, direction: s
         gz, h = _coeff_derivative(other, "z"), other - PRational.p() * gp
     gx1, gp1, gz1, h1 = gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff()
     for blk in view.poles:
-        a, pole = blk.residues[0], JetQuotient(jet(blk.pole))
+        a, pole = blk.residue, JetQuotient(jet(blk.pole))
         a_t, a_x, a_z = (total_derivative_q(a, s) for s in (direction, "x", "z"))
         p_t, p_x, p_z = (total_derivative_q(pole, s) for s in (direction, "x", "z"))
         order2 = a * p_t - a * gx - a * p_x * gp + pole * a * gz - a * p_z * h
@@ -325,10 +324,9 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     each pole (and the p->infinity constant first, when nonzero).  They
     are read off the pair's own simple poles: the bracket is antisymmetric
     under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
-    with F and y, negated.  The view they make is checked against cc at
+    with F and y, negated.  The rows they make are checked against cc at
     random points of GF(PRIME)."""
     _check_residue_family(lax)
-    vs, ws = lax.pole_fields()
     pf_f, pf_g = lax.partial_fractions()
     planar = lax.dimension == "2+1"
     coeffs = list(_laurent_coefficients(pf_f, lax.G, "t", planar))
@@ -338,15 +336,14 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     const = total_derivative_q(a0, "t") - total_derivative_q(b0, "y")
     if not planar:
         const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
-    diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for((*vs, *ws))]
-    view = PartialFractions(PPoly([const]), tuple(
-        PoleBlock(f, 2, tuple(_reduce_known_factors(r, diffs) for r in res)) for f, res in coeffs))
-    _residue_spot_check(view, cc)
+    diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for([f for f, _ in coeffs])]
+    rows = [(f, tuple(_reduce_known_factors(r, diffs) for r in res)) for f, res in coeffs]
+    _residue_spot_check(const, rows, cc)
     eqs, labels = ([const], ["constant"]) if not const.is_zero() else ([], [])
     for order in (2, 1):
-        for blk in view.poles:
-            eqs.append(blk.residues[order - 1])
-            labels.append(f"{blk.pole.name}:{order}")
+        for f, res in rows:
+            eqs.append(res[order - 1])
+            labels.append(f"{f.name}:{order}")
     return _system(lax, eqs, path="residues", labels=tuple(labels))
 
 
@@ -354,29 +351,30 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
 _P = JetVariable(FieldId("p", INDEPENDENT))
 
 
-def _residue_spot_check(view: PartialFractions, cc: PRational):
-    """Compare the residue view and the compatibility condition at five
-    random points of GF(PRIME), evaluated together; the value of p is one
-    more coordinate, kept off every pole.  A mismatch is an engine bug."""
+def _residue_spot_check(const: JetQuotient, rows, cc: PRational):
+    """Compare const + sum res[k]/(p - pole)^(k+1) over the rows
+    (pole, res) with the compatibility condition at five random points of
+    GF(PRIME), evaluated together; the value of p is one more coordinate,
+    kept off every pole.  A mismatch is an engine bug."""
     rng = random.Random(60170)
     jvs = {_P}
     for c in cc.num.coeffs + cc.den.coeffs:
         jvs.update(c.jet_variables())
-    pole_jets = [JetVariable(blk.pole) for blk in view.poles]
+    pole_jets = [JetVariable(f) for f, _ in rows]
     jvs.update(pole_jets)
-    for blk in view.poles:
-        for res in blk.residues:
-            jvs.update(res.jet_variables())
-    pairs = pole_pairs_for([blk.pole for blk in view.poles]) + [(_P, pj) for pj in pole_jets]
+    for _, res in rows:
+        for r in res:
+            jvs.update(r.jet_variables())
+    pairs = pole_pairs_for([f for f, _ in rows]) + [(_P, pj) for pj in pole_jets]
     pts = [random_point(jvs, rng, pole_pairs=pairs) for _ in range(5)]
     pvals = [pt[_P] for pt in pts]
     lhs = cc.eval_mod(pvals, pts)
-    rhs = view.polypart.eval_mod(pvals, pts)
-    for blk, pj in zip(view.poles, pole_jets):
+    rhs = evaluate_mod_points(const, pts)
+    for (_, res), pj in zip(rows, pole_jets):
         invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
-        for k, res in enumerate(blk.residues):
-            if not res.is_zero():
-                vals = evaluate_mod_points(res, pts)
+        for k, r in enumerate(res):
+            if not r.is_zero():
+                vals = evaluate_mod_points(r, pts)
                 rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
     if any(a != b % PRIME for a, b in zip(lhs, rhs)):
         raise DerivationError("the residue equations fail the random-point check against the compatibility condition")
@@ -556,7 +554,7 @@ def reduce_2plus1(lax: LaxPair) -> tuple[LaxPair, PDESystem]:
     """The planar reduction: field z-jets vanish and psi_z == 1, so
     p becomes psi_x.  Returns the reduced pair and its compatibility
     system."""
-    lax21 = LaxPair(lax.F, lax.G, lax.fields, lax.family, lax.m, lax.n, dimension="2+1")
+    lax21 = replace(lax, dimension="2+1")
     cc = compatibility_condition(lax21)
     return lax21, extract_system(cc, lax21)
 

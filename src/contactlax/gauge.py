@@ -35,7 +35,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, RAT, RATGP, make_ratgp
-from .pfield import PPoly, PRational, collect, p_minus
+from .pfield import PPoly, PRational, collect, pole_sum
 
 PSI_NEW = FieldId("psi_tilde", WAVE)
 Q = FieldId("q", POTENTIAL)
@@ -96,15 +96,6 @@ def constraint_rules() -> dict:
     }
 
 
-def _residue_pole_pairs(lax: LaxPair) -> tuple[tuple, tuple]:
-    """The (residue, pole) fields of F's simple poles and of G's."""
-    vs, ws = lax.pole_fields()
-    return (
-        tuple((FieldId(f"a{v.name[1:]}"), v) for v in vs),
-        tuple((FieldId(f"b{w.name[1:]}"), w) for w in ws),
-    )
-
-
 def _transform_equation(r: PRational, lhs_slot: int, values: dict | None) -> PRational:
     """Push one Lax equation (psi_<slot> = psi_z * r) through the change
     of variables and solve it for the new wave jet; returns the new
@@ -156,7 +147,7 @@ def printed_field_map(lax: LaxPair, values: dict | None = None) -> dict:
     qx = JetQuotient(jet(Q, (1, 0, 0, 0)))
     qz = JetQuotient(jet(Q, (0, 0, 1, 0)))
     out = {}
-    for res, pole in chain(*_residue_pole_pairs(lax)):
+    for res, pole in chain.from_iterable(pairs for _, pairs in lax.pole_data):
         out[res.name] = JetQuotient(jet(res)) * qz * qz
         out[pole.name] = JetQuotient(jet(pole)) - qx / qz
     return {k: substitute(v, values or {}) for k, v in out.items()}
@@ -166,8 +157,8 @@ def solved_field_map(lax: LaxPair, values: dict | None = None) -> dict:
     """Read the map off the engine itself: transform each simple-pole
     term and match it against residue/(p - pole)."""
     out = {}
-    for res, pole in chain(*_residue_pole_pairs(lax)):
-        term = PRational(PPoly([JetQuotient(jet(res))]), p_minus(jet(pole)))
+    for res, pole in chain.from_iterable(pairs for _, pairs in lax.pole_data):
+        term = pole_sum(PPoly(), [(jet(res), jet(pole))])
         num, den = collect(transform_rhs(term, values))
         if den.degree() != 1 or num.degree() > 0:
             raise GaugeError(f"transformed pole term for {pole.name} is not a simple pole")
@@ -175,13 +166,6 @@ def solved_field_map(lax: LaxPair, values: dict | None = None) -> dict:
         out[pole.name] = -(den[0] / lead)
         out[res.name] = num[0] / lead
     return out
-
-
-def _template_from_map(field_map: dict, pairs) -> PRational:
-    total = PRational(PPoly())
-    for res, pole in pairs:
-        total = total + PRational(PPoly([field_map[res.name]]), p_minus(field_map[pole.name]))
-    return total
 
 
 def _residual_witness(*diffs):
@@ -202,9 +186,10 @@ def apply_change_of_variables(lax: LaxPair, pair: tuple, field_map: dict, name: 
     f_new, g_new = pair
     fn, fd = collect(f_new)
     gn, gd = collect(g_new)
-    f_pairs, g_pairs = _residue_pole_pairs(lax)
-    diff_f = f_new - _template_from_map(field_map, f_pairs)
-    diff_g = g_new - _template_from_map(field_map, g_pairs)
+    diff_f, diff_g = (
+        r - pole_sum(PPoly(), [(field_map[res.name], field_map[pole.name]) for res, pole in pairs])
+        for r, (_, pairs) in zip(pair, lax.pole_data)
+    )
     return {
         "map": name,
         "polynomial_part_zero": fn.degree() < fd.degree() and gn.degree() < gd.degree(),

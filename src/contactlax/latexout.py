@@ -88,12 +88,7 @@ def prational_latex(r: PRational, var: str = "p", pf: PartialFractions | None = 
         if not pf.polypart.is_zero():
             parts.append(side(pf.polypart))
         for blk in pf.poles:
-            pole = _symbol(blk.pole.name)
-            for k, res in enumerate(blk.residues):
-                if res.is_zero():
-                    continue
-                den = f"{var}-{pole}" if k == 0 else f"\\left({var}-{pole}\\right)^{{{k + 1}}}"
-                parts.append(f"\\frac{{{quotient_latex(res)}}}{{{den}}}")
+            parts.append(f"\\frac{{{quotient_latex(blk.residue)}}}{{{var}-{_symbol(blk.pole.name)}}}")
         return "+".join(parts) or "0"
     num, den = r.num, r.den
     if den.degree() == 0 and not den.is_zero():

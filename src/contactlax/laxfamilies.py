@@ -10,12 +10,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from .pfield import ParameterError, PartialFractions, PPoly, PRational, p_minus, partial_fraction
+from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, pole_sum
 
 POLY = "poly"
 RAT = "rat"
 RATGP = "ratgp"
 CUSTOM = "custom"
+
+# one side of a rational pair: its constant field (or None) and its
+# (residue field, pole field) pairs
+PoleSide = tuple[FieldId | None, tuple[tuple[FieldId, FieldId], ...]]
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,7 @@ class LaxPair:
     m: int | None = None
     n: int | None = None
     dimension: str = "3+1"  # "2+1" after the planar reduction
+    pole_data: tuple[PoleSide, PoleSide] | None = None  # F's and G's; set by the rational constructors
 
     def __post_init__(self):
         roster = set(self.fields)
@@ -37,19 +42,20 @@ class LaxPair:
 
     def pole_fields(self) -> tuple[tuple[FieldId, ...], tuple[FieldId, ...]]:
         """(poles of F, poles of G); empty outside the rational families."""
-        if self.family not in (RAT, RATGP):
+        if self.pole_data is None:
             return (), ()
-        vs = tuple(f for f in self.fields if f.name.startswith("v"))
-        ws = tuple(f for f in self.fields if f.name.startswith("w"))
-        return vs, ws
+        return tuple(tuple(pole for _, pole in pairs) for _, pairs in self.pole_data)
 
     def partial_fractions(self) -> tuple[PartialFractions | None, PartialFractions | None]:
-        """Views of F and G over pole_fields(); (None, None) outside the
+        """The recorded views of F and G; (None, None) outside the
         rational families."""
-        if self.family not in (RAT, RATGP):
+        if self.pole_data is None:
             return None, None
-        vs, ws = self.pole_fields()
-        return partial_fraction(self.F, vs), partial_fraction(self.G, ws)
+        return tuple(
+            PartialFractions(PPoly([JetQuotient(jet(const))] if const else []),
+                             tuple(PoleBlock(pole, JetQuotient(jet(res))) for res, pole in pairs))
+            for const, pairs in self.pole_data
+        )
 
 
 def _check_params(m: int, n: int):
@@ -82,44 +88,30 @@ def make_poly(m: int, n: int) -> LaxPair:
 def make_rat(m: int, n: int) -> LaxPair:
     """Rational family with no polynomial part: F = sum a_i/(p - v_i),
     G = sum b_j/(p - w_j)."""
-    _check_params(m, n)
-    avs = [_fid("a", i) for i in range(1, m + 1)]
-    vs = [_fid("v", i) for i in range(1, m + 1)]
-    bws = [_fid("b", j) for j in range(1, n + 1)]
-    ws = [_fid("w", j) for j in range(1, n + 1)]
-    F = _sum_of_poles(None, avs, vs)
-    G = _sum_of_poles(None, bws, ws)
-    return LaxPair(F, G, tuple(avs + vs + bws + ws), RAT, m, n)
+    return _make_rational(RAT, m, n)
 
 
 def make_ratgp(m: int, n: int) -> LaxPair:
     """General-position rational family: constant terms a_0, b_0 plus
     simple poles."""
+    return _make_rational(RATGP, m, n)
+
+
+def _make_rational(family: str, m: int, n: int) -> LaxPair:
     _check_params(m, n)
-    a0, b0 = _fid("a", 0), _fid("b", 0)
-    avs = [_fid("a", i) for i in range(1, m + 1)]
-    vs = [_fid("v", i) for i in range(1, m + 1)]
-    bws = [_fid("b", j) for j in range(1, n + 1)]
-    ws = [_fid("w", j) for j in range(1, n + 1)]
-    F = _sum_of_poles(a0, avs, vs)
-    G = _sum_of_poles(b0, bws, ws)
-    roster = (a0, *avs, *vs, b0, *bws, *ws)
-    return LaxPair(F, G, roster, RATGP, m, n)
-
-
-def _sum_of_poles(const_field: FieldId | None, residues, poles) -> PRational:
-    num = PPoly([JetQuotient(jet(const_field))]) if const_field else PPoly()
-    den = PPoly.const(1)
-    for pole in poles:
-        den = den * p_minus(jet(pole))
-    acc = num * den
-    for res, pole in zip(residues, poles):
-        part = PPoly([JetQuotient(jet(res))])
-        for other in poles:
-            if other is not pole:
-                part = part * p_minus(jet(other))
-        acc = acc + part
-    return PRational(acc, den)
+    sides = tuple(
+        (_fid(res, 0) if family == RATGP else None, tuple((_fid(res, i), _fid(pole, i)) for i in range(1, k + 1)))
+        for res, pole, k in (("a", "v", m), ("b", "w", n))
+    )
+    pair, roster = [], []
+    for const, pairs in sides:
+        # jets are interned constant, poles, residues, F before G: the
+        # order of terms in every output follows it
+        polypart = PPoly([JetQuotient(jet(const))] if const else [])
+        pole_jets = [jet(v) for _, v in pairs]
+        pair.append(pole_sum(polypart, [(jet(a), v) for (a, _), v in zip(pairs, pole_jets)]))
+        roster += ([const] if const else []) + [a for a, _ in pairs] + [v for _, v in pairs]
+    return LaxPair(*pair, tuple(roster), family, m, n, pole_data=sides)
 
 
 def make_custom(F: PRational, G: PRational, fields) -> LaxPair:

@@ -200,8 +200,7 @@ def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
 @dataclass(frozen=True)
 class PoleBlock:
     pole: FieldId
-    order: int
-    residues: tuple[JetQuotient, ...]  # residues[k] multiplies 1/(p-pole)^(k+1)
+    residue: JetQuotient  # multiplies 1/(p - pole)
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,14 @@ class PartialFractions:
     poles: tuple[PoleBlock, ...]
 
     def reassemble(self) -> "PRational":
-        total = PRational(self.polypart, PPoly.const(1))
-        for blk in self.poles:
-            lin = p_minus(jet(blk.pole))
-            for k, res in enumerate(blk.residues):
-                if res.is_zero():
-                    continue
-                total = total + PRational(PPoly([res]), lin ** (k + 1))
-        return total
+        return pole_sum(self.polypart, [(blk.residue, jet(blk.pole)) for blk in self.poles])
 
 
 class PRational(Frozen):
     """num/den of PPoly; den nonzero with leading coefficient normalized
-    to 1.  A partial-fraction view is not carried: partial_fraction
-    computes and checks one on demand."""
+    to 1.  A partial-fraction view is not carried: a rational family's
+    pair records its poles (LaxPair.partial_fractions), and
+    partial_fraction computes and checks one for any other function."""
 
     __slots__ = ("num", "den")
 
@@ -366,11 +359,21 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
     return PPoly(num), PPoly(den)
 
 
+def pole_sum(polypart: PPoly, terms) -> PRational:
+    """polypart + sum residue/(p - pole) over the (residue, pole) values
+    of terms, added one simple pole at a time."""
+    total = PRational(polypart)
+    for res, pole in terms:
+        total = total + PRational(PPoly([res]), p_minus(pole))
+    return total
+
+
 def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
     """The partial-fraction view of r over the given simple symbolic poles:
     the residue at a pole P is rem(P)/D'(P), rem the remainder of the
     numerator modulo the denominator D.  The view is checked by exact
-    reassembly."""
+    reassembly.  The engine reads a rational family's view off its pair
+    instead; this computes one for any function (the tests' oracle)."""
     polypart, rem = poly_divmod(r.num, r.den)
     dden = r.den.deriv()
     blocks = []
@@ -379,7 +382,7 @@ def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
         d_at = dden.eval_at(pole_val)
         if d_at.is_zero():
             raise ParameterError(f"{fid.name} is not a simple pole")
-        blocks.append(PoleBlock(fid, 1, (rem.eval_at(pole_val) / d_at,)))
+        blocks.append(PoleBlock(fid, rem.eval_at(pole_val) / d_at))
     pf = PartialFractions(polypart, tuple(blocks))
     if not (pf.reassemble() == r):
         raise ParameterError("partial fractions do not reassemble; pole list incomplete?")

@@ -65,8 +65,8 @@ def _prational_doc(r: PRational, pf: PartialFractions | None = None) -> dict:
             "poles": [
                 {
                     "pole": blk.pole.name,
-                    "order": blk.order,
-                    "residues": [_quotient_doc(res) for res in blk.residues],
+                    "order": 1,
+                    "residues": [_quotient_doc(blk.residue)],
                 }
                 for blk in pf.poles
             ],

@@ -151,8 +151,8 @@ def _prational_oracle(r: PRational, pf: PartialFractions | None = None) -> dict:
             "poles": [
                 {
                     "pole": blk.pole.name,
-                    "order": blk.order,
-                    "residues": [_quotient_oracle(res) for res in blk.residues],
+                    "order": 1,
+                    "residues": [_quotient_oracle(blk.residue)],
                 }
                 for blk in pf.poles
             ],

@@ -267,6 +267,45 @@ def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, m
     assert capsys.readouterr().err.strip() == rep["error"]
 
 
+def test_simulate_planar_system_is_a_parameter_error(tmp_path, capsys):
+    # a reduce21 system has independents (x, y, t): refused before the
+    # evolution transform, with the report written
+    planar = tmp_path / "planar.json"
+    assert main(["reduce21", "--family", "rat", "-m", "1", "-n", "1", "--out-json", str(planar)]) == 0
+    (tmp_path / "init.json").write_text(_rat11_init())
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = main(["simulate", "--system-json", str(planar), "--init", str(tmp_path / "init.json"), "--grid", "8",
+                 "--steps", "2", "--report-json", str(report)])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"] == f"parameter error: {planar} has independents (x, y, t), not (x, y, z, t) or (X, Y, Z, T)"
+    assert capsys.readouterr().err.strip() == rep["error"]
+    assert rep["verdicts"] == {}
+
+
+def test_no_command_computes_a_partial_fraction(tmp_path, monkeypatch, capsys):
+    # the rational pairs record their poles, so partial_fraction is left to
+    # the tests as an oracle
+    def refuse(*_):
+        raise AssertionError("partial_fraction was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "contactlax" and hasattr(module, "partial_fraction"):
+            monkeypatch.setattr(module, "partial_fraction", refuse)
+    compat.derive.cache_clear()
+    for args in (
+        ["derive", "--family", "ratgp", "-m", "2", "-n", "2", "--form", "residues"],
+        ["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", str(tmp_path / "lax.json"),
+         "--latex", str(tmp_path / "lax.tex")],
+        ["reduce21", "--family", "rat", "-m", "2", "-n", "1"],
+        ["verify", "theorem1", "-m", "2", "-n", "1"],
+        ["verify", "rls", "-m", "2", "-n", "1"],
+    ):
+        assert main(args) == 0, args
+    assert "mismatch-reported" in capsys.readouterr().out
+
+
 def _jet_tree(field, d):
     return {"op": "jet", "field": field, "d": d}
 
@@ -523,6 +562,17 @@ _PINNED_OUTPUT = [
       "--latex", "sys.tex"],
      {"sys.json": "9dc2f10260b8e11fb3775c8a40230de5c62ff33bd456d340ac702630f4730a9e",
       "sys.tex": "a27390b5d7f3eda2a5e5460825de4087623e5d7e38e35757004ad525f8068a84"}),
+    (["export", "--family", "rat", "-m", "2", "-n", "2", "--what", "lax", "--out", "lax.json", "--latex", "lax.tex"],
+     {"lax.json": "e3b00a095e98f3d8b41a8bef396c75aa2046e7b7267036370929ae70359fdadb",
+      "lax.tex": "0ecaf30141b589c51da12007661c997c52b34e3a3fb54067d898fbd19cb12bf2"}),
+    (["export", "--family", "ratgp", "-m", "2", "-n", "2", "--what", "lax", "--out", "lax.json", "--latex",
+      "lax.tex"],
+     {"lax.json": "bd4b9de1eabb2f735e80079d9465a52518adf5b58c31817b7af0c1c8d77f2347",
+      "lax.tex": "d5f5ea41aea86284ff9b574173699502c3a04b4b7820afc29d4efb3f61d9b31f"}),
+    (["reduce21", "--family", "rat", "-m", "2", "-n", "1"],
+     {"stdout": "23dc7631af64ea92be958d2ba85a88dc6d1a1def01be8256d983bb1074514dc4"}),
+    (["verify", "theorem1", "-m", "2", "-n", "1"],
+     {"stdout": "96b35a3577d21f8dda06a8e13d4d421539e4378ddd25d7cae4edeb742bb2d9cf"}),
 ]
 
 
@@ -530,7 +580,9 @@ _PINNED_OUTPUT = [
                          ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
                               "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
                               "export-ck-rat-2-1-residues", "derive-ratgp-3-3", "derive-rat-2-2-residues",
-                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex", "derive-ratgp-3-3-residues"])
+                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex", "derive-ratgp-3-3-residues",
+                              "export-lax-rat-2-2", "export-lax-ratgp-2-2", "reduce21-rat-2-1-stdout",
+                              "verify-theorem1-2-1"])
 def test_exact_output_is_pinned(tmp_path, args, digests):
     done = _cli(args, tmp_path)
     assert done.returncode == 0, done.stderr

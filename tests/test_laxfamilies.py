@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactlax.compat import reduce_2plus1
 from contactlax.jetalg import ONE, FieldId, JetQuotient, jet
 from contactlax.laxfamilies import (
     LaxPair,
@@ -76,21 +77,24 @@ def test_roster_size_formulas(m, n):
         assert len(make_family(family, m, n).fields) == expected_roster_size(family, m, n)
 
 
-@pytest.mark.parametrize("family,m,n", [("rat", 1, 1), ("rat", 2, 1), ("ratgp", 1, 2)])
+@pytest.mark.parametrize("family,m,n", [(f, m, n) for f in ("rat", "ratgp") for m in (1, 2, 3) for n in (1, 2, 3)])
 def test_family_pf_views_roundtrip(family, m, n):
+    # the recorded views of the pair and of its planar reduction against
+    # the ones computed from F and G alone
     lax = make_family(family, m, n)
-    vs, ws = lax.pole_fields()
-    views = []
-    for r, res, poles in ((lax.F, "a", vs), (lax.G, "b", ws)):
-        pf = partial_fraction(r, poles)
-        views.append(pf)
-        assert pf.reassemble() == r
-        const = [JetQuotient(jet(FieldId(f"{res}0")))] if family == "ratgp" else []
-        assert pf.polypart == PPoly(const)
-        assert [b.pole for b in pf.poles] == list(poles)
-        for i, b in enumerate(pf.poles, start=1):
-            assert b.order == 1 and b.residues == (JetQuotient(jet(FieldId(f"{res}{i}"))),)
-    assert lax.partial_fractions() == tuple(views)
+    planar, _ = reduce_2plus1(lax)
+    assert planar.dimension == "2+1"
+    for pair in (lax, planar):
+        vs, ws = pair.pole_fields()
+        views = pair.partial_fractions()
+        for r, view, res, poles in ((pair.F, views[0], "a", vs), (pair.G, views[1], "b", ws)):
+            assert view == partial_fraction(r, poles)
+            assert view.reassemble() == r
+            const = [JetQuotient(jet(FieldId(f"{res}0")))] if family == "ratgp" else []
+            assert view.polypart == PPoly(const)
+            assert [b.pole for b in view.poles] == list(poles)
+            for i, b in enumerate(view.poles, start=1):
+                assert b.residue == JetQuotient(jet(FieldId(f"{res}{i}")))
 
 
 def test_custom_validates_roster():
