@@ -1,8 +1,9 @@
 """Compile evolution-form PDE systems to vectorized grid evaluators and
 integrate them at desk scale.
 
-Spatial derivatives are spectral (FFT) or 2nd-order centered differences
-on a periodic unit box; time stepping is fixed-step RK4.  Monitors track
+Spatial derivatives are spectral (one product with the Fourier
+differentiation matrix of an axis) or 2nd-order centered differences on a
+periodic unit box; time stepping is fixed-step RK4.  Monitors track
 the minimum pole distance (the published systems degenerate where pole
 locations collide, so runs abort on proximity), the largest field
 magnitude, and a lagged finite-difference residual of the evolution
@@ -60,18 +61,27 @@ class Grid:
 
 
 @lru_cache(maxsize=16)
-def _rfft_multiplier(n: int, axis: int, h: float) -> np.ndarray:
-    """2 pi i k on the rfft bins of one axis, zero at the Nyquist bin:
-    its derivative is imaginary, so a real result drops it."""
+def _diff_matrix(n: int, h: float) -> np.ndarray:
+    """The n x n Fourier differentiation matrix of a periodic axis of
+    spacing h (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3):
+    2 pi i k on the rfft bins applied to the identity's columns, zero at
+    the Nyquist bin, whose derivative is imaginary."""
     k = np.fft.rfftfreq(n, d=h) * (np.arange(n // 2 + 1) != n / 2)
-    mult = (2j * np.pi * k).reshape([-1 if ax == axis else 1 for ax in range(3)])
-    mult.flags.writeable = False
-    return mult
+    d = np.fft.irfft((2j * np.pi * k)[:, None] * np.fft.rfft(np.eye(n), axis=0), n=n, axis=0)
+    d.flags.writeable = False
+    return d
 
 
 def spectral_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The spectral derivative of a 3-D array along one axis: one matrix
+    product with that axis's differentiation matrix."""
     n = arr.shape[axis]
-    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * _rfft_multiplier(n, axis, h), n=n, axis=axis)
+    d = _diff_matrix(n, h)
+    if axis == 2:
+        return arr @ d.T
+    if axis == 1:
+        return d @ arr
+    return (d @ arr.reshape(n, -1)).reshape(arr.shape)
 
 
 def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -91,12 +101,17 @@ def spatial_jet(arr: np.ndarray, didx: tuple[int, int, int, int], grid: Grid, op
 # -- straight-line code generation ----------------------------------------------
 
 
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+# the names generated code reads, given to it when it is compiled
+_GENERATED_NAMES = {name: getattr(np, name) for name in (*_UFUNCS.values(), "broadcast_shapes", "empty", "positive", "shape")}
+
+
 class _Code:
-    """Straight-line NumPy code, one assignment per operation.  Operands
+    """Straight-line NumPy code, one ufunc call per operation.  Operands
     are (local name or float literal, negated) pairs: negations fold into
     the sums, products and quotients that read them, literal operands
-    fold as the code is generated, each operation is emitted once, and a
-    temporary is deleted after its last use."""
+    fold as the code is generated, and each operation is emitted once."""
 
     def __init__(self, jets):
         self.index = {key: i for i, key in enumerate(jets)}  # jet -> argument j<i>
@@ -145,18 +160,36 @@ class _Code:
         return acc
 
     def function(self, name: str, outputs) -> str:
-        """Source of ``def name(j0, j1, ...)``, returning the outputs."""
+        """Source of ``def name(j0, j1, ...)``, returning the outputs as
+        new arrays (or floats): an input or a repeated output is returned
+        through ``positive``.  Every other temporary is written into a
+        slot s<k>: the slots are allocated once per call at the
+        arguments' broadcast shape, and a slot is reused once the
+        temporary it holds has had its last read."""
         outs = [(self._emit(0.0, "-", a) if isinstance(a, str) else -a) if neg else a for a, neg in outputs]
         last = {v: t for (a, _, b), t in self.ops.items() for v in (a, b) if isinstance(v, str)}
-        text = lambda v: v if isinstance(v, str) else repr(v)  # noqa: E731
-        lines = [f"def {name}({', '.join(f'j{i}' for i in self.index.values())}):"]
-        lines += [f"    # j{i} = {key!r}" for key, i in self.index.items()]
+        local, slots, free = {}, [], []  # temporary -> its slot; all slots; the slots free for reuse
+        text = lambda v: local.get(v, v) if isinstance(v, str) else repr(v)  # noqa: E731
+        body = []
         for (a, o, b), t in self.ops.items():
-            lines.append(f"    {t} = {text(a)} {o} {text(b)}")
-            dead = [v for v in dict.fromkeys((a, b)) if last.get(v) == t and v[0] == "t" and v not in outs]
-            if dead:
-                lines.append(f"    del {', '.join(dead)}")
-        return "\n".join([*lines, f"    return ({''.join(text(o) + ', ' for o in outs)})\n"])
+            call = f"{_UFUNCS[o]}({text(a)}, {text(b)}"
+            free += [local[v] for v in dict.fromkeys((a, b)) if last.get(v) == t and v in local]
+            if t in outs:
+                body.append(f"    {t} = {call})")
+                continue
+            if not free:
+                free.append(f"s{len(slots)}")
+                slots.append(free[-1])
+            local[t] = free.pop()
+            body.append(f"    {call}, out={local[t]})")
+        args = [f"j{i}" for i in self.index.values()]
+        lines = [f"def {name}({', '.join(args)}):", *(f"    # j{i} = {key!r}" for key, i in self.index.items())]
+        if slots:
+            lines.append(f"    size = broadcast_shapes({', '.join(f'shape({j})' for j in args)})")
+            lines += [f"    {v} = empty(size)" for v in slots]
+        rets = [f"positive({o})" if isinstance(o, str) and (o[0] == "j" or o in outs[:i]) else text(o)
+                for i, o in enumerate(outs)]
+        return "\n".join([*lines, *body, f"    return ({''.join(r + ', ' for r in rets)})\n"])
 
 
 # -- the T-jet solve -------------------------------------------------------------
@@ -177,7 +210,7 @@ class CompiledSystem:
 
     def __post_init__(self):
         for name in ("rhs", "residual"):
-            source, namespace = getattr(self, f"{name}_source"), {}
+            source, namespace = getattr(self, f"{name}_source"), dict(_GENERATED_NAMES)
             if source is not None:
                 exec(compile(source, f"<generated {name}>", "exec"), namespace)
             object.__setattr__(self, f"_{name}", namespace.get(name))

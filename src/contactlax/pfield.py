@@ -361,11 +361,15 @@ def collect(r: PRational) -> tuple[PPoly, PPoly]:
 
 def pole_sum(polypart: PPoly, terms) -> PRational:
     """polypart + sum residue/(p - pole) over the (residue, pole) values
-    of terms, added one simple pole at a time."""
-    total = PRational(polypart)
+    of terms, over the product of the poles' linear factors: the poles
+    are distinct, so no factor divides the denominator before it.  A zero
+    residue adds nothing."""
+    num, den = polypart, PPoly.const(1)
     for res, pole in terms:
-        total = total + PRational(PPoly([res]), p_minus(pole))
-    return total
+        res = PPoly([res])
+        if not res.is_zero():
+            num, den = num * p_minus(pole) + res * den, den * p_minus(pole)
+    return PRational(num, den)
 
 
 def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:

@@ -9,6 +9,7 @@ import pytest
 from contactlax.compat import CK_INDEPENDENTS, PDESystem, TransformDegenerateError, ck_transform, derive
 from contactlax.jetalg import FieldId, JetQuotient, JetVariable, jet
 from contactlax.numeric import (
+    SPATIAL_OPS,
     CompileError,
     Grid,
     HarmonicField,
@@ -62,6 +63,41 @@ def test_derivative_operators_on_one_mode():
     fd = fd2_diff(np.broadcast_to(f, (16, 16, 16)).copy(), 0, grid.spacing[0])
     # centered-difference truncation for the 2*pi mode at N=16 is ~0.16
     assert 0.05 < np.max(np.abs(fd - exact)) < 0.3
+
+
+def _fft_diff(arr, axis, h):
+    """The spectral derivative by a real FFT pair along one axis, the
+    Nyquist bin dropped: the oracle of the differentiation matrix."""
+    n = arr.shape[axis]
+    k = np.fft.rfftfreq(n, d=h) * (np.arange(n // 2 + 1) != n / 2)
+    mult = (2j * np.pi * k).reshape([-1 if ax == axis else 1 for ax in range(3)])
+    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult, n=n, axis=axis)
+
+
+@pytest.mark.parametrize("shape", [(16,) * 3, (32,) * 3, (9, 10, 12)])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_spectral_diff_matches_fft_oracle(shape, axis):
+    grid = Grid(shape)
+    arr = np.random.default_rng(sum(shape) + axis).standard_normal(shape)
+    got = spectral_diff(arr, axis, grid.spacing[axis])
+    want = _fft_diff(arr, axis, grid.spacing[axis])
+    assert got.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_integration_matches_fft_oracle_run(cs, monkeypatch):
+    grid = Grid((16, 16, 16))
+    coords = grid.coords()
+    state = {u: SMOOTH_INIT[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+    got = integrate(cs, grid, state, 20, 0.005, monitor_every=10)
+    monkeypatch.setitem(SPATIAL_OPS, "spectral", _fft_diff)
+    want = integrate(cs, grid, state, 20, 0.005, monitor_every=10)
+    for u in cs.unknowns:
+        w = want.snapshots[-1][u]
+        assert np.max(np.abs(got.snapshots[-1][u] - w)) <= 1e-12 * np.max(np.abs(w))
+    for g, w in zip(got.monitors, want.monitors):
+        assert g[:2] == w[:2]
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(g[2:], w[2:]) if not np.isnan(b))
 
 
 def _fraction_solve(mat, rhs):
@@ -145,7 +181,9 @@ def test_generated_code_stays_flat_on_a_long_chain(rng):
     cs = compile_system(sys)
     _assert_matches_exact(sys, cs, rng, points=3)
     body = cs.rhs_source.splitlines()[1:]
-    assert all(re.fullmatch(r"    (# .*|t\d+ = \S+ [-+*/] \S+|del [t\d, ]+|return \(.*\))", line) for line in body)
+    ufunc = r"(add|subtract|multiply|divide)\([^(), ]+, [^(), ]+"
+    assert all(re.fullmatch(rf"    (# .*|size = broadcast_shapes\((shape\(j\d+\)(, )?)+\)|s\d+ = empty\(size\)"
+                            rf"|{ufunc}, out=s\d+\)|t\d+ = {ufunc}\)|return \(.*\))", line) for line in body)
 
 
 def test_compiled_system_pickles_by_source(cs):
@@ -153,6 +191,48 @@ def test_compiled_system_pickles_by_source(cs):
     assert back == cs
     jets = {key: 0.5 + i for i, key in enumerate(cs.required_jets)}
     assert back.rhs_from_jets(jets) == cs.rhs_from_jets(jets)
+
+
+def _aliasing_system():
+    """u_T = u_X and w_T = u_X: two outputs that are the same input jet;
+    p_T = q_T = p p_X: two outputs that are the same temporary."""
+    u, w, p, q = (FieldId(n) for n in "uwpq")
+    rhs = {u: jet(u, (1, 0, 0, 0)), w: jet(u, (1, 0, 0, 0)), p: jet(p) * jet(p, (1, 0, 0, 0)),
+           q: jet(p) * jet(p, (1, 0, 0, 0))}
+    return PDESystem(tuple(rhs), CK_INDEPENDENTS, tuple(JetQuotient(jet(f, (0, 0, 0, 1)) - r) for f, r in rhs.items()), {})
+
+
+def _generated_functions(cs):
+    yield cs._rhs, len(cs.required_jets)
+    if cs.residual_source is not None:
+        yield cs._residual, len(cs.residual_jets)
+
+
+@pytest.mark.parametrize("system", ["rat11", "aliasing"])
+def test_generated_functions_keep_their_contract(system, cs):
+    # integrate's window holds states by reference: the generated rhs and
+    # residual must not write into their arguments, and what they return
+    # must be new memory on every call
+    if system == "aliasing":
+        cs = compile_system(_aliasing_system())
+    gen = np.random.default_rng(3)
+    for fn, k in _generated_functions(cs):
+        args = [1.5 + 0.1 * gen.standard_normal((8, 8, 8)) for _ in range(k)]
+        for a in args:
+            a.flags.writeable = False
+        before = [a.copy() for a in args]
+        first, second = fn(*args), fn(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        outs = [*first, *second]
+        assert all(np.shape(o) == (8, 8, 8) for o in outs)
+        for i, o in enumerate(outs):
+            assert not any(np.shares_memory(o, x) for x in [*args, *outs[i + 1:]])
+        # Python floats, and arguments of shapes that broadcast to the grid
+        assert [float(o) for o in fn(*(float(a[1, 2, 3]) for a in args))] == [o[1, 2, 3] for o in first]
+        parts = [a[:, :1, :1] if i % 3 == 0 else a[:1, :, :1] if i % 3 == 1 else float(a[0, 0, 0])
+                 for i, a in enumerate(args)]
+        full = fn(*(np.broadcast_to(x, (8, 8, 8)).copy() for x in parts))
+        assert all(np.array_equal(np.broadcast_to(g, (8, 8, 8)), w) for g, w in zip(fn(*parts), full))
 
 
 def _t_rows_system(t_rows):
