@@ -26,7 +26,8 @@ def table(families, form):
 def main():
     table(("poly", "rat", "ratgp"), "coefficients")
     print()
-    # the compatibility conditions are cached, so these time the residues alone
+    # the residue form never builds the compatibility condition: these time
+    # the Laurent coefficients, their reduction and the spot check
     table(("rat", "ratgp"), "residues")
 
 

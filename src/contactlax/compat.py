@@ -33,10 +33,10 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .jetalg import (
-    INDEPENDENT,
     PRIME,
     WAVE,
     ZERO,
+    ZERO_INDEX,
     DiffPoly,
     FieldId,
     JetQuotient,
@@ -64,6 +64,7 @@ PSI = FieldId("psi", WAVE)
 
 XYZT = ("x", "y", "z", "t")
 XYT = ("x", "y", "t")
+_UNIT = {s: tuple(int(i == k) for i in range(4)) for k, s in enumerate(XYZT)}  # first-order multi-indices
 CK_INDEPENDENTS = ("X", "Y", "Z", "T")
 CK_SEED = 20240211  # the seed of the T-solvability witness point
 
@@ -190,6 +191,32 @@ def cc_bracket_path(lax: LaxPair) -> PRational:
     return cc
 
 
+def bracket_mod(lax: LaxPair, pt: dict, pval: int) -> int:
+    """The bracket of cc_bracket_path in GF(PRIME) at a point mapping
+    JetVariable -> int and p = pval, off every pole.  Each side
+    c + sum a/(p - v) is read from lax.pole_data, its value, p-derivative
+    and coefficient derivatives c_s + sum (a_s + a v_s/(p - v))/(p - v)
+    formed at the point.  A planar pair has no z-terms."""
+    dirs = XYT if lax.dimension == "2+1" else XYZT
+    sides = []
+    for const, pairs in lax.pole_data:
+        # the value, d/dp (None: the constant has none), then the
+        # coefficient derivative along each of dirs
+        acc = [pt[JetVariable(const, d)] if const and d else 0 for d in (ZERO_INDEX, None, *map(_UNIT.get, dirs))]
+        for res, pole in pairs:
+            a, inv = pt[JetVariable(res)], pow(pval - pt[JetVariable(pole)], -1, PRIME)
+            acc[0] += a * inv
+            acc[1] -= a * inv * inv
+            for k, s in enumerate(dirs, 2):
+                acc[k] += (pt[JetVariable(res, _UNIT[s])] + a * pt[JetVariable(pole, _UNIT[s])] * inv) * inv
+        sides.append(dict(zip(("", "p", *dirs), acc)))
+    f, g = sides
+    out = f["t"] - g["y"] + f["p"] * g["x"] - g["p"] * f["x"]
+    if lax.dimension != "2+1":
+        out += (f[""] - pval * f["p"]) * g["z"] - (g[""] - pval * g["p"]) * f["z"]
+    return out % PRIME
+
+
 def compatibility_condition(lax: LaxPair) -> PRational:
     """Derive the compatibility condition as a rational function of p,
     running both paths and insisting on exact agreement; returns the
@@ -288,11 +315,6 @@ def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
     return JetQuotient(num, den)
 
 
-def _check_residue_family(lax: LaxPair) -> None:
-    if lax.family not in (RAT, RATGP):
-        raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
-
-
 def _laurent_coefficients(view: PartialFractions, other: PRational, direction: str, planar: bool):
     """The order-2 and order-1 Laurent coefficients of the bracket
     F_t - G_y + F_p G_x - G_p F_x + (F - p F_p) G_z - (G - p G_p) F_z at
@@ -318,15 +340,16 @@ def _laurent_coefficients(view: PartialFractions, other: PRational, direction: s
         yield blk.pole, tuple(r.num.eval_at(pole) / r.den.eval_at(pole) for r in (order1, order2))
 
 
-def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
-    """The same compatibility content organized the way the published
-    rational-family system is: order-2 then order-1 residue equations at
-    each pole (and the p->infinity constant first, when nonzero).  They
-    are read off the pair's own simple poles: the bracket is antisymmetric
-    under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
-    with F and y, negated.  The rows they make are checked against cc at
-    random points of GF(PRIME)."""
-    _check_residue_family(lax)
+def residue_system(lax: LaxPair) -> PDESystem:
+    """A rational pair's compatibility content organized the way the
+    published system is: order-2 then order-1 residue equations at each
+    pole (and the p->infinity constant first, when nonzero), read off the
+    pair's own simple poles.  The bracket is antisymmetric under F <-> G,
+    y <-> t, so a pole of G takes the formula of a pole of F with F and y,
+    negated.  The compatibility condition is never formed: the rows are
+    checked against bracket_mod at random points of GF(PRIME)."""
+    if lax.family not in (RAT, RATGP):
+        raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
     pf_f, pf_g = lax.partial_fractions()
     planar = lax.dimension == "2+1"
     coeffs = list(_laurent_coefficients(pf_f, lax.G, "t", planar))
@@ -338,7 +361,7 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
         const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
     diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for([f for f, _ in coeffs])]
     rows = [(f, tuple(_reduce_known_factors(r, diffs) for r in res)) for f, res in coeffs]
-    _residue_spot_check(const, rows, cc)
+    _residue_spot_check(const, rows, lax)
     eqs, labels = ([const], ["constant"]) if not const.is_zero() else ([], [])
     for order in (2, 1):
         for f, res in rows:
@@ -347,28 +370,24 @@ def residue_system(cc: PRational, lax: LaxPair) -> PDESystem:
     return _system(lax, eqs, path="residues", labels=tuple(labels))
 
 
-# the formal p as one more coordinate of a sample point
-_P = JetVariable(FieldId("p", INDEPENDENT))
-
-
-def _residue_spot_check(const: JetQuotient, rows, cc: PRational):
+def _residue_spot_check(const: JetQuotient, rows, lax: LaxPair):
     """Compare const + sum res[k]/(p - pole)^(k+1) over the rows
-    (pole, res) with the compatibility condition at five random points of
-    GF(PRIME), evaluated together; the value of p is one more coordinate,
-    kept off every pole.  A mismatch is an engine bug."""
+    (pole, res), evaluated at five random points of GF(PRIME) together,
+    with bracket_mod there.  The value of p is drawn after each point,
+    again while it hits a pole.  A mismatch is an engine bug."""
     rng = random.Random(60170)
-    jvs = {_P}
-    for c in cc.num.coeffs + cc.den.coeffs:
-        jvs.update(c.jet_variables())
+    # the rows are polynomials in the jets the bracket reads
+    jvs = {JetVariable(f, d) for f in lax.fields for d in (ZERO_INDEX, *_UNIT.values())}
     pole_jets = [JetVariable(f) for f, _ in rows]
-    jvs.update(pole_jets)
-    for _, res in rows:
-        for r in res:
-            jvs.update(r.jet_variables())
-    pairs = pole_pairs_for([f for f, _ in rows]) + [(_P, pj) for pj in pole_jets]
-    pts = [random_point(jvs, rng, pole_pairs=pairs) for _ in range(5)]
-    pvals = [pt[_P] for pt in pts]
-    lhs = cc.eval_mod(pvals, pts)
+    pairs = pole_pairs_for([f for f, _ in rows])
+    pts, pvals = [], []
+    for _ in range(5):
+        pts.append(random_point(jvs, rng, pole_pairs=pairs))
+        pval = rng.randrange(PRIME)
+        while any(pval == pts[-1][pj] for pj in pole_jets):
+            pval = rng.randrange(PRIME)
+        pvals.append(pval)
+    lhs = [bracket_mod(lax, pt, pval) for pt, pval in zip(pts, pvals)]
     rhs = evaluate_mod_points(const, pts)
     for (_, res), pj in zip(rows, pole_jets):
         invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
@@ -377,7 +396,7 @@ def _residue_spot_check(const: JetQuotient, rows, cc: PRational):
                 vals = evaluate_mod_points(r, pts)
                 rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
     if any(a != b % PRIME for a, b in zip(lhs, rhs)):
-        raise DerivationError("the residue equations fail the random-point check against the compatibility condition")
+        raise DerivationError("the residue equations fail the random-point check against the bracket of F and G")
 
 
 @lru_cache(maxsize=None)
@@ -389,11 +408,8 @@ def family_cc(family: str, m: int, n: int) -> PRational:
 def derive(family: str, m: int, n: int, form: str = "coefficients") -> PDESystem:
     lax = make_family(family, m, n)
     if form == "residues":
-        _check_residue_family(lax)  # before the compatibility condition is derived
-    cc = family_cc(family, m, n)
-    if form == "residues":
-        return residue_system(cc, lax)
-    return extract_system(cc, lax)
+        return residue_system(lax)
+    return extract_system(family_cc(family, m, n), lax)
 
 
 # -- evolution-form change of independents --------------------------------------
@@ -584,7 +600,10 @@ def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, p
     c2 = q_printed.num * q_derived.den
     p1 = primitive(c1)[0] if not c1.is_zero() else c1
     p2 = primitive(c2)[0] if not c2.is_zero() else c2
-    diff = p1 - p2
+    # primitive signs each side by its own leading term, so a mismatch
+    # term that leads one side flips it: itemize the shorter of p1 -+ p2
+    # (two sign-normalized primitives are never negatives of each other)
+    diff = min(p1 - p2, p1 + p2, key=lambda d: len(d.terms))
     matched = diff.is_zero()
     jvs = set(p1.jet_variables()) | set(p2.jet_variables())
     eval_matched = True

@@ -31,7 +31,6 @@ ZERO_INDEX = (0, 0, 0, 0)
 FIELD = "field"
 POTENTIAL = "potential"
 WAVE = "wave-function"
-INDEPENDENT = "independent"
 
 
 class StructureError(ValueError):

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .jetalg import (
     ONE,
-    PRIME,
     ZERO,
     DiffPoly,
     FieldId,
@@ -20,7 +19,6 @@ from .jetalg import (
     PoleError,
     StructureError,
     divide_exact,
-    evaluate_mod_points,
     jet,
     monomial_gcd,
     quotient_rule,
@@ -141,15 +139,6 @@ class PPoly(Frozen):
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    def eval_mod(self, pvals: list[int], points: list[dict]) -> list[int]:
-        """Horner evaluation in GF(PRIME) at each point, p taking the value
-        of the same place in pvals (see jetalg.evaluate_mod_points)."""
-        accs = [0] * len(points)
-        for c in reversed(self.coeffs):
-            vals = evaluate_mod_points(c, points)
-            accs = [(acc * pval + v) % PRIME for acc, pval, v in zip(accs, pvals, vals)]
-        return accs
 
     def map_coeffs(self, fn) -> "PPoly":
         return PPoly([fn(c) for c in self.coeffs])
@@ -306,13 +295,6 @@ class PRational(Frozen):
     def pdiff(self) -> "PRational":
         """Formal d/dp by the quotient rule."""
         return quotient_rule(PRational, self.num, self.den, self.num.deriv(), self.den.deriv())
-
-    def eval_mod(self, pvals: list[int], points: list[dict]) -> list[int]:
-        """The values in GF(PRIME) at each point (see PPoly.eval_mod)."""
-        dens = self.den.eval_mod(pvals, points)
-        if 0 in dens:
-            raise PoleError("p-denominator vanishes mod p")
-        return [n * pow(d, -1, PRIME) % PRIME for n, d in zip(self.num.eval_mod(pvals, points), dens)]
 
     def field_ids(self) -> set[FieldId]:
         out = set()

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys as _sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from contactlax.compat import (
     Determinedness,
     TransformDegenerateError,
     PDESystem,
+    bracket_mod,
     cc_bracket_path,
     cc_substitution_path,
     ck_transform,
@@ -37,7 +39,7 @@ from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, Str
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate, residue_oracle
+from conftest import evaluate, random_rational, rational_point, residue_oracle
 
 
 def test_cc_single_field_no_p():
@@ -136,11 +138,42 @@ def test_residue_system_matches_the_global_partial_fraction(family, m, n, dimens
     # the planar bracket has no z-terms, and the formulas drop them too
     lax = replace(make_family(family, m, n), dimension=dimension)
     cc = compatibility_condition(lax)
-    rs = compat.residue_system(cc, lax)
+    rs = compat.residue_system(lax)
     want = residue_oracle(cc, lax)
     assert rs.provenance["labels"] == tuple(label for label, _ in want)
     for eq, (label, w) in zip(rs.equations, want):
         assert dict(eq.num.terms) == dict(w.num.terms) and dict(eq.den.terms) == dict(w.den.terms), label
+
+
+@pytest.mark.parametrize("dimension", ["3+1", "2+1"])
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_bracket_mod_matches_the_exact_bracket(rng, family, m, n, dimension):
+    # exact evaluation of cc_bracket_path at small rational points, then
+    # reduction mod PRIME, a ring map that commutes with evaluation
+    lax = replace(make_family(family, m, n), dimension=dimension)
+    cc = cc_bracket_path(lax)
+    units = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    jvs = {JetVariable(f, d) for f in lax.fields for d in units}
+    vs, ws = lax.pole_fields()
+    poles = [JetVariable(f) for f in (*vs, *ws)]
+
+    def mod(r: Fraction) -> int:
+        return r.numerator * pow(r.denominator, -1, PRIME) % PRIME
+
+    def horner(pp: PPoly, pt, pval) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(pp.coeffs):
+            acc = acc * pval + evaluate(c, pt)
+        return acc
+
+    for _ in range(3):
+        pt = rational_point(jvs, rng, pole_pairs=pole_pairs_for((*vs, *ws)))
+        pval = random_rational(rng)
+        while any(abs(pval - pt[v]) < Fraction(1, 10) for v in poles):
+            pval = random_rational(rng)
+        want = horner(cc.num, pt, pval) / horner(cc.den, pt, pval)
+        assert bracket_mod(lax, {jv: mod(x) for jv, x in pt.items()}, mod(pval)) == mod(want)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["F-pole", "G-pole"])
@@ -465,9 +498,9 @@ def test_match_printed_system_2_1():
     assert mismatched == ["(w1)_y"]
 
 
-def _rls_comparison(q_derived, q_printed):
-    # the comparison `verify rls` runs, at the rat (1,1) pole pairs
-    vs, ws = make_family("rat", 1, 1).pole_fields()
+def _rls_comparison(q_derived, q_printed, m=1, n=1):
+    # the comparison `verify rls` runs, at the rat (m, n) pole pairs
+    vs, ws = make_family("rat", m, n).pole_fields()
     return _compare_as_equations(q_derived, q_printed, random.Random(1189), pole_pairs_for((*vs, *ws)))
 
 
@@ -477,29 +510,74 @@ def test_self_comparison_matches():
         assert _rls_comparison(eq, eq) == (True, True, ())
 
 
-def test_corrected_line2_matches_derivation():
-    # the printed (w_j)_y line with v_j replaced by w_j agrees with the
-    # machine residue, confirming the index typo
+def _check_corrected_line2(m):
+    # the printed (w1)_y line of rat (m, 1) with v_j replaced by w1 in each
+    # pole's term agrees with the machine residue, confirming the index typo
     from contactlax.jetalg import total_derivative_q
 
-    rs = derive("rat", 1, 1, form="residues")
+    rs = derive("rat", m, 1, form="residues")
     derived = dict(zip(rs.provenance["labels"], rs.equations))["w1:2"]
-    a1, v1, b1, w1 = (jet(FieldId(nm)) for nm in ("a1", "v1", "b1", "w1"))
-    wv = w1 - v1
-    corrected = (
-        JetQuotient(jet(FieldId("w1"), (0, 1, 0, 0)))
-        - (
-            total_derivative_q(JetQuotient(a1, wv), "x")
-            - total_derivative_q(JetQuotient(a1 * w1, wv), "z")
-            + JetQuotient(2 * a1 * jet(FieldId("w1"), (0, 0, 1, 0)), wv)
+    w1, w1_z = jet(FieldId("w1")), jet(FieldId("w1"), (0, 0, 1, 0))
+    corrected = JetQuotient(jet(FieldId("w1"), (0, 1, 0, 0)))
+    for k in range(1, m + 1):
+        a, wv = jet(FieldId(f"a{k}")), w1 - jet(FieldId(f"v{k}"))
+        corrected = corrected - (
+            total_derivative_q(JetQuotient(a, wv), "x")
+            - total_derivative_q(JetQuotient(a * w1, wv), "z")
+            + JetQuotient(2 * a * w1_z, wv)
         )
-    )
-    matched, eval_matched, diff_terms = _rls_comparison(derived, corrected)
+    matched, eval_matched, diff_terms = _rls_comparison(derived, corrected, m, 1)
     assert matched and eval_matched and diff_terms == ()
-    # one extra a1_z/(w1 - v1) term: both verdicts see the difference
-    perturbed = corrected + JetQuotient(jet(FieldId("a1"), (0, 0, 1, 0)), wv)
-    matched, eval_matched, diff_terms = _rls_comparison(derived, perturbed)
+    # one extra a_m_z/(w1 - v_m) term: both verdicts see the difference
+    perturbed = corrected + JetQuotient(jet(FieldId(f"a{m}"), (0, 0, 1, 0)), w1 - jet(FieldId(f"v{m}")))
+    matched, eval_matched, diff_terms = _rls_comparison(derived, perturbed, m, 1)
     assert not matched and not eval_matched and diff_terms
+
+
+def test_corrected_line2_matches_derivation():
+    _check_corrected_line2(1)
+
+
+def test_corrected_line2_matches_derivation_2_1():
+    _check_corrected_line2(2)
+
+
+def test_rls_itemization_does_not_depend_on_interning_order():
+    # The residue path interns its jets in another order than the
+    # compatibility condition does: building the condition first must not
+    # change a byte.  Jets interned in reverse canonical order still
+    # reorder the printed factors and terms and may flip the overall sign
+    # (the term order follows jet ids), but itemize the same terms.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compat.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    units = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)]
+    preludes = (
+        "",
+        "from contactlax.compat import family_cc\nfamily_cc('rat', 2, 1)\n",
+        "from contactlax.jetalg import FieldId, jet\n"
+        f"for name in {['w1', 'b1', 'v2', 'v1', 'a2', 'a1']!r}:\n"
+        f"    for d in {units!r}:\n"
+        "        jet(FieldId(name), d)\n",
+    )
+    run = "from contactlax.cli import main\nmain(['verify', 'rls', '-m', '2', '-n', '1', '--diff'])\n"
+    plain, cc_first, reverse = (
+        subprocess.run([_sys.executable, "-c", pre + run], capture_output=True, text=True, env=env, timeout=120,
+                       check=True).stdout
+        for pre in preludes
+    )
+    assert cc_first == plain
+    assert "line (w1)_y: mismatch (161 differing terms)" in plain
+
+    def itemized(out, sign=1):
+        terms = Counter()
+        for line in out.splitlines():
+            if line.startswith("  (w1)_y diff term: "):
+                c, _, factors = line.split(": ", 1)[1].partition(" * ")
+                terms[sign * Fraction(c), tuple(sorted(factors.strip("{}").split(", ")))] += 1
+        return terms
+
+    assert len(itemized(plain)) == 161
+    assert itemized(reverse) in (itemized(plain), itemized(plain, -1))
 
 
 @pytest.mark.parametrize("leaf", [

@@ -153,6 +153,24 @@ def test_poly_residue_form_is_a_parameter_error(tmp_path, monkeypatch, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["derive", "--family", "ratgp", "-m", "2", "-n", "1", "--form", "residues"],
+    ["ck", "--family", "rat", "-m", "2", "-n", "1", "--form", "residues"],
+    ["export", "--family", "rat", "-m", "1", "-n", "2", "--what", "ck", "--form", "residues", "--out", "OUT"],
+    ["simulate", "--family", "rat", "-m", "1", "-n", "1", "--grid", "8", "--steps", "2", "--init", "INIT"],
+], ids=["derive", "ck", "export-ck", "simulate"])
+def test_residue_form_never_builds_the_compatibility_condition(tmp_path, monkeypatch, args):
+    def no_cc(*_):
+        raise AssertionError("the compatibility condition was derived")
+
+    monkeypatch.setattr(compat, "family_cc", no_cc)
+    monkeypatch.setattr(compat, "compatibility_condition", no_cc)
+    compat.derive.cache_clear()
+    (tmp_path / "init.json").write_text(_rat11_init())
+    subst = {"OUT": str(tmp_path / "out.json"), "INIT": str(tmp_path / "init.json")}
+    assert main([subst.get(a, a) for a in args]) == 0
+
+
 def test_report_json_written_on_handled_errors(tmp_path, capsys):
     report = tmp_path / "rls.json"
     code = main(["verify", "rls", "-m", "2", "-n", "2", "--report-json", str(report)])
@@ -539,7 +557,7 @@ _PINNED_OUTPUT = [
     (["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", "sys.json"],
      {"sys.json": "993f962b3dcca1093091d6798131c0926144b5d80afb60934d2971e9b25ce7c3"}),
     (["verify", "rls", "-m", "2", "-n", "1", "--diff"],
-     {"stdout": "d1ef8a3cea3a55e015249a2cc6f9b9232ab81381f3d5df73863c88881d6ee7ec"}),
+     {"stdout": "a9d48b62e8e10b7ee863c01280f02df036806a02360a2380a8c9a80ff98ca3e2"}),
     (["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", "lax.json"],
      {"lax.json": "ae26af6bbd2d8beed78efb7b2f033c2808099a52e120445bccec2aff556c41ae"}),
     (["derive", "--family", "rat", "-m", "3", "-n", "3", "--out-json", "sys.json"],
