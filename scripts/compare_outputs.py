@@ -4,9 +4,11 @@ Runs a fixed list of CLI commands against each tree, every command in a
 fresh process with PYTHONHASHSEED=0 inside its own empty directory, and
 compares exit codes, stdout, stderr and every file written, byte for
 byte.  The list covers the residue form of both rational families at
-m, n <= 3 (derive, ck, export --what ck), the coefficient-form derive
-table, the verifications, the planar reduction, pair export, the
-simulate runs of the CI workflow and one command per exit code.
+m, n <= 3 (derive, ck, export --what ck) and their derive at (4, 4), the
+coefficient-form derive table, the verifications, the planar reduction,
+pair export, the simulate runs of the CI workflow and one command per
+exit code.  The commands run concurrently, one subprocess per CPU, and
+are reported in list order.
 
     git archive <commit> | tar -x -C /tmp/base
     PYTHONPATH=src python scripts/compare_outputs.py /tmp/base/src [--head src] [--only derive]
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +50,9 @@ def commands() -> list[list[list[str]]]:
                 [["ck", *size, "--form", "residues", "--out-json", "ck.json", "--latex", "ck.tex"]],
                 [["export", *size, "--what", "ck", "--form", "residues", "--out", "ck.json", "--latex", "ck.tex"]],
             ]
+        # four summands per row: where summation order matters most
+        out.append([["derive", "--family", fam, "-m", "4", "-n", "4", "--form", "residues", "--out-json", "sys.json",
+                     "--latex", "sys.tex"]])
     for fam in ("poly", "rat", "ratgp"):
         for m, n in SIZES:
             size = ["--family", fam, "-m", str(m), "-n", str(n)]
@@ -100,17 +106,21 @@ def main() -> int:
     ap.add_argument("--only", help="run only the commands whose text contains this")
     args = ap.parse_args()
     cmds = [c for c in commands() if not args.only or args.only in " ".join(map(" ".join, c))]
-    differing = 0
-    for steps in cmds:
+
+    def differing_keys(steps) -> list[str]:
         outcomes = []
         for src in (args.base, args.head):
             with tempfile.TemporaryDirectory() as tmp:
                 outcomes.append(run(src.resolve(), steps, Path(tmp)))
         base, head = outcomes
-        keys = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
-        if keys:
-            differing += 1
-            print(f"DIFF {' && '.join(map(' '.join, steps))}: {', '.join(keys)}", flush=True)
+        return sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+
+    differing = 0
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for steps, keys in zip(cmds, pool.map(differing_keys, cmds)):
+            if keys:
+                differing += 1
+                print(f"DIFF {' && '.join(map(' '.join, steps))}: {', '.join(keys)}", flush=True)
     print(f"{len(cmds) - differing} of {len(cmds)} commands byte-identical")
     return 1 if differing else 0
 

@@ -48,6 +48,7 @@ from .jetalg import (
     evaluate_mod,
     evaluate_mod_points,
     jet,
+    jet_sort_key,
     jets_of_field,
     map_jets,
     primitive,
@@ -57,7 +58,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError, PartialFractions, PPoly, PRational, collect
+from .pfield import ParameterError, PPoly, PRational, collect, pole_sum
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -315,29 +316,41 @@ def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
     return JetQuotient(num, den)
 
 
-def _laurent_coefficients(view: PartialFractions, other: PRational, direction: str, planar: bool):
-    """The order-2 and order-1 Laurent coefficients of the bracket
-    F_t - G_y + F_p G_x - G_p F_x + (F - p F_p) G_z - (G - p G_p) F_z at
-    each simple pole P, residue A, of F (view), G = other being regular
-    there; direction is t.  With H = G - p G_p and ' = d/dp they are
-      A P_t - A G_x - A P_x G_p + P A G_z - A P_z H,
-      A_t - A G_x' - A_x G_p - A P_x G_p' + P A G_z' + 2 A G_z - A_z H - A P_z H'.
-    Each is one rational function of p, evaluated once at p = P.  Yields
-    (pole field, (order-1, order-2 coefficient))."""
-    gx, gp = _coeff_derivative(other, "x"), other.pdiff()
-    if planar:  # the planar bracket has no z-terms
-        gz = h = PRational(PPoly())
-    else:
-        gz, h = _coeff_derivative(other, "z"), other - PRational.p() * gp
-    gx1, gp1, gz1, h1 = gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff()
-    for blk in view.poles:
-        a, pole = blk.residue, JetQuotient(jet(blk.pole))
-        a_t, a_x, a_z = (total_derivative_q(a, s) for s in (direction, "x", "z"))
-        p_t, p_x, p_z = (total_derivative_q(pole, s) for s in (direction, "x", "z"))
-        order2 = a * p_t - a * gx - a * p_x * gp + pole * a * gz - a * p_z * h
-        order1 = (a_t - a * gx1 - a_x * gp - a * p_x * gp1 + pole * a * gz1 + 2 * a * gz
-                  - a_z * h - a * p_z * h1)
-        yield blk.pole, tuple(r.num.eval_at(pole) / r.den.eval_at(pole) for r in (order1, order2))
+def _laurent_coefficients(a: JetQuotient, pole: JetQuotient, fns) -> tuple[JetQuotient, JetQuotient]:
+    """The parts linear in one summand G of the other side, regular there,
+    of the order-1 and order-2 Laurent coefficients of the bracket
+    F_t - G_y + F_p G_x - G_p F_x + (F - p F_p) G_z - (G - p G_p) F_z at a
+    simple pole P, residue A, of F.  With fns = G_x, G_p, G_z, H = G - p G_p
+    and their d/dp ('), they are the rational functions of p
+      -A G_x' - A_x G_p - A P_x G_p' + P A G_z' + 2 A G_z - A_z H - A P_z H',
+      -A G_x - A P_x G_p + P A G_z - A P_z H, each evaluated once at p = P."""
+    gx, gp, gz, h, gx1, gp1, gz1, h1 = fns
+    a_x, a_z, p_x, p_z = (total_derivative_q(e, s) for e in (a, pole) for s in ("x", "z"))
+    order1 = -a * gx1 - a_x * gp - a * p_x * gp1 + pole * a * gz1 + 2 * a * gz - a_z * h - a * p_z * h1
+    order2 = -a * gx - a * p_x * gp + pole * a * gz - a * p_z * h
+    return tuple(r.num.eval_at(pole) / r.den.eval_at(pole) for r in (order1, order2))
+
+
+def _pole_rows(side, other, direction: str, planar: bool):
+    """(pole field, (order-1, order-2 coefficient)) at each pole of a side
+    (const, ((residue, pole), ...)) of lax.pole_data: the G-free part A_t,
+    A P_t (direction t) plus one term per summand of the other side (its
+    constant, each residue/(p - pole)); the planar bracket has no z-terms."""
+    const, pairs = other
+    summands = [PRational.const(jet(c)) for c in [const] if c]
+    summands += [pole_sum(PPoly(), [(jet(b), jet(w))]) for b, w in pairs]
+    fns = []
+    for g in summands:
+        gx, gp = _coeff_derivative(g, "x"), g.pdiff()
+        gz, h = (PRational(PPoly()),) * 2 if planar else (_coeff_derivative(g, "z"), g - PRational.p() * gp)
+        fns.append((gx, gp, gz, h, gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff()))
+    for res, pole in side[1]:
+        a, v = JetQuotient(jet(res)), JetQuotient(jet(pole))
+        order1, order2 = total_derivative_q(a, direction), a * total_derivative_q(v, direction)
+        for fn in fns:
+            k1, k2 = _laurent_coefficients(a, v, fn)
+            order1, order2 = order1 + k1, order2 + k2
+        yield pole, (order1, order2)
 
 
 def residue_system(lax: LaxPair) -> PDESystem:
@@ -350,12 +363,12 @@ def residue_system(lax: LaxPair) -> PDESystem:
     checked against bracket_mod at random points of GF(PRIME)."""
     if lax.family not in (RAT, RATGP):
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
-    pf_f, pf_g = lax.partial_fractions()
+    side_f, side_g = lax.pole_data
     planar = lax.dimension == "2+1"
-    coeffs = list(_laurent_coefficients(pf_f, lax.G, "t", planar))
-    coeffs += [(f, tuple(-r for r in res)) for f, res in _laurent_coefficients(pf_g, lax.F, "y", planar)]
-    # the polynomial parts have degree <= 0, so only a0_t - b0_y + a0 b0_z - b0 a0_z survives
-    a0, b0 = pf_f.polypart[0], pf_g.polypart[0]
+    coeffs = list(_pole_rows(side_f, side_g, "t", planar))
+    coeffs += [(f, tuple(-r for r in res)) for f, res in _pole_rows(side_g, side_f, "y", planar)]
+    # only the constants a0, b0 are regular at p = oo: a0_t - b0_y + a0 b0_z - b0 a0_z survives
+    a0, b0 = (JetQuotient(jet(c)) if c else JetQuotient(ZERO) for c, _ in lax.pole_data)
     const = total_derivative_q(a0, "t") - total_derivative_q(b0, "y")
     if not planar:
         const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
@@ -602,8 +615,11 @@ def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, p
     p2 = primitive(c2)[0] if not c2.is_zero() else c2
     # primitive signs each side by its own leading term, so a mismatch
     # term that leads one side flips it: itemize the shorter of p1 -+ p2
-    # (two sign-normalized primitives are never negatives of each other)
+    # (two sign-normalized primitives are never negatives of each other),
+    # signed by its term of least factor list in jet_sort_key order, not by jet ids
     diff = min(p1 - p2, p1 + p2, key=lambda d: len(d.terms))
+    first = min(diff.monomials(), key=lambda t: sorted((jet_sort_key(jv), k) for jv, k in t[1]), default=(1,))
+    diff = -diff if first[0] < 0 else diff
     matched = diff.is_zero()
     jvs = set(p1.jet_variables()) | set(p2.jet_variables())
     eval_matched = True

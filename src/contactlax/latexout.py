@@ -6,9 +6,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .compat import CK_INDEPENDENTS, XYZT, PDESystem
-from .jetalg import ONE, DiffPoly, JetQuotient, JetVariable
-from .laxfamilies import LaxPair
-from .pfield import PartialFractions, PRational
+from .jetalg import ONE, DiffPoly, JetQuotient, JetVariable, jet
+from .laxfamilies import LaxPair, PoleSide
+from .pfield import PRational
 
 
 def _symbol(name: str) -> str:
@@ -68,8 +68,8 @@ def quotient_latex(q: JetQuotient, dirs=XYZT) -> str:
     return f"\\frac{{{poly_latex(q.num, dirs)}}}{{{poly_latex(q.den, dirs)}}}"
 
 
-def prational_latex(r: PRational, var: str = "p", pf: PartialFractions | None = None) -> str:
-    """r as one fraction, or as the sum of its partial-fraction view pf."""
+def prational_latex(r: PRational, var: str = "p", pole_side: PoleSide | None = None) -> str:
+    """r as one fraction, or as the sum of its recorded poles if given."""
     def side(pp):
         if pp.is_zero():
             return "0"
@@ -83,12 +83,10 @@ def prational_latex(r: PRational, var: str = "p", pf: PartialFractions | None = 
             parts.append(f"\\left({cs}\\right){pk}" if pk else f"\\left({cs}\\right)")
         return "+".join(parts)
 
-    if pf is not None:
-        parts = []
-        if not pf.polypart.is_zero():
-            parts.append(side(pf.polypart))
-        for blk in pf.poles:
-            parts.append(f"\\frac{{{quotient_latex(blk.residue)}}}{{{var}-{_symbol(blk.pole.name)}}}")
+    if pole_side is not None:
+        const, pairs = pole_side
+        parts = [f"\\left({poly_latex(jet(const))}\\right)"] if const else []
+        parts += [f"\\frac{{{poly_latex(jet(res))}}}{{{var}-{_symbol(pole.name)}}}" for res, pole in pairs]
         return "+".join(parts) or "0"
     num, den = r.num, r.den
     if den.degree() == 0 and not den.is_zero():
@@ -105,7 +103,7 @@ def system_latex(sys: PDESystem) -> str:
 
 def laxpair_latex(lax: LaxPair) -> str:
     var = "\\psi_x" if lax.dimension == "2+1" else "p"
-    f, g = (prational_latex(r, var, pf) for r, pf in zip((lax.F, lax.G), lax.partial_fractions()))
+    f, g = (prational_latex(r, var, ps) for r, ps in zip((lax.F, lax.G), lax.pole_data or (None, None)))
     if lax.dimension == "2+1":
         return f"\\psi_y = {f}, \\qquad \\psi_t = {g}"
     return (

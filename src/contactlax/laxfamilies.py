@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from .pfield import ParameterError, PartialFractions, PoleBlock, PPoly, PRational, pole_sum
+from .pfield import ParameterError, PPoly, PRational, pole_sum
 
 POLY = "poly"
 RAT = "rat"
@@ -45,17 +45,6 @@ class LaxPair:
         if self.pole_data is None:
             return (), ()
         return tuple(tuple(pole for _, pole in pairs) for _, pairs in self.pole_data)
-
-    def partial_fractions(self) -> tuple[PartialFractions | None, PartialFractions | None]:
-        """The recorded views of F and G; (None, None) outside the
-        rational families."""
-        if self.pole_data is None:
-            return None, None
-        return tuple(
-            PartialFractions(PPoly([JetQuotient(jet(const))] if const else []),
-                             tuple(PoleBlock(pole, JetQuotient(jet(res))) for res, pole in pairs))
-            for const, pairs in self.pole_data
-        )
 
 
 def _check_params(m: int, n: int):

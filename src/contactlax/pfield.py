@@ -204,8 +204,8 @@ class PartialFractions:
 class PRational(Frozen):
     """num/den of PPoly; den nonzero with leading coefficient normalized
     to 1.  A partial-fraction view is not carried: a rational family's
-    pair records its poles (LaxPair.partial_fractions), and
-    partial_fraction computes and checks one for any other function."""
+    pair records its poles (LaxPair.pole_data), and partial_fraction
+    computes and checks one for any other function."""
 
     __slots__ = ("num", "den")
 

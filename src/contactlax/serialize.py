@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 
 from .compat import PDESystem
-from .jetalg import DiffPoly, FieldId, JetQuotient, from_tree, write_tree
-from .laxfamilies import LaxPair
-from .pfield import ParameterError, PartialFractions, PRational, collect
+from .jetalg import ONE, DiffPoly, FieldId, JetQuotient, from_tree, jet, write_tree
+from .laxfamilies import LaxPair, PoleSide
+from .pfield import ParameterError, PRational, collect
 
 
 def write_document(doc) -> str:
@@ -48,27 +48,24 @@ def _write(node, depth: int, out: list) -> None:
         out.append(json.dumps(node))
 
 
-def _quotient_doc(q: JetQuotient) -> dict:
-    return {"num": q.num, "den": q.den}
-
-
-def _prational_doc(r: PRational, pf: PartialFractions | None = None) -> dict:
-    """num/den with jet denominators cleared, and the view pf of r if given."""
+def _prational_doc(r: PRational, pole_side: PoleSide | None = None) -> dict:
+    """num/den with jet denominators cleared, and r's recorded poles if given."""
     num, den = collect(r)
     out = {
         "num": [c.num for c in num.coeffs],
         "den": [c.num for c in den.coeffs],
     }
-    if pf is not None:
+    if pole_side is not None:
+        const, pairs = pole_side
         out["pf"] = {
-            "polypart": [_quotient_doc(c) for c in pf.polypart.coeffs],
+            "polypart": [{"num": jet(const), "den": ONE}] if const else [],
             "poles": [
                 {
-                    "pole": blk.pole.name,
+                    "pole": pole.name,
                     "order": 1,
-                    "residues": [_quotient_doc(blk.residue)],
+                    "residues": [{"num": jet(res), "den": ONE}],
                 }
-                for blk in pf.poles
+                for res, pole in pairs
             ],
         }
     return out
@@ -76,15 +73,15 @@ def _prational_doc(r: PRational, pf: PartialFractions | None = None) -> dict:
 
 def laxpair_dumps(lax: LaxPair) -> str:
     """The lax pair's JSON text."""
-    pf_F, pf_G = lax.partial_fractions()
+    side_F, side_G = lax.pole_data or (None, None)
     return write_document({
         "family": lax.family,
         "m": lax.m,
         "n": lax.n,
         "dimension": lax.dimension,
         "fields": [f.name for f in lax.fields],
-        "F": _prational_doc(lax.F, pf_F),
-        "G": _prational_doc(lax.G, pf_G),
+        "F": _prational_doc(lax.F, side_F),
+        "G": _prational_doc(lax.G, side_G),
     })
 
 

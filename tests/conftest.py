@@ -23,6 +23,7 @@ from contactlax.pfield import (
     PRational,
     collect,
     p_minus,
+    partial_fraction,
     poly_divmod,
 )
 from contactlax.sampling import pole_pairs_for
@@ -161,9 +162,11 @@ def _prational_oracle(r: PRational, pf: PartialFractions | None = None) -> dict:
 
 
 def laxpair_oracle(lax: LaxPair) -> dict:
-    """A lax pair's JSON document built as a dict tree; the oracle for
+    """A lax pair's JSON document built as a dict tree, a rational
+    family's views computed from F and G alone; the oracle for
     serialize.laxpair_dumps."""
-    pf_F, pf_G = lax.partial_fractions()
+    pf_F, pf_G = (partial_fraction(r, poles) if lax.pole_data else None
+                  for r, poles in zip((lax.F, lax.G), lax.pole_fields()))
     return {
         "family": lax.family,
         "m": lax.m,

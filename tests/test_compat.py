@@ -35,7 +35,18 @@ from contactlax.compat import (
     _det_mod,
     _reduce_known_factors,
 )
-from contactlax.jetalg import ONE, PRIME, FieldId, JetQuotient, JetVariable, StructureError, divide_exact, jet
+from contactlax.jetalg import (
+    ONE,
+    PRIME,
+    FieldId,
+    JetQuotient,
+    JetVariable,
+    StructureError,
+    divide_exact,
+    jet,
+    substitute,
+    total_derivative_q,
+)
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
 from contactlax.sampling import pole_pairs_for
@@ -131,6 +142,14 @@ def test_residue_system_shape():
     assert len(rsg.equations) == 5
 
 
+def test_residue_system_reads_only_the_pole_record():
+    # the rows and their spot check come from lax.pole_data alone: with
+    # F and G zeroed the system is the same
+    lax = make_family("ratgp", 2, 1)
+    zeroed = replace(lax, F=PRational(PPoly()), G=PRational(PPoly()))
+    assert compat.residue_system(zeroed).equations == compat.residue_system(lax).equations
+
+
 @pytest.mark.parametrize("dimension", ["3+1", "2+1"])
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -176,26 +195,80 @@ def test_bracket_mod_matches_the_exact_bracket(rng, family, m, n, dimension):
         assert bracket_mod(lax, {jv: mod(x) for jv, x in pt.items()}, mod(pval)) == mod(want)
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["F-pole", "G-pole"])
-@pytest.mark.parametrize("order", [1, 2])
-def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, side, order):
-    # the residue view must fail its random-point check against the
-    # compatibility condition: exit 1, a verification failure
-    real, calls = compat._laurent_coefficients, []
+@pytest.mark.parametrize("family,side,order", [
+    pytest.param(family, side, order, id=f"{order}-{label}{suffix}")
+    for family, suffix in (("rat", ""), ("ratgp", "-constant")) for side, label in (("v", "F-pole"), ("w", "G-pole"))
+    for order in (1, 2)
+])
+def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family, side, order):
+    # one order of one summand's term at one pole of a side flips sign
+    # (rat: a pole's term; ratgp: the constant's term): the rows must fail
+    # their random-point check against the bracket, exit 1
+    real, flipped = compat._laurent_coefficients, []
 
-    def flipped(*args):
-        out = list(real(*args))
-        if len(calls) == side:
-            pole, res = out[0]
-            out[0] = pole, tuple(-r if k == order - 1 else r for k, r in enumerate(res))
-        calls.append(args)
+    def flip(a, pole, fns):
+        out = real(a, pole, fns)
+        constant = fns[1].is_zero()  # a constant summand has G_p = 0
+        if not flipped and pole.jet_variables()[0].field.name[0] == side and constant == (family == "ratgp"):
+            flipped.append(pole)
+            out = tuple(-r if k == order - 1 else r for k, r in enumerate(out))
         return out
 
-    monkeypatch.setattr(compat, "_laurent_coefficients", flipped)
+    monkeypatch.setattr(compat, "_laurent_coefficients", flip)
     compat.derive.cache_clear()
-    assert cli.main(["derive", "--family", "rat", "-m", "1", "-n", "1", "--form", "residues"]) == 1
+    assert cli.main(["derive", "--family", family, "-m", "1", "-n", "1", "--form", "residues"]) == 1
     assert capsys.readouterr().err.startswith("verification failure:")
-    assert len(calls) == 2
+    assert len(flipped) == 1
+
+
+def _rows(family, m, n, dimension="3+1"):
+    rs = compat.residue_system(replace(make_family(family, m, n), dimension=dimension))
+    return dict(zip(rs.provenance["labels"], rs.equations))
+
+
+@pytest.mark.parametrize("dimension", ["3+1", "2+1"])
+def test_residue_rows_are_sums_of_one_two_pole_term(dimension):
+    # The paper's shape for any pair: the row of a pole is its
+    # bracket-free part plus one term per summand of the other side.  The
+    # term of a pole pair is read off rat (1,1), the term of a constant
+    # summand off ratgp (1,1) minus rat (1,1); renaming their fields (and
+    # with them every derivative jet) instantiates them at any pole.
+    rat, gp = _rows("rat", 1, 1, dimension), _rows("ratgp", 1, 1, dimension)
+
+    def field(name):
+        return JetQuotient(jet(FieldId(name)))
+
+    def free(res, pole, order):
+        # A_t and A P_t at a pole of F; -(B_y) and -(B W_y) at a pole of G
+        d, sign = ("t", 1) if pole[0] == "v" else ("y", -1)
+        a = field(res)
+        return sign * (total_derivative_q(a, d) if order == 1 else a * total_derivative_q(field(pole), d))
+
+    def renamed(q, names):
+        return substitute(q, {JetVariable(FieldId(k)): jet(FieldId(v)) for k, v in names.items()})
+
+    kernel = {(pole, order): rat[f"{pole}1:{order}"] - free(f"{res}1", f"{pole}1", order)
+              for res, pole in (("a", "v"), ("b", "w")) for order in (1, 2)}
+    constant = {(pole, order): gp[f"{pole}1:{order}"] - rat[f"{pole}1:{order}"] for pole in "vw" for order in (1, 2)}
+    for family in ("rat", "ratgp"):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                rows = _rows(family, m, n, dimension)
+                if family == "ratgp":
+                    assert rows.pop("constant") == gp["constant"]
+                # a pole's residue letter, and the other side's residue and pole letters and count
+                sides = {"v": ("a", "b", "w", n), "w": ("b", "a", "v", m)}
+                for label, row in rows.items():
+                    pole, i, order = label[0], label[1:-2], int(label[-1])
+                    res, other_res, other_pole, k = sides[pole]
+                    own = {f"{res}1": f"{res}{i}", f"{pole}1": f"{pole}{i}"}
+                    want = free(f"{res}{i}", f"{pole}{i}", order)
+                    for j in range(1, k + 1):
+                        pair = {**own, f"{other_res}1": f"{other_res}{j}", f"{other_pole}1": f"{other_pole}{j}"}
+                        want = want + renamed(kernel[pole, order], pair)
+                    if family == "ratgp":
+                        want = want + renamed(constant[pole, order], own)
+                    assert row == want, (family, m, n, label)
 
 
 def test_reduce_known_factors(monkeypatch):
@@ -513,8 +586,6 @@ def test_self_comparison_matches():
 def _check_corrected_line2(m):
     # the printed (w1)_y line of rat (m, 1) with v_j replaced by w1 in each
     # pole's term agrees with the machine residue, confirming the index typo
-    from contactlax.jetalg import total_derivative_q
-
     rs = derive("rat", m, 1, form="residues")
     derived = dict(zip(rs.provenance["labels"], rs.equations))["w1:2"]
     w1, w1_z = jet(FieldId("w1")), jet(FieldId("w1"), (0, 0, 1, 0))
@@ -546,8 +617,8 @@ def test_rls_itemization_does_not_depend_on_interning_order():
     # The residue path interns its jets in another order than the
     # compatibility condition does: building the condition first must not
     # change a byte.  Jets interned in reverse canonical order still
-    # reorder the printed factors and terms and may flip the overall sign
-    # (the term order follows jet ids), but itemize the same terms.
+    # reorder the printed factors and terms (the term order follows jet
+    # ids), but itemize the same terms with the same signs.
     src = os.path.dirname(os.path.dirname(os.path.abspath(compat.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
     units = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)]
@@ -568,16 +639,16 @@ def test_rls_itemization_does_not_depend_on_interning_order():
     assert cc_first == plain
     assert "line (w1)_y: mismatch (161 differing terms)" in plain
 
-    def itemized(out, sign=1):
+    def itemized(out):
         terms = Counter()
         for line in out.splitlines():
             if line.startswith("  (w1)_y diff term: "):
                 c, _, factors = line.split(": ", 1)[1].partition(" * ")
-                terms[sign * Fraction(c), tuple(sorted(factors.strip("{}").split(", ")))] += 1
+                terms[Fraction(c), tuple(sorted(factors.strip("{}").split(", ")))] += 1
         return terms
 
     assert len(itemized(plain)) == 161
-    assert itemized(reverse) in (itemized(plain), itemized(plain, -1))
+    assert itemized(reverse) == itemized(plain)
 
 
 @pytest.mark.parametrize("leaf", [

@@ -22,7 +22,7 @@ def test_make_poly_1_1():
     assert lax.F == PRational(PPoly([JetQuotient(v0), JetQuotient(v1), JetQuotient(ONE)]))
     assert lax.G == PRational(PPoly([JetQuotient(w0), JetQuotient(v1), JetQuotient(ONE)]))
     assert len(lax.fields) == 3
-    assert lax.partial_fractions() == (None, None)
+    assert lax.pole_data is None
 
 
 def test_make_poly_locked_subleading_coefficient():
@@ -45,7 +45,7 @@ def test_make_rat_1_1():
     assert [f.name for f in lax.fields] == ["a1", "v1", "b1", "w1"]
     num, den = collect(lax.F)
     assert num.degree() == 0 and den.degree() == 1
-    assert lax.partial_fractions()[0].polypart.is_zero()  # no constant term
+    assert lax.pole_data[0][0] is None  # no constant term
 
 
 def test_make_rat_2_1_roster():
@@ -79,22 +79,19 @@ def test_roster_size_formulas(m, n):
 
 @pytest.mark.parametrize("family,m,n", [(f, m, n) for f in ("rat", "ratgp") for m in (1, 2, 3) for n in (1, 2, 3)])
 def test_family_pf_views_roundtrip(family, m, n):
-    # the recorded views of the pair and of its planar reduction against
-    # the ones computed from F and G alone
+    # the recorded poles of the pair and of its planar reduction against
+    # the views computed from F and G alone
     lax = make_family(family, m, n)
     planar, _ = reduce_2plus1(lax)
     assert planar.dimension == "2+1"
     for pair in (lax, planar):
-        vs, ws = pair.pole_fields()
-        views = pair.partial_fractions()
-        for r, view, res, poles in ((pair.F, views[0], "a", vs), (pair.G, views[1], "b", ws)):
-            assert view == partial_fraction(r, poles)
+        for r, (const, pairs), res, pole, k in zip((pair.F, pair.G), pair.pole_data, "ab", "vw", (m, n)):
+            view = partial_fraction(r, [v for _, v in pairs])
             assert view.reassemble() == r
-            const = [JetQuotient(jet(FieldId(f"{res}0")))] if family == "ratgp" else []
-            assert view.polypart == PPoly(const)
-            assert [b.pole for b in view.poles] == list(poles)
-            for i, b in enumerate(view.poles, start=1):
-                assert b.residue == JetQuotient(jet(FieldId(f"{res}{i}")))
+            assert const == (FieldId(f"{res}0") if family == "ratgp" else None)
+            assert view.polypart == PPoly([JetQuotient(jet(const))] if const else [])
+            assert pairs == tuple((FieldId(f"{res}{i}"), FieldId(f"{pole}{i}")) for i in range(1, k + 1))
+            assert [(b.pole, b.residue) for b in view.poles] == [(v, JetQuotient(jet(a))) for a, v in pairs]
 
 
 def test_custom_validates_roster():
