@@ -151,6 +151,8 @@ def _check_reduce21(family: str, m: int, n: int) -> bool:
 
 def cmd_verify(args, rep: RunReport) -> None:
     rep.command = f"verify {args.check}"
+    if args.family and args.check != "reduce21":
+        raise ParameterError(f"--family applies to verify reduce21 only, not to verify {args.check}")
     if args.check == "ab":
         _check(rep, "top-coefficient identity", _check_ab(args.m, args.n))
     elif args.check == "qsolution":
@@ -174,7 +176,7 @@ def cmd_verify(args, rep: RunReport) -> None:
                 for t in line.diff_terms:
                     print(f"  {line.label} diff term: {t}")
     elif args.check == "reduce21":
-        _check(rep, "planar reduction commutes", _check_reduce21(args.family, args.m, args.n))
+        _check(rep, "planar reduction commutes", _check_reduce21(args.family or "rat", args.m, args.n))
 
 
 def cmd_ck(args, rep: RunReport) -> None:
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=["ab", "qsolution", "theorem1", "rls", "reduce21"])
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-n", type=int, default=1)
-    p.add_argument("--family", choices=["poly", "rat", "ratgp"], default="rat")
+    p.add_argument("--family", choices=["poly", "rat", "ratgp"], help="reduce21 only (default rat)")
     p.add_argument("--diff", action="store_true", help="print differing terms for rls")
     p.add_argument("--report-json")
     p.set_defaults(fn=cmd_verify)

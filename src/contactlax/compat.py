@@ -305,14 +305,12 @@ def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
                    dropped_zero_coefficients=tuple(dropped))
 
 
-def _reduce_known_factors(q: JetQuotient, diffs: list[DiffPoly]) -> JetQuotient:
-    """Cancel pole-difference factors shared by numerator and denominator
-    of a residue equation, each for as long as both allow it (the quotient
-    normalization itself never runs a multivariate gcd)."""
+def _reduce_known_factors(q: JetQuotient, f: DiffPoly) -> JetQuotient:
+    """Cancel the factor f from numerator and denominator of q for as long
+    as both allow it (quotient normalization never runs a multivariate gcd)."""
     num, den = q.num, q.den
-    for f in diffs:
-        while (qn := divide_exact(num, f)) is not None and (qd := divide_exact(den, f)) is not None:
-            num, den = qn, qd
+    while (qn := divide_exact(num, f)) is not None and (qd := divide_exact(den, f)) is not None:
+        num, den = qn, qd
     return JetQuotient(num, den)
 
 
@@ -332,23 +330,26 @@ def _laurent_coefficients(a: JetQuotient, pole: JetQuotient, fns) -> tuple[JetQu
 
 
 def _pole_rows(side, other, direction: str, planar: bool):
-    """(pole field, (order-1, order-2 coefficient)) at each pole of a side
+    """(pole field, (order-1, order-2 coefficient)) at each pole v of a side
     (const, ((residue, pole), ...)) of lax.pole_data: the G-free part A_t,
     A P_t (direction t) plus one term per summand of the other side (its
-    constant, each residue/(p - pole)); the planar bracket has no z-terms."""
+    constant; each b/(p - w), cut by v - w while it divides, as d/dp squares
+    (p - w)^2), so the row is in lowest terms.  The planar bracket has no z-terms."""
     const, pairs = other
-    summands = [PRational.const(jet(c)) for c in [const] if c]
-    summands += [pole_sum(PPoly(), [(jet(b), jet(w))]) for b, w in pairs]
+    summands = [(None, PRational.const(jet(c))) for c in [const] if c]
+    summands += [(w, pole_sum(PPoly(), [(jet(b), jet(w))])) for b, w in pairs]
     fns = []
-    for g in summands:
+    for w, g in summands:
         gx, gp = _coeff_derivative(g, "x"), g.pdiff()
         gz, h = (PRational(PPoly()),) * 2 if planar else (_coeff_derivative(g, "z"), g - PRational.p() * gp)
-        fns.append((gx, gp, gz, h, gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff()))
+        fns.append((w, (gx, gp, gz, h, gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff())))
     for res, pole in side[1]:
         a, v = JetQuotient(jet(res)), JetQuotient(jet(pole))
         order1, order2 = total_derivative_q(a, direction), a * total_derivative_q(v, direction)
-        for fn in fns:
+        for w, fn in fns:
             k1, k2 = _laurent_coefficients(a, v, fn)
+            if w is not None:
+                k1, k2 = (_reduce_known_factors(k, jet(pole) - jet(w)) for k in (k1, k2))
             order1, order2 = order1 + k1, order2 + k2
         yield pole, (order1, order2)
 
@@ -357,23 +358,21 @@ def residue_system(lax: LaxPair) -> PDESystem:
     """A rational pair's compatibility content organized the way the
     published system is: order-2 then order-1 residue equations at each
     pole (and the p->infinity constant first, when nonzero), read off the
-    pair's own simple poles.  The bracket is antisymmetric under F <-> G,
-    y <-> t, so a pole of G takes the formula of a pole of F with F and y,
-    negated.  The compatibility condition is never formed: the rows are
-    checked against bracket_mod at random points of GF(PRIME)."""
+    pair's own simple poles, in lowest terms.  The bracket is antisymmetric
+    under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
+    with F and y, negated.  The compatibility condition is never formed:
+    the rows are checked against bracket_mod at random points of GF(PRIME)."""
     if lax.family not in (RAT, RATGP):
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
     side_f, side_g = lax.pole_data
     planar = lax.dimension == "2+1"
-    coeffs = list(_pole_rows(side_f, side_g, "t", planar))
-    coeffs += [(f, tuple(-r for r in res)) for f, res in _pole_rows(side_g, side_f, "y", planar)]
+    rows = list(_pole_rows(side_f, side_g, "t", planar))
+    rows += [(f, tuple(-r for r in res)) for f, res in _pole_rows(side_g, side_f, "y", planar)]
     # only the constants a0, b0 are regular at p = oo: a0_t - b0_y + a0 b0_z - b0 a0_z survives
     a0, b0 = (JetQuotient(jet(c)) if c else JetQuotient(ZERO) for c, _ in lax.pole_data)
     const = total_derivative_q(a0, "t") - total_derivative_q(b0, "y")
     if not planar:
         const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
-    diffs = [DiffPoly.from_jet(a) - DiffPoly.from_jet(b) for a, b in pole_pairs_for([f for f, _ in coeffs])]
-    rows = [(f, tuple(_reduce_known_factors(r, diffs) for r in res)) for f, res in coeffs]
     _residue_spot_check(const, rows, lax)
     eqs, labels = ([const], ["constant"]) if not const.is_zero() else ([], [])
     for order in (2, 1):

@@ -64,10 +64,36 @@ def test_verify_rls_mismatch_reported(capsys):
     assert "line (v1)_t: match" in text
 
 
-@pytest.mark.parametrize("family", ["poly", "rat", "ratgp"])
-def test_verify_reduce21(family, capsys):
-    assert main(["verify", "reduce21", "--family", family, "-m", "1", "-n", "1"]) == 0
+@pytest.mark.parametrize("family", [None, "poly", "rat", "ratgp"])
+def test_verify_reduce21(family, monkeypatch, capsys):
+    families = []
+
+    def recording_make_family(family, m, n):
+        families.append(family)
+        return make_family(family, m, n)
+
+    monkeypatch.setattr(cli, "make_family", recording_make_family)
+    option = ["--family", family] if family else []
+    assert main(["verify", "reduce21", *option, "-m", "1", "-n", "1"]) == 0
+    assert families == [family or "rat"]
     assert "planar reduction commutes: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check", ["ab", "qsolution", "theorem1", "rls"])
+def test_verify_family_is_refused_by_checks_that_ignore_it(check, tmp_path, monkeypatch, capsys):
+    # such a check would report a pass for a family it never looked at
+    def no_work(*_):
+        raise AssertionError("the check ran")
+
+    for owner, name in [(cli, "family_cc"), (cli, "match_printed_system"), (gauge, "verify_gauge_removal"),
+                        (gauge, "potential_solution")]:
+        monkeypatch.setattr(owner, name, no_work)
+    report = tmp_path / "report.json"
+    assert main(["verify", check, "--family", "poly", "--report-json", str(report)]) == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"] == f"parameter error: --family applies to verify reduce21 only, not to verify {check}"
+    assert rep["verdicts"] == {}
+    assert capsys.readouterr().err.strip() == rep["error"]
 
 
 def test_ck_command(tmp_path, capsys):
