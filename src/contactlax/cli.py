@@ -16,7 +16,7 @@ import sys as _sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from . import compat, gauge, numeric
+from . import compat, gauge
 from .compat import (
     ck_transform,
     derive,
@@ -29,7 +29,7 @@ from .compat import (
 from .jetalg import jet
 from .laxfamilies import make_family
 from .latexout import laxpair_latex, system_latex
-from .pfield import ParameterError, collect
+from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError, collect
 from .serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
 
 
@@ -109,9 +109,9 @@ def _run(args) -> int:
         _check_outputs(args)
         args.fn(args, rep)
         code = 0
-    except (ParameterError, numeric.CompileError, OSError) as e:
+    except (ParameterError, CompileError, OSError) as e:
         code, rep.error = 2, f"parameter error: {e}"
-    except (numeric.PoleProximityError, numeric.NumericAbortError) as e:
+    except (PoleProximityError, NumericAbortError) as e:
         code, rep.error = 3, f"numerical abort: {e}"
     except (CheckFailed, compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
         code, rep.error = 1, f"verification failure: {e}"
@@ -212,6 +212,8 @@ def _read_input(path: str, parse=lambda data: data):
 
 
 def cmd_simulate(args, rep: RunReport) -> None:
+    from . import numeric  # the one command that needs NumPy
+
     if len(args.grid) not in (1, 3):
         raise ParameterError(f"--grid takes one or three sizes, got {len(args.grid)}")
     if not args.manufactured:

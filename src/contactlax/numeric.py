@@ -22,20 +22,7 @@ import numpy as np
 
 from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_solvability_witness
 from .jetalg import DiffPoly
-
-
-class CompileError(RuntimeError):
-    pass
-
-
-class PoleProximityError(RuntimeError):
-    def __init__(self, step, dist, guard):
-        super().__init__(f"pole proximity at step {step}: min distance {dist:.3e} < guard {guard:.3e}")
-        self.step, self.dist, self.guard = step, dist, guard
-
-
-class NumericAbortError(RuntimeError):
-    pass
+from .pfield import CompileError, NumericAbortError, PoleProximityError
 
 
 # -- grids and derivative operators -------------------------------------------
@@ -61,40 +48,52 @@ class Grid:
 
 
 @lru_cache(maxsize=16)
-def _diff_matrix(n: int, h: float) -> np.ndarray:
-    """The n x n Fourier differentiation matrix of a periodic axis of
+def _diff_matrix(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n Fourier differentiation matrix D of a periodic axis of
     spacing h (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3):
     2 pi i k on the rfft bins applied to the identity's columns, zero at
-    the Nyquist bin, whose derivative is imaginary."""
+    the Nyquist bin, whose derivative is imaginary.  Returned with a
+    contiguous copy of D.T, which the last axis multiplies by; both are
+    read-only."""
     k = np.fft.rfftfreq(n, d=h) * (np.arange(n // 2 + 1) != n / 2)
     d = np.fft.irfft((2j * np.pi * k)[:, None] * np.fft.rfft(np.eye(n), axis=0), n=n, axis=0)
-    d.flags.writeable = False
-    return d
+    dt = np.ascontiguousarray(d.T)
+    d.flags.writeable = dt.flags.writeable = False
+    return d, dt
 
 
 def spectral_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     """The spectral derivative of a 3-D array along one axis: one matrix
     product with that axis's differentiation matrix."""
     n = arr.shape[axis]
-    d = _diff_matrix(n, h)
+    d, dt = _diff_matrix(n, h)
     if axis == 2:
-        return arr @ d.T
+        return arr @ dt
     if axis == 1:
         return d @ arr
     return (d @ arr.reshape(n, -1)).reshape(arr.shape)
 
 
 def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+    """The centred difference (u[i+1] - u[i-1]) / 2h along one periodic
+    axis: the interior planes, then the two that wrap around."""
+    out = np.empty_like(arr)
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    np.subtract(a[1], a[-1], out=o[0])
+    np.subtract(a[0], a[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
 
 
 SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 
 
 def spatial_jet(arr: np.ndarray, didx: tuple[int, int, int, int], grid: Grid, op) -> np.ndarray:
+    spacing = grid.spacing
     for axis in range(3):
         for _ in range(didx[axis]):
-            arr = op(arr, axis, grid.spacing[axis])
+            arr = op(arr, axis, spacing[axis])
     return arr
 
 
@@ -371,8 +370,17 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
             vals = {u: vals[u] + g[u] for u in vals}
         return vals
 
-    # the window holds states by reference: sound only while each RK4
-    # step builds new arrays and nothing writes into a state in place
+    # the stage states s2, s3, s4 and the sum of the slopes are written
+    # into these buffers, which never enter the window; the window holds
+    # states by reference, so each step's new state is a fresh array
+    stage = {u: np.empty(grid.shape) for u in cs.unknowns}
+    slopes = {u: np.empty(grid.shape) for u in cs.unknowns}
+
+    def stage_state(k, h):  # state + h * k
+        for u in cs.unknowns:
+            np.add(state[u], np.multiply(h, k[u], out=stage[u]), out=stage[u])
+        return stage
+
     traj = Trajectory(deque([0.0], maxlen=3), deque([state], maxlen=3), [], grid)
     dist = _min_pole_distance(state, cs.pole_pairs)
     if dist < guard:
@@ -381,13 +389,16 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     T = 0.0
     for step in range(1, steps + 1):
         k1 = rhs(state, T)
-        s2 = {u: state[u] + 0.5 * dt * k1[u] for u in cs.unknowns}
-        k2 = rhs(s2, T + 0.5 * dt)
-        s3 = {u: state[u] + 0.5 * dt * k2[u] for u in cs.unknowns}
-        k3 = rhs(s3, T + 0.5 * dt)
-        s4 = {u: state[u] + dt * k3[u] for u in cs.unknowns}
-        k4 = rhs(s4, T + dt)
-        state = {u: state[u] + (dt / 6.0) * (k1[u] + 2 * k2[u] + 2 * k3[u] + k4[u]) for u in cs.unknowns}
+        k2 = rhs(stage_state(k1, 0.5 * dt), T + 0.5 * dt)
+        k3 = rhs(stage_state(k2, 0.5 * dt), T + 0.5 * dt)
+        k4 = rhs(stage_state(k3, dt), T + dt)
+        new = {}
+        for u in cs.unknowns:  # state + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+            acc = np.add(k1[u], np.multiply(2, k2[u], out=slopes[u]), out=slopes[u])
+            np.add(acc, np.multiply(2, k3[u], out=stage[u]), out=acc)
+            np.add(acc, k4[u], out=acc)
+            new[u] = state[u] + np.multiply(dt / 6.0, acc, out=acc)
+        state = new
         T += dt
         if step % monitor_every == 0 or step == steps:
             for u in cs.unknowns:

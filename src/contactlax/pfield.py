@@ -33,6 +33,24 @@ class ParameterError(ValueError):
     """Invalid constructor or operation parameters."""
 
 
+# the integrator's errors live here, beside ParameterError, so that the
+# command line can map them to exit codes without importing NumPy
+
+
+class CompileError(RuntimeError):
+    pass
+
+
+class PoleProximityError(RuntimeError):
+    def __init__(self, step, dist, guard):
+        super().__init__(f"pole proximity at step {step}: min distance {dist:.3e} < guard {guard:.3e}")
+        self.step, self.dist, self.guard = step, dist, guard
+
+
+class NumericAbortError(RuntimeError):
+    pass
+
+
 def _q(x) -> JetQuotient:
     q = _as_quotient(x)
     if q is NotImplemented:

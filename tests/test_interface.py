@@ -495,6 +495,53 @@ def _cli(args, cwd):
                           env=env, cwd=cwd, timeout=120)
 
 
+# every exact command, in one interpreter in which NumPy cannot be imported
+_EXACT_COMMANDS = [
+    ["derive", "--family", "rat", "--out-json", "sys.json", "--latex", "sys.tex"],
+    ["derive", "--family", "ratgp", "--form", "residues", "--out-json", "res.json"],
+    *(["verify", check] for check in ("ab", "qsolution", "theorem1", "rls", "reduce21")),
+    ["ck", "--family", "rat", "--form", "residues", "--out-json", "ck.json"],
+    ["reduce21", "--family", "rat", "--out-json", "planar.json", "--latex", "planar.tex"],
+    ["export", "--family", "ratgp", "--what", "lax", "--out", "lax.json"],
+    ["export", "--family", "rat", "--what", "ck", "--out", "export-ck.json"],
+]
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # from here on, importing NumPy raises ImportError
+from contactlax.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+assert sys.modules["numpy"] is None
+"""
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    src = str(Path(contactlax.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(_EXACT_COMMANDS)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(_EXACT_COMMANDS)
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("args,code,error", [
+    (["--system-json", "planar.json"], 2,
+     "parameter error: planar.json has independents (x, y, t), not (x, y, z, t) or (X, Y, Z, T)"),
+    (["--grid", "4"], 2, "parameter error: grid must have at least 8 points per direction"),
+    ([], 3, "numerical abort: pole proximity at step 0: min distance 5.000e-02 < guard 1.000e-01"),
+], ids=["planar-system", "small-grid", "pole-abort"])
+def test_simulate_errors_map_to_exit_codes_in_a_fresh_process(tmp_path, args, code, error):
+    # simulate imports the integrator itself; its errors must still reach
+    # their exit codes when nothing else has imported it
+    assert main(["reduce21", "--family", "rat", "--out-json", str(tmp_path / "planar.json")]) == 0
+    (tmp_path / "abort.json").write_text(_rat11_init(w1={"constant": -0.95}))
+    done = _cli(["simulate", "--init", "abort.json", "--grid", "8", "--steps", "2", *args,
+                 "--report-json", "report.json"], tmp_path)
+    assert done.returncode == code
+    assert json.loads((tmp_path / "report.json").read_text())["error"] == error
+    assert done.stderr.strip() == error
+
+
 def _pinned_view(res, pole, count, const):
     def jq(name):
         return {"num": {"op": "jet", "field": name, "d": [0, 0, 0, 0]}, "den": {"op": "num", "value": "1"}}

@@ -85,6 +85,42 @@ def test_spectral_diff_matches_fft_oracle(shape, axis):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_fd2_diff_matches_the_roll_form(axis):
+    grid = Grid((9, 10, 12))
+    arr = np.random.default_rng(axis).standard_normal(grid.shape)
+    h = grid.spacing[axis]
+    want = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+    assert np.array_equal(fd2_diff(arr, axis, h), want)
+
+
+@pytest.mark.parametrize("spatial", ["spectral", "fd2"])
+def test_rk4_matches_the_allocating_form(cs, spatial):
+    """Every state of the window equals plain RK4 written with new arrays
+    at every stage, bit for bit, and no later step writes into it."""
+    grid = Grid((9, 10, 12))
+    coords = grid.coords()
+    state = {u: SMOOTH_INIT[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+    dt, op = 0.005, SPATIAL_OPS[spatial]
+    traj = integrate(cs, grid, state, 5, dt, spatial=spatial, monitor_every=1)
+
+    def f(st):
+        return cs.rhs_from_jets(_grid_jets(st, cs, grid, op))
+
+    want = [state]
+    for _ in range(5):
+        y = want[-1]
+        k1 = f(y)
+        k2 = f({u: y[u] + 0.5 * dt * k1[u] for u in y})
+        k3 = f({u: y[u] + 0.5 * dt * k2[u] for u in y})
+        k4 = f({u: y[u] + dt * k3[u] for u in y})
+        want.append({u: y[u] + (dt / 6.0) * (k1[u] + 2 * k2[u] + 2 * k3[u] + k4[u]) for u in y})
+    for got, ref in zip(traj.snapshots, want[-3:]):
+        for u in cs.unknowns:
+            assert np.array_equal(got[u], ref[u])
+    assert len({id(a) for snap in traj.snapshots for a in snap.values()}) == 3 * len(cs.unknowns)
+
+
 def test_integration_matches_fft_oracle_run(cs, monkeypatch):
     grid = Grid((16, 16, 16))
     coords = grid.coords()
