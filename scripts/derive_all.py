@@ -27,7 +27,7 @@ def main():
     table(("poly", "rat", "ratgp"), "coefficients")
     print()
     # the residue form never builds the compatibility condition: these time
-    # the two-pole terms, each cut by its own pole difference, and the spot check
+    # the closed-form two-pole terms, one per (pole, summand), and the spot check
     table(("rat", "ratgp"), "residues")
 
 

@@ -27,7 +27,7 @@ from .compat import (
     reduce_system,
 )
 from .jetalg import jet
-from .laxfamilies import make_family
+from .laxfamilies import check_params, make_family
 from .latexout import laxpair_latex, system_latex
 from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError, collect
 from .serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
@@ -151,11 +151,15 @@ def _check_reduce21(family: str, m: int, n: int) -> bool:
 
 def cmd_verify(args, rep: RunReport) -> None:
     rep.command = f"verify {args.check}"
-    if args.family and args.check != "reduce21":
-        raise ParameterError(f"--family applies to verify reduce21 only, not to verify {args.check}")
+    # a check given an option it never reads would report a pass for
+    # something it never looked at
+    for opt, owner in (("family", "reduce21"), ("diff", "rls")):
+        if getattr(args, opt) and args.check != owner:
+            raise ParameterError(f"--{opt} applies to verify {owner} only, not to verify {args.check}")
     if args.check == "ab":
         _check(rep, "top-coefficient identity", _check_ab(args.m, args.n))
     elif args.check == "qsolution":
+        check_params(args.m, args.n)  # the solution holds at every size, but -m 0 names none
         a0e, b0e = gauge.potential_solution()
         _check(rep, "potential solution residual", gauge.gauge_residual(a0e, b0e).is_zero(),
                "pass (exact zero)")

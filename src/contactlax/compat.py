@@ -44,7 +44,6 @@ from .jetalg import (
     StructureError,
     content,
     decompose_by_jets,
-    divide_exact,
     evaluate_mod,
     evaluate_mod_points,
     jet,
@@ -58,7 +57,7 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError, PPoly, PRational, collect, pole_sum
+from .pfield import ParameterError, PPoly, PRational, collect
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -305,51 +304,43 @@ def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
                    dropped_zero_coefficients=tuple(dropped))
 
 
-def _reduce_known_factors(q: JetQuotient, f: DiffPoly) -> JetQuotient:
-    """Cancel the factor f from numerator and denominator of q for as long
-    as both allow it (quotient normalization never runs a multivariate gcd)."""
-    num, den = q.num, q.den
-    while (qn := divide_exact(num, f)) is not None and (qd := divide_exact(den, f)) is not None:
-        num, den = qn, qd
-    return JetQuotient(num, den)
-
-
-def _laurent_coefficients(a: JetQuotient, pole: JetQuotient, fns) -> tuple[JetQuotient, JetQuotient]:
-    """The parts linear in one summand G of the other side, regular there,
-    of the order-1 and order-2 Laurent coefficients of the bracket
-    F_t - G_y + F_p G_x - G_p F_x + (F - p F_p) G_z - (G - p G_p) F_z at a
-    simple pole P, residue A, of F.  With fns = G_x, G_p, G_z, H = G - p G_p
-    and their d/dp ('), they are the rational functions of p
-      -A G_x' - A_x G_p - A P_x G_p' + P A G_z' + 2 A G_z - A_z H - A P_z H',
-      -A G_x - A P_x G_p + P A G_z - A P_z H, each evaluated once at p = P."""
-    gx, gp, gz, h, gx1, gp1, gz1, h1 = fns
-    a_x, a_z, p_x, p_z = (total_derivative_q(e, s) for e in (a, pole) for s in ("x", "z"))
-    order1 = -a * gx1 - a_x * gp - a * p_x * gp1 + pole * a * gz1 + 2 * a * gz - a_z * h - a * p_z * h1
-    order2 = -a * gx - a * p_x * gp + pole * a * gz - a * p_z * h
-    return tuple(r.num.eval_at(pole) / r.den.eval_at(pole) for r in (order1, order2))
+def _two_pole_terms(a, v, b, w=None) -> tuple[JetQuotient, JetQuotient]:
+    """The order-1 and order-2 Laurent coefficients, at a simple pole v
+    with residue a of one side, of the bracket's part linear in one summand
+    of the other side: b/(p - w), or the constant b when w is None.  Each
+    argument is a (value, x-jet, z-jet) triple.  With d = v - w, both
+    terms are in lowest terms: their numerators are a b (d_x - v d_z) and
+    -2 a b (d_x - v d_z) modulo d."""
+    (a, a_x, a_z), (v, v_x, v_z), (b, b_x, b_z) = a, v, b
+    k1, k2 = 2 * a * b_z - a_z * b, a * (v * b_z - b_x - b * v_z)  # the constant's terms
+    if w is None:
+        return JetQuotient(k1), JetQuotient(k2)
+    w, w_x, w_z = w
+    d, e = v - w, a * b * ((v_x - w_x) - v * (v_z - w_z))
+    mid = a * b_x + a_x * b - v * a * b_z + 2 * a * b * w_z - v * a_z * b
+    return JetQuotient(d * d * k1 + d * mid - 2 * e, d ** 3), JetQuotient(d * k2 + e, d ** 2)
 
 
 def _pole_rows(side, other, direction: str, planar: bool):
     """(pole field, (order-1, order-2 coefficient)) at each pole v of a side
     (const, ((residue, pole), ...)) of lax.pole_data: the G-free part A_t,
-    A P_t (direction t) plus one term per summand of the other side (its
-    constant; each b/(p - w), cut by v - w while it divides, as d/dp squares
-    (p - w)^2), so the row is in lowest terms.  The planar bracket has no z-terms."""
+    A P_t (direction t) plus the _two_pole_terms of each summand of the
+    other side, its constant first, so the row is in lowest terms."""
+    def triples(*fields):
+        # (value, x-jet, z-jet) per field, z-jets zero in the planar bracket;
+        # x-jets are interned first: the order of terms in every output follows it
+        xs = [jet(f, _UNIT["x"]) for f in fields]
+        zs = [ZERO if planar else jet(f, _UNIT["z"]) for f in fields]
+        return [*zip(map(jet, fields), xs, zs)]
+
     const, pairs = other
-    summands = [(None, PRational.const(jet(c))) for c in [const] if c]
-    summands += [(w, pole_sum(PPoly(), [(jet(b), jet(w))])) for b, w in pairs]
-    fns = []
-    for w, g in summands:
-        gx, gp = _coeff_derivative(g, "x"), g.pdiff()
-        gz, h = (PRational(PPoly()),) * 2 if planar else (_coeff_derivative(g, "z"), g - PRational.p() * gp)
-        fns.append((w, (gx, gp, gz, h, gx.pdiff(), gp.pdiff(), gz.pdiff(), h.pdiff())))
+    summands = [(*triples(c), None) for c in [const] if c] + [triples(b, w) for b, w in pairs]
     for res, pole in side[1]:
-        a, v = JetQuotient(jet(res)), JetQuotient(jet(pole))
-        order1, order2 = total_derivative_q(a, direction), a * total_derivative_q(v, direction)
-        for w, fn in fns:
-            k1, k2 = _laurent_coefficients(a, v, fn)
-            if w is not None:
-                k1, k2 = (_reduce_known_factors(k, jet(pole) - jet(w)) for k in (k1, k2))
+        a = jet(res)
+        order1, order2 = total_derivative_q(a, direction), a * total_derivative_q(jet(pole), direction)
+        own = triples(res) + triples(pole)
+        for b, w in summands:
+            k1, k2 = _two_pole_terms(*own, b, w)
             order1, order2 = order1 + k1, order2 + k2
         yield pole, (order1, order2)
 

@@ -47,7 +47,7 @@ class LaxPair:
         return tuple(tuple(pole for _, pole in pairs) for _, pairs in self.pole_data)
 
 
-def _check_params(m: int, n: int):
+def check_params(m: int, n: int):
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
         raise ParameterError(f"m and n must be positive integers, got m={m}, n={n}")
 
@@ -60,7 +60,7 @@ def make_poly(m: int, n: int) -> LaxPair:
     """Polynomial family: F = p^(m+1) + sum v_i p^i, G = p^(n+1) +
     (n/m) v_m p^n + sum_(j<n) w_j p^j; the subleading coefficient of G is
     locked to (n/m) v_m."""
-    _check_params(m, n)
+    check_params(m, n)
     vs = [_fid("v", i) for i in range(m + 1)]
     ws = [_fid("w", j) for j in range(n)]
     fc = [JetQuotient(jet(v)) for v in vs] + [JetQuotient(ONE)]
@@ -87,7 +87,7 @@ def make_ratgp(m: int, n: int) -> LaxPair:
 
 
 def _make_rational(family: str, m: int, n: int) -> LaxPair:
-    _check_params(m, n)
+    check_params(m, n)
     sides = tuple(
         (_fid(res, 0) if family == RATGP else None, tuple((_fid(res, i), _fid(pole, i)) for i in range(1, k + 1)))
         for res, pole, k in (("a", "v", m), ("b", "w", n))

@@ -1,11 +1,12 @@
 """Random points of GF(p), p = 2^61 - 1, for the randomized identity checks.
 
 The residue spot check, the printed-system line comparison and
-the T-solvability witness all sample here and evaluate with
-``jetalg.evaluate_mod``.  A nonzero polynomial of total degree d vanishes
-at a uniform point of GF(p)^k with probability at most d/p (Schwartz,
-J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A point on which two poles
-of a requested pair coincide is drawn again."""
+the T-solvability witness all sample here.  The spot check evaluates
+with ``jetalg.evaluate_mod_points`` and ``compat.bracket_mod``, the
+other two with ``jetalg.evaluate_mod``.  A nonzero polynomial of total
+degree d vanishes at a uniform point of GF(p)^k with probability at
+most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A
+point on which two poles of a requested pair coincide is drawn again."""
 
 from __future__ import annotations
 

@@ -33,7 +33,6 @@ from contactlax.compat import (
     t_solvability_witness,
     _compare_as_equations,
     _det_mod,
-    _reduce_known_factors,
 )
 from contactlax.jetalg import (
     ONE,
@@ -152,6 +151,22 @@ def test_residue_system_reads_only_the_pole_record():
 
 @pytest.mark.parametrize("dimension", ["3+1", "2+1"])
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
+def test_residue_form_builds_no_p_function(monkeypatch, family, dimension):
+    # once the pair is built, the rows come from the jets of its pole
+    # record alone: no d/dp, no evaluation of a p-polynomial at a pole
+    lax = replace(make_family(family, 2, 2), dimension=dimension)
+
+    def refuse(*_):
+        raise AssertionError("the residue form built a p-function")
+
+    monkeypatch.setattr(PRational, "pdiff", refuse)
+    monkeypatch.setattr(PPoly, "eval_at", refuse)
+    rs = compat.residue_system(lax)
+    assert len(rs.equations) == 8 + (family == "ratgp")
+
+
+@pytest.mark.parametrize("dimension", ["3+1", "2+1"])
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_residue_system_matches_the_global_partial_fraction(family, m, n, dimension):
     # the planar bracket has no z-terms, and the formulas drop them too
@@ -223,17 +238,17 @@ def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family
     # one order of one summand's term at one pole of a side flips sign
     # (rat: a pole's term; ratgp: the constant's term): the rows must fail
     # their random-point check against the bracket, exit 1
-    real, flipped = compat._laurent_coefficients, []
+    real, flipped = compat._two_pole_terms, []
 
-    def flip(a, pole, fns):
-        out = real(a, pole, fns)
-        constant = fns[1].is_zero()  # a constant summand has G_p = 0
-        if not flipped and pole.jet_variables()[0].field.name[0] == side and constant == (family == "ratgp"):
+    def flip(a, v, b, w=None):
+        out = real(a, v, b, w)
+        pole = v[0].jet_variables()[0]
+        if not flipped and pole.field.name[0] == side and (w is None) == (family == "ratgp"):
             flipped.append(pole)
             out = tuple(-r if k == order - 1 else r for k, r in enumerate(out))
         return out
 
-    monkeypatch.setattr(compat, "_laurent_coefficients", flip)
+    monkeypatch.setattr(compat, "_two_pole_terms", flip)
     compat.derive.cache_clear()
     assert cli.main(["derive", "--family", family, "-m", "1", "-n", "1", "--form", "residues"]) == 1
     assert capsys.readouterr().err.startswith("verification failure:")
@@ -288,22 +303,6 @@ def test_residue_rows_are_sums_of_one_two_pole_term(dimension):
                     if family == "ratgp":
                         want = want + renamed(constant[pole, order], own)
                     assert row == want, (family, m, n, label)
-
-
-def test_reduce_known_factors(monkeypatch):
-    v, w = jet(FieldId("v")), jet(FieldId("w"))
-    d, a, b = v - w, jet(FieldId("a")) + v, 2 * jet(FieldId("b")) - w
-    calls = []
-
-    def counting(x, f):
-        calls.append(f)
-        return divide_exact(x, f)
-
-    monkeypatch.setattr(compat, "divide_exact", counting)
-    assert _reduce_known_factors(JetQuotient(d ** 3 * a, d ** 2 * b), d) == JetQuotient(d * a, b)
-    # two shared copies (num and den each), then num divides once more but
-    # den does not: stop
-    assert calls == [d] * 6
 
 
 def test_cached_provenance_is_read_only():

@@ -44,6 +44,7 @@ def test_usage_error_exit_code():
 def test_verify_qsolution(capsys):
     assert main(["verify", "qsolution"]) == 0
     assert "pass (exact zero)" in capsys.readouterr().out
+    assert main(["verify", "qsolution", "-m", "1", "-n", "1"]) == 0
 
 
 def test_verify_ab(capsys):
@@ -79,19 +80,26 @@ def test_verify_reduce21(family, monkeypatch, capsys):
     assert "planar reduction commutes: pass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("check", ["ab", "qsolution", "theorem1", "rls"])
-def test_verify_family_is_refused_by_checks_that_ignore_it(check, tmp_path, monkeypatch, capsys):
-    # such a check would report a pass for a family it never looked at
+@pytest.mark.parametrize("argv,error", [
+    *(pytest.param([check, "--family", "poly"], f"--family applies to verify reduce21 only, not to verify {check}",
+                   id=check) for check in ("ab", "qsolution", "theorem1", "rls")),
+    *(pytest.param([check, "--diff"], f"--diff applies to verify rls only, not to verify {check}", id=f"diff-{check}")
+      for check in ("ab", "qsolution", "theorem1", "reduce21")),
+    pytest.param(["qsolution", "-m", "0"], "m and n must be positive integers, got m=0, n=1", id="qsolution-m0"),
+])
+def test_verify_family_is_refused_by_checks_that_ignore_it(argv, error, tmp_path, monkeypatch, capsys):
+    # such a check would report a pass for a family, a diff or sizes it
+    # never looked at
     def no_work(*_):
         raise AssertionError("the check ran")
 
-    for owner, name in [(cli, "family_cc"), (cli, "match_printed_system"), (gauge, "verify_gauge_removal"),
-                        (gauge, "potential_solution")]:
+    for owner, name in [(cli, "family_cc"), (cli, "match_printed_system"), (cli, "_check_reduce21"),
+                        (gauge, "verify_gauge_removal"), (gauge, "potential_solution")]:
         monkeypatch.setattr(owner, name, no_work)
     report = tmp_path / "report.json"
-    assert main(["verify", check, "--family", "poly", "--report-json", str(report)]) == 2
+    assert main(["verify", *argv, "--report-json", str(report)]) == 2
     rep = json.loads(report.read_text())
-    assert rep["error"] == f"parameter error: --family applies to verify reduce21 only, not to verify {check}"
+    assert rep["error"] == f"parameter error: {error}"
     assert rep["verdicts"] == {}
     assert capsys.readouterr().err.strip() == rep["error"]
 
