@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_solvability_witness
-from .jetalg import DiffPoly
+from .jetalg import DiffPoly, divide_exact
 from .pfield import CompileError, NumericAbortError, PoleProximityError
 
 
@@ -74,14 +74,19 @@ def spectral_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (d @ arr.reshape(n, -1)).reshape(arr.shape)
 
 
+# per axis, the index tuples of planes 2.., ..-2 and 1..-1, then of planes 0, 1, -2 and -1
+_FD2_INDEX = tuple(tuple((slice(None),) * axis + (i,) for i in (slice(2, None), slice(None, -2), slice(1, -1),
+                                                                  0, 1, -2, -1)) for axis in range(3))
+
+
 def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     """The centred difference (u[i+1] - u[i-1]) / 2h along one periodic
     axis: the interior planes, then the two that wrap around."""
+    up, down, inner, first, second, penult, last = _FD2_INDEX[axis]
     out = np.empty_like(arr)
-    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(a[2:], a[:-2], out=o[1:-1])
-    np.subtract(a[1], a[-1], out=o[0])
-    np.subtract(a[0], a[-2], out=o[-1])
+    np.subtract(arr[up], arr[down], out=out[inner])
+    np.subtract(arr[second], arr[last], out=out[first])
+    np.subtract(arr[first], arr[penult], out=out[last])
     out /= 2.0 * h
     return out
 
@@ -115,6 +120,7 @@ class _Code:
     def __init__(self, jets):
         self.index = {key: i for i, key in enumerate(jets)}  # jet -> argument j<i>
         self.ops = {}  # (left, operator, right) -> target, in emission order
+        self.compiled = []  # (polynomial, its operand), in compilation order
 
     def _emit(self, a, o, b):
         if isinstance(a, float) and isinstance(b, float):
@@ -138,8 +144,40 @@ class _Code:
         return self._emit(a, o, b), na != nb
 
     def poly(self, e: DiffPoly):
-        return self._horner([(c, {self.index[(jv.field.name, jv.d)]: p for jv, p in factors})
-                             for c, factors in e.monomials()])
+        """The operand of e, reusing the polynomials compiled before: e =
+        ±q + (e ∓ q) when that difference has fewer than half of e's
+        terms, e = q * (e / q) when q has two terms or more and divides e
+        with such a quotient.  Of these rewrites the one that leaves the
+        fewest terms wins, the earliest q on a tie; what it leaves is
+        compiled the same way, and a polynomial no rewrite fits goes to
+        the Horner form."""
+        terms = e.terms
+        n = len(terms)
+        best = (n / 2, None, None, None)  # (terms left, operand of q, rewrite, what is left)
+        for q, qop in self.compiled:
+            qterms = q.terms
+            m = len(qterms)
+            common = terms.keys() & qterms.keys()
+            if n + m - 2 * len(common) < best[0]:  # all common terms cancel, at best
+                same = sum(terms[k] == qterms[k] for k in common)
+                opposite = sum(terms[k] == -qterms[k] for k in common)
+                for left, rule in ((n + m - len(common) - same, "+"), (n + m - len(common) - opposite, "-")):
+                    if left < best[0]:
+                        best = (left, qop, rule, q)
+            if n < best[0] * m:  # a quotient has at least n / m terms, so q has three or more
+                quo = divide_exact(e, q)
+                if quo is not None and len(quo.terms) < best[0]:
+                    best = (len(quo.terms), qop, "*", quo)
+        _, qop, rule, rest = best
+        if rule == "*":
+            out = self.mul(qop, self.poly(rest))
+        elif rule is not None:  # e = (e - q) + q, or e = (e + q) - q
+            out = self.add(self.poly(e - rest if rule == "+" else e + rest), qop, rule)
+        else:
+            out = self._horner([(c, {self.index[(jv.field.name, jv.d)]: p for jv, p in factors})
+                                for c, factors in e.monomials()])
+        self.compiled.append((e, out))
+        return out
 
     def _horner(self, terms):
         """Greedy multivariate Horner form (Ceberio and Kreinovich, ACM
@@ -240,25 +278,50 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
 
 def _rhs_source(rows, rests, pivots, jets) -> str:
     """Gaussian elimination in the given pivot order, unrolled; a
-    structurally zero entry (None) is never read or written."""
+    structurally zero entry (None) is never read or written.  The pivot
+    order ignores magnitudes, so when the elimination did any work one
+    step of iterative refinement in working precision follows, which
+    makes the solve componentwise backward stable (Skeel, Math. Comp. 35,
+    1980): the residual of the rows as compiled, solved with the same
+    multipliers and added to the solution."""
     code, k = _Code(jets), len(pivots)
     # each row: its T-jet coefficients, then minus its remainder
-    m = [[None if c.is_zero() else code.poly(c) for c in row] + [code.poly(-rest)] for row, rest in zip(rows, rests)]
+    entries = [[None if c.is_zero() else code.poly(c) for c in row] + [code.poly(-rest)]
+               for row, rest in zip(rows, rests)]
+    m = [row[:k] for row in entries]
+    steps = []  # (row, multiplier, pivot row), in elimination order
     for col, piv in enumerate(pivots):
         p = m[piv]
-        for a in (m[r] for r in pivots[col + 1:] if m[r][col] is not None):
-            f = code.mul(a[col], p[col], "/")
-            for c in range(col + 1, k + 1):
+        for r in (r for r in pivots[col + 1:] if m[r][col] is not None):
+            a, f = m[r], code.mul(m[r][col], p[col], "/")
+            steps.append((r, f, piv))
+            for c in range(col + 1, k):
                 if p[c] is not None:
                     a[c] = code.add(a[c] or (0.0, False), code.mul(f, p[c]), "-")
-    x = [None] * k
-    for col in reversed(range(k)):
-        a = m[pivots[col]]
-        acc = a[k]
-        for c in range(col + 1, k):
-            if a[c] is not None:
-                acc = code.add(acc, code.mul(a[c], x[c]), "-")
-        x[col] = code.mul(acc, a[col], "/")
+
+    def solve(b):  # the right-hand sides b through the same steps, then back substitution
+        b = list(b)
+        for r, f, piv in steps:
+            b[r] = code.add(b[r], code.mul(f, b[piv]), "-")
+        x = [None] * k
+        for col in reversed(range(k)):
+            a, acc = m[pivots[col]], b[pivots[col]]
+            for c in range(col + 1, k):
+                if a[c] is not None:
+                    acc = code.add(acc, code.mul(a[c], x[c]), "-")
+            x[col] = code.mul(acc, a[col], "/")
+        return x
+
+    x = solve([row[k] for row in entries])
+    if steps:
+        res = []
+        for row in entries:
+            acc = row[k]
+            for c, xc in zip(row, x):
+                if c is not None:
+                    acc = code.add(acc, code.mul(c, xc), "-")
+            res.append(acc)
+        x = [code.add(xc, dc) for xc, dc in zip(x, solve(res))]
     return code.function("rhs", x)
 
 
@@ -457,7 +520,12 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
 
 
 def _finite(name: str, key: str, value) -> float:
-    x = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CompileError(f"malformed initial data for {name}: {key} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise CompileError(f"malformed initial data for {name}: {key} must be finite, got {value!r}")
     return x

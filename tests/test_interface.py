@@ -300,11 +300,12 @@ def _rat11_init(**entries):
     (None, _rat11_init(v1={"fourier": {"mean": -1.0, "modes": [{"k": [1, 0, 0, 7], "amp": 0.05}]}}),
      "k must be three integers, got [1, 0, 0, 7]"),
     (None, _rat11_init(v1={"constant": float("nan")}), "constant must be finite"),
+    (None, _rat11_init(a1={"constant": True}), "malformed initial data for a1: constant must be a number, got True"),
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [
         {"op": "pow", "base": {"op": "jet", "field": "u", "d": [0, 0, 0, 1]}, "exp": 128}]}, None,
      "StructureError: jet exponent above 127"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
-        "nan-constant", "exponent-128"])
+        "nan-constant", "boolean-constant", "exponent-128"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
     if system is not None:

@@ -17,6 +17,8 @@ from contactlax.numeric import (
     NumericAbortError,
     PoleProximityError,
     Trajectory,
+    _Code,
+    _GENERATED_NAMES,
     _grid_jets,
     compile_system,
     fd2_diff,
@@ -184,13 +186,18 @@ def _assert_matches_exact(sys, cs, rng, pairs=(), points=10, forward=True):
                 assert abs(got[u] - float(e)) <= 1e-12 * max(1.0, abs(float(e)))
 
 
-@pytest.mark.parametrize("m,n,form", [(1, 1, "residues"), (1, 1, "coefficients"), (2, 1, "residues")])
+@pytest.mark.parametrize("m,n,form", [(1, 1, "residues"), (1, 1, "coefficients"), (2, 1, "residues"),
+                                      (2, 2, "residues"), (2, 1, "coefficients")])
 def test_compiled_matches_exact_eval(m, n, form, rng):
-    # The residue forms are diagonal.  The coefficient form's rows hold
-    # 4, 4, 4 and 2 T-jets, and at one of the ten points its T-jet matrix
-    # has condition number 2.4e5: a float solve of the correctly rounded
-    # matrix (LAPACK's included) misses the exact solution by 3e-12
-    # there, so only its backward error is held to 1e-12.
+    # The residue forms are diagonal; rat (2, 2)'s remainders have 63 and
+    # 128 terms, the most cancellation of these cases.  The coefficient
+    # forms' T-jet matrices are not diagonal: at one of the ten points
+    # rat (1, 1)'s has condition number 2.4e5, and a float solve of the
+    # correctly rounded matrix (LAPACK's included) misses the exact
+    # solution by 3e-12 there, so only their backward error is held to
+    # 1e-12.  At another, a pivot of rat (2, 1)'s fixed pivot order is
+    # 1.4e-3 of its column's largest entry, which the refinement step
+    # after the elimination must make up for.
     sys = ck_transform(derive("rat", m, n, form=form))
     pairs = pole_pairs_for(sum(sys.provenance["pole_fields"], ()))
     _assert_matches_exact(sys, compile_system(sys), rng, pairs=pairs, forward=form == "residues")
@@ -220,6 +227,38 @@ def test_generated_code_stays_flat_on_a_long_chain(rng):
     ufunc = r"(add|subtract|multiply|divide)\([^(), ]+, [^(), ]+"
     assert all(re.fullmatch(rf"    (# .*|size = broadcast_shapes\((shape\(j\d+\)(, )?)+\)|s\d+ = empty\(size\)"
                             rf"|{ufunc}, out=s\d+\)|t\d+ = {ufunc}\)|return \(.*\))", line) for line in body)
+
+
+_UFUNC_CALL = re.compile(r"\b(add|subtract|multiply|divide)\(")
+
+
+def test_code_reuses_compiled_polynomials():
+    # after q, the generator emits nothing for -q, one addition for
+    # q + v, and for q (v - w) one subtraction and one product
+    v, w, a, b = (jet(FieldId(name)) for name in "vwab")
+    q = a * v * v + 3 * b * w * w - a * b * w + v * w
+    code = _Code([(name, (0, 0, 0, 0)) for name in "abvw"])
+    name, neg = code.poly(q)
+    calls = len(code.ops)
+    assert code.poly(-q) == (name, not neg) and len(code.ops) == calls
+    exprs = [q, -q, q + v, q * (v - w)]
+    outs = [code.poly(e) for e in exprs]
+    assert len(code.ops) == calls + 3
+    namespace = dict(_GENERATED_NAMES)
+    exec(code.function("f", outs), namespace)
+    pt = {"a": Fraction(3, 7), "b": Fraction(-5, 2), "v": Fraction(2, 9), "w": Fraction(11, 13)}
+    got = namespace["f"](*map(float, pt.values()))
+    at = {JetVariable(FieldId(k)): x for k, x in pt.items()}
+    for g, e in zip(got, exprs):
+        want = float(evaluate(e, at))
+        assert abs(g - want) <= 1e-15 * abs(want)
+
+
+def test_rat11_code_size(cs):
+    # ufunc calls and slot arrays per call of the generated functions
+    for source, calls, slots in ((cs.rhs_source, 94, 12), (cs.residual_source, 93, 8)):
+        assert len(_UFUNC_CALL.findall(source)) <= calls
+        assert source.count(" = empty(size)") <= slots
 
 
 def test_compiled_system_pickles_by_source(cs):
@@ -443,6 +482,16 @@ def test_initial_data_loader(cs):
     assert np.max(state["w1"]) > 1.05
     with pytest.raises(CompileError):
         load_initial_data({"v1": {"constant": 0}}, cs.unknowns, coords)
+    # values are JSON numbers: no booleans, no strings, nothing past the float range
+    fourier = {"fourier": {"mean": 1.0, "modes": [{"k": [1, 0, 0], "amp": False}]}}
+    for entry, message in (({"constant": True}, "constant must be a number, got True"),
+                           ({"constant": "0.7"}, "constant must be a number, got '0.7'"),
+                           ({"constant": None}, "constant must be a number, got None"),
+                           (fourier, "amp must be a number, got False"),
+                           ({"constant": 10 ** 400}, "constant must be finite")):
+        with pytest.raises(CompileError, match=f"^malformed initial data for w1: {re.escape(message)}"):
+            load_initial_data({**spec, "w1": entry}, cs.unknowns, coords)
+    assert load_initial_data({**spec, "w1": {"constant": 2}}, cs.unknowns, coords)["w1"][0, 0, 0] == 2.0
 
 
 def test_monitor_csv(tmp_path, cs):
