@@ -13,19 +13,24 @@ are reported in list order.
     git archive <commit> | tar -x -C /tmp/base
     PYTHONPATH=src python scripts/compare_outputs.py /tmp/base/src [--head src] [--only derive]
 
-Prints one line per differing command and exits 1 if there is any.
+Prints one line per differing command, with the largest relative
+difference |a - b| / max(|a|, |b|) between corresponding numbers of its
+differing outputs (CSV cells, report values, stdout numbers), or
+``non-numeric`` when they differ in anything else, and exits 1 if there
+is any.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +41,8 @@ INIT = {u: {"fourier": {"mean": c, "modes": [{"k": k, "amp": 0.05, "phase": 0.3}
                         ("b1", 0.7, [1, 1, 0]))}
 ABORT = {u: {"constant": c} for u, c in (("v1", -1.0), ("w1", -0.95), ("a1", 1.0), ("b1", 0.5))}
 SIZES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+# a decimal number that is not part of a name such as v1
+NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def commands() -> list[list[list[str]]]:
@@ -81,9 +88,9 @@ def commands() -> list[list[list[str]]]:
     return out
 
 
-def run(src: Path, steps: list[list[str]], workdir: Path) -> dict:
-    """The outcome of one command: per step its exit code and output
-    digests, then the digest of every file left in workdir."""
+def run(src: Path, steps: list[list[str]], workdir: Path) -> dict[str, bytes]:
+    """The outcome of one command: per step its exit code and outputs,
+    then every file left in workdir."""
     (workdir / "init.json").write_text(json.dumps(INIT))
     (workdir / "abort.json").write_text(json.dumps(ABORT))
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
@@ -91,12 +98,26 @@ def run(src: Path, steps: list[list[str]], workdir: Path) -> dict:
     for i, argv in enumerate(steps):
         done = subprocess.run([sys.executable, "-m", "contactlax.cli", *argv], capture_output=True, cwd=workdir,
                               env=env, timeout=1800)
-        got[f"step {i} exit"] = done.returncode
-        got[f"step {i} stdout"] = hashlib.sha256(done.stdout).hexdigest()
-        got[f"step {i} stderr"] = hashlib.sha256(done.stderr).hexdigest()
+        got[f"step {i} exit"] = b"exit %d" % done.returncode
+        got[f"step {i} stdout"] = done.stdout
+        got[f"step {i} stderr"] = done.stderr
     for path in sorted(workdir.iterdir()):
-        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        got[path.name] = path.read_bytes()
     return got
+
+
+def relative_difference(a: bytes | None, b: bytes | None) -> float | None:
+    """The largest relative difference between corresponding numbers of
+    two texts, or None when they differ in anything but those numbers."""
+    if a is None or b is None or NUMBER.split(a) != NUMBER.split(b):
+        return None
+    worst = Fraction(0)
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        if x != y:
+            x, y = Fraction(x.decode()), Fraction(y.decode())
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return float(worst)
 
 
 def main() -> int:
@@ -107,20 +128,25 @@ def main() -> int:
     args = ap.parse_args()
     cmds = [c for c in commands() if not args.only or args.only in " ".join(map(" ".join, c))]
 
-    def differing_keys(steps) -> list[str]:
+    def differences(steps) -> tuple[list[str], float | None]:
+        """The differing outputs of one command, and their largest relative
+        difference (None: non-numeric)."""
         outcomes = []
         for src in (args.base, args.head):
             with tempfile.TemporaryDirectory() as tmp:
                 outcomes.append(run(src.resolve(), steps, Path(tmp)))
         base, head = outcomes
-        return sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+        keys = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+        rel = [None if k.endswith(" exit") else relative_difference(base.get(k), head.get(k)) for k in keys]
+        return keys, None if None in rel else max(rel, default=0.0)
 
     differing = 0
     with ThreadPoolExecutor(os.cpu_count()) as pool:
-        for steps, keys in zip(cmds, pool.map(differing_keys, cmds)):
+        for steps, (keys, rel) in zip(cmds, pool.map(differences, cmds)):
             if keys:
                 differing += 1
-                print(f"DIFF {' && '.join(map(' '.join, steps))}: {', '.join(keys)}", flush=True)
+                how = "non-numeric" if rel is None else f"largest relative difference {rel:.3g}"
+                print(f"DIFF {' && '.join(map(' '.join, steps))}: {', '.join(keys)}: {how}", flush=True)
     print(f"{len(cmds) - differing} of {len(cmds)} commands byte-identical")
     return 1 if differing else 0
 

@@ -51,7 +51,6 @@ from .jetalg import (
     jets_of_field,
     map_jets,
     primitive,
-    quotient_rule,
     strip_monomial,
     substitute,
     total_derivative_q,
@@ -167,28 +166,37 @@ def cc_substitution_path(lax: LaxPair) -> PRational:
     return rational_from_psi_quotient(e1 - e2, psi, planar=(lax.dimension == "2+1"))
 
 
-def _coeff_derivative(r: PRational, direction) -> PRational:
-    """Total derivative through the jet coefficients with p held fixed."""
-    def d(c):
-        return total_derivative_q(c, direction)
+def _bracket_terms(lax: LaxPair) -> tuple[list[tuple[PPoly, PPoly]], PPoly]:
+    """The terms F_t, -G_y, F_p G_x, -G_p F_x, (F - p F_p) G_z and
+    -(G - p G_p) F_z of the closed-form bracket (no z-terms in the plane),
+    the s-derivatives taken through the jet coefficients with p held
+    fixed, each as numerators (a, b) of a product a b over D^2 E^2, and
+    D^2 E^2.  With F = N/D and G = M/E, D and E monic, every derivative
+    of F is a numerator over D^2 (F_s = (N_s D - N D_s)/D^2, likewise
+    F_p), and F - p F_p is (N D - p (N_p D - N D_p))/D^2."""
+    def d(pp: PPoly, s: str) -> PPoly:
+        return pp.map_coeffs(lambda c: total_derivative_q(c, s))
 
-    return quotient_rule(PRational, r.num, r.den, r.num.map_coeffs(d), r.den.map_coeffs(d))
+    planar = lax.dimension == "2+1"
+    (n_f, d_f), (n_g, d_g) = (lax.F.num, lax.F.den), (lax.G.num, lax.G.den)
+    dirs = ("x",) if planar else ("x", "z")
+    f_s = {s: d(n_f, s) * d_f - n_f * d(d_f, s) for s in ("t", *dirs)}
+    g_s = {s: d(n_g, s) * d_g - n_g * d(d_g, s) for s in ("y", *dirs)}
+    f_p = n_f.deriv() * d_f - n_f * d_f.deriv()
+    g_p = n_g.deriv() * d_g - n_g * d_g.deriv()
+    d_f2, d_g2 = d_f * d_f, d_g * d_g
+    terms = [(f_s["t"], d_g2), (-g_s["y"], d_f2), (f_p, g_s["x"]), (-g_p, f_s["x"])]
+    if not planar:
+        p = PPoly.x()
+        terms += [(n_f * d_f - p * f_p, g_s["z"]), (p * g_p - n_g * d_g, f_s["z"])]
+    return terms, d_f2 * d_g2
 
 
 def cc_bracket_path(lax: LaxPair) -> PRational:
-    """Path (b): the closed-form compatibility bracket."""
-    f, g = lax.F, lax.G
-    fp, gp = f.pdiff(), g.pdiff()
-    cc = (
-        _coeff_derivative(f, "t")
-        - _coeff_derivative(g, "y")
-        + fp * _coeff_derivative(g, "x")
-        - gp * _coeff_derivative(f, "x")
-    )
-    if lax.dimension != "2+1":
-        p = PRational.p()
-        cc = cc + (f - p * fp) * _coeff_derivative(g, "z") - (g - p * gp) * _coeff_derivative(f, "z")
-    return cc
+    """Path (b): the closed-form compatibility bracket, one numerator
+    over D^2 E^2 (see _bracket_terms)."""
+    terms, den = _bracket_terms(lax)
+    return PRational(sum((a * b for a, b in terms), PPoly()), den)
 
 
 def bracket_mod(lax: LaxPair, pt: dict, pval: int) -> int:
@@ -375,9 +383,10 @@ def residue_system(lax: LaxPair) -> PDESystem:
 
 def _residue_spot_check(const: JetQuotient, rows, lax: LaxPair):
     """Compare const + sum res[k]/(p - pole)^(k+1) over the rows
-    (pole, res), evaluated at five random points of GF(PRIME) together,
-    with bracket_mod there.  The value of p is drawn after each point,
-    again while it hits a pole.  A mismatch is an engine bug."""
+    (pole, res), all evaluated together at five random points of
+    GF(PRIME), with bracket_mod there.  The value of p is drawn after
+    each point, again while it hits a pole.  A mismatch is an engine
+    bug."""
     rng = random.Random(60170)
     # the rows are polynomials in the jets the bracket reads
     jvs = {JetVariable(f, d) for f in lax.fields for d in (ZERO_INDEX, *_UNIT.values())}
@@ -391,13 +400,12 @@ def _residue_spot_check(const: JetQuotient, rows, lax: LaxPair):
             pval = rng.randrange(PRIME)
         pvals.append(pval)
     lhs = [bracket_mod(lax, pt, pval) for pt, pval in zip(pts, pvals)]
-    rhs = evaluate_mod_points(const, pts)
+    rhs, *vals = evaluate_mod_points([const, *(r for _, res in rows for r in res)], pts)
+    vals = iter(vals)
     for (_, res), pj in zip(rows, pole_jets):
         invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
-        for k, r in enumerate(res):
-            if not r.is_zero():
-                vals = evaluate_mod_points(r, pts)
-                rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, vals, invs)]
+        for k in range(len(res)):
+            rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, next(vals), invs)]
     if any(a != b % PRIME for a, b in zip(lhs, rhs)):
         raise DerivationError("the residue equations fail the random-point check against the bracket of F and G")
 
@@ -515,20 +523,25 @@ def _det_mod(mat: list[list[int]]) -> tuple[int, tuple[int, ...]]:
 
 
 def t_solvability_witness(sys: PDESystem) -> tuple[int, tuple[int, ...]]:
-    """Evaluate the T-jet matrix of t_jet_split at a random point of
-    GF(PRIME), drawn with the fixed seed CK_SEED, and require it to be
-    invertible; returns the determinant mod PRIME and the row that
-    pivots each column.  A nonzero result proves the matrix nonsingular
-    over Q: reduction mod PRIME is a ring map that commutes with
-    evaluation and with the determinant, so the determinant polynomial
-    is not zero; likewise each pivot is a nonzero rational function of
-    the jets.  Only a zero result can be wrong, with probability at most
-    degree/PRIME (Schwartz-Zippel)."""
-    rows, _ = t_jet_split(sys)
+    """t_matrix_witness of the T-jet matrix of t_jet_split."""
+    return t_matrix_witness(t_jet_split(sys)[0], sys)
+
+
+def t_matrix_witness(rows: list[list[DiffPoly]], sys: PDESystem) -> tuple[int, tuple[int, ...]]:
+    """Evaluate the T-jet matrix rows of sys (from t_jet_split) at a
+    random point of GF(PRIME), drawn with the fixed seed CK_SEED clear of
+    the poles of sys, and require it to be invertible; returns the
+    determinant mod PRIME and the row that pivots each column.  A nonzero
+    result proves the matrix nonsingular over Q: reduction mod PRIME is a
+    ring map that commutes with evaluation and with the determinant, so
+    the determinant polynomial is not zero; likewise each pivot is a
+    nonzero rational function of the jets.  Only a zero result can be
+    wrong, with probability at most degree/PRIME (Schwartz-Zippel)."""
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     jvs = {jv for row in rows for c in row for jv in c.jet_variables()}
     pt = random_point(jvs, random.Random(CK_SEED), pole_pairs=pole_pairs_for((*vs, *ws)))
-    det, pivots = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
+    flat = iter(evaluate_mod_points([c for row in rows for c in row], [pt]))
+    det, pivots = _det_mod([[next(flat)[0] for _ in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
     return det, pivots

@@ -475,7 +475,8 @@ def strip_monomial(e: DiffPoly, mono: int) -> DiffPoly:
 def primitive(e: DiffPoly):
     """Strip rational and monomial content and fix the sign so the leading
     term is positive.  Returns (primitive part, rational scale, monomial)
-    with e == scale * monomial * primitive part."""
+    with e == scale * monomial * primitive part.  When the content is
+    integral, so is every coefficient, and it is divided out in integers."""
     if e.is_zero():
         return e, Fraction(1), 0
     rat, mono = content(e)
@@ -483,8 +484,14 @@ def primitive(e: DiffPoly):
     lead = out.leading()
     if lead[1] < 0:
         rat = -rat
-    scale = Fraction(1) / rat
-    out = DiffPoly({m: _coeff(Fraction(c) * scale) for m, c in out._terms.items()})
+    if rat.denominator != 1:
+        scale = Fraction(1) / rat
+        out = DiffPoly({m: _coeff(Fraction(c) * scale) for m, c in out._terms.items()})
+    elif rat == -1:
+        out = -out
+    elif rat != 1:
+        k = rat.numerator
+        out = DiffPoly({m: c // k for m, c in out._terms.items()})
     return out, rat, mono
 
 
@@ -708,8 +715,8 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
 
 def quotient_rule(make, num, den, dnum, dden):
     """The one quotient rule: make(dnum * den - num * dden, den * den),
-    or make(dnum, den) when dden is zero.  Jet quotients, p-rational
-    coefficients and d/dp all differentiate through it."""
+    or make(dnum, den) when dden is zero.  Jet quotients and d/dp of a
+    rational function of p differentiate through it."""
     if dden.is_zero():
         return make(dnum, den)
     return make(dnum * den - num * dden, den * den)
@@ -856,43 +863,54 @@ PRIME = 2 ** 61 - 1
 def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
     """Evaluation in GF(PRIME) at a point mapping JetVariable -> int (see
     evaluate_mod_points)."""
-    return evaluate_mod_points(e, [point])[0]
+    return evaluate_mod_points([e], [point])[0][0]
 
 
-def evaluate_mod_points(e: DiffPoly | JetQuotient, points: list[dict]) -> list[int]:
-    """The values of e in GF(PRIME) at each of the points, each mapping
-    JetVariable -> int.  Each term is unpacked once for all the points.
-    Raises PoleError when a denominator, at some point, or the denominator
-    of a rational coefficient is 0 mod PRIME."""
-    if isinstance(e, JetQuotient):
-        dens = evaluate_mod_points(e.den, points)
-        if 0 in dens:
-            raise PoleError("denominator vanishes mod p at the point")
-        return [n * pow(d, -1, PRIME) % PRIME for n, d in zip(evaluate_mod_points(e.num, points), dens)]
+def evaluate_mod_points(exprs, points: list[dict]) -> list[list[int]]:
+    """The values in GF(PRIME) of each of exprs (DiffPoly or JetQuotient)
+    at each of the points, each mapping JetVariable -> int, one list per
+    expression.  Every factor (one jet to a power) is raised once per
+    point for all the expressions, and each term is unpacked once for all
+    the points.  Raises CoverageError when a point has no value for a
+    jet, and PoleError when a denominator, at some point, or the
+    denominator of a rational coefficient is 0 mod PRIME."""
     if not points:
-        return []
-    tables = [{} for _ in points]  # per point: key of a factor (one jet to a power) -> its value
-    rows = []  # (coefficient mod PRIME, factor keys) of each term
-    for m, c in e._terms.items():
-        if not isinstance(c, int):
-            d = c.denominator % PRIME
-            if d == 0:
-                raise PoleError("coefficient denominator vanishes mod p")
-            c = c.numerator * pow(d, -1, PRIME)
-        fs = []
-        while m:  # the factors, top byte first, as in _factors
-            s = (m.bit_length() - 1) & -8
-            f = (m >> s) << s
-            m -= f
-            if f not in tables[0]:
-                jv = _JETS[s >> 3]
-                for vals, point in zip(tables, points):
-                    if jv not in point:
-                        raise CoverageError(f"no value for {jv!r}")
-                    vals[f] = pow(point[jv], f >> s, PRIME)
-            fs.append(f)
-        rows.append((c, fs))
-    return [sum(c * math.prod(map(vals.__getitem__, fs)) for c, fs in rows) % PRIME for vals in tables]
+        return [[] for _ in exprs]
+    tables = [{} for _ in points]  # per point: key of a factor -> its value
+
+    def values(e: DiffPoly) -> list[int]:
+        rows = []  # (coefficient mod PRIME, factor keys) of each term
+        for m, c in e._terms.items():
+            if not isinstance(c, int):
+                d = c.denominator % PRIME
+                if d == 0:
+                    raise PoleError("coefficient denominator vanishes mod p")
+                c = c.numerator * pow(d, -1, PRIME)
+            fs = []
+            while m:  # the factors, top byte first, as in _factors
+                s = (m.bit_length() - 1) & -8
+                f = (m >> s) << s
+                m -= f
+                if f not in tables[0]:
+                    jv = _JETS[s >> 3]
+                    for vals, point in zip(tables, points):
+                        if jv not in point:
+                            raise CoverageError(f"no value for {jv!r}")
+                        vals[f] = pow(point[jv], f >> s, PRIME)
+                fs.append(f)
+            rows.append((c, fs))
+        return [sum(c * math.prod(map(vals.__getitem__, fs)) for c, fs in rows) % PRIME for vals in tables]
+
+    out = []
+    for e in exprs:
+        if isinstance(e, JetQuotient):
+            dens = values(e.den)
+            if 0 in dens:
+                raise PoleError("denominator vanishes mod p at the point")
+            out.append([n * pow(d, -1, PRIME) % PRIME for n, d in zip(values(e.num), dens)])
+        else:
+            out.append(values(e))
+    return out
 
 
 # -- expression trees (JSON wire format) ------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_solvability_witness
+from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_matrix_witness
 from .jetalg import DiffPoly, divide_exact
 from .pfield import CompileError, NumericAbortError, PoleProximityError
 
@@ -266,7 +266,7 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
     rows, rests = t_jet_split(sys)
-    _, pivots = t_solvability_witness(sys)
+    _, pivots = t_matrix_witness(rows, sys)
     required = tuple(sorted({(jv.field.name, jv.d) for e in (*(c for row in rows for c in row), *rests)
                              for jv in e.jet_variables()}))
     vs, ws = sys.provenance.get("pole_fields", ((), ()))

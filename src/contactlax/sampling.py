@@ -2,11 +2,16 @@
 
 The residue spot check, the printed-system line comparison and
 the T-solvability witness all sample here.  The spot check evaluates
-with ``jetalg.evaluate_mod_points`` and ``compat.bracket_mod``, the
-other two with ``jetalg.evaluate_mod``.  A nonzero polynomial of total
-degree d vanishes at a uniform point of GF(p)^k with probability at
-most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A
-point on which two poles of a requested pair coincide is drawn again."""
+all its rows at its five points in one ``jetalg.evaluate_mod_points``
+call, against ``compat.bracket_mod`` there; the witness evaluates all
+the entries of its T-jet matrix at its one point in one such call; the
+line comparison evaluates one difference at a time with
+``jetalg.evaluate_mod``, and stops at the first point where it is
+nonzero.  Within one call, each jet power is computed once per point.
+A nonzero polynomial of total degree d vanishes at a uniform point of
+GF(p)^k with probability at most d/p (Schwartz, J. ACM 27(4), 1980;
+Zippel, EUROSAM 1979).  A point on which two poles of a requested pair
+coincide is drawn again."""
 
 from __future__ import annotations
 

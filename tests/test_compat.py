@@ -537,6 +537,21 @@ def test_compatibility_condition_rejects_disagreeing_paths(monkeypatch):
         compatibility_condition(lax)
 
 
+@pytest.mark.parametrize("dimension", ["3+1", "2+1"])
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+def test_each_bracket_term_is_checked(family, dimension, monkeypatch):
+    # a sign slip in any one term of the bracket is a disagreement
+    lax = replace(make_family(family, 1, 1), dimension=dimension)
+    terms, den = compat._bracket_terms(lax)
+    assert len(terms) == (6 if dimension == "3+1" else 4)
+    compatibility_condition(lax)
+    for k in range(len(terms)):
+        flipped = [(-a, b) if i == k else (a, b) for i, (a, b) in enumerate(terms)]
+        monkeypatch.setattr(compat, "_bracket_terms", lambda pair, flipped=flipped: (flipped, den))
+        with pytest.raises(DerivationError):
+            compatibility_condition(lax)
+
+
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
 def test_reduction_commutes(family):
     lax = make_family(family, 1, 1)

@@ -220,20 +220,30 @@ def test_evaluate_mod_pole_errors():
 
 
 def test_evaluate_mod_points_matches_single_points():
+    # several expressions over shared jets, quotients and rational
+    # coefficients among them, evaluated together at several points
     rng = random.Random(62)
-    for _ in range(40):
-        a, b = from_tree(random_tree(rng)), from_tree(random_tree(rng))
-        jvs = set(a.jet_variables()) | set(b.jet_variables())
+    for _ in range(30):
+        polys = [from_tree(random_tree(rng)) for _ in range(3)]
+        exprs = [*polys, Fraction(-5, 7) * polys[0] * polys[1] + v * vx, ZERO]
+        exprs += [JetQuotient(a, b) for a, b in zip(polys, polys[1:]) if not b.is_zero()]
+        jvs = {jv for e in exprs for jv in e.jet_variables()} | {V_JV, VX_JV}
         pts = [random_point(jvs, rng) for _ in range(rng.randint(1, 4))]
-        for e in (a, b, JetQuotient(a, b) if not b.is_zero() else a):
-            assert evaluate_mod_points(e, pts) == [evaluate_mod(e, pt) for pt in pts]
-    assert evaluate_mod_points(v, []) == []
-    # a denominator that vanishes at one point of several
+        got = evaluate_mod_points(exprs, pts)
+        assert got == [[_reduce(evaluate(e, pt)) for pt in pts] for e in exprs]
+        assert got == [evaluate_mod_points([e], pts)[0] for e in exprs]
+        assert got == [[evaluate_mod(e, pt) for pt in pts] for e in exprs]
+    assert evaluate_mod_points([v, w], []) == [[], []]
     pts = [{JetVariable(V): 3, JetVariable(W): 2}, {JetVariable(V): 3, JetVariable(W): PRIME}]
+    # a denominator that vanishes at one point of several, after an
+    # expression that filled the table
     with pytest.raises(PoleError):
-        evaluate_mod_points(JetQuotient(v, w), pts)
+        evaluate_mod_points([v * w, JetQuotient(v, w)], pts)
+    with pytest.raises(PoleError):
+        evaluate_mod_points([v, v * Fraction(1, PRIME)], pts)
+    # a jet that one point lacks, first met in a later expression
     with pytest.raises(CoverageError):
-        evaluate_mod_points(v * w, [pts[0], {JetVariable(V): 3}])
+        evaluate_mod_points([v, v * w], [pts[0], {JetVariable(V): 3}])
 
 
 def test_eval_of_normalized_matches_tree_oracle():
@@ -400,6 +410,42 @@ def test_primitive_strips_content_and_sign():
     assert prim == 3 * v + 2 * w
     assert scale == -2
     assert DiffPoly({mono: 1}) == v * w
+
+
+def _primitive_by_fractions(e: DiffPoly):
+    """primitive's formula in Fraction arithmetic: the content, its sign
+    that of the leading term after the monomial is stripped, divided out
+    of every coefficient."""
+    rat, mono = content(e)
+    out = strip_monomial(e, mono)
+    if out.leading()[1] < 0:
+        rat = -rat
+    return {m: Fraction(c) / rat for m, c in out.terms.items()}, rat, mono
+
+
+_CONTENTS = st.sampled_from([1, -1]) | st.integers(2, 40).flatmap(
+    lambda k: st.sampled_from([k, -k, Fraction(1, k), Fraction(-1, k), Fraction(k, k + 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                       st.integers(-30, 30).filter(bool)),
+             min_size=1, max_size=6, unique_by=lambda t: t[0]),
+    _CONTENTS,
+)
+def test_primitive_matches_the_fraction_formula(terms, k):
+    # an integral polynomial of content 1, any sign of its leading term,
+    # times k: content |k|, integral or not
+    g = math.gcd(*(c for _, c in terms))
+    e = k * sum((c // g * v ** a * w ** b * vx ** d for (a, b, d), c in terms), ZERO)
+    assert content(e)[0] == abs(k)
+    prim, scale, mono = primitive(e)
+    want, want_scale, want_mono = _primitive_by_fractions(e)
+    assert list(prim.terms.items()) == list(want.items())
+    # the normal form: integral coefficients are ints
+    assert all(type(c) is int or c.denominator != 1 for c in prim.terms.values())
+    assert isinstance(scale, Fraction) and scale == want_scale and mono == want_mono
 
 
 # -- division and the graded order: fixed-seed property checks -----------
