@@ -33,6 +33,7 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .jetalg import (
+    ONE,
     PRIME,
     WAVE,
     ZERO,
@@ -330,10 +331,11 @@ def _two_pole_terms(a, v, b, w=None) -> tuple[JetQuotient, JetQuotient]:
 
 
 def _pole_rows(side, other, direction: str, planar: bool):
-    """(pole field, (order-1, order-2 coefficient)) at each pole v of a side
+    """(pole field, (order-1 terms, order-2 terms)) at each pole v of a side
     (const, ((residue, pole), ...)) of lax.pole_data: the G-free part A_t,
-    A P_t (direction t) plus the _two_pole_terms of each summand of the
-    other side, its constant first, so the row is in lowest terms."""
+    A P_t (direction t), then the _two_pole_terms of each summand of the
+    other side, its constant first.  Each term is in lowest terms, and so
+    is their sum."""
     def triples(*fields):
         # (value, x-jet, z-jet) per field, z-jets zero in the planar bracket;
         # x-jets are interned first: the order of terms in every output follows it
@@ -345,12 +347,17 @@ def _pole_rows(side, other, direction: str, planar: bool):
     summands = [(*triples(c), None) for c in [const] if c] + [triples(b, w) for b, w in pairs]
     for res, pole in side[1]:
         a = jet(res)
-        order1, order2 = total_derivative_q(a, direction), a * total_derivative_q(jet(pole), direction)
+        order1, order2 = [total_derivative_q(a, direction)], [a * total_derivative_q(jet(pole), direction)]
         own = triples(res) + triples(pole)
         for b, w in summands:
             k1, k2 = _two_pole_terms(*own, b, w)
-            order1, order2 = order1 + k1, order2 + k2
+            order1.append(k1)
+            order2.append(k2)
         yield pole, (order1, order2)
+
+
+def _sum(terms) -> JetQuotient:
+    return sum(terms[1:], terms[0])
 
 
 def residue_system(lax: LaxPair) -> PDESystem:
@@ -360,25 +367,31 @@ def residue_system(lax: LaxPair) -> PDESystem:
     pair's own simple poles, in lowest terms.  The bracket is antisymmetric
     under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
     with F and y, negated.  The compatibility condition is never formed:
-    the rows are checked against bracket_mod at random points of GF(PRIME)."""
+    the rows are checked against bracket_mod at random points of GF(PRIME).
+    The provenance entry "terms" holds, per equation, the terms it is the
+    sum of (equation_terms); the serializer does not write it."""
     if lax.family not in (RAT, RATGP):
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
     side_f, side_g = lax.pole_data
     planar = lax.dimension == "2+1"
-    rows = list(_pole_rows(side_f, side_g, "t", planar))
-    rows += [(f, tuple(-r for r in res)) for f, res in _pole_rows(side_g, side_f, "y", planar)]
+    # (pole field, (order-1, order-2 coefficient), their terms)
+    rows = [(f, tuple(map(_sum, terms)), terms) for f, terms in _pole_rows(side_f, side_g, "t", planar)]
+    rows += [(f, tuple(-_sum(ts) for ts in terms), tuple([-t for t in ts] for ts in terms))
+             for f, terms in _pole_rows(side_g, side_f, "y", planar)]
     # only the constants a0, b0 are regular at p = oo: a0_t - b0_y + a0 b0_z - b0 a0_z survives
     a0, b0 = (JetQuotient(jet(c)) if c else JetQuotient(ZERO) for c, _ in lax.pole_data)
-    const = total_derivative_q(a0, "t") - total_derivative_q(b0, "y")
+    const_terms = [total_derivative_q(a0, "t"), -total_derivative_q(b0, "y")]
     if not planar:
-        const = const + a0 * total_derivative_q(b0, "z") - b0 * total_derivative_q(a0, "z")
-    _residue_spot_check(const, rows, lax)
-    eqs, labels = ([const], ["constant"]) if not const.is_zero() else ([], [])
+        const_terms += [a0 * total_derivative_q(b0, "z"), -(b0 * total_derivative_q(a0, "z"))]
+    const = _sum(const_terms)
+    _residue_spot_check(const, [(f, res) for f, res, _ in rows], lax)
+    eqs, labels, terms = ([const], ["constant"], [const_terms]) if not const.is_zero() else ([], [], [])
     for order in (2, 1):
-        for f, res in rows:
+        for f, res, ts in rows:
             eqs.append(res[order - 1])
             labels.append(f"{f.name}:{order}")
-    return _system(lax, eqs, path="residues", labels=tuple(labels))
+            terms.append(ts[order - 1])
+    return _system(lax, eqs, path="residues", labels=tuple(labels), terms=tuple(map(tuple, terms)))
 
 
 def _residue_spot_check(const: JetQuotient, rows, lax: LaxPair):
@@ -438,8 +451,9 @@ def _ck_jet_expansion(jv: JetVariable) -> DiffPoly:
 
 
 def ck_transform(sys: PDESystem) -> PDESystem:
-    """Re-express y/t jets through Y and T and verify first-order
-    T-solvability at a random point of GF(PRIME)."""
+    """Re-express y/t jets through Y and T, in the equations and in their
+    recorded terms, and verify first-order T-solvability at a random point
+    of GF(PRIME)."""
     if sys.independents not in (XYZT,):
         raise StructureError("evolution transform expects (x, y, z, t) independents")
 
@@ -448,49 +462,78 @@ def ck_transform(sys: PDESystem) -> PDESystem:
             return _ck_jet_expansion(jv)
         return None
 
-    new_eqs = [JetQuotient(map_jets(eq.num, expand), map_jets(eq.den, expand)) for eq in sys.equations]
+    def mapped(q):  # a two-pole term reads no y- or t-jet, and comes back as it is
+        num, den = map_jets(q.num, expand), map_jets(q.den, expand)
+        return q if num is q.num and den is q.den else JetQuotient(num, den)
+
     prov = dict(sys.provenance)
     prov["ck_of"] = prov.get("path", "unknown")
     prov["original_system"] = sys
-    out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(new_eqs), prov)
+    if "terms" in prov:
+        prov["terms"] = tuple(tuple(map(mapped, terms)) for terms in prov["terms"])
+    out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(map(mapped, sys.equations)), prov)
     t_solvability_witness(out)
     return out
 
 
-def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[DiffPoly]]:
-    """Split each equation's numerator as sum_j rows[i][j] * (u_j)_T +
-    rests[i]; its denominator and content cancel from the solve for the
-    T-jets.  Raises TransformDegenerateError unless the system is linear
-    in its first-order T-jets, with T-free coefficients and remainders,
-    no T-jet in a denominator and one equation per unknown."""
+def equation_terms(sys: PDESystem) -> tuple[tuple[JetQuotient, ...], ...]:
+    """Per equation, the quotients it is the sum of: the terms recorded in
+    its provenance (residue_system), else the equation alone."""
+    return sys.provenance.get("terms") or tuple((eq,) for eq in sys.equations)
+
+
+def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[list[JetQuotient]]]:
+    """Split each equation, a sum of the quotients of equation_terms, as
+    (sum_j rows[i][j] * (u_j)_T + r) / D plus its T-free terms: the terms
+    with a T-jet share the denominator D, which cancels from the solve for
+    the T-jets, and r is their T-free part.  rests[i] is the rest of the
+    equation times D, as quotients whose sum it is: r, then D times each
+    T-free term.  When that rest is not zero, the rational and monomial
+    content common to the rows and the rest's numerators cancels too.
+    Raises TransformDegenerateError unless the system is linear in its
+    first-order T-jets, with T-free coefficients and remainders, no T-jet
+    in a denominator, one denominator under the T-jets of an equation and
+    one equation per unknown."""
     t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
     k = len(t_jets)
     rows, rests = [], []
-    for eq in sys.equations:
-        if set(t_jets) & set(eq.den.jet_variables()):
-            raise TransformDegenerateError("T-jet inside a denominator")
-        parts = decompose_by_jets(eq.num, t_jets)
-        row, rest, squared = [ZERO] * k, parts.pop((0,) * k, ZERO), []
-        for pows, c in parts.items():
-            # a term belongs to the row of its first T-jet; the others
-            # stay in its coefficient, where the check below finds them
-            j = next(i for i, pw in enumerate(pows) if pw)
-            if pows[j] > 1:
-                squared.append(j)
-            elif sum(pows) > 1:
-                c = prod(map(DiffPoly.from_jet, t_jets[j + 1:], pows[j + 1:]), start=c)
-            row[j] = row[j] + c
+    for terms in equation_terms(sys):
+        row, rest, free, den, squared = [ZERO] * k, ZERO, [], None, []
+        for term in terms:
+            if set(t_jets) & set(term.den.jet_variables()):
+                raise TransformDegenerateError("T-jet inside a denominator")
+            parts = decompose_by_jets(term.num, t_jets)
+            part = parts.pop((0,) * k, ZERO)
+            if not parts:
+                free.append(term)
+                continue
+            rest = rest + part
+            if den is None:
+                den = term.den
+            elif den != term.den:
+                raise TransformDegenerateError("the T-jets of an equation stand over different denominators")
+            for pows, c in parts.items():
+                # a term belongs to the row of its first T-jet; the others
+                # stay in its coefficient, where the check below finds them
+                j = next(i for i, pw in enumerate(pows) if pw)
+                if pows[j] > 1:
+                    squared.append(j)
+                elif sum(pows) > 1:
+                    c = prod(map(DiffPoly.from_jet, t_jets[j + 1:], pows[j + 1:]), start=c)
+                row[j] = row[j] + c
         if squared:
             raise TransformDegenerateError(f"not linear in {t_jets[min(squared)]!r}")
         for part in (*row, rest):
             for jv in part.jet_variables():
                 if jv.d[3]:
                     raise TransformDegenerateError(f"a T-jet coefficient or remainder contains the T-jet {jv!r}")
-        if not rest.is_zero():  # else the content may hold a T-jet
-            rat, mono = content(eq.num)
+        if rest or free:
+            rat, mono = content(*(c for c in (*row, rest, *(q.num for q in free)) if c))
             row, rest = [strip_monomial(c, mono) / rat for c in row], strip_monomial(rest, mono) / rat
+            scale = (den or ONE) / rat
+            free = [JetQuotient(strip_monomial(q.num, mono) * scale, q.den) for q in free]
         rows.append(row)
-        rests.append(rest)
+        rests.append([JetQuotient(rest), *free])
     if len(rows) != len(sys.unknowns):
         raise TransformDegenerateError(
             f"T-jet matrix is not square: {len(rows)} equations, {len(sys.unknowns)} unknowns"
@@ -575,6 +618,7 @@ def reduce_system(sys: PDESystem) -> PDESystem:
             eqs.append(r)
             kept.append(i)
     prov = dict(sys.provenance)
+    prov.pop("terms", None)  # they sum to the unreduced equations
     prov["kept_equations"] = tuple(kept)
     if "p_degrees" in prov:
         prov["p_degrees"] = tuple(prov["p_degrees"][i] for i in kept)

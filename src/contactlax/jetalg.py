@@ -450,13 +450,14 @@ def monomial_gcd(*polys: DiffPoly) -> int:
     return common or 0
 
 
-def content(e: DiffPoly):
-    """(rational content, common monomial) of a nonzero polynomial."""
-    if e.is_zero():
+def content(*polys: DiffPoly):
+    """(rational content, common monomial) of nonzero polynomials, taken
+    together."""
+    if not polys or any(e.is_zero() for e in polys):
         raise StructureError("zero polynomial has no content")
-    coeffs = e._terms.values()
+    coeffs = [c for e in polys for c in e._terms.values()]
     rat = Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
-    return rat, monomial_gcd(e)
+    return rat, monomial_gcd(*polys)
 
 
 def strip_monomial(e: DiffPoly, mono: int) -> DiffPoly:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_matrix_witness
+from .compat import CK_INDEPENDENTS, PDESystem, equation_terms, t_jet_split, t_matrix_witness
 from .jetalg import DiffPoly, divide_exact
 from .pfield import CompileError, NumericAbortError, PoleProximityError
 
@@ -94,12 +94,23 @@ def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 
 
-def spatial_jet(arr: np.ndarray, didx: tuple[int, int, int, int], grid: Grid, op) -> np.ndarray:
+def jet_plan(jets, grid: Grid) -> tuple:
+    """Per jet (field, multi-index): its field and the (axis, spacing) of
+    each X, Y and Z derivative it takes, in that order; its T-index is not
+    read.  A run plans its jets once."""
     spacing = grid.spacing
-    for axis in range(3):
-        for _ in range(didx[axis]):
-            arr = op(arr, axis, spacing[axis])
-    return arr
+    return tuple((name, tuple((axis, spacing[axis]) for axis in range(3) for _ in range(d[axis]))) for name, d in jets)
+
+
+def spatial_jets(state: dict, plan, op) -> list:
+    """The planned jets of the state's fields, taken with the operator op."""
+    out = []
+    for name, steps in plan:
+        arr = state[name]
+        for axis, h in steps:
+            arr = op(arr, axis, h)
+        out.append(arr)
+    return out
 
 
 # -- straight-line code generation ----------------------------------------------
@@ -178,6 +189,14 @@ class _Code:
                                 for c, factors in e.monomials()])
         self.compiled.append((e, out))
         return out
+
+    def sum(self, quotients):
+        """The operand of a sum of JetQuotients, each numerator over its
+        denominator."""
+        acc = (0.0, False)
+        for q in quotients:
+            acc = self.add(acc, self.mul(self.poly(q.num), self.poly(q.den), "/"))
+        return acc
 
     def _horner(self, terms):
         """Greedy multivariate Horner form (Ceberio and Kreinovich, ACM
@@ -259,16 +278,21 @@ class CompiledSystem:
         return dict(zip(self.unknowns, self._rhs(*map(jets.__getitem__, self.required_jets))))
 
 
+def _jets(exprs) -> tuple:
+    """The (field, multi-index) of every jet the expressions read, sorted."""
+    return tuple(sorted({(jv.field.name, jv.d) for e in exprs for jv in e.jet_variables()}))
+
+
 def compile_system(sys: PDESystem) -> CompiledSystem:
     """Compile an evolution-form system: the T-jet coefficients and
-    remainders of compat.t_jet_split become straight-line array code,
-    solved on the grid in the pivot order of the T-solvability witness."""
+    remainders of compat.t_jet_split, which splits each equation term by
+    term, become straight-line array code, solved on the grid in the pivot
+    order of the T-solvability witness."""
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
     rows, rests = t_jet_split(sys)
     _, pivots = t_matrix_witness(rows, sys)
-    required = tuple(sorted({(jv.field.name, jv.d) for e in (*(c for row in rows for c in row), *rests)
-                             for jv in e.jet_variables()}))
+    required = _jets([*(c for row in rows for c in row), *(q for rest in rests for q in rest)])
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     original = sys.provenance.get("original_system")
     return CompiledSystem(tuple(u.name for u in sys.unknowns), pivots, required,
@@ -286,7 +310,7 @@ def _rhs_source(rows, rests, pivots, jets) -> str:
     multipliers and added to the solution."""
     code, k = _Code(jets), len(pivots)
     # each row: its T-jet coefficients, then minus its remainder
-    entries = [[None if c.is_zero() else code.poly(c) for c in row] + [code.poly(-rest)]
+    entries = [[None if c.is_zero() else code.poly(c) for c in row] + [code.sum(-q for q in rest)]
                for row, rest in zip(rows, rests)]
     m = [row[:k] for row in entries]
     steps = []  # (row, multiplier, pivot row), in elimination order
@@ -326,13 +350,14 @@ def _rhs_source(rows, rests, pivots, jets) -> str:
 
 
 def _residual_source(original: PDESystem):
-    """The jets the original-form equations read, and their code."""
-    jets = tuple(sorted({(jv.field.name, jv.d) for q in original.equations for jv in q.jet_variables()}))
+    """The jets the original-form equations read, and their code: each
+    equation the sum of its terms (compat.equation_terms)."""
+    terms = equation_terms(original)
+    jets = _jets([q for ts in terms for q in ts])
     if any((d[1] or d[3]) and sum(d) > 1 for _, d in jets):
         raise CompileError("residual evaluation expects first-order y/t jets")
     code = _Code(jets)
-    return jets, code.function("residual", [code.mul(code.poly(q.num), code.poly(q.den), "/")
-                                            for q in original.equations])
+    return jets, code.function("residual", [code.sum(ts) for ts in terms])
 
 
 # -- manufactured (harmonic) fields ----------------------------------------------
@@ -399,10 +424,6 @@ class Trajectory:
     grid: Grid
 
 
-def _grid_jets(state: dict, cs: CompiledSystem, grid: Grid, op) -> dict:
-    return {(name, didx): spatial_jet(state[name], didx, grid, op) for name, didx in cs.required_jets}
-
-
 def _min_pole_distance(state: dict, pairs) -> float:
     if not pairs:
         return math.inf
@@ -423,11 +444,12 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     if not (math.isfinite(guard) and guard > 0):
         raise CompileError(f"guard must be finite and positive, got {guard}")
     op = SPATIAL_OPS[spatial]
+    plan = jet_plan(cs.required_jets, grid)
     coords = grid.coords()
     state = {k: np.array(v, dtype=float) for k, v in state.items()}
 
     def rhs(st, T):
-        vals = cs.rhs_from_jets(_grid_jets(st, cs, grid, op))
+        vals = cs.rhs_from_jets(dict(zip(cs.required_jets, spatial_jets(st, plan, op))))
         if forcing is not None:
             g = forcing(coords, T)
             vals = {u: vals[u] + g[u] for u in vals}
@@ -504,15 +526,16 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
         raise CompileError("no original-form system recorded for residual evaluation")
     (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.snapshots
     h0, h1 = t1 - t0, t2 - t1
-    jets = {}
-    for name, didx in cs.residual_jets:
+    # the spatial jets, and for a y or t jet its Y-jet
+    plan = jet_plan([(name, (0, 1, 0, 0) if d[1] or d[3] else d) for name, d in cs.residual_jets], traj.grid)
+    jets = []
+    for (name, didx), u_s in zip(cs.residual_jets, spatial_jets(cur, plan, fd2_diff)):
         if didx[1] + didx[3] == 0:
-            jets[(name, didx)] = spatial_jet(cur[name], didx, traj.grid, fd2_diff)
+            jets.append(u_s)
             continue
         u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
-        u_Y = spatial_jet(cur[name], (0, 1, 0, 0), traj.grid, fd2_diff)
-        jets[(name, didx)] = u_T + u_Y if didx[1] else u_T - u_Y
-    rs = [np.asarray(r) for r in cs._residual(*map(jets.__getitem__, cs.residual_jets))]
+        jets.append(u_T + u_s if didx[1] else u_T - u_s)
+    rs = [np.asarray(r) for r in cs._residual(*jets)]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 

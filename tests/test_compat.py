@@ -37,6 +37,7 @@ from contactlax.compat import (
 from contactlax.jetalg import (
     ONE,
     PRIME,
+    ZERO,
     FieldId,
     JetQuotient,
     JetVariable,
@@ -303,6 +304,46 @@ def test_residue_rows_are_sums_of_one_two_pole_term(dimension):
                     if family == "ratgp":
                         want = want + renamed(constant[pole, order], own)
                     assert row == want, (family, m, n, label)
+
+
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+def test_recorded_terms_sum_to_their_equations(monkeypatch, family):
+    # per equation: the G-free part and one term per summand of the other
+    # side, or the constant row's four addends; their sum is the equation
+    # exactly, in (x, y, z, t), after ck_transform and through a pickle
+    if family == "ratgp":  # underdetermined: transformed without the T-witness
+        monkeypatch.setattr(compat, "t_solvability_witness", lambda sys: None)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            sys = derive(family, m, n, form="residues")
+            ck = ck_transform(sys)
+            back = pickle.loads(pickle.dumps(ck))
+            summands = {"v": n + (family == "ratgp"), "w": m + (family == "ratgp")}
+            for s in (sys, ck, back):
+                for label, eq, terms in zip(s.provenance["labels"], s.equations, s.provenance["terms"], strict=True):
+                    assert len(terms) == (4 if label == "constant" else 1 + summands[label[0]])
+                    assert sum(terms[1:], terms[0]) == eq, (family, m, n, label)
+            original = back.provenance["original_system"].provenance["terms"]
+            assert all(a == b for ts, us in zip(original, sys.provenance["terms"]) for a, b in zip(ts, us, strict=True))
+    assert "terms" not in reduce_system(derive(family, 1, 1, form="residues")).provenance
+
+
+def test_t_jets_of_one_equation_share_a_denominator():
+    # terms u_t / w and u_x / (w + 1): the denominator w cancels from the
+    # solve, and scales the T-free term
+    u, w = FieldId("u"), FieldId("w")
+    u_t, w_t, u_x = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(u, (1, 0, 0, 0))
+
+    def system(*terms):
+        eqs = (sum(terms[1:], terms[0]), JetQuotient(w_t + jet(u)))
+        return PDESystem((u, w), CK_INDEPENDENTS, eqs, {"terms": (terms, eqs[1:])})
+
+    rows, rests = t_jet_split(system(JetQuotient(u_t, jet(w)), JetQuotient(u_x, jet(w) + 1)))
+    assert rows[0] == [ONE, ZERO] and rests[0] == [JetQuotient(ZERO), JetQuotient(jet(w) * u_x, jet(w) + 1)]
+    for second, message in ((JetQuotient(w_t, jet(w) + 1), "different denominators"),
+                            (JetQuotient(jet(u), w_t + 1), "T-jet inside a denominator")):
+        with pytest.raises(TransformDegenerateError, match=message):
+            t_jet_split(system(JetQuotient(u_t, jet(w)), second))
 
 
 def test_cached_provenance_is_read_only():

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import re
 import time
@@ -19,7 +20,6 @@ from contactlax.numeric import (
     Trajectory,
     _Code,
     _GENERATED_NAMES,
-    _grid_jets,
     compile_system,
     fd2_diff,
     integrate,
@@ -48,6 +48,21 @@ SMOOTH_INIT = {
     "a1": HarmonicField(1.0, (Mode((1, 1, 0), 0.1, 2.0),)),
     "b1": HarmonicField(0.7, (Mode((1, 0, 0), 0.1, 0.9),)),
 }
+
+
+def grid_jets(state, jets, grid, op):
+    """The jets (field, multi-index) of the state, each field
+    differentiated along X, then Y, then Z as its multi-index says (its
+    T-index is not read): the reference for the jets integrate plans once
+    per run."""
+    out = {}
+    for name, didx in jets:
+        arr = state[name]
+        for axis in range(3):
+            for _ in range(didx[axis]):
+                arr = op(arr, axis, grid.spacing[axis])
+        out[(name, didx)] = arr
+    return out
 
 
 def constant_state(grid, values=(-1.0, 1.0, 1.0, 0.5)):
@@ -107,7 +122,7 @@ def test_rk4_matches_the_allocating_form(cs, spatial):
     traj = integrate(cs, grid, state, 5, dt, spatial=spatial, monitor_every=1)
 
     def f(st):
-        return cs.rhs_from_jets(_grid_jets(st, cs, grid, op))
+        return cs.rhs_from_jets(grid_jets(st, cs.required_jets, grid, op))
 
     want = [state]
     for _ in range(5):
@@ -187,10 +202,11 @@ def _assert_matches_exact(sys, cs, rng, pairs=(), points=10, forward=True):
 
 
 @pytest.mark.parametrize("m,n,form", [(1, 1, "residues"), (1, 1, "coefficients"), (2, 1, "residues"),
-                                      (2, 2, "residues"), (2, 1, "coefficients")])
+                                      (1, 2, "residues"), (2, 2, "residues"), (2, 1, "coefficients")])
 def test_compiled_matches_exact_eval(m, n, form, rng):
-    # The residue forms are diagonal; rat (2, 2)'s remainders have 63 and
-    # 128 terms, the most cancellation of these cases.  The coefficient
+    # The residue forms are diagonal, and compiled from their recorded
+    # terms, while the exact oracle reads the expanded equations; rat
+    # (2, 2)'s expanded remainders have 63 and 128 terms.  The coefficient
     # forms' T-jet matrices are not diagonal: at one of the ten points
     # rat (1, 1)'s has condition number 2.4e5, and a float solve of the
     # correctly rounded matrix (LAPACK's included) misses the exact
@@ -256,9 +272,98 @@ def test_code_reuses_compiled_polynomials():
 
 def test_rat11_code_size(cs):
     # ufunc calls and slot arrays per call of the generated functions
-    for source, calls, slots in ((cs.rhs_source, 94, 12), (cs.residual_source, 93, 8)):
+    for source, calls, slots in ((cs.rhs_source, 77, 8), (cs.residual_source, 78, 9)):
         assert len(_UFUNC_CALL.findall(source)) <= calls
         assert source.count(" = empty(size)") <= slots
+
+
+def test_rat33_code_size():
+    # compiled from the two-pole terms, the code grows with the pole
+    # pairs; compiled from the expanded rows it had 7,846 and 7,836 calls
+    cs = compile_system(ck_transform(derive("rat", 3, 3, form="residues")))
+    for source in (cs.rhs_source, cs.residual_source):
+        assert len(_UFUNC_CALL.findall(source)) <= 700
+
+
+def _stripped(sys):
+    """sys without recorded terms, in it and in its original system."""
+    prov = {k: v for k, v in sys.provenance.items() if k != "terms"}
+    if "original_system" in prov:
+        prov["original_system"] = _stripped(prov["original_system"])
+    return PDESystem(sys.unknowns, sys.independents, sys.equations, prov)
+
+
+def _term_compiled_errors(sys, expanded):
+    """The largest relative differences between the rhs, then the
+    residual, of sys compiled from its terms and the CompiledSystem
+    ``expanded``, at a smooth state on an 8^3 grid: per output, the
+    largest absolute difference over the largest magnitude."""
+    cs, grid = compile_system(sys), Grid((8, 8, 8))
+    state = _smooth_state(cs.unknowns, grid)
+    got, want = (c.rhs_from_jets(grid_jets(state, c.required_jets, grid, spectral_diff)) for c in (cs, expanded))
+    assert cs.residual_jets == expanded.residual_jets
+    # the residual's jets, with a y- or t-jet standing in for itself
+    jets = list(grid_jets(state, cs.residual_jets, grid, spectral_diff).values())
+    pairs = [*((got[u], want[u]) for u in cs.unknowns), *zip(cs._residual(*jets), expanded._residual(*jets))]
+    rel = [float(np.max(np.abs(g - w)) / np.max(np.abs(w))) for g, w in pairs]
+    return max(rel[:len(cs.unknowns)]), max(rel[len(cs.unknowns):])
+
+
+def _expanded(m, n):
+    """rat (m, n) in residue form after ck_transform, and its code
+    compiled from the expanded equations alone."""
+    sys = ck_transform(derive("rat", m, n, form="residues"))
+    return sys, compile_system(_stripped(sys))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
+def test_term_compiled_code_matches_the_expanded_rows(m, n):
+    sys, expanded = _expanded(m, n)
+    assert all(err <= 1e-12 for err in _term_compiled_errors(sys, expanded))
+
+
+def _flipped(sys):
+    """sys with the sign of the last recorded term of its first equation
+    flipped."""
+    terms = [list(ts) for ts in sys.provenance["terms"]]
+    terms[0][-1] = -terms[0][-1]
+    return PDESystem(sys.unknowns, sys.independents, sys.equations,
+                     {**sys.provenance, "terms": tuple(map(tuple, terms))})
+
+
+def test_a_flipped_term_fails_the_term_compiled_oracle():
+    # one two-pole term's sign, in the evolution form (the rhs) or in the
+    # original form (the residual)
+    sys, expanded = _expanded(2, 1)
+    rhs_err, _ = _term_compiled_errors(_flipped(sys), expanded)
+    flipped = {**sys.provenance, "original_system": _flipped(sys.provenance["original_system"])}
+    _, residual_err = _term_compiled_errors(PDESystem(sys.unknowns, sys.independents, sys.equations, flipped),
+                                            expanded)
+    assert rhs_err > 1e-3 and residual_err > 1e-3
+
+
+# SHA-256 of the generated rhs and residual sources of systems compiled
+# from their equations alone: the same characters as before terms were
+# recorded
+_UNTERMED_SOURCES = {
+    (1, 1, "coefficients"): ("026010469d934fcd6649719a8f48ac94c2ba3925b73755307f6982cf74a2ca20",
+                             "40cfb4fdf7e3f650a0aab40cad8a445c480e20e1a150ace8a8caef535fa5d490"),
+    (2, 1, "coefficients"): ("e76643e132470d17b9527e96eef031aff5873ab7511fb2dfbc4d6cff8d7fc246",
+                             "47792192b4b4a810b4dd5055587df5537cdb3c14d7e2e9f451b23167b0766a30"),
+    (1, 1, "residues"): ("0c58f467c2af8aa9a7c4f00b27f5fa03be8e98789ae331a1321e27d130c7adc6",
+                         "d8ce4880e428a363ad283ecaeac6ad582fc25663cba66db56446f98e0a58c399"),
+    (2, 1, "residues"): ("355945fc1a3f02a282c94fe543cc18701728afd3218ea0e7d906f74f49352cdd",
+                         "cd26cdbe9db5a10d4935b248eec73eb331d07a950a42eef27bfe5d50fb01c217"),
+}
+
+
+@pytest.mark.parametrize("m,n,form", list(_UNTERMED_SOURCES))
+def test_systems_without_terms_compile_as_before(m, n, form):
+    sys = ck_transform(derive("rat", m, n, form=form))
+    assert ("terms" in sys.provenance) == (form == "residues")
+    cs = compile_system(_stripped(sys))
+    got = tuple(hashlib.sha256(src.encode()).hexdigest() for src in (cs.rhs_source, cs.residual_source))
+    assert got == _UNTERMED_SOURCES[m, n, form]
 
 
 def test_compiled_system_pickles_by_source(cs):
@@ -353,8 +458,8 @@ def test_coefficient_form_compiles_and_matches_residue_form(m, n):
     resid = compile_system(ck_transform(derive("rat", m, n, form="residues")))
     grid = Grid((16, 16, 16))
     state = _smooth_state(resid.unknowns, grid)
-    got = coeff.rhs_from_jets(_grid_jets(state, coeff, grid, spectral_diff))
-    want = resid.rhs_from_jets(_grid_jets(state, resid, grid, spectral_diff))
+    got = coeff.rhs_from_jets(grid_jets(state, coeff.required_jets, grid, spectral_diff))
+    want = resid.rhs_from_jets(grid_jets(state, resid.required_jets, grid, spectral_diff))
     for u in resid.unknowns:
         assert np.max(np.abs(got[u] - want[u])) <= 1e-10 * np.max(np.abs(want[u]))
 
