@@ -189,12 +189,9 @@ def apply_change_of_variables(lax: LaxPair, pair: tuple, field_map: dict, name: 
     diffs = []
     for r, (_, pairs) in zip(pair, lax.pole_data):
         t = pole_sum(PPoly(), [(field_map[res.name], field_map[pole.name]) for res, pole in pairs])
-        # r - t as PRational's sum forms it, without its trial divisions:
-        # a solved map's denominators are r's, and those of a printed map
-        # and of r divide neither way (m, n <= 3)
-        same = r.den == t.den
-        diffs.append(PRational(r.num - t.num, r.den) if same else
-                     PRational(r.num * t.den - t.num * r.den, r.den * t.den))
+        # r - t over the product of the denominators: the value PRational's
+        # sum reaches once its trial divisions fail
+        diffs.append(PRational(r.num * t.den - t.num * r.den, r.den * t.den))
     diff_f, diff_g = diffs
     return {
         "map": name,

@@ -192,9 +192,10 @@ class _Code:
 
     def sum(self, quotients):
         """The operand of a sum of JetQuotients, each numerator over its
-        denominator."""
+        denominator, added the largest numerator first (the first on a
+        tie), so the running sum holds no slot while one is built."""
         acc = (0.0, False)
-        for q in quotients:
+        for q in sorted(quotients, key=lambda q: -len(q.num.terms)):
             acc = self.add(acc, self.mul(self.poly(q.num), self.poly(q.den), "/"))
         return acc
 

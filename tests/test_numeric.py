@@ -272,7 +272,7 @@ def test_code_reuses_compiled_polynomials():
 
 def test_rat11_code_size(cs):
     # ufunc calls and slot arrays per call of the generated functions
-    for source, calls, slots in ((cs.rhs_source, 77, 8), (cs.residual_source, 78, 9)):
+    for source, calls, slots in ((cs.rhs_source, 77, 8), (cs.residual_source, 78, 8)):
         assert len(_UFUNC_CALL.findall(source)) <= calls
         assert source.count(" = empty(size)") <= slots
 
