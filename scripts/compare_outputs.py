@@ -14,10 +14,12 @@ are reported in list order.
     PYTHONPATH=src python scripts/compare_outputs.py /tmp/base/src [--head src] [--only derive]
 
 Prints one line per differing command, with the largest relative
-difference |a - b| / max(|a|, |b|) between corresponding numbers of its
-differing outputs (CSV cells, report values, stdout numbers), or
-``non-numeric`` when they differ in anything else, and exits 1 if there
-is any.
+difference |a - b| / max(|a|, |b|) and the largest absolute difference
+|a - b| between corresponding numbers of its differing outputs (CSV
+cells, report values, stdout numbers), or ``non-numeric`` when they
+differ in anything else, and exits 1 if there is any.  The absolute
+figure tells re-rounding of a number near zero, such as a small
+manufactured-solution error, from a change of an O(1) value.
 """
 
 from __future__ import annotations
@@ -106,18 +108,20 @@ def run(src: Path, steps: list[list[str]], workdir: Path) -> dict[str, bytes]:
     return got
 
 
-def relative_difference(a: bytes | None, b: bytes | None) -> float | None:
-    """The largest relative difference between corresponding numbers of
-    two texts, or None when they differ in anything but those numbers."""
+def number_differences(a: bytes | None, b: bytes | None) -> tuple[float, float] | None:
+    """The largest relative and the largest absolute difference between
+    corresponding numbers of two texts, or None when they differ in
+    anything but those numbers."""
     if a is None or b is None or NUMBER.split(a) != NUMBER.split(b):
         return None
-    worst = Fraction(0)
+    rel = absolute = Fraction(0)
     for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
         if x != y:
             x, y = Fraction(x.decode()), Fraction(y.decode())
             if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return float(worst)
+                rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+                absolute = max(absolute, abs(x - y))
+    return float(rel), float(absolute)
 
 
 def main() -> int:
@@ -128,24 +132,27 @@ def main() -> int:
     args = ap.parse_args()
     cmds = [c for c in commands() if not args.only or args.only in " ".join(map(" ".join, c))]
 
-    def differences(steps) -> tuple[list[str], float | None]:
+    def differences(steps) -> tuple[list[str], tuple[float, float] | None]:
         """The differing outputs of one command, and their largest relative
-        difference (None: non-numeric)."""
+        and absolute differences (None: non-numeric)."""
         outcomes = []
         for src in (args.base, args.head):
             with tempfile.TemporaryDirectory() as tmp:
                 outcomes.append(run(src.resolve(), steps, Path(tmp)))
         base, head = outcomes
         keys = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
-        rel = [None if k.endswith(" exit") else relative_difference(base.get(k), head.get(k)) for k in keys]
-        return keys, None if None in rel else max(rel, default=0.0)
+        diffs = [None if k.endswith(" exit") else number_differences(base.get(k), head.get(k)) for k in keys]
+        if None in diffs:
+            return keys, None
+        return keys, (max((d[0] for d in diffs), default=0.0), max((d[1] for d in diffs), default=0.0))
 
     differing = 0
     with ThreadPoolExecutor(os.cpu_count()) as pool:
-        for steps, (keys, rel) in zip(cmds, pool.map(differences, cmds)):
+        for steps, (keys, worst) in zip(cmds, pool.map(differences, cmds)):
             if keys:
                 differing += 1
-                how = "non-numeric" if rel is None else f"largest relative difference {rel:.3g}"
+                how = ("non-numeric" if worst is None
+                       else "largest relative difference %.3g, absolute %.3g" % worst)
                 print(f"DIFF {' && '.join(map(' '.join, steps))}: {', '.join(keys)}: {how}", flush=True)
     print(f"{len(cmds) - differing} of {len(cmds)} commands byte-identical")
     return 1 if differing else 0

@@ -26,7 +26,7 @@ from .compat import (
     reduce_2plus1,
     reduce_system,
 )
-from .jetalg import jet
+from .jetalg import PoleError, jet
 from .laxfamilies import check_params, make_family
 from .latexout import laxpair_latex, system_latex
 from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError, collect
@@ -201,11 +201,11 @@ def cmd_reduce21(args, rep: RunReport) -> None:
 
 
 def _parsed(path: str, parse):
-    """parse(); malformed content of the input file at path is a
-    parameter error."""
+    """parse(); malformed content of the input file at path, a zero
+    denominator included, is a parameter error."""
     try:
         return parse()
-    except (ValueError, LookupError, TypeError) as e:
+    except (ValueError, LookupError, TypeError, PoleError) as e:
         raise ParameterError(f"malformed {path}: {type(e).__name__}: {e}") from e
 
 

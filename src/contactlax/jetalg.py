@@ -714,20 +714,15 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     return DiffPoly(out)
 
 
-def quotient_rule(make, num, den, dnum, dden):
-    """The one quotient rule: make(dnum * den - num * dden, den * den),
-    or make(dnum, den) when dden is zero.  Jet quotients and d/dp of a
-    rational function of p differentiate through it."""
-    if dden.is_zero():
-        return make(dnum, den)
-    return make(dnum * den - num * dden, den * den)
-
-
 def total_derivative_q(q: JetQuotient | DiffPoly, direction) -> JetQuotient:
+    """The quotient rule (num' den - num den') / den^2, or num' / den
+    when the denominator's derivative is zero."""
     if isinstance(q, DiffPoly):
         return JetQuotient(total_derivative(q, direction))
-    return quotient_rule(JetQuotient, q.num, q.den, total_derivative(q.num, direction),
-                         total_derivative(q.den, direction))
+    dnum, dden = total_derivative(q.num, direction), total_derivative(q.den, direction)
+    if dden.is_zero():
+        return JetQuotient(dnum, q.den)
+    return JetQuotient(dnum * q.den - q.num * dden, q.den * q.den)
 
 
 # -- substitution ----------------------------------------------------------

@@ -579,6 +579,8 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
             hf = HarmonicField(_finite(name, "constant", entry["constant"]))
         elif "fourier" in entry:
             fz = entry["fourier"]
+            if not isinstance(fz, dict):
+                raise CompileError(f"malformed initial data for {name}: fourier must be an object, got {fz!r}")
             modes = tuple(Mode(_wavevector(name, m["k"]), _finite(name, "amp", m["amp"]),
                                _finite(name, "phase", m.get("phase", 0.0))) for m in fz.get("modes", ()))
             hf = HarmonicField(_finite(name, "mean", fz.get("mean", 0.0)), modes)

@@ -1,12 +1,12 @@
-"""Polynomials and rational functions of the formal indeterminate p with
-jet-quotient coefficients, including the partial-fraction view whose poles
-are symbolic field names assumed pairwise distinct (general position:
-pole differences like w1 - v1 are treated as invertible and never tested
-for vanishing)."""
+"""Polynomials of the formal indeterminate p with jet-quotient
+coefficients, and the rational functions num/den of them that a Lax
+pair's F and G are: built, compared and brought to one fraction by
+`collect`, with no arithmetic between them.  Poles are symbolic field
+names assumed pairwise distinct (general position: pole differences like
+w1 - v1 are treated as invertible and never tested for vanishing)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetalg import (
@@ -19,12 +19,9 @@ from .jetalg import (
     PoleError,
     StructureError,
     divide_exact,
-    jet,
     monomial_gcd,
-    quotient_rule,
     strip_monomial,
     _as_quotient,
-    _rebuild,
     _set,
 )
 
@@ -182,48 +179,13 @@ def p_minus(value) -> PPoly:
     return PPoly([-_q(value), JetQuotient(ONE)])
 
 
-def poly_divmod(a: PPoly, b: PPoly) -> tuple[PPoly, PPoly]:
-    if b.is_zero():
-        raise PoleError("polynomial division by zero")
-    quot = [JetQuotient(ZERO)] * max(0, a.degree() - b.degree() + 1)
-    rem = list(a.coeffs)
-    db, lead = b.degree(), b.coeffs[-1]
-    while len(rem) - 1 >= db and rem:
-        k = len(rem) - 1 - db
-        c = rem[-1] / lead
-        quot[k] = c
-        for j in range(db + 1):
-            rem[k + j] = rem[k + j] - c * b.coeffs[j]
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return PPoly(quot), PPoly(rem)
-
-
-def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
-    q, r = poly_divmod(a, b)
-    return q if r.is_zero() else None
-
-
-@dataclass(frozen=True)
-class PoleBlock:
-    pole: FieldId
-    residue: JetQuotient  # multiplies 1/(p - pole)
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    polypart: PPoly
-    poles: tuple[PoleBlock, ...]
-
-    def reassemble(self) -> "PRational":
-        return pole_sum(self.polypart, [(blk.residue, jet(blk.pole)) for blk in self.poles])
-
-
 class PRational(Frozen):
     """num/den of PPoly; den nonzero with leading coefficient normalized
-    to 1.  A partial-fraction view is not carried: a rational family's
-    pair records its poles (LaxPair.pole_data), and partial_fraction
-    computes and checks one for any other function."""
+    to 1.  An immutable value that the pair, the two derivation paths
+    and the gauge maps build and compare; it has no arithmetic.  A
+    rational family's pair records its poles and residues
+    (LaxPair.pole_data), which the engine reads instead of a partial
+    fraction of num/den."""
 
     __slots__ = ("num", "den")
 
@@ -256,10 +218,6 @@ class PRational(Frozen):
     def const(c) -> "PRational":
         return PRational(PPoly.const(c))
 
-    @staticmethod
-    def p() -> "PRational":
-        return PRational(PPoly.x())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -274,46 +232,6 @@ class PRational(Frozen):
 
     __hash__ = None
 
-    def __add__(self, other):
-        other = _as_prational(other)
-        if self.den == other.den:
-            return PRational(self.num + other.num, self.den)
-        # exact-divisibility alignment keeps family denominators factored
-        q = poly_div_exact(other.den, self.den)
-        if q is not None:
-            return PRational(self.num * q + other.num, other.den)
-        q = poly_div_exact(self.den, other.den)
-        if q is not None:
-            return PRational(self.num + other.num * q, self.den)
-        return PRational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _rebuild(PRational, (-self.num, self.den))
-
-    def __sub__(self, other):
-        return self + (-_as_prational(other))
-
-    def __rsub__(self, other):
-        return (-self) + _as_prational(other)
-
-    def __mul__(self, other):
-        other = _as_prational(other)
-        return PRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_prational(other)
-        if other.is_zero():
-            raise PoleError("division by the zero rational function")
-        return PRational(self.num * other.den, self.den * other.num)
-
-    def pdiff(self) -> "PRational":
-        """Formal d/dp by the quotient rule."""
-        return quotient_rule(PRational, self.num, self.den, self.num.deriv(), self.den.deriv())
-
     def field_ids(self) -> set[FieldId]:
         out = set()
         for c in list(self.num.coeffs) + list(self.den.coeffs):
@@ -325,16 +243,6 @@ class PRational(Frozen):
         if self.den.degree() == 0 and not self.den.is_zero():
             return repr(self.num)
         return f"[{self.num!r}] / [{self.den!r}]"
-
-
-def _as_prational(x) -> PRational:
-    if isinstance(x, PRational):
-        return x
-    if isinstance(x, PPoly):
-        return PRational(x)
-    if isinstance(x, (int, Fraction, DiffPoly, JetQuotient)):
-        return PRational.const(x)
-    raise StructureError(f"not coercible to PRational: {x!r}")
 
 
 def collect(r: PRational) -> tuple[PPoly, PPoly]:
@@ -370,24 +278,3 @@ def pole_sum(polypart: PPoly, terms) -> PRational:
         if not res.is_zero():
             num, den = num * p_minus(pole) + res * den, den * p_minus(pole)
     return PRational(num, den)
-
-
-def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
-    """The partial-fraction view of r over the given simple symbolic poles:
-    the residue at a pole P is rem(P)/D'(P), rem the remainder of the
-    numerator modulo the denominator D.  The view is checked by exact
-    reassembly.  The engine reads a rational family's view off its pair
-    instead; this computes one for any function (the tests' oracle)."""
-    polypart, rem = poly_divmod(r.num, r.den)
-    dden = r.den.deriv()
-    blocks = []
-    for fid in poles:
-        pole_val = _q(jet(fid))
-        d_at = dden.eval_at(pole_val)
-        if d_at.is_zero():
-            raise ParameterError(f"{fid.name} is not a simple pole")
-        blocks.append(PoleBlock(fid, rem.eval_at(pole_val) / d_at))
-    pf = PartialFractions(polypart, tuple(blocks))
-    if not (pf.reassemble() == r):
-        raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
-    return pf

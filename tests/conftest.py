@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from contactlax.jetalg import (
     ZERO,
     CoverageError,
     DiffPoly,
+    FieldId,
     JetQuotient,
     JetVariable,
     PoleError,
@@ -18,13 +20,11 @@ from contactlax.jetalg import (
 from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
 from contactlax.pfield import (
     ParameterError,
-    PartialFractions,
     PPoly,
     PRational,
     collect,
     p_minus,
-    partial_fraction,
-    poly_divmod,
+    pole_sum,
 )
 from contactlax.sampling import pole_pairs_for
 
@@ -72,6 +72,78 @@ def rational_point(jet_vars, rng: random.Random, pole_pairs=()):
 
 
 # -- exact oracles, written against the public API -----------------------------
+
+
+def poly_divmod(a: PPoly, b: PPoly) -> tuple[PPoly, PPoly]:
+    if b.is_zero():
+        raise PoleError("polynomial division by zero")
+    quot = [JetQuotient(ZERO)] * max(0, a.degree() - b.degree() + 1)
+    rem = list(a.coeffs)
+    db, lead = b.degree(), b.coeffs[-1]
+    while len(rem) - 1 >= db and rem:
+        k = len(rem) - 1 - db
+        c = rem[-1] / lead
+        quot[k] = c
+        for j in range(db + 1):
+            rem[k + j] = rem[k + j] - c * b.coeffs[j]
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return PPoly(quot), PPoly(rem)
+
+
+def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
+    q, r = poly_divmod(a, b)
+    return q if r.is_zero() else None
+
+
+def prational_sum(a: PRational, b: PRational) -> PRational:
+    """a + b, aligning the denominators by exact divisibility first so
+    that family denominators stay factored."""
+    if a.den == b.den:
+        return PRational(a.num + b.num, a.den)
+    q = poly_div_exact(b.den, a.den)
+    if q is not None:
+        return PRational(a.num * q + b.num, b.den)
+    q = poly_div_exact(a.den, b.den)
+    if q is not None:
+        return PRational(a.num + b.num * q, a.den)
+    return PRational(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+@dataclass(frozen=True)
+class PoleBlock:
+    pole: FieldId
+    residue: JetQuotient  # multiplies 1/(p - pole)
+
+
+@dataclass(frozen=True)
+class PartialFractions:
+    polypart: PPoly
+    poles: tuple[PoleBlock, ...]
+
+    def reassemble(self) -> PRational:
+        return pole_sum(self.polypart, [(blk.residue, jet(blk.pole)) for blk in self.poles])
+
+
+def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
+    """The partial-fraction view of r over the given simple symbolic poles:
+    the residue at a pole P is rem(P)/D'(P), rem the remainder of the
+    numerator modulo the denominator D.  The view is checked by exact
+    reassembly.  A rational family's pair records its view instead
+    (LaxPair.pole_data); this computes one from F or G alone."""
+    polypart, rem = poly_divmod(r.num, r.den)
+    dden = r.den.deriv()
+    blocks = []
+    for fid in poles:
+        pole_val = JetQuotient(jet(fid))
+        d_at = dden.eval_at(pole_val)
+        if d_at.is_zero():
+            raise ParameterError(f"{fid.name} is not a simple pole")
+        blocks.append(PoleBlock(fid, rem.eval_at(pole_val) / d_at))
+    pf = PartialFractions(polypart, tuple(blocks))
+    if not (pf.reassemble() == r):
+        raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
+    return pf
 
 
 def evaluate(e, point: dict) -> Fraction:

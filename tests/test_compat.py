@@ -48,9 +48,9 @@ from contactlax.jetalg import (
     total_derivative_q,
 )
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
-from contactlax.pfield import PPoly, PRational, collect, p_minus, poly_div_exact
+from contactlax.pfield import PPoly, PRational, collect, p_minus
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate, random_rational, rational_point, residue_oracle
+from conftest import evaluate, poly_div_exact, prational_sum, random_rational, rational_point, residue_oracle
 
 
 def test_cc_single_field_no_p():
@@ -154,13 +154,12 @@ def test_residue_system_reads_only_the_pole_record():
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
 def test_residue_form_builds_no_p_function(monkeypatch, family, dimension):
     # once the pair is built, the rows come from the jets of its pole
-    # record alone: no d/dp, no evaluation of a p-polynomial at a pole
+    # record alone: no evaluation of a p-polynomial at a pole
     lax = replace(make_family(family, 2, 2), dimension=dimension)
 
     def refuse(*_):
         raise AssertionError("the residue form built a p-function")
 
-    monkeypatch.setattr(PRational, "pdiff", refuse)
     monkeypatch.setattr(PPoly, "eval_at", refuse)
     rs = compat.residue_system(lax)
     assert len(rs.equations) == 8 + (family == "ratgp")
@@ -573,7 +572,7 @@ def test_cc_shares_no_pole_factor(family):
 def test_compatibility_condition_rejects_disagreeing_paths(monkeypatch):
     lax = make_family("rat", 1, 1)
     bracket = compat.cc_bracket_path
-    monkeypatch.setattr(compat, "cc_bracket_path", lambda pair: bracket(pair) + PRational.p())
+    monkeypatch.setattr(compat, "cc_bracket_path", lambda pair: prational_sum(bracket(pair), PRational(PPoly.x())))
     with pytest.raises(DerivationError):
         compatibility_condition(lax)
 
@@ -754,7 +753,7 @@ def test_random_custom_pairs_dual_path(rng):
             pole = fields[rng.randrange(2, 4)]
             k = rng.randint(1, 2)
             lin = PPoly([JetQuotient(-jet(pole)), JetQuotient(ONE)])
-            r = r + PRational(PPoly([rand_quot()]), lin ** k)
+            r = prational_sum(r, PRational(PPoly([rand_quot()]), lin ** k))
         return r
 
     for _ in range(10):
