@@ -10,6 +10,7 @@ raises to an exit code and to the report's `error`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -202,10 +203,11 @@ def cmd_reduce21(args, rep: RunReport) -> None:
 
 def _parsed(path: str, parse):
     """parse(); malformed content of the input file at path, a zero
-    denominator included, is a parameter error."""
+    denominator or nesting too deep to parse included, is a parameter
+    error."""
     try:
         return parse()
-    except (ValueError, LookupError, TypeError, PoleError) as e:
+    except (ValueError, LookupError, TypeError, PoleError, RecursionError) as e:
         raise ParameterError(f"malformed {path}: {type(e).__name__}: {e}") from e
 
 
@@ -295,45 +297,44 @@ def _add_family_params(p, default_family=None):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="contactlax")
     sub = ap.add_subparsers(dest="command", required=True)
+    # options shared by subcommands: the run report, and a system's files
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report-json")
+    system_files = argparse.ArgumentParser(add_help=False)
+    system_files.add_argument("--out-json")
+    system_files.add_argument("--latex")
 
-    p = sub.add_parser("derive", help="derive the compatibility PDE system of a family")
+    p = sub.add_parser("derive", parents=[report, system_files],
+                       help="derive the compatibility PDE system of a family")
     _add_family_params(p)
     p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
-    p.add_argument("--out-json")
-    p.add_argument("--latex")
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("verify", help="run a named verification")
+    p = sub.add_parser("verify", parents=[report], help="run a named verification")
     p.add_argument("check", choices=["ab", "qsolution", "theorem1", "rls", "reduce21"])
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-n", type=int, default=1)
     p.add_argument("--family", choices=["poly", "rat", "ratgp"], help="reduce21 only (default rat)")
     p.add_argument("--diff", action="store_true", help="print differing terms for rls")
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("ck", help="change independents to evolution form and check T-solvability")
+    p = sub.add_parser("ck", parents=[report, system_files],
+                       help="change independents to evolution form and check T-solvability")
     _add_family_params(p)
     p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
-    p.add_argument("--out-json")
-    p.add_argument("--latex")
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_ck)
 
-    p = sub.add_parser("reduce21", help="planar reduction of a family pair and its system")
+    p = sub.add_parser("reduce21", parents=[report, system_files],
+                       help="planar reduction of a family pair and its system")
     _add_family_params(p, default_family="ratgp")
-    p.add_argument("--out-json")
-    p.add_argument("--latex")
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_reduce21)
 
-    p = sub.add_parser("simulate", help="integrate an evolution-form system")
+    p = sub.add_parser("simulate", parents=[report], help="integrate an evolution-form system")
     p.add_argument("--system-json")
     p.add_argument("--family", choices=["rat"], default="rat")
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-n", type=int, default=1)
-    p.add_argument("--grid", type=int, nargs="+", default=[16])
+    p.add_argument("--grid", type=int, nargs="+", default=(16,))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--init")
@@ -344,25 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitor-every", type=int, default=1)
     p.add_argument("--spatial", choices=["spectral", "fd2"], default="spectral")
     p.add_argument("--guard", type=float, default=0.1)
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("export", help="write JSON/LaTeX artifacts")
+    p = sub.add_parser("export", parents=[report], help="write JSON/LaTeX artifacts")
     _add_family_params(p)
     p.add_argument("--what", choices=["lax", "system", "ck"], default="system")
     p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
     p.add_argument("--out", required=True)
     p.add_argument("--latex")
-    p.add_argument("--report-json")
     p.set_defaults(fn=cmd_export)
 
     return ap
 
 
+# the parser of main, built on its first call; parsing leaves it as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -46,7 +46,6 @@ from .jetalg import (
     content,
     decompose_by_jets,
     evaluate_mod,
-    evaluate_mod_points,
     jet,
     jet_sort_key,
     jets_of_field,
@@ -367,60 +366,58 @@ def residue_system(lax: LaxPair) -> PDESystem:
     pair's own simple poles, in lowest terms.  The bracket is antisymmetric
     under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
     with F and y, negated.  The compatibility condition is never formed:
-    the rows are checked against bracket_mod at random points of GF(PRIME).
-    The provenance entry "terms" holds, per equation, the terms it is the
-    sum of (equation_terms); the serializer does not write it."""
+    each row is kept as its terms (the G-free part, then one two-pole term
+    per summand of the other side), and those terms are checked against
+    bracket_mod at random points of GF(PRIME) before they are summed into
+    the equations.  The provenance entry "terms" holds, per equation, the
+    terms it is the sum of (equation_terms); the serializer does not write
+    it."""
     if lax.family not in (RAT, RATGP):
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
     side_f, side_g = lax.pole_data
     planar = lax.dimension == "2+1"
-    # (pole field, (order-1, order-2 coefficient), their terms)
-    rows = [(f, tuple(map(_sum, terms)), terms) for f, terms in _pole_rows(side_f, side_g, "t", planar)]
-    rows += [(f, tuple(-_sum(ts) for ts in terms), tuple([-t for t in ts] for ts in terms))
-             for f, terms in _pole_rows(side_g, side_f, "y", planar)]
+    # (pole field, (order-1 terms, order-2 terms))
+    rows = list(_pole_rows(side_f, side_g, "t", planar))
+    rows += [(f, tuple([-t for t in ts] for ts in terms)) for f, terms in _pole_rows(side_g, side_f, "y", planar)]
     # only the constants a0, b0 are regular at p = oo: a0_t - b0_y + a0 b0_z - b0 a0_z survives
     a0, b0 = (JetQuotient(jet(c)) if c else JetQuotient(ZERO) for c, _ in lax.pole_data)
     const_terms = [total_derivative_q(a0, "t"), -total_derivative_q(b0, "y")]
     if not planar:
         const_terms += [a0 * total_derivative_q(b0, "z"), -(b0 * total_derivative_q(a0, "z"))]
+    _residue_spot_check(const_terms, rows, lax)
     const = _sum(const_terms)
-    _residue_spot_check(const, [(f, res) for f, res, _ in rows], lax)
     eqs, labels, terms = ([const], ["constant"], [const_terms]) if not const.is_zero() else ([], [], [])
     for order in (2, 1):
-        for f, res, ts in rows:
-            eqs.append(res[order - 1])
+        for f, ts in rows:
+            eqs.append(_sum(ts[order - 1]))
             labels.append(f"{f.name}:{order}")
             terms.append(ts[order - 1])
     return _system(lax, eqs, path="residues", labels=tuple(labels), terms=tuple(map(tuple, terms)))
 
 
-def _residue_spot_check(const: JetQuotient, rows, lax: LaxPair):
-    """Compare const + sum res[k]/(p - pole)^(k+1) over the rows
-    (pole, res), all evaluated together at five random points of
-    GF(PRIME), with bracket_mod there.  The value of p is drawn after
-    each point, again while it hits a pole.  A mismatch is an engine
-    bug."""
+def _residue_spot_check(const_terms, rows, lax: LaxPair):
+    """Compare the sum of const_terms plus, over the rows
+    (pole, (order-1 terms, order-2 terms)), each order's terms summed
+    over (p - pole)^order, at five random points of GF(PRIME), with
+    bracket_mod there.  The value of p is drawn after each point, again
+    while it hits a pole.  A mismatch is an engine bug."""
     rng = random.Random(60170)
-    # the rows are polynomials in the jets the bracket reads
+    # the terms are quotients of polynomials in the jets the bracket reads
     jvs = {JetVariable(f, d) for f in lax.fields for d in (ZERO_INDEX, *_UNIT.values())}
     pole_jets = [JetVariable(f) for f, _ in rows]
     pairs = pole_pairs_for([f for f, _ in rows])
-    pts, pvals = [], []
     for _ in range(5):
-        pts.append(random_point(jvs, rng, pole_pairs=pairs))
+        pt = random_point(jvs, rng, pole_pairs=pairs)
         pval = rng.randrange(PRIME)
-        while any(pval == pts[-1][pj] for pj in pole_jets):
+        while any(pval == pt[pj] for pj in pole_jets):
             pval = rng.randrange(PRIME)
-        pvals.append(pval)
-    lhs = [bracket_mod(lax, pt, pval) for pt, pval in zip(pts, pvals)]
-    rhs, *vals = evaluate_mod_points([const, *(r for _, res in rows for r in res)], pts)
-    vals = iter(vals)
-    for (_, res), pj in zip(rows, pole_jets):
-        invs = [pow(pval - pt[pj], -1, PRIME) for pval, pt in zip(pvals, pts)]
-        for k in range(len(res)):
-            rhs = [acc + v * pow(inv, k + 1, PRIME) for acc, v, inv in zip(rhs, next(vals), invs)]
-    if any(a != b % PRIME for a, b in zip(lhs, rhs)):
-        raise DerivationError("the residue equations fail the random-point check against the bracket of F and G")
+        rhs = sum(evaluate_mod(t, pt) for t in const_terms)
+        for (_, orders), pj in zip(rows, pole_jets):
+            inv = pow(pval - pt[pj], -1, PRIME)
+            for k, ts in enumerate(orders, 1):
+                rhs += sum(evaluate_mod(t, pt) for t in ts) * pow(inv, k, PRIME)
+        if bracket_mod(lax, pt, pval) != rhs % PRIME:
+            raise DerivationError("the residue equations fail the random-point check against the bracket of F and G")
 
 
 @lru_cache(maxsize=None)
@@ -583,8 +580,7 @@ def t_matrix_witness(rows: list[list[DiffPoly]], sys: PDESystem) -> tuple[int, t
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     jvs = {jv for row in rows for c in row for jv in c.jet_variables()}
     pt = random_point(jvs, random.Random(CK_SEED), pole_pairs=pole_pairs_for((*vs, *ws)))
-    flat = iter(evaluate_mod_points([c for row in rows for c in row], [pt]))
-    det, pivots = _det_mod([[next(flat)[0] for _ in row] for row in rows])
+    det, pivots = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
     return det, pivots

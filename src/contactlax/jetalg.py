@@ -857,56 +857,37 @@ PRIME = 2 ** 61 - 1
 
 
 def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
-    """Evaluation in GF(PRIME) at a point mapping JetVariable -> int (see
-    evaluate_mod_points)."""
-    return evaluate_mod_points([e], [point])[0][0]
-
-
-def evaluate_mod_points(exprs, points: list[dict]) -> list[list[int]]:
-    """The values in GF(PRIME) of each of exprs (DiffPoly or JetQuotient)
-    at each of the points, each mapping JetVariable -> int, one list per
-    expression.  Every factor (one jet to a power) is raised once per
-    point for all the expressions, and each term is unpacked once for all
-    the points.  Raises CoverageError when a point has no value for a
-    jet, and PoleError when a denominator, at some point, or the
-    denominator of a rational coefficient is 0 mod PRIME."""
-    if not points:
-        return [[] for _ in exprs]
-    tables = [{} for _ in points]  # per point: key of a factor -> its value
-
-    def values(e: DiffPoly) -> list[int]:
-        rows = []  # (coefficient mod PRIME, factor keys) of each term
-        for m, c in e._terms.items():
-            if not isinstance(c, int):
-                d = c.denominator % PRIME
-                if d == 0:
-                    raise PoleError("coefficient denominator vanishes mod p")
-                c = c.numerator * pow(d, -1, PRIME)
-            fs = []
-            while m:  # the factors, top byte first, as in _factors
-                s = (m.bit_length() - 1) & -8
-                f = (m >> s) << s
-                m -= f
-                if f not in tables[0]:
-                    jv = _JETS[s >> 3]
-                    for vals, point in zip(tables, points):
-                        if jv not in point:
-                            raise CoverageError(f"no value for {jv!r}")
-                        vals[f] = pow(point[jv], f >> s, PRIME)
-                fs.append(f)
-            rows.append((c, fs))
-        return [sum(c * math.prod(map(vals.__getitem__, fs)) for c, fs in rows) % PRIME for vals in tables]
-
-    out = []
-    for e in exprs:
-        if isinstance(e, JetQuotient):
-            dens = values(e.den)
-            if 0 in dens:
-                raise PoleError("denominator vanishes mod p at the point")
-            out.append([n * pow(d, -1, PRIME) % PRIME for n, d in zip(values(e.num), dens)])
-        else:
-            out.append(values(e))
-    return out
+    """The value in GF(PRIME) of e at a point mapping JetVariable -> int.
+    Each factor (one jet to a power) is raised once, and each product is
+    reduced as it grows.  Raises CoverageError when the point has no value
+    for a jet, and PoleError when the denominator, or the denominator of a
+    rational coefficient, is 0 mod PRIME."""
+    if isinstance(e, JetQuotient):
+        den = evaluate_mod(e.den, point)
+        if den == 0:
+            raise PoleError("denominator vanishes mod p at the point")
+        return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
+    powers = {}  # key of a factor -> its value
+    total = 0
+    for m, c in e._terms.items():
+        if not isinstance(c, int):
+            d = c.denominator % PRIME
+            if d == 0:
+                raise PoleError("coefficient denominator vanishes mod p")
+            c = c.numerator * pow(d, -1, PRIME)
+        while m:  # the factors, top byte first, as in _factors
+            s = (m.bit_length() - 1) & -8
+            f = (m >> s) << s
+            m -= f
+            x = powers.get(f)
+            if x is None:
+                jv = _JETS[s >> 3]
+                if jv not in point:
+                    raise CoverageError(f"no value for {jv!r}")
+                x = powers[f] = pow(point[jv], f >> s, PRIME)
+            c = c * x % PRIME
+        total += c
+    return total % PRIME
 
 
 # -- expression trees (JSON wire format) ------------------------------------

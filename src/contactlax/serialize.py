@@ -112,7 +112,11 @@ def pdesystem_dumps(sys: PDESystem) -> str:
 
 
 def pdesystem_from_json(d: dict) -> PDESystem:
+    """The system of a JSON document; refuses repeated unknowns, and pole
+    fields that are not two lists of unknowns, with ParameterError."""
     fields = {name: FieldId(name) for name in d["unknowns"]}
+    if len(fields) != len(d["unknowns"]):
+        raise ParameterError(f"repeated unknowns in {d['unknowns']}")
     prov = dict(d.get("provenance", {}))
     dens = prov.pop("denominators", None)
     if dens is not None and len(dens) != len(d["equations"]):
@@ -126,11 +130,10 @@ def pdesystem_from_json(d: dict) -> PDESystem:
         if k in prov:
             prov[k] = tuple(prov[k])
     if "pole_fields" in prov:
-        vs, ws = prov["pole_fields"]
-        prov["pole_fields"] = (
-            tuple(fields.get(n) or FieldId(n) for n in vs),
-            tuple(fields.get(n) or FieldId(n) for n in ws),
-        )
+        sides = prov["pole_fields"]
+        if len(sides) != 2 or not all(isinstance(s, list) and all(n in fields for n in s) for s in sides):
+            raise ParameterError(f"provenance.pole_fields must be two lists of unknowns, got {sides}")
+        prov["pole_fields"] = tuple(tuple(fields[n] for n in s) for s in sides)
     if "original_system" in prov:
         prov["original_system"] = pdesystem_from_json(prov["original_system"])
     return PDESystem(

@@ -229,15 +229,17 @@ def test_bracket_mod_matches_the_exact_bracket(rng, family, m, n, dimension):
         assert bracket_mod(lax, {jv: mod(x) for jv, x in pt.items()}, mod(pval)) == mod(want)
 
 
-@pytest.mark.parametrize("family,side,order", [
-    pytest.param(family, side, order, id=f"{order}-{label}{suffix}")
+@pytest.mark.parametrize("family,side,order,size", [
+    pytest.param(family, side, order, size, id=f"{order}-{label}{suffix}{'' if size == 1 else f'-{size}x{size}'}")
+    for size in (1, 3)
     for family, suffix in (("rat", ""), ("ratgp", "-constant")) for side, label in (("v", "F-pole"), ("w", "G-pole"))
     for order in (1, 2)
 ])
-def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family, side, order):
+def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family, side, order, size):
     # one order of one summand's term at one pole of a side flips sign
     # (rat: a pole's term; ratgp: the constant's term): the rows must fail
-    # their random-point check against the bracket, exit 1
+    # their random-point check against the bracket, exit 1, also at (3,3),
+    # where every row has several summands
     real, flipped = compat._two_pole_terms, []
 
     def flip(a, v, b, w=None):
@@ -250,7 +252,7 @@ def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family
 
     monkeypatch.setattr(compat, "_two_pole_terms", flip)
     compat.derive.cache_clear()
-    assert cli.main(["derive", "--family", family, "-m", "1", "-n", "1", "--form", "residues"]) == 1
+    assert cli.main(["derive", "--family", family, "-m", str(size), "-n", str(size), "--form", "residues"]) == 1
     assert capsys.readouterr().err.startswith("verification failure:")
     assert len(flipped) == 1
 

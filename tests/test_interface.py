@@ -41,6 +41,14 @@ def test_usage_error_exit_code():
     assert main(["derive", "--family", "nosuch", "-m", "1", "-n", "1"]) == 2
 
 
+def test_main_parses_with_one_parser_and_no_carried_over_options():
+    ap = cli._parser()
+    assert cli._parser() is ap and cli.build_parser() is not ap
+    first = ap.parse_args(["simulate", "--grid", "8", "8", "8", "--report-json", "r.json"])
+    second = ap.parse_args(["simulate"])
+    assert (first.grid, second.grid, second.report_json) == ([8, 8, 8], (16,), None)
+
+
 def test_verify_qsolution(capsys):
     assert main(["verify", "qsolution"]) == 0
     assert "pass (exact zero)" in capsys.readouterr().out
@@ -307,12 +315,22 @@ def _rat11_init(**entries):
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [
         {"op": "pow", "base": {"op": "jet", "field": "u", "d": [0, 0, 0, 1]}, "exp": 128}]}, None,
      "StructureError: jet exponent above 127"),
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}],
+      "provenance": {"pole_fields": [["u"], ["nope"]]}}, None,
+     "provenance.pole_fields must be two lists of unknowns, got [['u'], ['nope']]"),
+    ({"unknowns": ["u", "w"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2,
+      "provenance": {"pole_fields": ["u", "w"]}}, None,
+     "provenance.pole_fields must be two lists of unknowns, got ['u', 'w']"),
+    ({"unknowns": ["u", "u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2}, None,
+     "repeated unknowns in ['u', 'u']"),
+    ("[" * 3000 + "]" * 3000, None, "RecursionError"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
-        "nan-constant", "boolean-constant", "fourier-not-object", "zero-denominator", "exponent-128"])
+        "nan-constant", "boolean-constant", "fourier-not-object", "zero-denominator", "exponent-128",
+        "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
     if system is not None:
-        (tmp_path / "system.json").write_text(json.dumps(system))
+        (tmp_path / "system.json").write_text(system if isinstance(system, str) else json.dumps(system))
         args += ["--system-json", str(tmp_path / "system.json")]
     (tmp_path / "init.json").write_text(init if init is not None else _rat11_init())
     report = tmp_path / "report.json"

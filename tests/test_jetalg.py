@@ -27,7 +27,6 @@ from contactlax.jetalg import (
     decompose_by_jets,
     divide_exact,
     evaluate_mod,
-    evaluate_mod_points,
     from_tree,
     jet,
     jet_sort_key,
@@ -219,31 +218,18 @@ def test_evaluate_mod_pole_errors():
         evaluate_mod(v, {})
 
 
-def test_evaluate_mod_points_matches_single_points():
-    # several expressions over shared jets, quotients and rational
-    # coefficients among them, evaluated together at several points
-    rng = random.Random(62)
-    for _ in range(30):
-        polys = [from_tree(random_tree(rng)) for _ in range(3)]
-        exprs = [*polys, Fraction(-5, 7) * polys[0] * polys[1] + v * vx, ZERO]
-        exprs += [JetQuotient(a, b) for a, b in zip(polys, polys[1:]) if not b.is_zero()]
-        jvs = {jv for e in exprs for jv in e.jet_variables()} | {V_JV, VX_JV}
-        pts = [random_point(jvs, rng) for _ in range(rng.randint(1, 4))]
-        got = evaluate_mod_points(exprs, pts)
-        assert got == [[_reduce(evaluate(e, pt)) for pt in pts] for e in exprs]
-        assert got == [evaluate_mod_points([e], pts)[0] for e in exprs]
-        assert got == [[evaluate_mod(e, pt) for pt in pts] for e in exprs]
-    assert evaluate_mod_points([v, w], []) == [[], []]
-    pts = [{JetVariable(V): 3, JetVariable(W): 2}, {JetVariable(V): 3, JetVariable(W): PRIME}]
-    # a denominator that vanishes at one point of several, after an
-    # expression that filled the table
-    with pytest.raises(PoleError):
-        evaluate_mod_points([v * w, JetQuotient(v, w)], pts)
-    with pytest.raises(PoleError):
-        evaluate_mod_points([v, v * Fraction(1, PRIME)], pts)
-    # a jet that one point lacks, first met in a later expression
-    with pytest.raises(CoverageError):
-        evaluate_mod_points([v, v * w], [pts[0], {JetVariable(V): 3}])
+def test_evaluate_mod_reduces_a_term_of_many_large_factors():
+    # twelve jets with values of 61 and of 100 bits, to powers from 60 to
+    # 127, under a rational coefficient: the products that evaluate_mod
+    # reduces as they grow agree with exact evaluation
+    rng = random.Random(63)
+    jvs = [JetVariable(FieldId(f"u{i}"), (i % 2, 0, i % 3, 0)) for i in range(12)]
+    term = reduce(lambda acc, jv: acc * DiffPoly.from_jet(jv, rng.randint(60, 127)), jvs, DiffPoly.const(Fraction(-3, 7)))
+    e = term + term * v + DiffPoly.from_jet(jvs[0], 127)
+    for bits in (61, 100):
+        pt = {jv: rng.getrandbits(bits) for jv in jvs} | {V_JV: PRIME - 1}
+        assert evaluate_mod(e, pt) == _reduce(evaluate(e, pt))
+        assert evaluate_mod(JetQuotient(e, term), pt) == _reduce(evaluate(e, pt) / evaluate(term, pt))
 
 
 def test_eval_of_normalized_matches_tree_oracle():
