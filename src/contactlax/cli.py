@@ -123,12 +123,15 @@ def _run(args) -> int:
     return code
 
 
+def _record_counts(sys, rep: RunReport) -> None:
+    """Record the system's equation and unknown counts and its determinedness."""
+    d = determinedness_report(sys)
+    rep.verdicts.update(equations=d.equations, unknowns=d.unknowns, verdict=d.verdict)
+
+
 def cmd_derive(args, rep: RunReport) -> None:
     sys = derive(args.family, args.m, args.n, form=args.form)
-    d = determinedness_report(sys)
-    rep.verdicts["equations"] = d.equations
-    rep.verdicts["unknowns"] = d.unknowns
-    rep.verdicts["verdict"] = d.verdict
+    _record_counts(sys, rep)
     dropped = sys.provenance.get("dropped_zero_coefficients", ())
     if dropped:
         rep.verdicts["dropped_zero_coefficients"] = list(dropped)
@@ -193,10 +196,7 @@ def cmd_ck(args, rep: RunReport) -> None:
 def cmd_reduce21(args, rep: RunReport) -> None:
     lax = make_family(args.family, args.m, args.n)
     lax21, sys21 = reduce_2plus1(lax)
-    d = determinedness_report(sys21)
-    rep.verdicts["equations"] = d.equations
-    rep.verdicts["unknowns"] = d.unknowns
-    rep.verdicts["verdict"] = d.verdict
+    _record_counts(sys21, rep)
     rep.verdicts["pair"] = laxpair_latex(lax21)
     _write_system(sys21, args, rep)
 
@@ -285,55 +285,51 @@ def cmd_export(args, rep: RunReport) -> None:
         _write(args.latex, tex + "\n", rep)
 
 
-def _add_family_params(p, default_family=None):
-    if default_family:
-        p.add_argument("--family", choices=["poly", "rat", "ratgp"], default=default_family)
-    else:
-        p.add_argument("--family", choices=["poly", "rat", "ratgp"], required=True)
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-n", type=int, default=1)
+def _add_family(p, **kwargs):
+    p.add_argument("--family", choices=["poly", "rat", "ratgp"], **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="contactlax")
     sub = ap.add_subparsers(dest="command", required=True)
-    # options shared by subcommands: the run report, and a system's files
+    # options shared by subcommands: the run report, a system's files, the
+    # sizes (m, n) of a pair and the form of its system
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report-json")
-    system_files = argparse.ArgumentParser(add_help=False)
+    latex = argparse.ArgumentParser(add_help=False)
+    latex.add_argument("--latex")
+    system_files = argparse.ArgumentParser(add_help=False, parents=[latex])
     system_files.add_argument("--out-json")
-    system_files.add_argument("--latex")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("-m", type=int, default=1)
+    sizes.add_argument("-n", type=int, default=1)
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
 
-    p = sub.add_parser("derive", parents=[report, system_files],
+    p = sub.add_parser("derive", parents=[report, system_files, sizes, form],
                        help="derive the compatibility PDE system of a family")
-    _add_family_params(p)
-    p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
+    _add_family(p, required=True)
     p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("verify", parents=[report], help="run a named verification")
+    p = sub.add_parser("verify", parents=[report, sizes], help="run a named verification")
     p.add_argument("check", choices=["ab", "qsolution", "theorem1", "rls", "reduce21"])
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--family", choices=["poly", "rat", "ratgp"], help="reduce21 only (default rat)")
+    _add_family(p, help="reduce21 only (default rat)")
     p.add_argument("--diff", action="store_true", help="print differing terms for rls")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("ck", parents=[report, system_files],
+    p = sub.add_parser("ck", parents=[report, system_files, sizes, form],
                        help="change independents to evolution form and check T-solvability")
-    _add_family_params(p)
-    p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
+    _add_family(p, required=True)
     p.set_defaults(fn=cmd_ck)
 
-    p = sub.add_parser("reduce21", parents=[report, system_files],
+    p = sub.add_parser("reduce21", parents=[report, system_files, sizes],
                        help="planar reduction of a family pair and its system")
-    _add_family_params(p, default_family="ratgp")
+    _add_family(p, default="ratgp")
     p.set_defaults(fn=cmd_reduce21)
 
-    p = sub.add_parser("simulate", parents=[report], help="integrate an evolution-form system")
+    p = sub.add_parser("simulate", parents=[report, sizes], help="integrate an evolution-form system")
     p.add_argument("--system-json")
     p.add_argument("--family", choices=["rat"], default="rat")
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-n", type=int, default=1)
     p.add_argument("--grid", type=int, nargs="+", default=(16,))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, default=0.01)
@@ -347,12 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard", type=float, default=0.1)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("export", parents=[report], help="write JSON/LaTeX artifacts")
-    _add_family_params(p)
+    p = sub.add_parser("export", parents=[report, latex, sizes, form], help="write JSON/LaTeX artifacts")
+    _add_family(p, required=True)
     p.add_argument("--what", choices=["lax", "system", "ck"], default="system")
-    p.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
     p.add_argument("--out", required=True)
-    p.add_argument("--latex")
     p.set_defaults(fn=cmd_export)
 
     return ap

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from types import MappingProxyType
 
@@ -241,27 +241,41 @@ def compatibility_condition(lax: LaxPair) -> PRational:
 
 @dataclass(frozen=True)
 class PDESystem:
+    """A system of equations in the unknowns, each stored once, as the
+    tuple of quotients it is the sum of (terms: a residue row's two-pole
+    terms, or one quotient for a coefficient form, a planar reduction or
+    a system read from JSON).  `equations` sums each tuple in order on its
+    first read and keeps the sums; the JSON and LaTeX writers, rls and the
+    planar reduction read them, and deriving, ck_transform and compiling
+    never do."""
+
     unknowns: tuple[FieldId, ...]
     independents: tuple[str, ...]
-    equations: tuple[JetQuotient, ...]
+    terms: tuple[tuple[JetQuotient, ...], ...]
     provenance: Mapping
 
     def __post_init__(self):
         # A read-only view of a private copy: derive() caches its result,
         # so no caller may change what the next caller is handed.
         object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         known = set(self.unknowns)
-        for eq in self.equations:
-            for jv in eq.jet_variables():
+        for q in (q for ts in self.terms for q in ts):
+            for jv in q.jet_variables():
                 if jv.field not in known:
                     raise StructureError(f"equation references unknown field {jv.field.name}")
 
+    @cached_property
+    def equations(self) -> tuple[JetQuotient, ...]:
+        return tuple(sum(ts[1:], ts[0]) for ts in self.terms)
+
     def counts(self) -> tuple[int, int]:
-        return len(self.equations), len(self.unknowns)
+        return len(self.terms), len(self.unknowns)
 
     def __reduce__(self):
-        # a mapping proxy does not pickle; rebuild from a plain dict
-        return PDESystem, (self.unknowns, self.independents, self.equations, dict(self.provenance))
+        # a mapping proxy does not pickle; rebuild from a plain dict, and
+        # leave the summed equations to be summed again
+        return PDESystem, (self.unknowns, self.independents, self.terms, dict(self.provenance))
 
 
 @dataclass(frozen=True)
@@ -277,13 +291,13 @@ def determinedness_report(sys: PDESystem) -> Determinedness:
     return Determinedness(ne, nu, verdict)
 
 
-def _system(lax: LaxPair, eqs, **provenance) -> PDESystem:
+def _system(lax: LaxPair, terms, **provenance) -> PDESystem:
     """The one builder of a pair's system: the pair's unknowns, (x, y, t)
     or (x, y, z, t) by its dimension, and its family, sizes, dimension
     and pole fields recorded next to the given provenance."""
     prov = {"family": lax.family, "m": lax.m, "n": lax.n, "dimension": lax.dimension,
             **provenance, "pole_fields": lax.pole_fields()}
-    return PDESystem(tuple(lax.fields), XYT if lax.dimension == "2+1" else XYZT, tuple(eqs), prov)
+    return PDESystem(tuple(lax.fields), XYT if lax.dimension == "2+1" else XYZT, terms, prov)
 
 
 def _formal_top_degree(lax: LaxPair, num: PPoly) -> int:
@@ -306,7 +320,7 @@ def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
         if c.is_zero():
             dropped.append(k)
         else:
-            eqs.append(c)
+            eqs.append((c,))
             degrees.append(k)
     return _system(lax, eqs, path="coefficients", p_degrees=tuple(degrees),
                    dropped_zero_coefficients=tuple(dropped))
@@ -355,23 +369,17 @@ def _pole_rows(side, other, direction: str, planar: bool):
         yield pole, (order1, order2)
 
 
-def _sum(terms) -> JetQuotient:
-    return sum(terms[1:], terms[0])
-
-
 def residue_system(lax: LaxPair) -> PDESystem:
     """A rational pair's compatibility content organized the way the
     published system is: order-2 then order-1 residue equations at each
-    pole (and the p->infinity constant first, when nonzero), read off the
-    pair's own simple poles, in lowest terms.  The bracket is antisymmetric
-    under F <-> G, y <-> t, so a pole of G takes the formula of a pole of F
-    with F and y, negated.  The compatibility condition is never formed:
-    each row is kept as its terms (the G-free part, then one two-pole term
-    per summand of the other side), and those terms are checked against
-    bracket_mod at random points of GF(PRIME) before they are summed into
-    the equations.  The provenance entry "terms" holds, per equation, the
-    terms it is the sum of (equation_terms); the serializer does not write
-    it."""
+    pole (and the p->infinity constant first, when the pair has
+    constants), read off the pair's own simple poles, in lowest terms.  The
+    bracket is antisymmetric under F <-> G, y <-> t, so a pole of G takes
+    the formula of a pole of F with F and y, negated.  The compatibility
+    condition is never formed, and no row is summed: each equation is
+    its terms (the G-free part, then one two-pole term per summand of the
+    other side; the constant's four addends), checked against bracket_mod
+    at random points of GF(PRIME)."""
     if lax.family not in (RAT, RATGP):
         raise ParameterError(f"the residue form applies to the rational families, not {lax.family}")
     side_f, side_g = lax.pole_data
@@ -385,14 +393,13 @@ def residue_system(lax: LaxPair) -> PDESystem:
     if not planar:
         const_terms += [a0 * total_derivative_q(b0, "z"), -(b0 * total_derivative_q(a0, "z"))]
     _residue_spot_check(const_terms, rows, lax)
-    const = _sum(const_terms)
-    eqs, labels, terms = ([const], ["constant"], [const_terms]) if not const.is_zero() else ([], [], [])
+    # only ratgp has constants; then a0_t, which no other addend reads, keeps the row nonzero
+    terms, labels = ([const_terms], ["constant"]) if any(c for c, _ in lax.pole_data) else ([], [])
     for order in (2, 1):
         for f, ts in rows:
-            eqs.append(_sum(ts[order - 1]))
-            labels.append(f"{f.name}:{order}")
             terms.append(ts[order - 1])
-    return _system(lax, eqs, path="residues", labels=tuple(labels), terms=tuple(map(tuple, terms)))
+            labels.append(f"{f.name}:{order}")
+    return _system(lax, terms, path="residues", labels=tuple(labels))
 
 
 def _residue_spot_check(const_terms, rows, lax: LaxPair):
@@ -448,9 +455,8 @@ def _ck_jet_expansion(jv: JetVariable) -> DiffPoly:
 
 
 def ck_transform(sys: PDESystem) -> PDESystem:
-    """Re-express y/t jets through Y and T, in the equations and in their
-    recorded terms, and verify first-order T-solvability at a random point
-    of GF(PRIME)."""
+    """Re-express y/t jets through Y and T, term by term, and verify
+    first-order T-solvability at a random point of GF(PRIME)."""
     if sys.independents not in (XYZT,):
         raise StructureError("evolution transform expects (x, y, z, t) independents")
 
@@ -466,21 +472,13 @@ def ck_transform(sys: PDESystem) -> PDESystem:
     prov = dict(sys.provenance)
     prov["ck_of"] = prov.get("path", "unknown")
     prov["original_system"] = sys
-    if "terms" in prov:
-        prov["terms"] = tuple(tuple(map(mapped, terms)) for terms in prov["terms"])
-    out = PDESystem(sys.unknowns, CK_INDEPENDENTS, tuple(map(mapped, sys.equations)), prov)
+    out = PDESystem(sys.unknowns, CK_INDEPENDENTS, [[mapped(q) for q in ts] for ts in sys.terms], prov)
     t_solvability_witness(out)
     return out
 
 
-def equation_terms(sys: PDESystem) -> tuple[tuple[JetQuotient, ...], ...]:
-    """Per equation, the quotients it is the sum of: the terms recorded in
-    its provenance (residue_system), else the equation alone."""
-    return sys.provenance.get("terms") or tuple((eq,) for eq in sys.equations)
-
-
 def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[list[JetQuotient]]]:
-    """Split each equation, a sum of the quotients of equation_terms, as
+    """Split each equation, the sum of its quotients in sys.terms, as
     (sum_j rows[i][j] * (u_j)_T + r) / D plus its T-free terms: the terms
     with a T-jet share the denominator D, which cancels from the solve for
     the T-jets, and r is their T-free part.  rests[i] is the rest of the
@@ -494,7 +492,7 @@ def t_jet_split(sys: PDESystem) -> tuple[list[list[DiffPoly]], list[list[JetQuot
     t_jets = [JetVariable(u, (0, 0, 0, 1)) for u in sys.unknowns]
     k = len(t_jets)
     rows, rests = [], []
-    for terms in equation_terms(sys):
+    for terms in sys.terms:
         row, rest, free, den, squared = [ZERO] * k, ZERO, [], None, []
         for term in terms:
             if set(t_jets) & set(term.den.jet_variables()):
@@ -605,21 +603,20 @@ def reduce_equation(eq: JetQuotient) -> JetQuotient | None:
 
 
 def reduce_system(sys: PDESystem) -> PDESystem:
-    """Set every z-jet of every unknown to zero; drop equations that
-    become trivial."""
+    """Set every z-jet of every unknown to zero in each equation's sum;
+    drop equations that become trivial."""
     eqs, kept = [], []
     for i, eq in enumerate(sys.equations):
         r = reduce_equation(eq)
         if r is not None:
-            eqs.append(r)
+            eqs.append((r,))
             kept.append(i)
     prov = dict(sys.provenance)
-    prov.pop("terms", None)  # they sum to the unreduced equations
     prov["kept_equations"] = tuple(kept)
     if "p_degrees" in prov:
         prov["p_degrees"] = tuple(prov["p_degrees"][i] for i in kept)
     independents = tuple(d for d in sys.independents if d not in ("z", "Z"))
-    return PDESystem(sys.unknowns, independents, tuple(eqs), prov)
+    return PDESystem(sys.unknowns, independents, eqs, prov)
 
 
 def reduce_2plus1(lax: LaxPair) -> tuple[LaxPair, PDESystem]:

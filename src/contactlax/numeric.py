@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .compat import CK_INDEPENDENTS, PDESystem, equation_terms, t_jet_split, t_matrix_witness
+from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_matrix_witness
 from .jetalg import DiffPoly, divide_exact
 from .pfield import CompileError, NumericAbortError, PoleProximityError
 
@@ -352,13 +352,12 @@ def _rhs_source(rows, rests, pivots, jets) -> str:
 
 def _residual_source(original: PDESystem):
     """The jets the original-form equations read, and their code: each
-    equation the sum of its terms (compat.equation_terms)."""
-    terms = equation_terms(original)
-    jets = _jets([q for ts in terms for q in ts])
+    equation the sum of its terms (PDESystem.terms)."""
+    jets = _jets([q for ts in original.terms for q in ts])
     if any((d[1] or d[3]) and sum(d) > 1 for _, d in jets):
         raise CompileError("residual evaluation expects first-order y/t jets")
     code = _Code(jets)
-    return jets, code.function("residual", [code.sum(ts) for ts in terms])
+    return jets, code.function("residual", [code.sum(ts) for ts in original.terms])
 
 
 # -- manufactured (harmonic) fields ----------------------------------------------
@@ -565,16 +564,22 @@ def _wavevector(name: str, k) -> tuple[int, int, int]:
 def load_initial_data(spec: dict, unknowns, coords) -> dict:
     """Initial data from its parsed JSON description: each unknown maps
     to either {"constant": value} or {"fourier": {"mean": c, "modes":
-    [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}.  Values must be finite,
-    and each k three integers, so that every mode is periodic on the
-    unit box."""
+    [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}, not both.  Values must
+    be finite, and each k three integers, so that every mode is periodic
+    on the unit box.  An entry for a name that is not an unknown is
+    refused."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    names = [u if isinstance(u, str) else u.name for u in unknowns]
+    for name in spec:
+        if name not in names:
+            raise CompileError(f"malformed initial data for {name}: not an unknown of the system ({', '.join(names)})")
     out = {}
-    for u in unknowns:
-        name = u if isinstance(u, str) else u.name
+    for name in names:
         if name not in spec:
             raise CompileError(f"initial data missing for {name}")
         entry = spec[name]
+        if "constant" in entry and "fourier" in entry:
+            raise CompileError(f"malformed initial data for {name}: give constant or fourier, not both")
         if "constant" in entry:
             hf = HarmonicField(_finite(name, "constant", entry["constant"]))
         elif "fourier" in entry:

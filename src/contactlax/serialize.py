@@ -125,7 +125,7 @@ def pdesystem_from_json(d: dict) -> PDESystem:
     for i, tree in enumerate(d["equations"]):
         num = from_tree(tree, fields)
         den = from_tree(dens[i], fields) if dens else DiffPoly.const(1)
-        eqs.append(JetQuotient(num, den))
+        eqs.append((JetQuotient(num, den),))
     for k in _PROV_LISTS:
         if k in prov:
             prov[k] = tuple(prov[k])
@@ -136,6 +136,4 @@ def pdesystem_from_json(d: dict) -> PDESystem:
         prov["pole_fields"] = tuple(tuple(fields[n] for n in s) for s in sides)
     if "original_system" in prov:
         prov["original_system"] = pdesystem_from_json(prov["original_system"])
-    return PDESystem(
-        tuple(fields.values()), tuple(d["independents"]), tuple(eqs), prov
-    )
+    return PDESystem(tuple(fields.values()), tuple(d["independents"]), eqs, prov)

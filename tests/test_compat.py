@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys as _sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -319,14 +319,16 @@ def test_recorded_terms_sum_to_their_equations(monkeypatch, family):
             sys = derive(family, m, n, form="residues")
             ck = ck_transform(sys)
             back = pickle.loads(pickle.dumps(ck))
+            assert "equations" not in back.__dict__  # the pickle holds the terms, not their sums
             summands = {"v": n + (family == "ratgp"), "w": m + (family == "ratgp")}
             for s in (sys, ck, back):
-                for label, eq, terms in zip(s.provenance["labels"], s.equations, s.provenance["terms"], strict=True):
+                for label, eq, terms in zip(s.provenance["labels"], s.equations, s.terms, strict=True):
                     assert len(terms) == (4 if label == "constant" else 1 + summands[label[0]])
                     assert sum(terms[1:], terms[0]) == eq, (family, m, n, label)
-            original = back.provenance["original_system"].provenance["terms"]
-            assert all(a == b for ts, us in zip(original, sys.provenance["terms"]) for a, b in zip(ts, us, strict=True))
-    assert "terms" not in reduce_system(derive(family, 1, 1, form="residues")).provenance
+            original = back.provenance["original_system"].terms
+            assert all(a == b for ts, us in zip(original, sys.terms, strict=True) for a, b in zip(ts, us, strict=True))
+    reduced = reduce_system(derive(family, 1, 1, form="residues"))
+    assert reduced.terms == tuple((eq,) for eq in reduced.equations)
 
 
 def test_t_jets_of_one_equation_share_a_denominator():
@@ -336,8 +338,7 @@ def test_t_jets_of_one_equation_share_a_denominator():
     u_t, w_t, u_x = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(u, (1, 0, 0, 0))
 
     def system(*terms):
-        eqs = (sum(terms[1:], terms[0]), JetQuotient(w_t + jet(u)))
-        return PDESystem((u, w), CK_INDEPENDENTS, eqs, {"terms": (terms, eqs[1:])})
+        return PDESystem((u, w), CK_INDEPENDENTS, (terms, (JetQuotient(w_t + jet(u)),)), {})
 
     rows, rests = t_jet_split(system(JetQuotient(u_t, jet(w)), JetQuotient(u_x, jet(w) + 1)))
     assert rows[0] == [ONE, ZERO] and rests[0] == [JetQuotient(ZERO), JetQuotient(jet(w) * u_x, jet(w) + 1)]
@@ -379,6 +380,18 @@ def test_cached_expressions_are_read_only():
     assert pickle.loads(pickle.dumps(cc)) == cc
 
 
+def test_summed_equations_are_cached_and_read_only():
+    sys = derive("rat", 1, 1, form="residues")
+    eqs = sys.equations
+    assert sys.equations is eqs and derive("rat", 1, 1, form="residues").equations is eqs
+    for name in ("equations", "terms"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sys, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(sys, name)
+    assert sys.equations is eqs and sys.equations == tuple(sum(ts[1:], ts[0]) for ts in sys.terms)
+
+
 def test_poly_family_has_no_pole_fields():
     assert make_family("poly", 2, 1).pole_fields() == ((), ())
     assert derive("poly", 2, 1).provenance["pole_fields"] == ((), ())
@@ -418,7 +431,7 @@ values = (
     a + 2 * b,
     JetQuotient(a * b + 3 * b, a - b),
     PRational(PPoly([JetQuotient(a), JetQuotient(2 * a * b)])),
-    PDESystem((pa, pb), XYZT, (JetQuotient(jet(pa, (1, 0, 0, 0)) + 2 * a * b, b),), {}),
+    PDESystem((pa, pb), XYZT, ((JetQuotient(jet(pa, (1, 0, 0, 0)) + 2 * a * b, b),),), {}),
 )
 """
 
@@ -471,7 +484,7 @@ def test_ck_degenerate_matrix_detected():
     v1, w1 = FieldId("v1"), FieldId("w1")
     e1 = JetQuotient(jet(v1, (0, 1, 0, 0)) + jet(w1, (0, 0, 0, 1)))
     e2 = JetQuotient(jet(v1, (0, 0, 0, 1)) + jet(w1, (0, 1, 0, 0)))
-    sys = PDESystem((v1, w1), ("x", "y", "z", "t"), (e1, e2), {})
+    sys = PDESystem((v1, w1), ("x", "y", "z", "t"), ((e1,), (e2,)), {})
     # y+t and t+y both map to 2*T: the T-jet matrix is all ones
     with pytest.raises(TransformDegenerateError):
         ck_transform(sys)
@@ -515,12 +528,12 @@ def test_t_solvability_witness_singular_and_regular():
     first = jet(u1) * t1 + u2x * t2
     # the second T-row is u2_X times the first
     singular = (JetQuotient(first), JetQuotient(u2x * first + jet(u1)))
-    sys = PDESystem((u1, u2), CK_INDEPENDENTS, singular, {})
+    sys = PDESystem((u1, u2), CK_INDEPENDENTS, [(q,) for q in singular], {})
     with pytest.raises(TransformDegenerateError):
         t_solvability_witness(sys)
     # det = u1^2 - u2_X
     regular = (JetQuotient(first), JetQuotient(jet(u1) * t2 + t1))
-    det, _ = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, regular, {}))
+    det, _ = t_solvability_witness(PDESystem((u1, u2), CK_INDEPENDENTS, [(q,) for q in regular], {}))
     assert 0 < det < PRIME
 
 
@@ -529,7 +542,7 @@ def test_t_solvability_witness_samples_y_jets():
     u, w = FieldId("u"), FieldId("w")
     u_t, w_t, w_y = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1)), jet(w, (0, 1, 0, 0))
     eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
-    det, pivots = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
+    det, pivots = t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, [(q,) for q in eqs], {}))
     assert det == PRIME - 1 and pivots == (0, 1)
 
 
@@ -538,12 +551,12 @@ def test_t_solvability_witness_rejects_t_jets_in_rows():
     u_t, w_t = jet(u, (0, 0, 0, 1)), jet(w, (0, 0, 0, 1))
     eqs = (JetQuotient(u_t * w_t + jet(u)), JetQuotient(w_t + jet(w)))
     with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
-        t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
+        t_solvability_witness(PDESystem((u, w), CK_INDEPENDENTS, [(q,) for q in eqs], {}))
     # w_y u_t + w_t in (x, y, z, t): the u_T coefficient becomes w_T + w_Y
     w_y = jet(w, (0, 1, 0, 0))
     eqs = (JetQuotient(w_y * u_t + w_t), JetQuotient(u_t + jet(u)))
     with pytest.raises(TransformDegenerateError, match="contains the T-jet"):
-        ck_transform(PDESystem((u, w), XYZT, eqs, {}))
+        ck_transform(PDESystem((u, w), XYZT, [(q,) for q in eqs], {}))
 
 
 def test_t_jet_split_names_the_first_t_jet_of_a_nonlinear_term():
@@ -556,7 +569,7 @@ def test_t_jet_split_names_the_first_t_jet_of_a_nonlinear_term():
                          (w_t * w_t + u_t, "not linear in w_t")):
         eqs = (JetQuotient(num), JetQuotient(w_t + jet(w)))
         with pytest.raises(TransformDegenerateError, match=message):
-            t_jet_split(PDESystem((u, w), CK_INDEPENDENTS, eqs, {}))
+            t_jet_split(PDESystem((u, w), CK_INDEPENDENTS, [(q,) for q in eqs], {}))
 
 
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
@@ -610,7 +623,7 @@ def test_reduction_commutes(family):
 def test_reduce_is_identity_without_z_jets():
     v1 = FieldId("v1")
     eq = JetQuotient(jet(v1, (0, 0, 0, 1)) - jet(v1, (1, 0, 0, 0)))
-    sys = PDESystem((v1,), ("x", "y", "z", "t"), (eq,), {"p_degrees": (0,)})
+    sys = PDESystem((v1,), ("x", "y", "z", "t"), ((eq,),), {"p_degrees": (0,)})
     red = reduce_system(sys)
     assert red.equations == (eq,)
     assert red.independents == ("x", "y", "t")

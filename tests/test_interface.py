@@ -310,6 +310,10 @@ def _rat11_init(**entries):
     (None, _rat11_init(v1={"constant": float("nan")}), "constant must be finite"),
     (None, _rat11_init(a1={"constant": True}), "malformed initial data for a1: constant must be a number, got True"),
     (None, _rat11_init(v1={"fourier": [1, 2]}), "malformed initial data for v1: fourier must be an object, got [1, 2]"),
+    (None, _rat11_init(zz={"constant": 1.0}),
+     "malformed initial data for zz: not an unknown of the system (a1, v1, b1, w1)"),
+    (None, _rat11_init(v1={"constant": -1.0, "fourier": {"mean": 5.0}}),
+     "malformed initial data for v1: give constant or fourier, not both"),
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}],
       "provenance": {"denominators": [{"op": "num", "value": "0"}]}}, None, "PoleError: zero denominator"),
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [
@@ -325,7 +329,8 @@ def _rat11_init(**entries):
      "repeated unknowns in ['u', 'u']"),
     ("[" * 3000 + "]" * 3000, None, "RecursionError"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
-        "nan-constant", "boolean-constant", "fourier-not-object", "zero-denominator", "exponent-128",
+        "nan-constant", "boolean-constant", "fourier-not-object", "init-extra-name", "init-constant-and-fourier",
+        "zero-denominator", "exponent-128",
         "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]

@@ -7,8 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from contactlax.compat import CK_INDEPENDENTS, PDESystem, TransformDegenerateError, ck_transform, derive
+from contactlax.compat import (
+    CK_INDEPENDENTS,
+    PDESystem,
+    TransformDegenerateError,
+    ck_transform,
+    derive,
+    determinedness_report,
+    residue_system,
+)
 from contactlax.jetalg import FieldId, JetQuotient, JetVariable, jet
+from contactlax.laxfamilies import make_family
 from contactlax.numeric import (
     SPATIAL_OPS,
     CompileError,
@@ -236,7 +245,7 @@ def test_generated_code_stays_flat_on_a_long_chain(rng):
     u = FieldId("u")
     js = [jet(u, (i, 0, 0, 0)) for i in range(401)]
     products = [a * b for a, b in zip(js, js[1:])]
-    sys = PDESystem((u,), CK_INDEPENDENTS, (JetQuotient(jet(u, (0, 0, 0, 1)) - sum(products[1:], products[0])),), {})
+    sys = PDESystem((u,), CK_INDEPENDENTS, ((JetQuotient(jet(u, (0, 0, 0, 1)) - sum(products[1:], products[0])),),), {})
     cs = compile_system(sys)
     _assert_matches_exact(sys, cs, rng, points=3)
     body = cs.rhs_source.splitlines()[1:]
@@ -286,11 +295,12 @@ def test_rat33_code_size():
 
 
 def _stripped(sys):
-    """sys without recorded terms, in it and in its original system."""
-    prov = {k: v for k, v in sys.provenance.items() if k != "terms"}
+    """sys with each equation one term, its sum, in it and in its original
+    system."""
+    prov = dict(sys.provenance)
     if "original_system" in prov:
         prov["original_system"] = _stripped(prov["original_system"])
-    return PDESystem(sys.unknowns, sys.independents, sys.equations, prov)
+    return PDESystem(sys.unknowns, sys.independents, [(eq,) for eq in sys.equations], prov)
 
 
 def _term_compiled_errors(sys, expanded):
@@ -323,12 +333,28 @@ def test_term_compiled_code_matches_the_expanded_rows(m, n):
 
 
 def _flipped(sys):
-    """sys with the sign of the last recorded term of its first equation
-    flipped."""
-    terms = [list(ts) for ts in sys.provenance["terms"]]
+    """sys with the sign of the last term of its first equation flipped."""
+    terms = [list(ts) for ts in sys.terms]
     terms[0][-1] = -terms[0][-1]
-    return PDESystem(sys.unknowns, sys.independents, sys.equations,
-                     {**sys.provenance, "terms": tuple(map(tuple, terms))})
+    return PDESystem(sys.unknowns, sys.independents, terms, sys.provenance)
+
+
+def test_the_residue_pipeline_never_adds_two_quotients(monkeypatch):
+    # each equation stays the tuple of its terms from residue_system
+    # through ck_transform to the compiled code; only an output sums them
+    def refused(self, other):
+        raise AssertionError("two quotients added")
+
+    lax = make_family("rat", 3, 3)  # the pair's F and G are sums
+    monkeypatch.setattr(JetQuotient, "__add__", refused)
+    monkeypatch.setattr(JetQuotient, "__radd__", refused)
+    sys = residue_system(lax)  # what derive("rat", 3, 3, form="residues") caches
+    ck = ck_transform(sys)
+    compile_system(ck)
+    assert determinedness_report(ck).verdict == "determined"
+    assert "equations" not in sys.__dict__ and "equations" not in ck.__dict__
+    with pytest.raises(AssertionError, match="two quotients added"):
+        ck.equations
 
 
 def test_a_flipped_term_fails_the_term_compiled_oracle():
@@ -337,7 +363,7 @@ def test_a_flipped_term_fails_the_term_compiled_oracle():
     sys, expanded = _expanded(2, 1)
     rhs_err, _ = _term_compiled_errors(_flipped(sys), expanded)
     flipped = {**sys.provenance, "original_system": _flipped(sys.provenance["original_system"])}
-    _, residual_err = _term_compiled_errors(PDESystem(sys.unknowns, sys.independents, sys.equations, flipped),
+    _, residual_err = _term_compiled_errors(PDESystem(sys.unknowns, sys.independents, sys.terms, flipped),
                                             expanded)
     assert rhs_err > 1e-3 and residual_err > 1e-3
 
@@ -360,7 +386,7 @@ _UNTERMED_SOURCES = {
 @pytest.mark.parametrize("m,n,form", list(_UNTERMED_SOURCES))
 def test_systems_without_terms_compile_as_before(m, n, form):
     sys = ck_transform(derive("rat", m, n, form=form))
-    assert ("terms" in sys.provenance) == (form == "residues")
+    assert any(len(ts) > 1 for ts in sys.terms) == (form == "residues")
     cs = compile_system(_stripped(sys))
     got = tuple(hashlib.sha256(src.encode()).hexdigest() for src in (cs.rhs_source, cs.residual_source))
     assert got == _UNTERMED_SOURCES[m, n, form]
@@ -379,7 +405,7 @@ def _aliasing_system():
     u, w, p, q = (FieldId(n) for n in "uwpq")
     rhs = {u: jet(u, (1, 0, 0, 0)), w: jet(u, (1, 0, 0, 0)), p: jet(p) * jet(p, (1, 0, 0, 0)),
            q: jet(p) * jet(p, (1, 0, 0, 0))}
-    return PDESystem(tuple(rhs), CK_INDEPENDENTS, tuple(JetQuotient(jet(f, (0, 0, 0, 1)) - r) for f, r in rhs.items()), {})
+    return PDESystem(tuple(rhs), CK_INDEPENDENTS, [(JetQuotient(jet(f, (0, 0, 0, 1)) - r),) for f, r in rhs.items()], {})
 
 
 def _generated_functions(cs):
@@ -421,7 +447,7 @@ def _t_rows_system(t_rows):
     us = tuple(FieldId(f"u{i}") for i in range(len(t_rows)))
     t_jets = [jet(u, (0, 0, 0, 1)) for u in us]
     rests = [jet(us[0]) * jet(us[-1], (1, 0, 0, 0)), jet(us[1], (0, 1, 0, 0)) ** 2 - 3, jet(us[-1]) * jet(us[0], (0, 0, 1, 0))]
-    eqs = tuple(JetQuotient(sum((c * t for c, t in zip(row, t_jets)), rest)) for row, rest in zip(t_rows, rests))
+    eqs = [(JetQuotient(sum((c * t for c, t in zip(row, t_jets)), rest)),) for row, rest in zip(t_rows, rests)]
     return PDESystem(us, CK_INDEPENDENTS, eqs, {})
 
 
@@ -466,7 +492,7 @@ def test_coefficient_form_compiles_and_matches_residue_form(m, n):
 
 def test_residual_column_nan_without_original_system():
     u = FieldId("u")
-    sys = PDESystem((u,), CK_INDEPENDENTS, (JetQuotient(jet(u, (0, 0, 0, 1)) - jet(u, (1, 0, 0, 0))),), {})
+    sys = PDESystem((u,), CK_INDEPENDENTS, ((JetQuotient(jet(u, (0, 0, 0, 1)) - jet(u, (1, 0, 0, 0))),),), {})
     cs = compile_system(sys)
     grid = Grid((8, 8, 8))
     state = {"u": HarmonicField(0.0, (Mode((1, 0, 0), 1.0),)).value(grid.coords(), 0.0) + np.zeros(grid.shape)}
