@@ -112,6 +112,10 @@ def _run(args) -> int:
         code = 0
     except (ParameterError, CompileError, OSError) as e:
         code, rep.error = 2, f"parameter error: {e}"
+    except MemoryError as e:
+        # a grid or system too large for this machine, refused by NumPy
+        # (or Python) as it asks for the memory
+        code, rep.error = 2, f"parameter error: out of memory: {e}"
     except (PoleProximityError, NumericAbortError) as e:
         code, rep.error = 3, f"numerical abort: {e}"
     except (CheckFailed, compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:

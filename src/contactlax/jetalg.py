@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -898,7 +899,16 @@ def _frac_str(c) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+# what _frac_str writes: an integer or p/q, in ASCII digits
+_FRAC_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_frac(s: str) -> Fraction:
+    """The literal s, refused unless _frac_str could have written it: a
+    decimal or exponent form such as 1e99999999 would cost its full
+    integer to build."""
+    if not _FRAC_LITERAL.fullmatch(s):
+        raise StructureError(f"bad rational literal {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -916,7 +926,7 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
     if op == "jet":
         name = node["field"]
         d = node.get("d", [0, 0, 0, 0])
-        if not isinstance(d, (list, tuple)):
+        if not isinstance(d, (list, tuple)) or any(isinstance(k, int) and k > _MAX_EXP for k in d):
             raise StructureError(f"bad multi-index {d!r}")
         fid = fields.get(name) if fields else None
         if fid is None:
@@ -940,6 +950,9 @@ def from_tree(node, fields: dict[str, FieldId] | None = None) -> DiffPoly:
         exp = node.get("exp")
         if not isinstance(exp, int) or exp < 0:
             raise StructureError(f"bad exponent {exp!r}")
+        # also for a constant base, which no jet exponent bounds
+        if exp > _MAX_EXP:
+            raise StructureError(f"jet exponent above {_MAX_EXP}")
         return from_tree(node["base"], fields) ** exp
     raise StructureError(f"unknown op {op!r}")
 

@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import json
 import os
@@ -238,6 +237,8 @@ def test_report_json_written_on_handled_errors(tmp_path, capsys):
     ["--grid", "8", "--monitor-every", "0"],
     ["--grid", "8", "12"],
     ["--grid", "8", "8", "8", "8"],
+    # 7 PiB per field: NumPy refuses the allocation
+    ["--grid", "100000"],
 ])
 def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     init = tmp_path / "init.json"
@@ -328,10 +329,21 @@ def _rat11_init(**entries):
     ({"unknowns": ["u", "u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2}, None,
      "repeated unknowns in ['u', 'u']"),
     ("[" * 3000 + "]" * 3000, None, "RecursionError"),
+    # unbounded, each of the next three would run for more than 20 s: a
+    # literal is an integer or p/q, and a power or derivative order is at
+    # most 127
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1e99999999"}]}, None,
+     "StructureError: bad rational literal '1e99999999'"),
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [
+        {"op": "pow", "base": {"op": "num", "value": "3"}, "exp": 10 ** 8}]}, None,
+     "StructureError: jet exponent above 127"),
+    ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "jet", "field": "u", "d": [0, 10 ** 8, 0, 0]}]},
+     None, "StructureError: bad multi-index [0, 100000000, 0, 0]"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
         "nan-constant", "boolean-constant", "fourier-not-object", "init-extra-name", "init-constant-and-fourier",
         "zero-denominator", "exponent-128",
-        "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep"])
+        "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep",
+        "exponent-form-literal", "constant-to-the-1e8", "derivative-order-1e8"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
     if system is not None:
@@ -631,68 +643,54 @@ def test_unusable_path_is_refused_before_the_work(tmp_path, monkeypatch, capsys,
     assert keep.read_text() == "{}" and sorted(tmp_path.iterdir()) == [keep]
 
 
-# sha256 of the exact output under PYTHONHASHSEED=0: a changed normal
-# form, term order or layout changes them
-_PINNED_OUTPUT = [
-    (["derive", "--family", "poly", "-m", "2", "-n", "2", "--out-json", "sys.json"],
-     {"sys.json": "aee6ca57e4f3fef81dda789d4991b8cf8238aaf484d89ea021b14e68e9221f3a"}),
-    (["derive", "--family", "rat", "-m", "2", "-n", "1", "--form", "residues", "--out-json", "sys.json",
-      "--latex", "sys.tex"],
-     {"sys.json": "1bae2a6b461a042e35a30de31a9969862f6f4d00e7bc1f642870db73f9a25515",
-      "sys.tex": "1fd173f314d47e99ffd57587b4cdf9902e6f89675d14dc0677a6c9b5235b4f40"}),
-    (["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", "sys.json"],
-     {"sys.json": "993f962b3dcca1093091d6798131c0926144b5d80afb60934d2971e9b25ce7c3"}),
-    (["verify", "rls", "-m", "2", "-n", "1", "--diff"],
-     {"stdout": "a9d48b62e8e10b7ee863c01280f02df036806a02360a2380a8c9a80ff98ca3e2"}),
-    (["export", "--family", "ratgp", "-m", "2", "-n", "1", "--what", "lax", "--out", "lax.json"],
-     {"lax.json": "ae26af6bbd2d8beed78efb7b2f033c2808099a52e120445bccec2aff556c41ae"}),
-    (["derive", "--family", "rat", "-m", "3", "-n", "3", "--out-json", "sys.json"],
-     {"sys.json": "ec8447543a90d6df8c777d576139818577edc799c45e48099a4a9d462e11fc92"}),
-    (["reduce21", "--family", "ratgp", "-m", "2", "-n", "1", "--out-json", "sys.json"],
-     {"sys.json": "9ff0f9f11939773eec005eb8bb7b72199374fa161086adab3eca87e48c649cce"}),
-    (["export", "--family", "rat", "-m", "2", "-n", "1", "--what", "ck", "--form", "residues", "--out", "ck.json"],
-     {"ck.json": "672d80c877be0bc5ae0b168228be6b53155391aaaf8d6a192b30cbd48c4b38d0"}),
-    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--out-json", "sys.json"],
-     {"sys.json": "4ef8e6500924017321577dad8484b73efc00b538c46138533a787c61043cb847"}),
-    (["derive", "--family", "rat", "-m", "2", "-n", "2", "--form", "residues", "--out-json", "sys.json",
-      "--latex", "sys.tex"],
-     {"sys.json": "f1f2f510c9df180ec953a77fea8e1389197f1ebf34272e2039ea4d9cce700d42",
-      "sys.tex": "a62874f2bd781c053514f570ab54f90387ea61c9da64ff1c6e965e0f929c5b84"}),
-    (["verify", "theorem1", "-m", "3", "-n", "3"],
-     {"stdout": "aa282af7487d223a0ef6fc05168d1d80fc38d89aacac60944268164a7aa79e5c"}),
-    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--latex", "sys.tex"],
-     {"sys.tex": "d61c832738422435e09086fcc53cee4e15751948349bd58886bc0b27b164b9ba"}),
-    (["derive", "--family", "ratgp", "-m", "3", "-n", "3", "--form", "residues", "--out-json", "sys.json",
-      "--latex", "sys.tex"],
-     {"sys.json": "9dc2f10260b8e11fb3775c8a40230de5c62ff33bd456d340ac702630f4730a9e",
-      "sys.tex": "a27390b5d7f3eda2a5e5460825de4087623e5d7e38e35757004ad525f8068a84"}),
-    (["export", "--family", "rat", "-m", "2", "-n", "2", "--what", "lax", "--out", "lax.json", "--latex", "lax.tex"],
-     {"lax.json": "e3b00a095e98f3d8b41a8bef396c75aa2046e7b7267036370929ae70359fdadb",
-      "lax.tex": "0ecaf30141b589c51da12007661c997c52b34e3a3fb54067d898fbd19cb12bf2"}),
-    (["export", "--family", "ratgp", "-m", "2", "-n", "2", "--what", "lax", "--out", "lax.json", "--latex",
-      "lax.tex"],
-     {"lax.json": "bd4b9de1eabb2f735e80079d9465a52518adf5b58c31817b7af0c1c8d77f2347",
-      "lax.tex": "d5f5ea41aea86284ff9b574173699502c3a04b4b7820afc29d4efb3f61d9b31f"}),
-    (["reduce21", "--family", "rat", "-m", "2", "-n", "1"],
-     {"stdout": "23dc7631af64ea92be958d2ba85a88dc6d1a1def01be8256d983bb1074514dc4"}),
-    (["verify", "theorem1", "-m", "2", "-n", "1"],
-     {"stdout": "96b35a3577d21f8dda06a8e13d4d421539e4378ddd25d7cae4edeb742bb2d9cf"}),
-]
+def _module_at(path: Path):
+    """The module in the file at path, imported by path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("args,digests", _PINNED_OUTPUT,
-                         ids=["derive-poly-2-2", "derive-rat-2-1-residues", "ck-rat-1-1", "verify-rls-2-1-diff",
-                              "export-lax-ratgp-2-1", "derive-rat-3-3", "reduce21-ratgp-2-1",
-                              "export-ck-rat-2-1-residues", "derive-ratgp-3-3", "derive-rat-2-2-residues",
-                              "verify-theorem1-3-3", "derive-ratgp-3-3-latex", "derive-ratgp-3-3-residues",
-                              "export-lax-rat-2-2", "export-lax-ratgp-2-2", "reduce21-rat-2-1-stdout",
-                              "verify-theorem1-2-1"])
-def test_exact_output_is_pinned(tmp_path, args, digests):
-    done = _cli(args, tmp_path)
-    assert done.returncode == 0, done.stderr
-    for name, want in digests.items():
-        data = done.stdout.encode() if name == "stdout" else (tmp_path / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == want, name
+_REPO = Path(__file__).resolve().parents[1]
+_OUTPUTS = _module_at(_REPO / "scripts" / "compare_outputs.py")
+
+# each case names the manifest command whose digest covers the output it
+# pins (reduce21-rat-2-1-stdout's lines are that command's stdout up to
+# its two "wrote" lines): a changed normal form, term order or layout
+# changes the digest
+_PINNED_OUTPUT = {
+    "derive-poly-2-2": "derive --family poly -m 2 -n 2 --out-json sys.json --latex sys.tex",
+    "derive-rat-2-1-residues": "derive --family rat -m 2 -n 1 --form residues --out-json sys.json --latex sys.tex",
+    "ck-rat-1-1": "ck --family rat -m 1 -n 1 --out-json ck.json",
+    "verify-rls-2-1-diff": "verify rls -m 2 -n 1 --diff",
+    "export-lax-ratgp-2-1": "export --family ratgp -m 2 -n 1 --what lax --out lax.json --latex lax.tex",
+    "derive-rat-3-3": "derive --family rat -m 3 -n 3 --out-json sys.json --latex sys.tex",
+    "reduce21-ratgp-2-1": "reduce21 --family ratgp -m 2 -n 1 --out-json r21.json --latex r21.tex",
+    "export-ck-rat-2-1-residues":
+        "export --family rat -m 2 -n 1 --what ck --form residues --out ck.json --latex ck.tex",
+    "derive-ratgp-3-3": "derive --family ratgp -m 3 -n 3 --out-json sys.json --latex sys.tex",
+    "derive-rat-2-2-residues": "derive --family rat -m 2 -n 2 --form residues --out-json sys.json --latex sys.tex",
+    "verify-theorem1-3-3": "verify theorem1 -m 3 -n 3",
+    "derive-ratgp-3-3-latex": "derive --family ratgp -m 3 -n 3 --out-json sys.json --latex sys.tex",
+    "derive-ratgp-3-3-residues": "derive --family ratgp -m 3 -n 3 --form residues --out-json sys.json --latex sys.tex",
+    "export-lax-rat-2-2": "export --family rat -m 2 -n 2 --what lax --out lax.json --latex lax.tex",
+    "export-lax-ratgp-2-2": "export --family ratgp -m 2 -n 2 --what lax --out lax.json --latex lax.tex",
+    "reduce21-rat-2-1-stdout": "reduce21 --family rat -m 2 -n 1 --out-json r21.json --latex r21.tex",
+    "verify-theorem1-2-1": "verify theorem1 -m 2 -n 1",
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_OUTPUT.values()), ids=list(_PINNED_OUTPUT))
+def test_exact_output_is_pinned(tmp_path, command):
+    steps = next(c for c in _OUTPUTS.commands() if _OUTPUTS.text(c) == command)
+    src = Path(contactlax.__file__).resolve().parents[1]
+    assert _OUTPUTS.digest(_OUTPUTS.run(src, steps, tmp_path)) == dict(_OUTPUTS.manifest())[command]
+
+
+def test_manifest_lists_every_exact_command_once_in_order():
+    entries = _OUTPUTS.manifest()
+    assert [cmd for cmd, _ in entries] == [_OUTPUTS.text(c) for c in _OUTPUTS.commands() if _OUTPUTS.exact(c)]
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for _, d in entries)
 
 
 def test_goldens_present_and_marked():
@@ -729,10 +727,7 @@ def test_public_and_benchmarked_names_resolve():
     as zero)."""
     for name in contactlax.__all__:
         assert hasattr(contactlax, name), name
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _module_at(_REPO / "perfbench" / "spans.py")
     deleted = {("pfield", "partial_fraction"), ("pfield", "poly_div_exact")}
     for mod_name, name, _ in spans.TARGETS:
         obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
