@@ -239,6 +239,7 @@ def cmd_simulate(args, rep: RunReport) -> None:
                                  "not (x, y, z, t) or (X, Y, Z, T)")
     else:
         sys = ck_transform(derive(args.family, args.m, args.n, form="residues"))
+    numeric.keep_freed_arrays_mapped()
     cs = numeric.compile_system(sys)
     if args.manufactured:
         exact = numeric.manufactured_fields(cs.unknowns)

@@ -3,7 +3,8 @@ integrate them at desk scale.
 
 Spatial derivatives are spectral (one product with the Fourier
 differentiation matrix of an axis) or 2nd-order centered differences on a
-periodic unit box; time stepping is fixed-step RK4.  Monitors track
+periodic unit box, each taken once over the stack of all fields; time
+stepping is fixed-step RK4.  Monitors track
 the minimum pole distance (the published systems degenerate where pole
 locations collide, so runs abort on proximity), the largest field
 magnitude, and a lagged finite-difference residual of the evolution
@@ -62,28 +63,36 @@ def _diff_matrix(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d, dt
 
 
-def spectral_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """The spectral derivative of a 3-D array along one axis: one matrix
-    product with that axis's differentiation matrix."""
-    n = arr.shape[axis]
+def spectral_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The spectral derivative of a 3-D array, or of a stack of them,
+    along one of its last three axes: one matrix product with that
+    axis's differentiation matrix, over the whole stack.  out, if given,
+    is C-contiguous and receives the result."""
+    n = arr.shape[axis - 3]
     d, dt = _diff_matrix(n, h)
     if axis == 2:
-        return arr @ dt
+        return np.matmul(arr, dt, out=out)
     if axis == 1:
-        return d @ arr
-    return (d @ arr.reshape(n, -1)).reshape(arr.shape)
+        return np.matmul(d, arr, out=out)
+    flat = arr.reshape(*arr.shape[:-3], n, -1)
+    if out is None:
+        return (d @ flat).reshape(arr.shape)
+    np.matmul(d, flat, out=out.reshape(flat.shape))
+    return out
 
 
-# per axis, the index tuples of planes 2.., ..-2 and 1..-1, then of planes 0, 1, -2 and -1
-_FD2_INDEX = tuple(tuple((slice(None),) * axis + (i,) for i in (slice(2, None), slice(None, -2), slice(1, -1),
-                                                                  0, 1, -2, -1)) for axis in range(3))
+# per axis of the last three, the index tuples of planes 2.., ..-2 and 1..-1, then of planes 0, 1, -2 and -1
+_FD2_INDEX = tuple(tuple((..., i) + (slice(None),) * (2 - axis) for i in (slice(2, None), slice(None, -2), slice(1, -1),
+                                                                          0, 1, -2, -1)) for axis in range(3))
 
 
-def fd2_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+def fd2_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """The centred difference (u[i+1] - u[i-1]) / 2h along one periodic
-    axis: the interior planes, then the two that wrap around."""
+    axis of the last three: the interior planes, then the two that wrap
+    around, written into out if given."""
     up, down, inner, first, second, penult, last = _FD2_INDEX[axis]
-    out = np.empty_like(arr)
+    if out is None:
+        out = np.empty_like(arr)
     np.subtract(arr[up], arr[down], out=out[inner])
     np.subtract(arr[second], arr[last], out=out[first])
     np.subtract(arr[first], arr[penult], out=out[last])
@@ -97,7 +106,7 @@ SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 def jet_plan(jets, grid: Grid) -> tuple:
     """Per jet (field, multi-index): its field and the (axis, spacing) of
     each X, Y and Z derivative it takes, in that order; its T-index is not
-    read.  A run plans its jets once."""
+    read."""
     spacing = grid.spacing
     return tuple((name, tuple((axis, spacing[axis]) for axis in range(3) for _ in range(d[axis]))) for name, d in jets)
 
@@ -111,6 +120,26 @@ def spatial_jets(state: dict, plan, op) -> list:
             arr = op(arr, axis, h)
         out.append(arr)
     return out
+
+
+def stack_plan(jets, grid: Grid) -> tuple:
+    """The nonzero spatial multi-indices the jets read, each with the
+    multi-index it is one derivative of and the (axis, spacing) of that
+    derivative, every one after the multi-index it is taken from.  Taken
+    in turn over a stack of all fields, they give each field's jets by
+    the same products as spatial_jets: X, then Y, then Z."""
+    spacing, out = grid.spacing, {}
+
+    def add(d):
+        if any(d) and d not in out:
+            axis = max(a for a in range(3) if d[a])
+            parent = tuple(k - (a == axis) for a, k in enumerate(d))
+            add(parent)
+            out[d] = (parent, axis, spacing[axis])
+
+    for _, d in jets:
+        add(d[:3])
+    return tuple((d, *step) for d, step in out.items())
 
 
 # -- straight-line code generation ----------------------------------------------
@@ -416,10 +445,28 @@ def manufactured_fields(unknowns) -> dict:
 # -- integration -------------------------------------------------------------------
 
 
+def keep_freed_arrays_mapped() -> None:
+    """Fix glibc malloc's two thresholds for the rest of the process:
+    blocks below 32 MiB come from the heap, and the heap keeps up to
+    64 MiB of free memory at its top.  At its defaults glibc unmaps a
+    freed array of 128 KiB or more, or trims it off the top of the heap,
+    so that each RK4 step faults the pages of its grid arrays in again.
+    Where the C library is not glibc it does nothing."""
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class Trajectory:
     times: deque  # the last three monitored times
-    snapshots: deque  # the states at those times: dict name -> ndarray
+    snapshots: deque  # the states at those times: dict name -> ndarray, views of one stack
     monitors: list  # rows: (step, T, min_pole_dist, residual_L2, max_field)
     grid: Grid
 
@@ -434,7 +481,9 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
               guard: float = 0.1, forcing=None, monitor_every: int = 1) -> Trajectory:
     """Method-of-lines advance in T from T = 0.  ``forcing`` maps (coords,
     T) to a dict of arrays added to the T-derivatives (manufactured runs).
-    Of the monitored states only the last three are kept."""
+    Each state is one (field, nx, ny, nz) stack in the order of
+    cs.unknowns; of the monitored states only the last three are kept,
+    each a dict of per-field views of its stack."""
     if monitor_every < 1:
         raise CompileError("monitor_every must be at least 1")
     if steps < 0:
@@ -444,28 +493,49 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     if not (math.isfinite(guard) and guard > 0):
         raise CompileError(f"guard must be finite and positive, got {guard}")
     op = SPATIAL_OPS[spatial]
-    plan = jet_plan(cs.required_jets, grid)
+    plan = stack_plan(cs.required_jets, grid)
     coords = grid.coords()
-    state = {k: np.array(v, dtype=float) for k, v in state.items()}
+    size = (len(cs.unknowns), *grid.shape)
+    field = {u: i for i, u in enumerate(cs.unknowns)}
+    # the stage states s2, s3, s4, each spatial derivative of a stacked
+    # state and one field's sum of the slopes are written into these
+    # buffers, which never enter the window; the window holds per-field
+    # views of the states, so each step's new state is a fresh stack
+    stage, slopes = np.empty(size), np.empty(grid.shape)
+    derivs = {d: np.empty(size) for d, *_ in plan}
 
-    def rhs(st, T):
-        vals = cs.rhs_from_jets(dict(zip(cs.required_jets, spatial_jets(st, plan, op))))
+    def rhs(y, T):  # the slopes at the stacked state y: one product per spatial multi-index over all fields
+        stacks = {(0, 0, 0): y}
+        for d, parent, axis, h in plan:
+            stacks[d] = op(stacks[parent], axis, h, out=derivs[d])
+        vals = cs.rhs_from_jets({(name, d): stacks[d[:3]][field[name]] for name, d in cs.required_jets})
         if forcing is not None:
             g = forcing(coords, T)
             vals = {u: vals[u] + g[u] for u in vals}
         return vals
 
-    # the stage states s2, s3, s4 and the sum of the slopes are written
-    # into these buffers, which never enter the window; the window holds
-    # states by reference, so each step's new state is a fresh array
-    stage = {u: np.empty(grid.shape) for u in cs.unknowns}
-    slopes = {u: np.empty(grid.shape) for u in cs.unknowns}
-
-    def stage_state(k, h):  # state + h * k
-        for u in cs.unknowns:
-            np.add(state[u], np.multiply(h, k[u], out=stage[u]), out=stage[u])
+    def stage_state(y, k, h):  # y + h * k
+        for i, u in enumerate(cs.unknowns):
+            np.add(y[i], np.multiply(h, k[u], out=stage[i]), out=stage[i])
         return stage
 
+    def rk4_step(y, T):  # the slopes are released on return, before any monitor runs
+        k1 = rhs(y, T)
+        k2 = rhs(stage_state(y, k1, 0.5 * dt), T + 0.5 * dt)
+        k3 = rhs(stage_state(y, k2, 0.5 * dt), T + 0.5 * dt)
+        k4 = rhs(stage_state(y, k3, dt), T + dt)
+        new = np.empty(size)
+        for i, u in enumerate(cs.unknowns):  # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+            acc = np.add(k1[u], np.multiply(2, k2[u], out=slopes), out=slopes)
+            np.add(acc, np.multiply(2, k3[u], out=stage[i]), out=acc)
+            np.add(acc, k4[u], out=acc)
+            np.add(y[i], np.multiply(dt / 6.0, acc, out=acc), out=new[i])
+        return new
+
+    y = np.empty(size)
+    for i, u in enumerate(cs.unknowns):
+        y[i] = state[u]
+    state = dict(zip(cs.unknowns, y))
     traj = Trajectory(deque([0.0], maxlen=3), deque([state], maxlen=3), [], grid)
     dist = _min_pole_distance(state, cs.pole_pairs)
     if dist < guard:
@@ -473,19 +543,10 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     traj.monitors.append((0, 0.0, dist, float("nan"), _max_field(state)))
     T = 0.0
     for step in range(1, steps + 1):
-        k1 = rhs(state, T)
-        k2 = rhs(stage_state(k1, 0.5 * dt), T + 0.5 * dt)
-        k3 = rhs(stage_state(k2, 0.5 * dt), T + 0.5 * dt)
-        k4 = rhs(stage_state(k3, dt), T + dt)
-        new = {}
-        for u in cs.unknowns:  # state + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-            acc = np.add(k1[u], np.multiply(2, k2[u], out=slopes[u]), out=slopes[u])
-            np.add(acc, np.multiply(2, k3[u], out=stage[u]), out=acc)
-            np.add(acc, k4[u], out=acc)
-            new[u] = state[u] + np.multiply(dt / 6.0, acc, out=acc)
-        state = new
+        y = rk4_step(y, T)
         T += dt
         if step % monitor_every == 0 or step == steps:
+            state = dict(zip(cs.unknowns, y))
             for u in cs.unknowns:
                 if not np.all(np.isfinite(state[u])):
                     raise NumericAbortError(f"non-finite values in {u} at step {step}")

@@ -97,33 +97,55 @@ def test_derivative_operators_on_one_mode():
     assert 0.05 < np.max(np.abs(fd - exact)) < 0.3
 
 
-def _fft_diff(arr, axis, h):
-    """The spectral derivative by a real FFT pair along one axis, the
-    Nyquist bin dropped: the oracle of the differentiation matrix."""
-    n = arr.shape[axis]
+def _fft_diff(arr, axis, h, out=None):
+    """The spectral derivative by a real FFT pair along one of the last
+    three axes, the Nyquist bin dropped: the oracle of the
+    differentiation matrix, with its signature."""
+    n = arr.shape[axis - 3]
     k = np.fft.rfftfreq(n, d=h) * (np.arange(n // 2 + 1) != n / 2)
     mult = (2j * np.pi * k).reshape([-1 if ax == axis else 1 for ax in range(3)])
-    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult, n=n, axis=axis)
+    res = np.fft.irfft(np.fft.rfft(arr, axis=axis - 3) * mult, n=n, axis=axis - 3)
+    if out is None:
+        return res
+    out[...] = res
+    return out
+
+
+def _assert_stack_matches_fields(op, stack, axis, h):
+    """op over the stack, allocating and into out=, equals op on each
+    field, bit for bit."""
+    fields = [op(f, axis, h) for f in stack]
+    out = np.empty_like(stack)
+    assert op(stack, axis, h, out=out) is out
+    for got in (op(stack, axis, h), out):
+        assert got.shape == stack.shape
+        for g, f in zip(got, fields):
+            assert np.array_equal(g, f)
 
 
 @pytest.mark.parametrize("shape", [(16,) * 3, (32,) * 3, (9, 10, 12)])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_spectral_diff_matches_fft_oracle(shape, axis):
     grid = Grid(shape)
-    arr = np.random.default_rng(sum(shape) + axis).standard_normal(shape)
-    got = spectral_diff(arr, axis, grid.spacing[axis])
-    want = _fft_diff(arr, axis, grid.spacing[axis])
-    assert got.shape == shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    h = grid.spacing[axis]
+    stack = np.random.default_rng(sum(shape) + axis).standard_normal((3, *shape))
+    for arr in (stack[0], stack):
+        got = spectral_diff(arr, axis, h)
+        want = _fft_diff(arr, axis, h)
+        assert got.shape == arr.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    _assert_stack_matches_fields(spectral_diff, stack, axis, h)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_fd2_diff_matches_the_roll_form(axis):
     grid = Grid((9, 10, 12))
-    arr = np.random.default_rng(axis).standard_normal(grid.shape)
+    stack = np.random.default_rng(axis).standard_normal((3, *grid.shape))
     h = grid.spacing[axis]
-    want = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
-    assert np.array_equal(fd2_diff(arr, axis, h), want)
+    for arr in (stack[0], stack):
+        want = (np.roll(arr, -1, axis=axis - 3) - np.roll(arr, 1, axis=axis - 3)) / (2.0 * h)
+        assert np.array_equal(fd2_diff(arr, axis, h), want)
+    _assert_stack_matches_fields(fd2_diff, stack, axis, h)
 
 
 @pytest.mark.parametrize("spatial", ["spectral", "fd2"])
@@ -150,7 +172,9 @@ def test_rk4_matches_the_allocating_form(cs, spatial):
     for got, ref in zip(traj.snapshots, want[-3:]):
         for u in cs.unknowns:
             assert np.array_equal(got[u], ref[u])
-    assert len({id(a) for snap in traj.snapshots for a in snap.values()}) == 3 * len(cs.unknowns)
+    arrays = [a for snap in traj.snapshots for a in snap.values()]
+    assert len(arrays) == 3 * len(cs.unknowns)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 def test_integration_matches_fft_oracle_run(cs, monkeypatch):
