@@ -99,6 +99,10 @@ def commands() -> list[list[list[str]]]:
         [["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", "ck.json"]],
         [["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", "ck.json"],
          ["simulate", "--system-json", "ck.json", "--grid", "16", "--steps", "20", "--init", "init.json"]],
+        # a residue form read back from its file: the summed rows, compiled without terms
+        [["ck", "--family", "rat", "-m", "1", "-n", "1", "--form", "residues", "--out-json", "ck.json"],
+         ["simulate", "--system-json", "ck.json", "--grid", "9", "10", "12", "--steps", "10", "--init", "init.json",
+          "--monitor", "sim.csv"]],
         [["simulate", "--family", "rat", "--manufactured", "--convergence", "conv.csv"]],
         [["derive", "--family", "rat", "-m", "0", "-n", "1"]],
         [["derive", "--family", "poly", "--form", "residues"]],

@@ -222,6 +222,13 @@ def _read_input(path: str, parse=lambda data: data):
 
 
 def cmd_simulate(args, rep: RunReport) -> None:
+    # a run given an option it never reads would write or check nothing for it
+    if args.manufactured:
+        for opt in ("init", "monitor"):
+            if getattr(args, opt):
+                raise ParameterError(f"--{opt} does not apply to simulate --manufactured")
+    elif args.convergence:
+        raise ParameterError("--convergence applies to simulate --manufactured only")
     from . import numeric  # the one command that needs NumPy
 
     if len(args.grid) not in (1, 3):
@@ -243,7 +250,7 @@ def cmd_simulate(args, rep: RunReport) -> None:
     cs = numeric.compile_system(sys)
     if args.manufactured:
         exact = numeric.manufactured_fields(cs.unknowns)
-        conv = numeric.manufactured_test(cs, exact)
+        conv = numeric.manufactured_test(cs, exact, guard=args.guard)
         rep.verdicts["temporal orders"] = ["%.2f" % o for o in conv.temporal_orders]
         rep.verdicts["spatial orders"] = ["%.2f" % o for o in conv.spatial_orders]
         if args.convergence:
@@ -275,12 +282,14 @@ def cmd_simulate(args, rep: RunReport) -> None:
 
 
 def cmd_export(args, rep: RunReport) -> None:
+    if args.what == "lax" and args.form:
+        raise ParameterError("--form applies to export --what system|ck only, not to --what lax")
     lax = make_family(args.family, args.m, args.n)
     if args.what == "lax":
         text = laxpair_dumps(lax)
         tex = laxpair_latex(lax)
     else:
-        sys = derive(args.family, args.m, args.n, form=args.form)
+        sys = derive(args.family, args.m, args.n, form=args.form or "coefficients")
         if args.what == "ck":
             sys = ck_transform(sys)
         text = pdesystem_dumps(sys)
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p, required=True)
     p.add_argument("--what", choices=["lax", "system", "ck"], default="system")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export)
+    p.set_defaults(fn=cmd_export, form=None)  # a lax pair reads no --form
 
     return ap
 

@@ -22,14 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_matrix_witness
-from .jetalg import DiffPoly, divide_exact
+from .jetalg import DiffPoly
 from .pfield import CompileError, NumericAbortError, PoleProximityError
 
 
 # -- grids and derivative operators -------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """A periodic grid on the unit box."""
 
@@ -103,31 +103,12 @@ def fd2_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
 SPATIAL_OPS = {"spectral": spectral_diff, "fd2": fd2_diff}
 
 
-def jet_plan(jets, grid: Grid) -> tuple:
-    """Per jet (field, multi-index): its field and the (axis, spacing) of
-    each X, Y and Z derivative it takes, in that order; its T-index is not
-    read."""
-    spacing = grid.spacing
-    return tuple((name, tuple((axis, spacing[axis]) for axis in range(3) for _ in range(d[axis]))) for name, d in jets)
-
-
-def spatial_jets(state: dict, plan, op) -> list:
-    """The planned jets of the state's fields, taken with the operator op."""
-    out = []
-    for name, steps in plan:
-        arr = state[name]
-        for axis, h in steps:
-            arr = op(arr, axis, h)
-        out.append(arr)
-    return out
-
-
 def stack_plan(jets, grid: Grid) -> tuple:
     """The nonzero spatial multi-indices the jets read, each with the
     multi-index it is one derivative of and the (axis, spacing) of that
     derivative, every one after the multi-index it is taken from.  Taken
-    in turn over a stack of all fields, they give each field's jets by
-    the same products as spatial_jets: X, then Y, then Z."""
+    in turn over one field, or over a stack of all fields, they give each
+    jet by the same products: X, then Y, then Z."""
     spacing, out = grid.spacing, {}
 
     def add(d):
@@ -155,12 +136,13 @@ class _Code:
     """Straight-line NumPy code, one ufunc call per operation.  Operands
     are (local name or float literal, negated) pairs: negations fold into
     the sums, products and quotients that read them, literal operands
-    fold as the code is generated, and each operation is emitted once."""
+    fold as the code is generated, each operation is emitted once, and a
+    polynomial compiled before, or its negative, is not compiled again."""
 
     def __init__(self, jets):
         self.index = {key: i for i, key in enumerate(jets)}  # jet -> argument j<i>
         self.ops = {}  # (left, operator, right) -> target, in emission order
-        self.compiled = []  # (polynomial, its operand), in compilation order
+        self.compiled = {}  # the terms of each polynomial given its Horner form -> its operand
 
     def _emit(self, a, o, b):
         if isinstance(a, float) and isinstance(b, float):
@@ -184,39 +166,17 @@ class _Code:
         return self._emit(a, o, b), na != nb
 
     def poly(self, e: DiffPoly):
-        """The operand of e, reusing the polynomials compiled before: e =
-        ±q + (e ∓ q) when that difference has fewer than half of e's
-        terms, e = q * (e / q) when q has two terms or more and divides e
-        with such a quotient.  Of these rewrites the one that leaves the
-        fewest terms wins, the earliest q on a tie; what it leaves is
-        compiled the same way, and a polynomial no rewrite fits goes to
-        the Horner form."""
-        terms = e.terms
-        n = len(terms)
-        best = (n / 2, None, None, None)  # (terms left, operand of q, rewrite, what is left)
-        for q, qop in self.compiled:
-            qterms = q.terms
-            m = len(qterms)
-            common = terms.keys() & qterms.keys()
-            if n + m - 2 * len(common) < best[0]:  # all common terms cancel, at best
-                same = sum(terms[k] == qterms[k] for k in common)
-                opposite = sum(terms[k] == -qterms[k] for k in common)
-                for left, rule in ((n + m - len(common) - same, "+"), (n + m - len(common) - opposite, "-")):
-                    if left < best[0]:
-                        best = (left, qop, rule, q)
-            if n < best[0] * m:  # a quotient has at least n / m terms, so q has three or more
-                quo = divide_exact(e, q)
-                if quo is not None and len(quo.terms) < best[0]:
-                    best = (len(quo.terms), qop, "*", quo)
-        _, qop, rule, rest = best
-        if rule == "*":
-            out = self.mul(qop, self.poly(rest))
-        elif rule is not None:  # e = (e - q) + q, or e = (e + q) - q
-            out = self.add(self.poly(e - rest if rule == "+" else e + rest), qop, rule)
-        else:
-            out = self._horner([(c, {self.index[(jv.field.name, jv.d)]: p for jv, p in factors})
-                                for c, factors in e.monomials()])
-        self.compiled.append((e, out))
+        """The operand of e: that of the polynomial compiled before that
+        is e or -e, negated for -e, or else e's greedy Horner form."""
+        key = frozenset(e.terms.items())
+        if key in self.compiled:
+            return self.compiled[key]
+        neg = frozenset((m, -c) for m, c in e.terms.items())
+        if neg in self.compiled:
+            a, na = self.compiled[neg]
+            return a, not na
+        out = self.compiled[key] = self._horner([(c, {self.index[(jv.field.name, jv.d)]: p for jv, p in factors})
+                                                 for c, factors in e.monomials()])
         return out
 
     def sum(self, quotients):
@@ -576,6 +536,18 @@ def write_monitor_csv(traj: Trajectory, path: str):
 # -- residual of the original-form equations ---------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _field_plans(jets: tuple, grid: Grid) -> tuple:
+    """Per field the jets read: its name, each of its jets with the
+    spatial multi-index it takes (a y or t jet that of its Y-jet), and
+    one stack_plan of those multi-indices."""
+    out = []
+    for name in dict.fromkeys(name for name, _ in jets):
+        own = tuple((d, (0, 1, 0) if d[1] or d[3] else d[:3]) for n, d in jets if n == name)
+        out.append((name, own, stack_plan([(name, s) for _, s in own], grid)))
+    return tuple(out)
+
+
 def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
     """Evaluate the untransformed (x, y, z, t) equations at the middle
     state of the three-state window: T-derivatives by the three-point
@@ -587,16 +559,19 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
         raise CompileError("no original-form system recorded for residual evaluation")
     (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.snapshots
     h0, h1 = t1 - t0, t2 - t1
-    # the spatial jets, and for a y or t jet its Y-jet
-    plan = jet_plan([(name, (0, 1, 0, 0) if d[1] or d[3] else d) for name, d in cs.residual_jets], traj.grid)
-    jets = []
-    for (name, didx), u_s in zip(cs.residual_jets, spatial_jets(cur, plan, fd2_diff)):
-        if didx[1] + didx[3] == 0:
-            jets.append(u_s)
-            continue
-        u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
-        jets.append(u_T + u_s if didx[1] else u_T - u_s)
-    rs = [np.asarray(r) for r in cs._residual(*jets)]
+    jets = {}
+    for name, own, plan in _field_plans(cs.residual_jets, traj.grid):
+        spatial = {(0, 0, 0): cur[name]}
+        for d, parent, axis, h in plan:
+            spatial[d] = fd2_diff(spatial[parent], axis, h)
+        for d, key in own:
+            u = spatial[key]
+            if d[1] or d[3]:
+                u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
+                u = u_T + u if d[1] else u_T - u
+            jets[name, d] = u
+    spatial = None  # the last field's derivatives are not held through the residual's call
+    rs = [np.asarray(r) for r in cs._residual(*map(jets.get, cs.residual_jets))]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 

@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import json
 import os
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -111,6 +113,41 @@ def test_verify_family_is_refused_by_checks_that_ignore_it(argv, error, tmp_path
     assert rep["error"] == f"parameter error: {error}"
     assert rep["verdicts"] == {}
     assert capsys.readouterr().err.strip() == rep["error"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["simulate", "--convergence", "conv.csv", "--init", "init.json"],
+                 "--convergence applies to simulate --manufactured only", id="convergence-without-manufactured"),
+    pytest.param(["simulate", "--manufactured", "--init", "init.json"],
+                 "--init does not apply to simulate --manufactured", id="manufactured-init"),
+    pytest.param(["simulate", "--manufactured", "--monitor", "mon.csv"],
+                 "--monitor does not apply to simulate --manufactured", id="manufactured-monitor"),
+    *(pytest.param(["export", "--family", family, "--what", "lax", "--form", form, "--out", "lax.json"],
+                   "--form applies to export --what system|ck only, not to --what lax", id=f"export-lax-{family}-{form}")
+      for family, form in (("poly", "residues"), ("rat", "coefficients"))),
+])
+def test_simulate_and_export_refuse_options_they_never_read(argv, error, tmp_path, monkeypatch, capsys):
+    # such a run would exit 0 with no file written for the option, or
+    # with an output that ignores it
+    def no_work(*_, **__):
+        raise AssertionError("the command ran")
+
+    for name in ("derive", "make_family", "ck_transform", "_read_input"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--report-json", "report.json"]) == 2
+    rep = json.loads(Path("report.json").read_text())
+    assert rep["error"] == f"parameter error: {error}"
+    assert rep["verdicts"] == {} and rep["artifacts"] == []
+    assert capsys.readouterr().err.strip() == rep["error"]
+    assert sorted(os.listdir()) == ["report.json"]
+
+
+def test_simulate_manufactured_reads_its_guard(capsys):
+    # the manufactured fields' poles start 1.9 apart: a guard of 5 stops
+    # the study at its first step, where the study's own 0.1 passed
+    assert main(["simulate", "--manufactured", "--guard", "5"]) == 3
+    assert capsys.readouterr().err.startswith("numerical abort: pole proximity at step 0")
 
 
 def test_ck_command(tmp_path, capsys):
@@ -700,6 +737,33 @@ def test_manifest_lists_every_exact_command_once_in_order():
     entries = _OUTPUTS.manifest()
     assert [cmd for cmd, _ in entries] == [_OUTPUTS.text(c) for c in _OUTPUTS.commands() if _OUTPUTS.exact(c)]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for _, d in entries)
+
+
+def _synopsis(readme: str) -> dict:
+    """Per subcommand, the options its lines of the README's command-line
+    synopsis name."""
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    out, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("contactlax "):
+            command = line.split()[1]
+        out.setdefault(command, set()).update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    return out
+
+
+def _parser_options() -> dict:
+    """Per subcommand of cli.build_parser(), its option strings but help."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
+def test_readme_synopsis_matches_the_parser():
+    readme = (_REPO / "README.md").read_text()
+    parser = _parser_options()
+    assert _synopsis(readme) == parser
+    # an option left out of the synopsis, or one the parser does not have
+    assert _synopsis(readme.replace(" [--guard 0.1]", "")) != parser
+    assert _synopsis(readme.replace("[--diff]", "[--diff] [--verbose]")) != parser
 
 
 def test_goldens_present_and_marked():

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import math
 import os
 import pickle
 import re
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contactlax import numeric
 from contactlax.compat import (
     CK_INDEPENDENTS,
+    XYZT,
     PDESystem,
     TransformDegenerateError,
     ck_transform,
@@ -288,17 +291,15 @@ _UFUNC_CALL = re.compile(r"\b(add|subtract|multiply|divide)\(")
 
 
 def test_code_reuses_compiled_polynomials():
-    # after q, the generator emits nothing for -q, one addition for
-    # q + v, and for q (v - w) one subtraction and one product
+    # after q, the generator emits nothing for q or -q
     v, w, a, b = (jet(FieldId(name)) for name in "vwab")
     q = a * v * v + 3 * b * w * w - a * b * w + v * w
     code = _Code([(name, (0, 0, 0, 0)) for name in "abvw"])
     name, neg = code.poly(q)
     calls = len(code.ops)
-    assert code.poly(-q) == (name, not neg) and len(code.ops) == calls
-    exprs = [q, -q, q + v, q * (v - w)]
+    assert code.poly(-q) == (name, not neg) and code.poly(q) == (name, neg) and len(code.ops) == calls
+    exprs = [q, -q]
     outs = [code.poly(e) for e in exprs]
-    assert len(code.ops) == calls + 3
     namespace = dict(_GENERATED_NAMES)
     exec(code.function("f", outs), namespace)
     pt = {"a": Fraction(3, 7), "b": Fraction(-5, 2), "v": Fraction(2, 9), "w": Fraction(11, 13)}
@@ -318,7 +319,7 @@ def test_rat11_code_size(cs):
 
 def test_rat33_code_size():
     # compiled from the two-pole terms, the code grows with the pole
-    # pairs; compiled from the expanded rows it had 7,846 and 7,836 calls
+    # pairs; compiled from the expanded rows it has 8,044 and 8,036 calls
     cs = compile_system(ck_transform(derive("rat", 3, 3, form="residues")))
     for source in (cs.rhs_source, cs.residual_source):
         assert len(_UFUNC_CALL.findall(source)) <= 700
@@ -399,28 +400,45 @@ def test_a_flipped_term_fails_the_term_compiled_oracle():
 
 
 # SHA-256 of the generated rhs and residual sources of systems compiled
-# from their equations alone: the same characters as before terms were
-# recorded
+# from their equations alone: the coefficient forms give the same
+# characters as before terms were recorded, and a residue form's summed
+# rows compile to plain Horner forms, reusing only a polynomial or its
+# negative
 _UNTERMED_SOURCES = {
     (1, 1, "coefficients"): ("026010469d934fcd6649719a8f48ac94c2ba3925b73755307f6982cf74a2ca20",
                              "40cfb4fdf7e3f650a0aab40cad8a445c480e20e1a150ace8a8caef535fa5d490"),
     (2, 1, "coefficients"): ("e76643e132470d17b9527e96eef031aff5873ab7511fb2dfbc4d6cff8d7fc246",
                              "47792192b4b4a810b4dd5055587df5537cdb3c14d7e2e9f451b23167b0766a30"),
-    (1, 1, "residues"): ("0c58f467c2af8aa9a7c4f00b27f5fa03be8e98789ae331a1321e27d130c7adc6",
-                         "d8ce4880e428a363ad283ecaeac6ad582fc25663cba66db56446f98e0a58c399"),
-    (2, 1, "residues"): ("355945fc1a3f02a282c94fe543cc18701728afd3218ea0e7d906f74f49352cdd",
-                         "cd26cdbe9db5a10d4935b248eec73eb331d07a950a42eef27bfe5d50fb01c217"),
+    (1, 1, "residues"): ("172e9c47947ff830308ef04ac30897fdef86700fa36f0a2d2740e1f6596bca12",
+                         "077085bc7fa7bc4d121fd3a4b67cb996cfcc83b41bd85e309a446406478b6187"),
+    (2, 1, "residues"): ("f9dc117092ff31a68d299ac81304f32652a2a7134082e724ad9de20d5c79298f",
+                         "5659ed529cede88a2ee57b423adc812a3e83fe6dc8af9d326325debd2af3086d"),
+}
+
+# the same digests of rat residue systems compiled from their two-pole
+# terms, as simulate compiles them
+_TERM_COMPILED_SOURCES = {
+    (1, 1): ("9b94c131d43c9d363db58d796ca8d6184cff525829265e1c5e3934b289ba4fdb",
+             "414ffc727f19a6a58c366d1ecac2b96e1e5dfa77aa6addf21e14c474099088c0"),
+    (2, 1): ("95eda747e2b229f7c8c467d0bc4676b4b9e98db90261ebd1258fe5a6db4bb03e",
+             "c8367d176e5e751b7ac4d7e066e75dc380ab5878ecf00b3fd49e2eaaa35fbe65"),
+    (1, 2): ("55be75a3e690b48f395dfc3ac12a714c94319808142bd58a951d91afa6113bfc",
+             "78a695af60efcbbc2ea7cfaacb8c27be05e3452d563c719ab54d0d6a5c7dd4b6"),
+    (2, 2): ("6705d114d5309ce7ac1307ba2f839c7428dfe33e64347fac2d1ff86953ebf9a0",
+             "38ece931fdbc746a189779fedc2ac3461900739cfea13df8490c86eec919a913"),
+    (3, 3): ("44b13890dcf7439c379fa2f09797b02ee1904a5a4dc932de6ca07d53088e3917",
+             "6abf1b91ff6a0d6fd78e4379a14eb599698db1ef0140b55c9f8a0939a585e985"),
 }
 
 
-_UNTERMED_RUN = """
+_SOURCES_RUN = """
 import hashlib, json, sys
 from contactlax.compat import PDESystem, ck_transform, derive
 from contactlax.numeric import compile_system
 out = []
-for m, n, form in json.loads(sys.argv[1]):
+for m, n, form, stripped in json.loads(sys.argv[1]):
     system = ck_transform(derive("rat", m, n, form=form))
-    cs = compile_system(_stripped(system))
+    cs = compile_system(_stripped(system) if stripped else system)
     out.append([any(len(ts) > 1 for ts in system.terms),
                 *(hashlib.sha256(src.encode()).hexdigest() for src in (cs.rhs_source, cs.residual_source))])
 print(json.dumps(out))
@@ -428,23 +446,32 @@ print(json.dumps(out))
 
 
 @functools.cache
-def _untermed_sources() -> dict:
-    """Per case of _UNTERMED_SOURCES: whether its system has terms, and the
-    digests of its sources.  Generated code depends on the order in which
-    the process first met its jets, so all four cases run in one fresh
-    process at PYTHONHASHSEED=0, in the table's order."""
+def _compiled_sources() -> dict:
+    """Per case (m, n, form, compiled from the equations alone) of the two
+    tables above: whether its system has terms, and the digests of its
+    sources.  Generated code depends on the order in which the process
+    first met its jets, so all cases run in one fresh process at
+    PYTHONHASHSEED=0, in the tables' order."""
+    cases = [*((*case, True) for case in _UNTERMED_SOURCES),
+             *((m, n, "residues", False) for m, n in _TERM_COMPILED_SOURCES)]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PYTHONHASHSEED": "0"}
-    done = subprocess.run([_sys.executable, "-c", inspect.getsource(_stripped) + _UNTERMED_RUN,
-                           json.dumps(list(_UNTERMED_SOURCES))], capture_output=True, text=True, env=env,
-                          check=True, timeout=120)
-    return {case: (got[0], tuple(got[1:])) for case, got in zip(_UNTERMED_SOURCES, json.loads(done.stdout))}
+    done = subprocess.run([_sys.executable, "-c", inspect.getsource(_stripped) + _SOURCES_RUN, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    return {case: (got[0], tuple(got[1:])) for case, got in zip(cases, json.loads(done.stdout))}
 
 
 @pytest.mark.parametrize("m,n,form", list(_UNTERMED_SOURCES))
 def test_systems_without_terms_compile_as_before(m, n, form):
-    has_terms, got = _untermed_sources()[m, n, form]
+    has_terms, got = _compiled_sources()[m, n, form, True]
     assert has_terms == (form == "residues")
     assert got == _UNTERMED_SOURCES[m, n, form]
+
+
+@pytest.mark.parametrize("m,n", list(_TERM_COMPILED_SOURCES))
+def test_term_compiled_sources_are_pinned(m, n):
+    has_terms, got = _compiled_sources()[m, n, "residues", False]
+    assert has_terms
+    assert got == _TERM_COMPILED_SOURCES[m, n]
 
 
 def test_compiled_system_pickles_by_source(cs):
@@ -638,6 +665,34 @@ def test_residual_uses_the_window_spacing(cs):
     unequal = residual_original_form(cs, _quadratic_window(cs, (0.25, 0.3, 0.42)))
     assert equal > 0
     assert abs(unequal - equal) <= 1e-12 * equal
+
+
+def test_residual_takes_each_field_its_own_derivatives(monkeypatch):
+    # u reads u_xx and u_xz, w only w_y: u's plan takes X, then XZ and XX
+    # from it, w's takes Y, each from one field's array, and nothing is
+    # taken twice or for the other field
+    u, w = FieldId("u"), FieldId("w")
+    evolution = [(JetQuotient(jet(f, (0, 0, 0, 1))),) for f in (u, w)]
+    original = PDESystem((u, w), XYZT, [(JetQuotient(jet(u, (2, 0, 0, 0)) * jet(u, (1, 0, 1, 0))),),
+                                        (JetQuotient(jet(w, (0, 1, 0, 0))),)], {})
+    cs = compile_system(PDESystem((u, w), CK_INDEPENDENTS, evolution, {"original_system": original}))
+    grid = Grid((8, 9, 10))
+    X, Y, Z = grid.coords()
+    now = {"u": np.sin(TP * X) * np.cos(TP * Z) + 0 * Y, "w": np.cos(TP * Y) + 0 * X + 0 * Z}
+    traj = Trajectory([0.0, 0.1, 0.2], [now, now, now], [], grid)
+    taken = []
+
+    def counted(arr, axis, h):
+        taken.append((arr.shape, axis))
+        return fd2_diff(arr, axis, h)
+
+    monkeypatch.setattr(numeric, "fd2_diff", counted)
+    got = residual_original_form(cs, traj)
+    (hx, hy, hz), d = grid.spacing, fd2_diff
+    u_x = d(now["u"], 0, hx)
+    want = [d(u_x, 0, hx) * d(u_x, 2, hz), d(now["w"], 1, hy)]  # w_y = w_T + w_Y, and w_T = 0
+    assert taken == [(grid.shape, axis) for axis in (0, 2, 0, 1)]  # u: X, XZ, XX; w: Y
+    assert got == math.sqrt(sum(float(np.sum(r ** 2)) for r in want) / sum(r.size for r in want))
 
 
 def test_refinement_study_reads_monitor_rows(cs):
