@@ -7,14 +7,15 @@ from .jetalg import (
     FieldId,
     JetQuotient,
     JetVariable,
+    P,
     from_tree,
     jet,
+    p_coefficients,
     substitute,
     to_tree,
     total_derivative,
 )
 from .laxfamilies import LaxPair, make_custom, make_family, make_poly, make_rat, make_ratgp
-from .pfield import PPoly, PRational, collect
 from .compat import (
     PDESystem,
     ck_transform,
@@ -37,10 +38,9 @@ from .gauge import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffPoly", "FieldId", "JetQuotient", "JetVariable", "from_tree",
-    "jet", "substitute", "to_tree", "total_derivative",
+    "DiffPoly", "FieldId", "JetQuotient", "JetVariable", "P", "from_tree",
+    "jet", "p_coefficients", "substitute", "to_tree", "total_derivative",
     "LaxPair", "make_custom", "make_family", "make_poly", "make_rat", "make_ratgp",
-    "PPoly", "PRational", "collect",
     "PDESystem", "ck_transform", "compatibility_condition", "derive",
     "determinedness_report", "extract_system", "match_printed_system",
     "reduce_2plus1", "reduce_system", "residue_system",

@@ -27,10 +27,10 @@ from .compat import (
     reduce_2plus1,
     reduce_system,
 )
-from .jetalg import PoleError, jet
+from .jetalg import PoleError, jet, p_coefficients
 from .laxfamilies import check_params, make_family
 from .latexout import laxpair_latex, system_latex
-from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError, collect
+from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError
 from .serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
 
 
@@ -43,15 +43,24 @@ class RunReport:
     error: str | None = None
 
 
-def _emit(report: RunReport, args) -> None:
-    for k, v in report.verdicts.items():
-        print(f"{k}: {v}")
-    for a in report.artifacts:
-        print(f"wrote {a}")
+def _print_outcome(report: RunReport, args) -> None:
+    """Print the verdicts, the files written and the report's path, and
+    flush them: an OSError here is a closed stdout."""
+    lines = [*(f"{k}: {v}" for k, v in report.verdicts.items()), *(f"wrote {a}" for a in report.artifacts)]
     if getattr(args, "report_json", None):
-        with open(args.report_json, "w") as f:
-            json.dump(asdict(report), f, indent=1, default=str)
-        print(f"wrote {args.report_json}")
+        lines.append(f"wrote {args.report_json}")
+    for line in lines:
+        print(line)
+    _sys.stdout.flush()
+
+
+def _drop_stdout() -> None:
+    """Point a closed stdout at the null device, so that what is left in
+    its buffer does not fail again at shutdown."""
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+    except (OSError, ValueError):  # not a file: stdout redirected in-process
+        pass
 
 
 def _write(path: str, text: str, report: RunReport):
@@ -121,9 +130,17 @@ def _run(args) -> int:
     except (CheckFailed, compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
         code, rep.error = 1, f"verification failure: {e}"
     rep.seconds = time.perf_counter() - t0
+    try:
+        _print_outcome(rep, args)
+    except OSError as e:  # stdout closed, as by `| head -1`; the run may have met it first
+        _drop_stdout()
+        if not rep.error:
+            code, rep.error = 2, f"parameter error: {e}"
     if rep.error:
         print(rep.error, file=_sys.stderr)
-    _emit(rep, args)
+    if getattr(args, "report_json", None):
+        with open(args.report_json, "w") as f:
+            json.dump(asdict(rep), f, indent=1, default=str)
     return code
 
 
@@ -143,8 +160,8 @@ def cmd_derive(args, rep: RunReport) -> None:
 
 
 def _check_ab(m: int, n: int) -> bool:
-    num, _ = collect(family_cc("ratgp", m, n))
-    return num[num.degree()] == gauge.gauge_residual(jet(gauge.A0), jet(gauge.B0))
+    num, _ = p_coefficients(family_cc("ratgp", m, n))
+    return gauge.gauge_residual(jet(gauge.A0), jet(gauge.B0)) == num[-1]
 
 
 def _check_reduce21(family: str, m: int, n: int) -> bool:
@@ -221,14 +238,30 @@ def _read_input(path: str, parse=lambda data: data):
         return _parsed(path, lambda: parse(json.load(f)))
 
 
+# what simulate reads for an option not given: the parser leaves it None,
+# so that a given option can be told from its default
+_SIMULATE_DEFAULTS = {"family": "rat", "m": 1, "n": 1, "grid": [16], "steps": 100, "dt": 0.01,
+                      "spatial": "spectral", "monitor_every": 1}
+# the options a mode of simulate never reads
+_SIMULATE_UNREAD = {"manufactured": ("init", "monitor", "grid", "steps", "dt", "spatial", "monitor_every"),
+                    "system_json": ("family", "m", "n")}
+
+
+def _flag(dest: str) -> str:
+    return f"-{dest}" if len(dest) == 1 else f"--{dest.replace('_', '-')}"
+
+
 def cmd_simulate(args, rep: RunReport) -> None:
     # a run given an option it never reads would write or check nothing for it
-    if args.manufactured:
-        for opt in ("init", "monitor"):
-            if getattr(args, opt):
-                raise ParameterError(f"--{opt} does not apply to simulate --manufactured")
-    elif args.convergence:
+    for mode, unread in _SIMULATE_UNREAD.items():
+        for opt in unread:
+            if getattr(args, mode) and getattr(args, opt) is not None:
+                raise ParameterError(f"{_flag(opt)} does not apply to simulate {_flag(mode)}")
+    if args.convergence and not args.manufactured:
         raise ParameterError("--convergence applies to simulate --manufactured only")
+    for opt, value in _SIMULATE_DEFAULTS.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, value)
     from . import numeric  # the one command that needs NumPy
 
     if len(args.grid) not in (1, 3):
@@ -314,50 +347,54 @@ def build_parser() -> argparse.ArgumentParser:
     latex.add_argument("--latex")
     system_files = argparse.ArgumentParser(add_help=False, parents=[latex])
     system_files.add_argument("--out-json")
-    sizes = argparse.ArgumentParser(add_help=False)
-    sizes.add_argument("-m", type=int, default=1)
-    sizes.add_argument("-n", type=int, default=1)
+
+    def sizes(default=1):
+        p = argparse.ArgumentParser(add_help=False)
+        for opt in ("-m", "-n"):
+            p.add_argument(opt, type=int, default=default)
+        return p
+
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument("--form", choices=["coefficients", "residues"], default="coefficients")
 
-    p = sub.add_parser("derive", parents=[report, system_files, sizes, form],
+    p = sub.add_parser("derive", parents=[report, system_files, sizes(), form],
                        help="derive the compatibility PDE system of a family")
     _add_family(p, required=True)
     p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("verify", parents=[report, sizes], help="run a named verification")
+    p = sub.add_parser("verify", parents=[report, sizes()], help="run a named verification")
     p.add_argument("check", choices=["ab", "qsolution", "theorem1", "rls", "reduce21"])
     _add_family(p, help="reduce21 only (default rat)")
     p.add_argument("--diff", action="store_true", help="print differing terms for rls")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("ck", parents=[report, system_files, sizes, form],
+    p = sub.add_parser("ck", parents=[report, system_files, sizes(), form],
                        help="change independents to evolution form and check T-solvability")
     _add_family(p, required=True)
     p.set_defaults(fn=cmd_ck)
 
-    p = sub.add_parser("reduce21", parents=[report, system_files, sizes],
+    p = sub.add_parser("reduce21", parents=[report, system_files, sizes()],
                        help="planar reduction of a family pair and its system")
     _add_family(p, default="ratgp")
     p.set_defaults(fn=cmd_reduce21)
 
-    p = sub.add_parser("simulate", parents=[report, sizes], help="integrate an evolution-form system")
+    p = sub.add_parser("simulate", parents=[report, sizes(None)], help="integrate an evolution-form system")
     p.add_argument("--system-json")
-    p.add_argument("--family", choices=["rat"], default="rat")
-    p.add_argument("--grid", type=int, nargs="+", default=(16,))
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--family", choices=["rat"])
+    p.add_argument("--grid", type=int, nargs="+")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--dt", type=float)
     p.add_argument("--init")
     p.add_argument("--manufactured", action="store_true",
                    help="run the manufactured-solution convergence study instead")
     p.add_argument("--convergence", help="CSV path for the convergence table")
     p.add_argument("--monitor")
-    p.add_argument("--monitor-every", type=int, default=1)
-    p.add_argument("--spatial", choices=["spectral", "fd2"], default="spectral")
+    p.add_argument("--monitor-every", type=int)
+    p.add_argument("--spatial", choices=["spectral", "fd2"])
     p.add_argument("--guard", type=float, default=0.1)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("export", parents=[report, latex, sizes, form], help="write JSON/LaTeX artifacts")
+    p = sub.add_parser("export", parents=[report, latex, sizes(), form], help="write JSON/LaTeX artifacts")
     _add_family(p, required=True)
     p.add_argument("--what", choices=["lax", "system", "ck"], default="system")
     p.add_argument("--out", required=True)

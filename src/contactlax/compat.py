@@ -34,6 +34,7 @@ from types import MappingProxyType
 
 from .jetalg import (
     ONE,
+    P,
     PRIME,
     WAVE,
     ZERO,
@@ -50,13 +51,16 @@ from .jetalg import (
     jet_sort_key,
     jets_of_field,
     map_jets,
+    p_coefficients,
+    partial,
     primitive,
     strip_monomial,
     substitute,
+    total_derivative,
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError, PPoly, PRational, collect
+from .pfield import ParameterError
 from .sampling import pole_pairs_for, random_point
 
 PSI = FieldId("psi", WAVE)
@@ -77,126 +81,99 @@ class TransformDegenerateError(RuntimeError):
     """The T-jet coefficient matrix is singular at the witness point."""
 
 
-# -- wave-function homogenization --------------------------------------------
+# -- p and the wave-function jets ---------------------------------------------
 
 
-def homogenize_rational(r: PRational) -> tuple[DiffPoly, DiffPoly]:
-    """F(p) -> (num, den) as jet polynomials with p replaced by
-    psi_x/psi_z, both homogenized to a common degree."""
-    n, d = collect(r)
-    k_top = max(n.degree(), d.degree())
-    psix = DiffPoly.from_jet(JetVariable(PSI, (1, 0, 0, 0)))
-    psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
+def wave_form(r: JetQuotient, psi: FieldId = PSI, planar: bool = False) -> tuple[DiffPoly, DiffPoly]:
+    """num and den of a quotient r in p with p replaced by psi_x/psi_z,
+    both homogenized to r's top p-degree (planar: p replaced by psi_x).
+    Terms come by ascending p-degree, in the plane by descending degree:
+    total differentiation interns new jets in the order it meets them,
+    and the order of factors in every output follows."""
+    psix = DiffPoly.from_jet(JetVariable(psi, (1, 0, 0, 0)))
+    psiz = ONE if planar else DiffPoly.from_jet(JetVariable(psi, (0, 0, 1, 0)))
+    num, den = (decompose_by_jets(e, [P]) for e in (r.num, r.den))
+    top = max(k for (k,) in (*num, *den))
 
-    def build(pp: PPoly) -> DiffPoly:
-        acc = ZERO
-        for k in range(pp.degree() + 1):
-            c = pp[k]
-            if c.is_zero():
-                continue
-            acc = acc + c.num * psix ** k * psiz ** (k_top - k)
-        return acc
+    def homogenized(parts):
+        terms = sorted(parts.items(), reverse=planar)
+        return sum((rest * psix ** k * psiz ** (top - k) for (k,), rest in terms), ZERO)
 
-    return build(n), build(d)
+    return homogenized(num), homogenized(den)
 
 
-def rational_from_psi_quotient(jq: JetQuotient, psi: FieldId = PSI, planar: bool = False) -> PRational:
-    """Read a jet quotient of the shape psi_z * R(psi_x/psi_z) back as a
-    rational function of p (planar mode: R(psi_x) with psi_z == 1).
-    Raises DerivationError when other wave jets survive or the required
+def p_form(jq: JetQuotient, psi: FieldId = PSI, planar: bool = False) -> JetQuotient:
+    """Read a jet quotient of the shape psi_z * R(psi_x/psi_z) back as
+    R(p) (planar mode: R(psi_x) with psi_z == 1).  Raises
+    DerivationError when other wave jets survive or the required
     homogeneity fails."""
-    psix = JetVariable(psi, (1, 0, 0, 0))
-    psiz = JetVariable(psi, (0, 0, 1, 0))
-    allowed = {psix} if planar else {psix, psiz}
+    slope = [JetVariable(psi, (1, 0, 0, 0))] + ([] if planar else [JetVariable(psi, (0, 0, 1, 0))])
     for part in (jq.num, jq.den):
-        extra = jets_of_field(part, psi) - allowed
+        extra = jets_of_field(part, psi) - set(slope)
         if extra:
             raise DerivationError(f"wave-function jets survive: {sorted(map(repr, extra))}")
     if jq.num.is_zero():
-        return PRational(PPoly())
-
-    if planar:
-        def to_ppoly(poly: DiffPoly) -> PPoly:
-            dec = decompose_by_jets(poly, [psix])
-            top = max(k[0] for k in dec)
-            return PPoly([JetQuotient(dec.get((k,), ZERO)) for k in range(top + 1)])
-
-        return PRational(to_ppoly(jq.num), to_ppoly(jq.den))
-
-    def to_graded(poly: DiffPoly) -> tuple[PPoly, int]:
-        dec = decompose_by_jets(poly, [psix, psiz])
-        grades = {a + b for a, b in dec}
-        if len(grades) != 1:
+        return jq
+    p = DiffPoly.from_jet(P)
+    out = []
+    for part in (jq.num, jq.den):
+        dec = decompose_by_jets(part, slope)
+        grades = {sum(k) for k in dec}
+        if not planar and len(grades) != 1:
             raise DerivationError("not homogeneous in the wave-function jets")
-        s = grades.pop()
-        cs = [JetQuotient(ZERO)] * (s + 1)
-        for (a, b), rest in dec.items():
-            cs[a] = JetQuotient(rest)
-        return PPoly(cs), s
-
-    n_p, s_n = to_graded(jq.num)
-    d_p, s_d = to_graded(jq.den)
-    if s_n - s_d != 1:
+        out.append((sum((rest * p ** k[0] for k, rest in dec.items()), ZERO), max(grades)))
+    (num, s_n), (den, s_d) = out
+    if not planar and s_n - s_d != 1:
         raise DerivationError("no single overall psi_z factor to divide out")
-    return PRational(n_p, d_p)
+    return JetQuotient(num, den)
 
 
 # -- the two derivation paths -------------------------------------------------
 
 
-def cc_substitution_path(lax: LaxPair) -> PRational:
+def cc_substitution_path(lax: LaxPair) -> JetQuotient:
     """Path (a): mechanical jet-level substitution."""
-    psi = PSI
-    if lax.dimension == "2+1":
-        psix = JetQuotient(DiffPoly.from_jet(JetVariable(psi, (1, 0, 0, 0))))
-        f_num, f_den = collect(lax.F)
-        g_num, g_den = collect(lax.G)
-        fq = f_num.eval_at(psix) / f_den.eval_at(psix)
-        gq = g_num.eval_at(psix) / g_den.eval_at(psix)
-    else:
-        fn, fd = homogenize_rational(lax.F)
-        gn, gd = homogenize_rational(lax.G)
-        psiz = DiffPoly.from_jet(JetVariable(psi, (0, 0, 1, 0)))
-        fq = JetQuotient(psiz * fn, fd)
-        gq = JetQuotient(psiz * gn, gd)
-    rule_y = {JetVariable(psi, (0, 1, 0, 0)): fq}
-    rule_t = {JetVariable(psi, (0, 0, 0, 1)): gq}
+    planar = lax.dimension == "2+1"
+    (fn, fd), (gn, gd) = (wave_form(r, PSI, planar) for r in (lax.F, lax.G))  # interns psi_x, then psi_z
+    psiz = ONE if planar else DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
+    fq, gq = JetQuotient(psiz * fn, fd), JetQuotient(psiz * gn, gd)
+    rule_y = {JetVariable(PSI, (0, 1, 0, 0)): fq}
+    rule_t = {JetVariable(PSI, (0, 0, 0, 1)): gq}
     e1 = substitute(total_derivative_q(fq, "t"), rule_t)
     e2 = substitute(total_derivative_q(gq, "y"), rule_y)
-    return rational_from_psi_quotient(e1 - e2, psi, planar=(lax.dimension == "2+1"))
+    return p_form(e1 - e2, PSI, planar)
 
 
-def _bracket_terms(lax: LaxPair) -> tuple[list[tuple[PPoly, PPoly]], PPoly]:
+def _bracket_terms(lax: LaxPair) -> tuple[list[tuple[DiffPoly, DiffPoly]], DiffPoly]:
     """The terms F_t, -G_y, F_p G_x, -G_p F_x, (F - p F_p) G_z and
     -(G - p G_p) F_z of the closed-form bracket (no z-terms in the plane),
-    the s-derivatives taken through the jet coefficients with p held
-    fixed, each as numerators (a, b) of a product a b over D^2 E^2, and
-    D^2 E^2.  With F = N/D and G = M/E, D and E monic, every derivative
-    of F is a numerator over D^2 (F_s = (N_s D - N D_s)/D^2, likewise
-    F_p), and F - p F_p is (N D - p (N_p D - N D_p))/D^2."""
-    def d(pp: PPoly, s: str) -> PPoly:
-        return pp.map_coeffs(lambda c: total_derivative_q(c, s))
+    the s-derivatives total with p held fixed, each as numerators (a, b)
+    of a product a b over D^2 E^2, and D^2 E^2.  With F = N/D and
+    G = M/E, every derivative of F is a numerator over D^2
+    (F_s = (N_s D - N D_s)/D^2, likewise F_p), and F - p F_p is
+    (N D - p (N_p D - N D_p))/D^2."""
+    def over_square(n, d, s):  # s is a direction, or None for p
+        dn, dd = (partial(e, P) if s is None else total_derivative(e, s) for e in (n, d))
+        return dn * d - n * dd
 
     planar = lax.dimension == "2+1"
     (n_f, d_f), (n_g, d_g) = (lax.F.num, lax.F.den), (lax.G.num, lax.G.den)
     dirs = ("x",) if planar else ("x", "z")
-    f_s = {s: d(n_f, s) * d_f - n_f * d(d_f, s) for s in ("t", *dirs)}
-    g_s = {s: d(n_g, s) * d_g - n_g * d(d_g, s) for s in ("y", *dirs)}
-    f_p = n_f.deriv() * d_f - n_f * d_f.deriv()
-    g_p = n_g.deriv() * d_g - n_g * d_g.deriv()
+    f_s = {s: over_square(n_f, d_f, s) for s in ("t", None, *dirs)}
+    g_s = {s: over_square(n_g, d_g, s) for s in ("y", None, *dirs)}
     d_f2, d_g2 = d_f * d_f, d_g * d_g
-    terms = [(f_s["t"], d_g2), (-g_s["y"], d_f2), (f_p, g_s["x"]), (-g_p, f_s["x"])]
+    terms = [(f_s["t"], d_g2), (-g_s["y"], d_f2), (f_s[None], g_s["x"]), (-g_s[None], f_s["x"])]
     if not planar:
-        p = PPoly.x()
-        terms += [(n_f * d_f - p * f_p, g_s["z"]), (p * g_p - n_g * d_g, f_s["z"])]
+        p = DiffPoly.from_jet(P)
+        terms += [(n_f * d_f - p * f_s[None], g_s["z"]), (p * g_s[None] - n_g * d_g, f_s["z"])]
     return terms, d_f2 * d_g2
 
 
-def cc_bracket_path(lax: LaxPair) -> PRational:
+def cc_bracket_path(lax: LaxPair) -> JetQuotient:
     """Path (b): the closed-form compatibility bracket, one numerator
     over D^2 E^2 (see _bracket_terms)."""
     terms, den = _bracket_terms(lax)
-    return PRational(sum((a * b for a, b in terms), PPoly()), den)
+    return JetQuotient(sum((a * b for a, b in terms), ZERO), den)
 
 
 def bracket_mod(lax: LaxPair, pt: dict, pval: int) -> int:
@@ -225,7 +202,7 @@ def bracket_mod(lax: LaxPair, pt: dict, pval: int) -> int:
     return out % PRIME
 
 
-def compatibility_condition(lax: LaxPair) -> PRational:
+def compatibility_condition(lax: LaxPair) -> JetQuotient:
     """Derive the compatibility condition as a rational function of p,
     running both paths and insisting on exact agreement; returns the
     substitution path's fraction as it stands."""
@@ -300,27 +277,27 @@ def _system(lax: LaxPair, terms, **provenance) -> PDESystem:
     return PDESystem(tuple(lax.fields), XYT if lax.dimension == "2+1" else XYZT, terms, prov)
 
 
-def _formal_top_degree(lax: LaxPair, num: PPoly) -> int:
+def _formal_top_degree(lax: LaxPair, num: list) -> int:
     if lax.family == POLY:
         return lax.m + lax.n + 1
     if lax.family in (RAT, RATGP):
         return 2 * (lax.m + lax.n)
-    return max(num.degree(), 0)
+    return max(len(num) - 1, 0)
 
 
-def extract_system(cc: PRational, lax: LaxPair) -> PDESystem:
-    """One equation per numerator coefficient over the common denominator;
-    identically zero coefficients are dropped but recorded, so structural
-    cancellations (like the locked top coefficient of the polynomial
-    family) stay visible."""
-    num, _ = collect(cc)
+def extract_system(cc: JetQuotient, lax: LaxPair) -> PDESystem:
+    """One equation per numerator p-coefficient over the common
+    denominator (p_coefficients); identically zero coefficients are
+    dropped but recorded, so structural cancellations (like the locked top
+    coefficient of the polynomial family) stay visible."""
+    num, _ = p_coefficients(cc)
     eqs, degrees, dropped = [], [], []
     for k in range(_formal_top_degree(lax, num) + 1):
-        c = num[k]
+        c = num[k] if k < len(num) else ZERO
         if c.is_zero():
             dropped.append(k)
         else:
-            eqs.append((c,))
+            eqs.append((JetQuotient(c),))
             degrees.append(k)
     return _system(lax, eqs, path="coefficients", p_degrees=tuple(degrees),
                    dropped_zero_coefficients=tuple(dropped))
@@ -428,7 +405,7 @@ def _residue_spot_check(const_terms, rows, lax: LaxPair):
 
 
 @lru_cache(maxsize=None)
-def family_cc(family: str, m: int, n: int) -> PRational:
+def family_cc(family: str, m: int, n: int) -> JetQuotient:
     return compatibility_condition(make_family(family, m, n))
 
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .compat import PSI, homogenize_rational, rational_from_psi_quotient
+from .compat import PSI, p_form, wave_form
 from .jetalg import (
     POTENTIAL,
     WAVE,
+    ZERO,
+    P,
     DiffPoly,
     FieldId,
     JetQuotient,
@@ -30,12 +32,12 @@ from .jetalg import (
     jet,
     jets_of_field,
     linear_coefficient,
+    p_coefficients,
     substitute,
     to_tree,
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, RAT, RATGP, make_ratgp
-from .pfield import PPoly, PRational, collect, pole_sum
 
 PSI_NEW = FieldId("psi_tilde", WAVE)
 Q = FieldId("q", POTENTIAL)
@@ -96,11 +98,11 @@ def constraint_rules() -> dict:
     }
 
 
-def _transform_equation(r: PRational, lhs_slot: int, values: dict | None) -> PRational:
+def _transform_equation(r: JetQuotient, lhs_slot: int, values: dict | None) -> JetQuotient:
     """Push one Lax equation (psi_<slot> = psi_z * r) through the change
     of variables and solve it for the new wave jet; returns the new
     right-hand rational function of p."""
-    num_h, den_h = homogenize_rational(r)
+    num_h, den_h = wave_form(r)
     lhs_d = [0, 0, 0, 0]
     lhs_d[lhs_slot] = 1
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
@@ -113,10 +115,10 @@ def _transform_equation(r: PRational, lhs_slot: int, values: dict | None) -> PRa
     coeff, rest = linear_coefficient(moved.num, new_jet)
     if coeff.is_zero():
         raise GaugeError("transformed relation is not solvable for the new wave jet")
-    return rational_from_psi_quotient(JetQuotient(-rest, coeff), PSI_NEW)
+    return p_form(JetQuotient(-rest, coeff), PSI_NEW)
 
 
-def transform_pair(lax: LaxPair, values: dict | None = None) -> tuple[PRational, PRational]:
+def transform_pair(lax: LaxPair, values: dict | None = None) -> tuple[JetQuotient, JetQuotient]:
     """(F~, G~): the pair pushed through z~ = q by the wave-function
     chain rule and the constraint rewriting, then specialized by
     ``values`` (jet -> expression: q jets and fields, e.g. the q_z = 1
@@ -124,21 +126,19 @@ def transform_pair(lax: LaxPair, values: dict | None = None) -> tuple[PRational,
     if lax.family not in (RATGP, RAT):
         raise GaugeError("the change of variables applies to the rational families")
     pair = (_transform_equation(lax.F, 1, values), _transform_equation(lax.G, 3, values))
-    for r in pair:
-        for c in (*r.num.coeffs, *r.den.coeffs):
-            if any(jv.d[1] or jv.d[3] for part in (c.num, c.den) for jv in jets_of_field(part, Q)):
-                raise GaugeError("y- or t-jets of the potential survived constraint elimination")
+    if any(jv.d[1] or jv.d[3] for r in pair for part in (r.num, r.den) for jv in jets_of_field(part, Q)):
+        raise GaugeError("y- or t-jets of the potential survived constraint elimination")
     return pair
 
 
-def transform_rhs(r: PRational, values: dict | None = None) -> PRational:
+def transform_rhs(r: JetQuotient, values: dict | None = None) -> JetQuotient:
     """Transform psi_z * r(p) alone (no left-hand side, no constraints):
     the building block for reading off the solved field map term by
     term."""
-    num_h, den_h = homogenize_rational(r)
+    num_h, den_h = wave_form(r)
     psiz = DiffPoly.from_jet(JetVariable(PSI, (0, 0, 1, 0)))
     e = substitute(JetQuotient(psiz * num_h, den_h), chain_rules())
-    return rational_from_psi_quotient(substitute(e, values or {}), PSI_NEW)
+    return p_form(substitute(e, values or {}), PSI_NEW)
 
 
 def printed_field_map(lax: LaxPair, values: dict | None = None) -> dict:
@@ -158,22 +158,19 @@ def solved_field_map(lax: LaxPair, values: dict | None = None) -> dict:
     term and match it against residue/(p - pole)."""
     out = {}
     for res, pole in chain.from_iterable(pairs for _, pairs in lax.pole_data):
-        term = pole_sum(PPoly(), [(jet(res), jet(pole))])
-        num, den = collect(transform_rhs(term, values))
-        if den.degree() != 1 or num.degree() > 0:
+        num, den = p_coefficients(transform_rhs(JetQuotient(jet(res), DiffPoly.from_jet(P) - jet(pole)), values))
+        if len(den) != 2 or len(num) > 1:
             raise GaugeError(f"transformed pole term for {pole.name} is not a simple pole")
-        lead = den[1]
-        out[pole.name] = -(den[0] / lead)
-        out[res.name] = num[0] / lead
+        out[pole.name] = -JetQuotient(den[0], den[1])
+        out[res.name] = JetQuotient(num[0] if num else ZERO, den[1])
     return out
 
 
 def _residual_witness(*diffs):
-    """The first nonzero coefficient of the first nonzero difference."""
+    """The first nonzero p-coefficient of the first nonzero difference."""
     for diff in diffs:
         if not diff.is_zero():
-            num, _ = collect(diff)
-            return next(to_tree(c.num) for c in num.coeffs if not c.is_zero())
+            return next(to_tree(c) for c in p_coefficients(diff)[0] if c)
     return None
 
 
@@ -183,19 +180,12 @@ def apply_change_of_variables(lax: LaxPair, pair: tuple, field_map: dict, name: 
     transformed pair has zero polynomial part and whether the map renders
     it in the pole-only template; ``residual`` is the first nonzero
     coefficient of the difference, or None."""
-    f_new, g_new = pair
-    fn, fd = collect(f_new)
-    gn, gd = collect(g_new)
-    diffs = []
-    for r, (_, pairs) in zip(pair, lax.pole_data):
-        t = pole_sum(PPoly(), [(field_map[res.name], field_map[pole.name]) for res, pole in pairs])
-        # r - t over the product of the denominators: the value PRational's
-        # sum reaches once its trial divisions fail
-        diffs.append(PRational(r.num * t.den - t.num * r.den, r.den * t.den))
-    diff_f, diff_g = diffs
+    p = JetQuotient(DiffPoly.from_jet(P))
+    diff_f, diff_g = (r - sum((field_map[res.name] / (p - field_map[pole.name]) for res, pole in pairs), ZERO)
+                      for r, (_, pairs) in zip(pair, lax.pole_data))
     return {
         "map": name,
-        "polynomial_part_zero": fn.degree() < fd.degree() and gn.degree() < gd.degree(),
+        "polynomial_part_zero": all(len(num) < len(den) for num, den in map(p_coefficients, pair)),
         "pole_structure_ok": diff_f.is_zero() and diff_g.is_zero(),
         "residual": _residual_witness(diff_f, diff_g),
     }

@@ -7,7 +7,10 @@ DiffPoly is the universal expression value: a sparse multivariate
 polynomial in jet variables with exact rational coefficients.
 JetQuotient is the corresponding fraction; its normalization cancels
 monomial content and whole-denominator factors only, never a general
-multivariate gcd, so equality testing cross-multiplies.
+multivariate gcd, so equality testing cross-multiplies.  The spectral
+parameter p of a Lax pair is the jet P, of role PARAMETER, which total
+derivatives hold fixed: a pair's F and G are quotients in it, and
+p_coefficients reads a quotient's coefficients by p-degree.
 
 All values are immutable once built and every operation is a pure
 function, so values can be shared freely between workers.
@@ -32,6 +35,7 @@ ZERO_INDEX = (0, 0, 0, 0)
 FIELD = "field"
 POTENTIAL = "potential"
 WAVE = "wave-function"
+PARAMETER = "parameter"
 
 
 class StructureError(ValueError):
@@ -112,6 +116,13 @@ def _jet_id(jv: JetVariable) -> int:
         _JET_SORT.append(jet_sort_key(jv))
         _GUARD |= 0x80 << (i << 3)
     return i
+
+
+# the spectral parameter, interned before any other jet: its exponent is
+# the lowest byte of every key, and every other jet keeps its relative
+# id order, so no emitted expression depends on it
+P = JetVariable(FieldId("p", PARAMETER))
+_jet_id(P)
 
 
 def _axis(direction) -> int:
@@ -698,7 +709,7 @@ def _as_quotient(x):
 
 def total_derivative(e: DiffPoly, direction) -> DiffPoly:
     """Total derivative: bumps jet multi-indices via Leibniz and the chain
-    rule."""
+    rule; a parameter's jet is constant."""
     ax = _axis(direction)
     out = {}
     step = {}  # jet id -> key of (its bumped jet) / (itself)
@@ -709,8 +720,10 @@ def total_derivative(e: DiffPoly, direction) -> DiffPoly:
                 jv = _JETS[jid]
                 d = list(jv.d)
                 d[ax] += 1
-                u = step[jid] = (1 << (_jet_id(JetVariable(jv.field, tuple(d))) << 3)) - (1 << (jid << 3))
-            _add_term(out, m + u, c * pw)
+                u = step[jid] = 0 if jv.field.role == PARAMETER else (
+                    (1 << (_jet_id(JetVariable(jv.field, tuple(d))) << 3)) - (1 << (jid << 3)))
+            if u:
+                _add_term(out, m + u, c * pw)
     _check_exponents(out)
     return DiffPoly(out)
 
@@ -724,6 +737,12 @@ def total_derivative_q(q: JetQuotient | DiffPoly, direction) -> JetQuotient:
     if dden.is_zero():
         return JetQuotient(dnum, q.den)
     return JetQuotient(dnum * q.den - q.num * dden, q.den * q.den)
+
+
+def partial(e: DiffPoly, jv: JetVariable) -> DiffPoly:
+    """The partial derivative of e by the jet jv."""
+    s = _jet_id(jv) << 3
+    return DiffPoly({m - (1 << s): c * k for m, c in e._terms.items() if (k := (m >> s) & 0xFF)})
 
 
 # -- substitution ----------------------------------------------------------
@@ -849,6 +868,31 @@ def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly
     if any(pows[0] > 1 for pows in parts):
         raise StructureError(f"not linear in {jv!r}")
     return parts.get((1,), ZERO), parts.get((0,), ZERO)
+
+
+def p_coefficients(q: JetQuotient) -> tuple[list[DiffPoly], list[DiffPoly]]:
+    """The coefficients of q's numerator and denominator by ascending
+    degree in P, as one fraction: the denominator made monic at its top
+    coefficient, jet denominators then cleared by the product of those
+    that do not divide it already, in coefficient order, and the
+    monomial content the coefficients share removed.  Zero reads
+    ([], [1])."""
+    if q.is_zero():
+        return [], [ONE]
+    num, den = ([parts.get((k,), ZERO) for k in range(max(parts)[0] + 1)]
+                for parts in (decompose_by_jets(e, [P]) for e in (q.num, q.den)))
+    lead = den[-1]
+    cs = [JetQuotient(c, lead) for c in num + den]
+    mult = ONE
+    for c in cs:
+        if c.den != ONE and divide_exact(mult, c.den) is None:
+            mult = mult * c.den
+    cs = [JetQuotient(c.num * mult, c.den) for c in cs]
+    if any(c.den != ONE for c in cs):
+        raise StructureError("denominator clearing failed")
+    mono = monomial_gcd(*(c.num for c in cs if c))
+    cs = [strip_monomial(c.num, mono) for c in cs]
+    return cs[:len(num)], cs[len(num):]
 
 
 # -- evaluation -------------------------------------------------------------

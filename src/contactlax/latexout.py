@@ -6,9 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .compat import CK_INDEPENDENTS, XYZT, PDESystem
-from .jetalg import ONE, DiffPoly, JetQuotient, JetVariable, jet
+from .jetalg import ONE, DiffPoly, JetQuotient, JetVariable, jet, p_coefficients
 from .laxfamilies import LaxPair, PoleSide
-from .pfield import PRational
 
 
 def _symbol(name: str) -> str:
@@ -68,28 +67,25 @@ def quotient_latex(q: JetQuotient, dirs=XYZT) -> str:
     return f"\\frac{{{poly_latex(q.num, dirs)}}}{{{poly_latex(q.den, dirs)}}}"
 
 
-def prational_latex(r: PRational, var: str = "p", pole_side: PoleSide | None = None) -> str:
-    """r as one fraction, or as the sum of its recorded poles if given."""
-    def side(pp):
-        if pp.is_zero():
-            return "0"
+def p_quotient_latex(r: JetQuotient, var: str = "p", pole_side: PoleSide | None = None) -> str:
+    """r as one fraction of its p-coefficients (p_coefficients), or as
+    the sum of its recorded poles if given."""
+    def side(cs):
         parts = []
-        for k in range(pp.degree(), -1, -1):
-            c = pp[k]
-            if c.is_zero():
+        for k in range(len(cs) - 1, -1, -1):
+            if cs[k].is_zero():
                 continue
             pk = "" if k == 0 else (var if k == 1 else f"{var}^{{{k}}}")
-            cs = quotient_latex(c)
-            parts.append(f"\\left({cs}\\right){pk}" if pk else f"\\left({cs}\\right)")
-        return "+".join(parts)
+            parts.append(f"\\left({poly_latex(cs[k])}\\right){pk}")
+        return "+".join(parts) or "0"
 
     if pole_side is not None:
         const, pairs = pole_side
         parts = [f"\\left({poly_latex(jet(const))}\\right)"] if const else []
         parts += [f"\\frac{{{poly_latex(jet(res))}}}{{{var}-{_symbol(pole.name)}}}" for res, pole in pairs]
         return "+".join(parts) or "0"
-    num, den = r.num, r.den
-    if den.degree() == 0 and not den.is_zero():
+    num, den = p_coefficients(r)
+    if len(den) == 1:
         return side(num)
     return f"\\frac{{{side(num)}}}{{{side(den)}}}"
 
@@ -103,7 +99,7 @@ def system_latex(sys: PDESystem) -> str:
 
 def laxpair_latex(lax: LaxPair) -> str:
     var = "\\psi_x" if lax.dimension == "2+1" else "p"
-    f, g = (prational_latex(r, var, ps) for r, ps in zip((lax.F, lax.G), lax.pole_data or (None, None)))
+    f, g = (p_quotient_latex(r, var, ps) for r, ps in zip((lax.F, lax.G), lax.pole_data or (None, None)))
     if lax.dimension == "2+1":
         return f"\\psi_y = {f}, \\qquad \\psi_t = {g}"
     return (

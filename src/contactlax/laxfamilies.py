@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from .pfield import ParameterError, PPoly, PRational, pole_sum
+from .jetalg import ONE, ZERO, P, DiffPoly, FieldId, JetQuotient, jet
+from .pfield import ParameterError
 
 POLY = "poly"
 RAT = "rat"
@@ -24,8 +24,10 @@ PoleSide = tuple[FieldId | None, tuple[tuple[FieldId, FieldId], ...]]
 
 @dataclass(frozen=True)
 class LaxPair:
-    F: PRational
-    G: PRational
+    """F and G: quotients of polynomials in the jets and the parameter P."""
+
+    F: JetQuotient
+    G: JetQuotient
     fields: tuple[FieldId, ...]
     family: str
     m: int | None = None
@@ -35,7 +37,7 @@ class LaxPair:
 
     def __post_init__(self):
         roster = set(self.fields)
-        used = self.F.field_ids() | self.G.field_ids()
+        used = {jv.field for r in (self.F, self.G) for jv in r.jet_variables()} - {P.field}
         missing = {f.name for f in used if f not in roster}
         if missing:
             raise ParameterError(f"fields used but not in roster: {sorted(missing)}")
@@ -63,14 +65,10 @@ def make_poly(m: int, n: int) -> LaxPair:
     check_params(m, n)
     vs = [_fid("v", i) for i in range(m + 1)]
     ws = [_fid("w", j) for j in range(n)]
-    fc = [JetQuotient(jet(v)) for v in vs] + [JetQuotient(ONE)]
-    F = PRational(PPoly(fc))
-    gc = [JetQuotient(ZERO)] * (n + 2)
-    for j in range(n):
-        gc[j] = JetQuotient(jet(ws[j]))
-    gc[n] = JetQuotient(Fraction(n, m) * jet(vs[m]))
-    gc[n + 1] = JetQuotient(ONE)
-    G = PRational(PPoly(gc))
+    fc = [jet(v) for v in vs] + [ONE]
+    gc = [jet(w) for w in ws] + [Fraction(n, m) * jet(vs[m]), ONE]
+    p = DiffPoly.from_jet(P)
+    F, G = (JetQuotient(sum((c * p ** k for k, c in enumerate(cs)), ZERO)) for cs in (fc, gc))
     return LaxPair(F, G, tuple(vs + ws), POLY, m, n)
 
 
@@ -92,18 +90,20 @@ def _make_rational(family: str, m: int, n: int) -> LaxPair:
         (_fid(res, 0) if family == RATGP else None, tuple((_fid(res, i), _fid(pole, i)) for i in range(1, k + 1)))
         for res, pole, k in (("a", "v", m), ("b", "w", n))
     )
-    pair, roster = [], []
+    pair, roster, p = [], [], DiffPoly.from_jet(P)
     for const, pairs in sides:
         # jets are interned constant, poles, residues, F before G: the
         # order of terms in every output follows it
-        polypart = PPoly([JetQuotient(jet(const))] if const else [])
-        pole_jets = [jet(v) for _, v in pairs]
-        pair.append(pole_sum(polypart, [(jet(a), v) for (a, _), v in zip(pairs, pole_jets)]))
+        num, den = jet(const) if const else ZERO, ONE
+        # c + sum a/(p - v) over the product of the distinct (p - v)
+        for lin, (a, _) in zip([p - jet(v) for _, v in pairs], pairs):
+            num, den = lin * num + jet(a) * den, lin * den
+        pair.append(JetQuotient(num, den))
         roster += ([const] if const else []) + [a for a, _ in pairs] + [v for _, v in pairs]
     return LaxPair(*pair, tuple(roster), family, m, n, pole_data=sides)
 
 
-def make_custom(F: PRational, G: PRational, fields) -> LaxPair:
+def make_custom(F: JetQuotient, G: JetQuotient, fields) -> LaxPair:
     """Arbitrary pair; roster coverage is still validated."""
     return LaxPair(F, G, tuple(fields), CUSTOM)
 

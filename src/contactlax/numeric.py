@@ -590,10 +590,15 @@ def _finite(name: str, key: str, value) -> float:
     return x
 
 
-def _wavevector(name: str, k) -> tuple[int, int, int]:
+def _wavevector(name: str, k, shape) -> tuple[int, int, int]:
     if not (isinstance(k, (list, tuple)) and len(k) == 3
             and all(isinstance(x, int) and not isinstance(x, bool) for x in k)):
         raise CompileError(f"malformed initial data for {name}: k must be three integers, got {k!r}")
+    # a mode at or past half an axis's points aliases, or lands on the
+    # Nyquist bin that the spectral derivative zeroes
+    if any(2 * abs(x) >= n for x, n in zip(k, shape)):
+        raise CompileError(f"malformed initial data for {name}: k = {k!r} needs |k_i| < n_i/2 "
+                           f"on the {'x'.join(map(str, shape))} grid")
     return tuple(k)
 
 
@@ -602,8 +607,11 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
     to either {"constant": value} or {"fourier": {"mean": c, "modes":
     [{"k": [kx,ky,kz], "amp": a, "phase": p}]}}, not both.  Values must
     be finite, and each k three integers, so that every mode is periodic
-    on the unit box.  An entry for a name that is not an unknown is
-    refused."""
+    on the unit box, each below half the points of its axis.  An entry
+    for a name that is not an unknown is refused."""
+    if not isinstance(spec, dict):
+        raise CompileError(f"malformed initial data: expected an object mapping each unknown to its entry, "
+                           f"got {type(spec).__name__}")
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     names = [u if isinstance(u, str) else u.name for u in unknowns]
     for name in spec:
@@ -622,7 +630,7 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
             fz = entry["fourier"]
             if not isinstance(fz, dict):
                 raise CompileError(f"malformed initial data for {name}: fourier must be an object, got {fz!r}")
-            modes = tuple(Mode(_wavevector(name, m["k"]), _finite(name, "amp", m["amp"]),
+            modes = tuple(Mode(_wavevector(name, m["k"], shape), _finite(name, "amp", m["amp"]),
                                _finite(name, "phase", m.get("phase", 0.0))) for m in fz.get("modes", ()))
             hf = HarmonicField(_finite(name, "mean", fz.get("mean", 0.0)), modes)
         else:

@@ -1,8 +1,8 @@
 """JSON serialization for the engine's value types.
 
 Expression nodes use the wire format of the core algebra; rational
-functions of p serialize as coefficient arrays by ascending degree with
-jet denominators cleared.  Documents are written as text in the layout
+functions of p serialize as p-coefficient arrays by ascending degree
+with jet denominators cleared.  Documents are written as text in the layout
 of json.dumps(..., indent=1) by one writer (write_document, which hands
 expression leaves to jetalg.write_tree); no dict tree is built on the
 way.  Lax pairs are written and never read back; for systems, export ->
@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 
 from .compat import PDESystem
-from .jetalg import ONE, DiffPoly, FieldId, JetQuotient, from_tree, jet, write_tree
+from .jetalg import ONE, DiffPoly, FieldId, JetQuotient, from_tree, jet, p_coefficients, write_tree
 from .laxfamilies import LaxPair, PoleSide
-from .pfield import ParameterError, PRational, collect
+from .pfield import ParameterError
 
 
 def write_document(doc) -> str:
@@ -48,13 +48,11 @@ def _write(node, depth: int, out: list) -> None:
         out.append(json.dumps(node))
 
 
-def _prational_doc(r: PRational, pole_side: PoleSide | None = None) -> dict:
-    """num/den with jet denominators cleared, and r's recorded poles if given."""
-    num, den = collect(r)
-    out = {
-        "num": [c.num for c in num.coeffs],
-        "den": [c.num for c in den.coeffs],
-    }
+def _p_quotient_doc(r: JetQuotient, pole_side: PoleSide | None = None) -> dict:
+    """The p-coefficients of num/den (p_coefficients), and r's recorded
+    poles if given."""
+    num, den = p_coefficients(r)
+    out = {"num": num, "den": den}
     if pole_side is not None:
         const, pairs = pole_side
         out["pf"] = {
@@ -80,8 +78,8 @@ def laxpair_dumps(lax: LaxPair) -> str:
         "n": lax.n,
         "dimension": lax.dimension,
         "fields": [f.name for f in lax.fields],
-        "F": _prational_doc(lax.F, side_F),
-        "G": _prational_doc(lax.G, side_G),
+        "F": _p_quotient_doc(lax.F, side_F),
+        "G": _p_quotient_doc(lax.G, side_G),
     })
 
 

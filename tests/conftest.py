@@ -13,20 +13,20 @@ from contactlax.jetalg import (
     FieldId,
     JetQuotient,
     JetVariable,
+    P,
     PoleError,
+    decompose_by_jets,
     divide_exact,
     jet,
+    p_coefficients,
+    partial,
 )
 from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
-from contactlax.pfield import (
-    ParameterError,
-    PPoly,
-    PRational,
-    collect,
-    p_minus,
-    pole_sum,
-)
+from contactlax.pfield import ParameterError
 from contactlax.sampling import pole_pairs_for
+
+# the parameter p as a polynomial
+p = DiffPoly.from_jet(P)
 
 
 FIELD_NAMES = ("u1", "u2", "v1", "w1")
@@ -74,40 +74,65 @@ def rational_point(jet_vars, rng: random.Random, pole_pairs=()):
 # -- exact oracles, written against the public API -----------------------------
 
 
-def poly_divmod(a: PPoly, b: PPoly) -> tuple[PPoly, PPoly]:
-    if b.is_zero():
+def p_coeffs(e) -> list[JetQuotient]:
+    """The coefficients by ascending p-degree of a polynomial in p with
+    jet-quotient coefficients: a DiffPoly, or a JetQuotient whose
+    denominator is free of p.  Zero has none."""
+    e = e if isinstance(e, JetQuotient) else JetQuotient(e)
+    assert P not in e.den.jet_variables(), "not a polynomial in p"
+    parts = decompose_by_jets(e.num, [P])
+    return [JetQuotient(parts.get((k,), ZERO), e.den) for k in range(max(parts)[0] + 1)] if parts else []
+
+
+def from_p_coeffs(cs) -> JetQuotient:
+    return sum((c * p ** k for k, c in enumerate(cs)), JetQuotient(ZERO))
+
+
+def p_eval(e, at) -> JetQuotient:
+    """Horner evaluation of a polynomial in p at a jet-quotient value."""
+    acc = JetQuotient(ZERO)
+    for c in reversed(p_coeffs(e)):
+        acc = acc * at + c
+    return acc
+
+
+def p_deriv(e) -> JetQuotient:
+    e = e if isinstance(e, JetQuotient) else JetQuotient(e)
+    return JetQuotient(partial(e.num, P), e.den)
+
+
+def poly_divmod(a, b) -> tuple[JetQuotient, JetQuotient]:
+    """Division with remainder of polynomials in p over the jet quotients."""
+    bs = p_coeffs(b)
+    if not bs:
         raise PoleError("polynomial division by zero")
-    quot = [JetQuotient(ZERO)] * max(0, a.degree() - b.degree() + 1)
-    rem = list(a.coeffs)
-    db, lead = b.degree(), b.coeffs[-1]
+    rem = p_coeffs(a)
+    quot = [JetQuotient(ZERO)] * max(0, len(rem) - len(bs) + 1)
+    db, lead = len(bs) - 1, bs[-1]
     while len(rem) - 1 >= db and rem:
         k = len(rem) - 1 - db
         c = rem[-1] / lead
         quot[k] = c
         for j in range(db + 1):
-            rem[k + j] = rem[k + j] - c * b.coeffs[j]
+            rem[k + j] = rem[k + j] - c * bs[j]
         while rem and rem[-1].is_zero():
             rem.pop()
-    return PPoly(quot), PPoly(rem)
+    return from_p_coeffs(quot), from_p_coeffs(rem)
 
 
-def poly_div_exact(a: PPoly, b: PPoly) -> PPoly | None:
+def poly_div_exact(a, b) -> JetQuotient | None:
     q, r = poly_divmod(a, b)
     return q if r.is_zero() else None
 
 
-def prational_sum(a: PRational, b: PRational) -> PRational:
-    """a + b, aligning the denominators by exact divisibility first so
-    that family denominators stay factored."""
-    if a.den == b.den:
-        return PRational(a.num + b.num, a.den)
-    q = poly_div_exact(b.den, a.den)
-    if q is not None:
-        return PRational(a.num * q + b.num, b.den)
-    q = poly_div_exact(a.den, b.den)
-    if q is not None:
-        return PRational(a.num + b.num * q, a.den)
-    return PRational(a.num * b.den + b.num * a.den, a.den * b.den)
+def prational_sum(a: JetQuotient, b: JetQuotient) -> JetQuotient:
+    """a + b, over the larger denominator when the other divides it as a
+    polynomial in p, else over their product."""
+    for x, y in ((a, b), (b, a)):
+        q = poly_div_exact(y.den, x.den)
+        if q is not None:
+            return (x.num * q + y.num) / JetQuotient(y.den)
+    return JetQuotient(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 @dataclass(frozen=True)
@@ -118,28 +143,28 @@ class PoleBlock:
 
 @dataclass(frozen=True)
 class PartialFractions:
-    polypart: PPoly
+    polypart: JetQuotient  # a polynomial in p
     poles: tuple[PoleBlock, ...]
 
-    def reassemble(self) -> PRational:
-        return pole_sum(self.polypart, [(blk.residue, jet(blk.pole)) for blk in self.poles])
+    def reassemble(self) -> JetQuotient:
+        return sum((blk.residue / (p - jet(blk.pole)) for blk in self.poles), self.polypart)
 
 
-def partial_fraction(r: PRational, poles: list[FieldId]) -> PartialFractions:
+def partial_fraction(r: JetQuotient, poles: list[FieldId]) -> PartialFractions:
     """The partial-fraction view of r over the given simple symbolic poles:
-    the residue at a pole P is rem(P)/D'(P), rem the remainder of the
+    the residue at a pole v is rem(v)/D'(v), rem the remainder of the
     numerator modulo the denominator D.  The view is checked by exact
     reassembly.  A rational family's pair records its view instead
     (LaxPair.pole_data); this computes one from F or G alone."""
     polypart, rem = poly_divmod(r.num, r.den)
-    dden = r.den.deriv()
+    dden = p_deriv(r.den)
     blocks = []
     for fid in poles:
         pole_val = JetQuotient(jet(fid))
-        d_at = dden.eval_at(pole_val)
+        d_at = p_eval(dden, pole_val)
         if d_at.is_zero():
             raise ParameterError(f"{fid.name} is not a simple pole")
-        blocks.append(PoleBlock(fid, rem.eval_at(pole_val) / d_at))
+        blocks.append(PoleBlock(fid, p_eval(rem, pole_val) / d_at))
     pf = PartialFractions(polypart, tuple(blocks))
     if not (pf.reassemble() == r):
         raise ParameterError("partial fractions do not reassemble; pole list incomplete?")
@@ -212,15 +237,15 @@ def _quotient_oracle(q: JetQuotient) -> dict:
     return {"num": tree_oracle(q.num), "den": tree_oracle(q.den)}
 
 
-def _prational_oracle(r: PRational, pf: PartialFractions | None = None) -> dict:
-    num, den = collect(r)
+def _p_quotient_oracle(r: JetQuotient, pf: PartialFractions | None = None) -> dict:
+    num, den = p_coefficients(r)
     out = {
-        "num": [tree_oracle(c.num) for c in num.coeffs],
-        "den": [tree_oracle(c.num) for c in den.coeffs],
+        "num": [tree_oracle(c) for c in num],
+        "den": [tree_oracle(c) for c in den],
     }
     if pf is not None:
         out["pf"] = {
-            "polypart": [_quotient_oracle(c) for c in pf.polypart.coeffs],
+            "polypart": [_quotient_oracle(c) for c in p_coeffs(pf.polypart)],
             "poles": [
                 {
                     "pole": blk.pole.name,
@@ -245,8 +270,8 @@ def laxpair_oracle(lax: LaxPair) -> dict:
         "n": lax.n,
         "dimension": lax.dimension,
         "fields": [f.name for f in lax.fields],
-        "F": _prational_oracle(lax.F, pf_F),
-        "G": _prational_oracle(lax.G, pf_G),
+        "F": _p_quotient_oracle(lax.F, pf_F),
+        "G": _p_quotient_oracle(lax.G, pf_G),
     }
 
 
@@ -274,7 +299,7 @@ def pdesystem_oracle(sys) -> dict:
     }
 
 
-def residue_oracle(cc: PRational, lax: LaxPair) -> list:
+def residue_oracle(cc: JetQuotient, lax: LaxPair) -> list:
     """The residue equations of a rational-family pair the global way:
     the order-2 partial fraction of the whole compatibility condition
     (remainder modulo its denominator, two deflations per pole, the
@@ -290,12 +315,12 @@ def residue_oracle(cc: PRational, lax: LaxPair) -> list:
         at = JetQuotient(jet(f))
         q = cc.den
         for _ in range(2):
-            q, r = poly_divmod(q, p_minus(at))
+            q, r = poly_divmod(q, p - at)
             assert r.is_zero(), f"{f.name} is not a double pole"
-        n_at, q_at = rem.eval_at(at), q.eval_at(at)
-        first = (rem.deriv().eval_at(at) * q_at - n_at * q.deriv().eval_at(at)) / (q_at * q_at)
+        n_at, q_at = p_eval(rem, at), p_eval(q, at)
+        first = (p_eval(p_deriv(rem), at) * q_at - n_at * p_eval(p_deriv(q), at)) / (q_at * q_at)
         residues[f.name] = {2: n_at / q_at, 1: first}
-    out = [("constant", c) for c in polypart.coeffs if not c.is_zero()]
+    out = [("constant", c) for c in p_coeffs(polypart) if not c.is_zero()]
     for order in (2, 1):
         for f in poles:
             num, den = residues[f.name][order].num, residues[f.name][order].den
@@ -306,17 +331,10 @@ def residue_oracle(cc: PRational, lax: LaxPair) -> list:
     return out
 
 
-def compose_linear(r: PRational, c1, c0) -> PRational:
+def compose_linear(r: JetQuotient, c1, c0) -> JetQuotient:
     """r evaluated at p -> c1*p + c0 (jet-quotient constants, c1 != 0)."""
-    arg = PPoly([c0, c1])
-
-    def horner(pp: PPoly) -> PPoly:
-        acc = PPoly()
-        for c in reversed(pp.coeffs):
-            acc = acc * arg + PPoly([c])
-        return acc
-
-    return PRational(horner(r.num), horner(r.den))
+    arg = c1 * p + c0
+    return p_eval(r.num, arg) / p_eval(r.den, arg)
 
 
 def q_is_z() -> dict:

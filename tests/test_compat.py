@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactlax import cli, compat
+from contactlax import cli, compat, jetalg
 from contactlax.compat import (
     CK_INDEPENDENTS,
     XYZT,
@@ -36,6 +36,7 @@ from contactlax.compat import (
 )
 from contactlax.jetalg import (
     ONE,
+    P,
     PRIME,
     ZERO,
     FieldId,
@@ -44,31 +45,31 @@ from contactlax.jetalg import (
     StructureError,
     divide_exact,
     jet,
+    p_coefficients,
     substitute,
     total_derivative_q,
 )
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
-from contactlax.pfield import PPoly, PRational, collect, p_minus
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate, poly_div_exact, prational_sum, random_rational, rational_point, residue_oracle
+from conftest import evaluate, from_p_coeffs, p, poly_div_exact, prational_sum, random_rational, rational_point, residue_oracle
 
 
 def test_cc_single_field_no_p():
     vf = FieldId("v")
-    F = PRational(PPoly([JetQuotient(jet(vf))]))
+    F = JetQuotient(jet(vf))
     cc = compatibility_condition(make_custom(F, F, [vf]))
     expected = jet(vf, (0, 0, 0, 1)) - jet(vf, (0, 1, 0, 0))
-    assert cc == PRational(PPoly([JetQuotient(expected)]))
+    assert cc == JetQuotient(expected)
 
 
 def test_cc_constants_vanish():
-    F = PRational(PPoly.const(Fraction(3, 2)))
-    G = PRational(PPoly.const(-2))
+    F = JetQuotient(Fraction(3, 2))
+    G = JetQuotient(-2)
     assert compatibility_condition(make_custom(F, G, [])).is_zero()
 
 
 def test_cc_empty_system_from_zero():
-    F = PRational(PPoly.const(1))
+    F = JetQuotient(1)
     lax = make_custom(F, F, [])
     sys = extract_system(compatibility_condition(lax), lax)
     assert sys.equations == ()
@@ -76,7 +77,7 @@ def test_cc_empty_system_from_zero():
 
 def test_top_coefficient_of_general_position_cc():
     cc = family_cc("ratgp", 1, 1)
-    num, den = collect(cc)
+    num, den = p_coefficients(cc)
     a0, b0 = FieldId("a0"), FieldId("b0")
     expected = (
         jet(a0, (0, 0, 0, 1))
@@ -84,8 +85,8 @@ def test_top_coefficient_of_general_position_cc():
         - jet(b0) * jet(a0, (0, 0, 1, 0))
         + jet(a0) * jet(b0, (0, 0, 1, 0))
     )
-    assert num.degree() == den.degree() == 4
-    assert num[4] == JetQuotient(expected)
+    assert len(num) == len(den) == 5
+    assert num[4] == expected
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -146,7 +147,7 @@ def test_residue_system_reads_only_the_pole_record():
     # the rows and their spot check come from lax.pole_data alone: with
     # F and G zeroed the system is the same
     lax = make_family("ratgp", 2, 1)
-    zeroed = replace(lax, F=PRational(PPoly()), G=PRational(PPoly()))
+    zeroed = replace(lax, F=JetQuotient(ZERO), G=JetQuotient(ZERO))
     assert compat.residue_system(zeroed).equations == compat.residue_system(lax).equations
 
 
@@ -154,13 +155,15 @@ def test_residue_system_reads_only_the_pole_record():
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
 def test_residue_form_builds_no_p_function(monkeypatch, family, dimension):
     # once the pair is built, the rows come from the jets of its pole
-    # record alone: no evaluation of a p-polynomial at a pole
+    # record alone: no substitution for p, and no p-coefficient read
     lax = replace(make_family(family, 2, 2), dimension=dimension)
 
     def refuse(*_):
         raise AssertionError("the residue form built a p-function")
 
-    monkeypatch.setattr(PPoly, "eval_at", refuse)
+    for module, name in ((compat, "wave_form"), (compat, "p_form"), (compat, "p_coefficients"),
+                         (jetalg, "p_coefficients")):
+        monkeypatch.setattr(module, name, refuse)
     rs = compat.residue_system(lax)
     assert len(rs.equations) == 8 + (family == "ratgp")
 
@@ -214,18 +217,12 @@ def test_bracket_mod_matches_the_exact_bracket(rng, family, m, n, dimension):
     def mod(r: Fraction) -> int:
         return r.numerator * pow(r.denominator, -1, PRIME) % PRIME
 
-    def horner(pp: PPoly, pt, pval) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(pp.coeffs):
-            acc = acc * pval + evaluate(c, pt)
-        return acc
-
     for _ in range(3):
         pt = rational_point(jvs, rng, pole_pairs=pole_pairs_for((*vs, *ws)))
         pval = random_rational(rng)
         while any(abs(pval - pt[v]) < Fraction(1, 10) for v in poles):
             pval = random_rational(rng)
-        want = horner(cc.num, pt, pval) / horner(cc.den, pt, pval)
+        want = evaluate(cc, {**pt, P: pval})
         assert bracket_mod(lax, {jv: mod(x) for jv, x in pt.items()}, mod(pval)) == mod(want)
 
 
@@ -422,15 +419,14 @@ def test_pdesystem_pickles_with_read_only_provenance():
 _PICKLE_VALUES = """
 import pickle, sys
 from contactlax.compat import XYZT, PDESystem
-from contactlax.jetalg import FieldId, JetQuotient, jet
-from contactlax.pfield import PPoly, PRational
+from contactlax.jetalg import FieldId, JetQuotient, P, jet
 pa, pb = FieldId("pa"), FieldId("pb")
 jets = {f: jet(f) for f in (FIRST, pb if FIRST == pa else pa)}
 a, b = jets[pa], jets[pb]
 values = (
     a + 2 * b,
     JetQuotient(a * b + 3 * b, a - b),
-    PRational(PPoly([JetQuotient(a), JetQuotient(2 * a * b)])),
+    JetQuotient(a + 2 * a * b * jet(P.field), b - jet(P.field)),
     PDESystem((pa, pb), XYZT, ((JetQuotient(jet(pa, (1, 0, 0, 0)) + 2 * a * b, b),),), {}),
 )
 """
@@ -581,13 +577,26 @@ def test_cc_shares_no_pole_factor(family):
             cc = family_cc(family, m, n)
             vs, ws = make_family(family, m, n).pole_fields()
             for pole in (*vs, *ws):
-                assert poly_div_exact(cc.num, p_minus(jet(pole))) is None
+                assert poly_div_exact(cc.num, p - jet(pole)) is None
+
+
+def test_no_jet_of_p_is_interned(capsys):
+    # p is a parameter, which no total derivative bumps: after the derive
+    # table, theorem 1 at (3, 3) and the planar check at (2, 2), p is the
+    # one parameter-role jet ever interned
+    for family in ("poly", "rat", "ratgp"):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                derive(family, m, n)
+    assert cli.main(["verify", "theorem1", "-m", "3", "-n", "3"]) == 0
+    assert cli.main(["verify", "reduce21", "-m", "2", "-n", "2"]) == 0
+    assert [jv for jv in jetalg._JETS if jv.field.role == jetalg.PARAMETER] == [P]
 
 
 def test_compatibility_condition_rejects_disagreeing_paths(monkeypatch):
     lax = make_family("rat", 1, 1)
     bracket = compat.cc_bracket_path
-    monkeypatch.setattr(compat, "cc_bracket_path", lambda pair: prational_sum(bracket(pair), PRational(PPoly.x())))
+    monkeypatch.setattr(compat, "cc_bracket_path", lambda pair: prational_sum(bracket(pair), JetQuotient(p)))
     with pytest.raises(DerivationError):
         compatibility_condition(lax)
 
@@ -763,12 +772,12 @@ def test_random_custom_pairs_dual_path(rng):
         return JetQuotient(e)
 
     def rand_prat():
-        r = PRational(PPoly([rand_quot() for _ in range(rng.randint(1, 2))]))
+        r = from_p_coeffs([rand_quot() for _ in range(rng.randint(1, 2))])
         for _ in range(rng.randint(0, 2)):
             pole = fields[rng.randrange(2, 4)]
             k = rng.randint(1, 2)
-            lin = PPoly([JetQuotient(-jet(pole)), JetQuotient(ONE)])
-            r = prational_sum(r, PRational(PPoly([rand_quot()]), lin ** k))
+            lin = p - jet(pole)
+            r = prational_sum(r, rand_quot() / lin ** k)
         return r
 
     for _ in range(10):

@@ -49,7 +49,8 @@ def test_main_parses_with_one_parser_and_no_carried_over_options():
     assert cli._parser() is ap and cli.build_parser() is not ap
     first = ap.parse_args(["simulate", "--grid", "8", "8", "8", "--report-json", "r.json"])
     second = ap.parse_args(["simulate"])
-    assert (first.grid, second.grid, second.report_json) == ([8, 8, 8], (16,), None)
+    # simulate's defaults are None in the parser, resolved by cmd_simulate
+    assert (first.grid, second.grid, second.report_json) == ([8, 8, 8], None, None)
 
 
 def test_verify_qsolution(capsys):
@@ -122,6 +123,10 @@ def test_verify_family_is_refused_by_checks_that_ignore_it(argv, error, tmp_path
                  "--init does not apply to simulate --manufactured", id="manufactured-init"),
     pytest.param(["simulate", "--manufactured", "--monitor", "mon.csv"],
                  "--monitor does not apply to simulate --manufactured", id="manufactured-monitor"),
+    pytest.param(["simulate", "--manufactured", "--grid", "8"],
+                 "--grid does not apply to simulate --manufactured", id="manufactured-grid"),
+    pytest.param(["simulate", "--system-json", "ck.json", "-m", "2", "--init", "init.json"],
+                 "-m does not apply to simulate --system-json", id="system-json-m"),
     *(pytest.param(["export", "--family", family, "--what", "lax", "--form", form, "--out", "lax.json"],
                    "--form applies to export --what system|ck only, not to --what lax", id=f"export-lax-{family}-{form}")
       for family, form in (("poly", "residues"), ("rat", "coefficients"))),
@@ -271,13 +276,41 @@ def test_report_json_written_on_handled_errors(tmp_path, capsys):
     assert rep["error"].startswith("parameter error:") and rep["seconds"] > 0
 
 
+_RAT11_RUN = ["--family", "rat", "-m", "1", "-n", "1", "--steps", "2", "--init", "INIT"]
+
+
+def test_closed_stdout_is_one_parameter_error(tmp_path):
+    # stdout is a pipe whose read end is closed, as `| head -1` leaves it
+    # once it has its line: one stderr line, the report written with that
+    # error, no traceback at shutdown, and exit 2
+    report = tmp_path / "report.json"
+    src = str(Path(contactlax.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "contactlax.cli", "verify", "rls", "-m", "2", "-n", "1", "--diff",
+                               "--report-json", str(report)], stdout=write, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write)
+    error = "parameter error: [Errno 32] Broken pipe"
+    assert done.returncode == 2
+    assert done.stderr.decode() == error + "\n"
+    assert json.loads(report.read_text())["error"] == error
+
+
 @pytest.mark.parametrize("params", [
-    ["--grid", "4"],
-    ["--grid", "8", "--monitor-every", "0"],
-    ["--grid", "8", "12"],
-    ["--grid", "8", "8", "8", "8"],
+    [*_RAT11_RUN, "--grid", "4"],
+    [*_RAT11_RUN, "--grid", "8", "--monitor-every", "0"],
+    [*_RAT11_RUN, "--grid", "8", "12"],
+    [*_RAT11_RUN, "--grid", "8", "8", "8", "8"],
     # 7 PiB per field: NumPy refuses the allocation
-    ["--grid", "100000"],
+    [*_RAT11_RUN, "--grid", "100000"],
+    # options the manufactured study, or a run of a system file, never reads
+    *(["--manufactured", opt, value] for opt, value in (("--grid", "8"), ("--steps", "2"), ("--dt", "0.01"),
+                                                        ("--spatial", "fd2"), ("--monitor-every", "2"))),
+    *(["--system-json", "CK", "--init", "INIT", "--grid", "8", "--steps", "2", opt, value]
+      for opt, value in (("--family", "rat"), ("-m", "1"), ("-n", "1"))),
 ])
 def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
     init = tmp_path / "init.json"
@@ -285,14 +318,18 @@ def test_simulate_rejected_parameters_exit_2(tmp_path, capsys, params):
         "v1": {"constant": -1.0}, "w1": {"constant": 1.0},
         "a1": {"constant": 1.0}, "b1": {"constant": 0.5},
     }))
+    ck = tmp_path / "ck.json"
+    if "CK" in params:
+        assert main(["ck", "--family", "rat", "-m", "1", "-n", "1", "--out-json", str(ck)]) == 0
+        capsys.readouterr()
     report = tmp_path / "report.json"
-    code = main([
-        "simulate", "--family", "rat", "-m", "1", "-n", "1", "--steps", "2",
-        "--init", str(init), "--report-json", str(report), *params,
-    ])
+    code = main(["simulate", *({"INIT": str(init), "CK": str(ck)}.get(a, a) for a in params),
+                 "--report-json", str(report)])
     assert code == 2
     rep = json.loads(report.read_text())
     assert rep["error"].startswith("parameter error:")
+    if params[0] != "--family":
+        assert rep["error"].endswith(f"{params[-2]} does not apply to simulate {params[0]}")
     assert capsys.readouterr().err.strip() == rep["error"]
 
 
@@ -354,6 +391,12 @@ def _rat11_init(**entries):
      "malformed initial data for zz: not an unknown of the system (a1, v1, b1, w1)"),
     (None, _rat11_init(v1={"constant": -1.0, "fourier": {"mean": 5.0}}),
      "malformed initial data for v1: give constant or fourier, not both"),
+    (None, "[1, 2]", "malformed initial data: expected an object mapping each unknown to its entry, got list"),
+    # 8 points of 16: the zeroed Nyquist bin; 10**20 aliases
+    (None, _rat11_init(w1={"fourier": {"mean": 1.0, "modes": [{"k": [0, 0, -8], "amp": 0.05}]}}),
+     "malformed initial data for w1: k = [0, 0, -8] needs |k_i| < n_i/2 on the 16x16x16 grid"),
+    (None, _rat11_init(v1={"fourier": {"mean": -1.0, "modes": [{"k": [10 ** 20, 0, 0], "amp": 0.05}]}}),
+     "k = [100000000000000000000, 0, 0] needs |k_i| < n_i/2"),
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}],
       "provenance": {"denominators": [{"op": "num", "value": "0"}]}}, None, "PoleError: zero denominator"),
     ({"unknowns": ["u"], "independents": _XYZT, "equations": [
@@ -380,7 +423,7 @@ def _rat11_init(**entries):
      None, "StructureError: bad multi-index [0, 100000000, 0, 0]"),
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
         "nan-constant", "boolean-constant", "fourier-not-object", "init-extra-name", "init-constant-and-fourier",
-        "zero-denominator", "exponent-128",
+        "init-not-object", "k-at-nyquist", "k-past-nyquist", "zero-denominator", "exponent-128",
         "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep",
         "exponent-form-literal", "constant-to-the-1e8", "derivative-order-1e8"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
@@ -810,13 +853,13 @@ def test_simulate_requires_init_without_manufactured():
 
 def test_public_and_benchmarked_names_resolve():
     """Every exported name, and every engine function the benchmark's
-    layer spans wrap, still exists, except the p-division and partial
-    fractions the engine no longer has (a span reads a missing target
-    as zero)."""
+    layer spans wrap, still exists, except the p-division, partial
+    fractions and p-polynomial collection the engine no longer has (a
+    span reads a missing target as zero)."""
     for name in contactlax.__all__:
         assert hasattr(contactlax, name), name
     spans = _module_at(_REPO / "perfbench" / "spans.py")
-    deleted = {("pfield", "partial_fraction"), ("pfield", "poly_div_exact")}
+    deleted = {("pfield", "partial_fraction"), ("pfield", "poly_div_exact"), ("pfield", "collect")}
     for mod_name, name, _ in spans.TARGETS:
         obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
         if (mod_name, name) in deleted:

@@ -1,8 +1,8 @@
 import pytest
 
-from contactlax.jetalg import ONE, ZERO, FieldId, JetQuotient, jet
-from contactlax.pfield import ParameterError, PPoly, PRational, collect
-from conftest import partial_fraction, poly_divmod, prational_sum, random_rational
+from contactlax.jetalg import ONE, ZERO, FieldId, JetQuotient, jet, p_coefficients
+from contactlax.pfield import ParameterError
+from conftest import from_p_coeffs, p, p_coeffs, partial_fraction, poly_divmod, prational_sum, random_rational
 
 VF, WF = FieldId("v"), FieldId("w")
 AF, BF = FieldId("a"), FieldId("b")
@@ -16,54 +16,54 @@ def nonzero_rational(rng):
 
 
 def lin(f):
-    return PPoly([JetQuotient(-jet(f)), JetQuotient(ONE)])
+    return p - jet(f)
 
 
 def simple(res_field, pole_field):
-    return PRational(PPoly([JetQuotient(jet(res_field))]), lin(pole_field))
+    return JetQuotient(jet(res_field), lin(pole_field))
 
 
 def test_collect_two_simple_poles():
-    s = prational_sum(PRational(PPoly.const(1), lin(VF)), PRational(PPoly.const(1), lin(WF)))
-    num, den = collect(s)
+    s = prational_sum(JetQuotient(ONE, lin(VF)), JetQuotient(ONE, lin(WF)))
+    num, den = p_coefficients(s)
     v, w = jet(VF), jet(WF)
-    assert num == PPoly([JetQuotient(-(v + w)), JetQuotient(2 * ONE)])
-    assert den == PPoly([JetQuotient(v * w), JetQuotient(-(v + w)), JetQuotient(ONE)])
+    assert num == [-(v + w), 2 * ONE]
+    assert den == [v * w, -(v + w), ONE]
 
 
 def test_collect_constant():
     a0 = jet(FieldId("a0"))
-    num, den = collect(PRational(PPoly([JetQuotient(a0)])))
-    assert num == PPoly([JetQuotient(a0)])
-    assert den == PPoly.const(1)
+    num, den = p_coefficients(JetQuotient(a0))
+    assert num == [a0]
+    assert den == [ONE]
 
 
 def test_collect_of_pf_view_equals_collect(rng):
     for _ in range(25):
         r = prational_sum(simple(AF, VF), simple(BF, WF))
         if rng.random() < 0.5:
-            r = prational_sum(r, PRational(PPoly([JetQuotient(jet(AF))])))
-        pf = partial_fraction(PRational(r.num, r.den), [VF, WF])
-        n1, d1 = collect(pf.reassemble())
-        n2, d2 = collect(PRational(r.num, r.den))
+            r = prational_sum(r, JetQuotient(jet(AF)))
+        pf = partial_fraction(JetQuotient(r.num, r.den), [VF, WF])
+        n1, d1 = p_coefficients(pf.reassemble())
+        n2, d2 = p_coefficients(JetQuotient(r.num, r.den))
         assert n1 == n2 and d1 == d2
 
 
 def test_coefficients_examples():
     v, w = jet(VF), jet(WF)
-    q = PPoly([JetQuotient(-(v + w)), JetQuotient(2 * ONE)])
-    cs = q.coeffs
+    q = JetQuotient(-(v + w) + 2 * p)
+    cs = p_coeffs(q)
     assert len(cs) == 2 and cs[0] == JetQuotient(-(v + w)) and cs[1] == JetQuotient(2 * ONE)
-    assert PPoly().coeffs == ()
+    assert p_coeffs(ZERO) == []
 
 
 def test_coefficients_reassembly(rng):
     for _ in range(20):
         cs = [JetQuotient(jet(AF)) * random_rational(rng) for _ in range(rng.randint(1, 5))]
-        q = PPoly(cs)
-        rebuilt = PPoly()
-        for k, c in enumerate(q.coeffs):
-            rebuilt = rebuilt + PPoly([JetQuotient(ZERO)] * k + [c])
+        q = from_p_coeffs(cs)
+        rebuilt = JetQuotient(ZERO)
+        for k, c in enumerate(p_coeffs(q)):
+            rebuilt = rebuilt + c * p ** k
         assert rebuilt == q
 
 
@@ -72,23 +72,23 @@ def test_partial_fraction_roundtrip_random(rng):
     res_fields = [FieldId(f"r{i}") for i in range(6)]
     for _ in range(15):
         poles = []
-        r = PRational(PPoly([JetQuotient(jet(rng.choice(res_fields)))])) if rng.random() < 0.5 else PRational(PPoly())
+        r = JetQuotient(jet(rng.choice(res_fields))) if rng.random() < 0.5 else JetQuotient(ZERO)
         for f in pole_fields:
             if rng.random() < 0.5:
                 continue
             res = JetQuotient(jet(rng.choice(res_fields)) * nonzero_rational(rng))
-            r = prational_sum(r, PRational(PPoly([res]), lin(f)))
+            r = prational_sum(r, res / lin(f))
             poles.append((f, res))
         if not poles:
             continue
-        got = partial_fraction(PRational(r.num, r.den), [f for f, _ in poles])
+        got = partial_fraction(JetQuotient(r.num, r.den), [f for f, _ in poles])
         assert [(b.pole, b.residue) for b in got.poles] == poles
 
 
 def test_partial_fraction_rejects_high_order():
     # a double pole, and a simple pole missing from the list
     with pytest.raises(ParameterError, match="not a simple pole"):
-        partial_fraction(PRational(PPoly.const(1), lin(VF) ** 2), [VF])
+        partial_fraction(JetQuotient(ONE, lin(VF) ** 2), [VF])
     with pytest.raises(ParameterError, match="do not reassemble"):
         partial_fraction(prational_sum(simple(AF, VF), simple(BF, WF)), [VF])
 
@@ -96,7 +96,7 @@ def test_partial_fraction_rejects_high_order():
 def test_poly_divmod():
     num = lin(VF) * lin(WF)
     q, rem = poly_divmod(num, lin(VF))
-    assert rem.is_zero() and q == lin(WF)
-    q2, rem2 = poly_divmod(PPoly.x() ** 2, lin(VF))
-    assert q2 == PPoly([JetQuotient(jet(VF)), JetQuotient(ONE)])
-    assert rem2 == PPoly([JetQuotient(jet(VF) ** 2)])
+    assert rem.is_zero() and q == JetQuotient(lin(WF))
+    q2, rem2 = poly_divmod(p ** 2, lin(VF))
+    assert q2 == JetQuotient(p + jet(VF))
+    assert rem2 == JetQuotient(jet(VF) ** 2)
