@@ -52,10 +52,12 @@ from .jetalg import (
     jets_of_field,
     map_jets,
     p_coefficients,
+    p_of_slope,
     partial,
     primitive,
     strip_monomial,
     substitute,
+    sum_of_products,
     total_derivative,
     total_derivative_q,
 )
@@ -114,14 +116,12 @@ def p_form(jq: JetQuotient, psi: FieldId = PSI, planar: bool = False) -> JetQuot
             raise DerivationError(f"wave-function jets survive: {sorted(map(repr, extra))}")
     if jq.num.is_zero():
         return jq
-    p = DiffPoly.from_jet(P)
     out = []
     for part in (jq.num, jq.den):
-        dec = decompose_by_jets(part, slope)
-        grades = {sum(k) for k in dec}
+        e, grades = p_of_slope(part, *slope)
         if not planar and len(grades) != 1:
             raise DerivationError("not homogeneous in the wave-function jets")
-        out.append((sum((rest * p ** k[0] for k, rest in dec.items()), ZERO), max(grades)))
+        out.append((e, max(grades)))
     (num, s_n), (den, s_d) = out
     if not planar and s_n - s_d != 1:
         raise DerivationError("no single overall psi_z factor to divide out")
@@ -173,7 +173,7 @@ def cc_bracket_path(lax: LaxPair) -> JetQuotient:
     """Path (b): the closed-form compatibility bracket, one numerator
     over D^2 E^2 (see _bracket_terms)."""
     terms, den = _bracket_terms(lax)
-    return JetQuotient(sum((a * b for a, b in terms), ZERO), den)
+    return JetQuotient(sum_of_products(terms), den)
 
 
 def bracket_mod(lax: LaxPair, pt: dict, pval: int) -> int:

@@ -334,22 +334,7 @@ class DiffPoly(Frozen):
             out = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
             _check_exponents(out)
             return DiffPoly(out)
-        out = {}
-        for m1, c1 in t1.items():
-            for m2, c2 in t2.items():
-                key = m1 + m2
-                c = c1 * c2
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del out[key]
-                    else:
-                        out[key] = acc
-        _check_exponents(out)
-        return DiffPoly(out)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -425,6 +410,32 @@ def _add_term(out: dict, m: int, c) -> None:
             del out[m]
         else:
             out[m] = acc
+
+
+def sum_of_products(pairs) -> DiffPoly:
+    """sum(a * b for a, b in pairs), every product of two terms added
+    into one dict, so no product is built on its own.  Each pair loops
+    over its shorter operand outside, as a * b does."""
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        t1, t2 = a._terms, b._terms
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
+        for m1, c1 in t1.items():
+            for m2, c2 in t2.items():
+                key = m1 + m2
+                acc = get(key)
+                if acc is None:
+                    out[key] = c1 * c2
+                else:
+                    acc += c1 * c2
+                    if acc == 0:
+                        del out[key]
+                    else:
+                        out[key] = acc
+    _check_exponents(out)
+    return DiffPoly(out)
 
 
 ZERO = DiffPoly({})
@@ -777,12 +788,16 @@ def _prolonged(base: JetVariable, d: tuple, rules_q, cache) -> JetQuotient:
     return q
 
 
-def _replace_jets(poly: DiffPoly, fn, lift):
+def _replace_jets(poly: DiffPoly, fn):
     """The one jet-replacement kernel: fn maps each distinct jet, in order
-    of first occurrence, to its replacement or None.  Terms are grouped by
-    their powers of the replaced jets, each lifted cofactor is multiplied
-    by its replacement powers once, and the groups are summed in order of
-    first occurrence.  None when nothing is replaced."""
+    of first occurrence, to its replacement (a DiffPoly or JetQuotient)
+    or None.  Returns (num, den), poly with the jets replaced as one
+    fraction, or None when nothing is replaced.  den is the product of
+    the distinct replacement denominators, compared as polynomials, each
+    to the largest power that a group of terms needs; terms are grouped
+    by their powers of the replaced jets, and num sums, in one
+    sum_of_products, each group's cofactor times its replacement
+    numerators' powers and the part of den its own powers leave out."""
     repl = {}
     unseen = -1  # a mask with a 0 byte for every jet already mapped
     for m in poly._terms:
@@ -794,14 +809,22 @@ def _replace_jets(poly: DiffPoly, fn, lift):
     ids = sorted(jid for jid, r in repl.items() if r is not None)
     if not ids:
         return None
-    total = None
-    for pows, rest in decompose_by_jets(poly, [_JETS[jid] for jid in ids]).items():
-        q = lift(rest)
-        for jid, pw in zip(ids, pows):
-            if pw:
-                q = q * repl[jid] ** pw
-        total = q if total is None else total + q
-    return total
+    dens = []  # the distinct denominators but 1
+    for jid in ids:
+        r = repl[jid] = _as_quotient(repl[jid])
+        if r.den._terms != ONE._terms and all(d._terms != r.den._terms for d in dens):
+            dens.append(r.den)
+    # each jet's place in dens, None for 1
+    slots = [next((k for k, d in enumerate(dens) if d._terms == repl[jid].den._terms), None) for jid in ids]
+    groups = decompose_by_jets(poly, [_JETS[jid] for jid in ids])
+    needs = {pows: [sum(pw for k, pw in zip(slots, pows) if k == i) for i in range(len(dens))] for pows in groups}
+    top = [max(col) for col in zip(*needs.values())]
+    pairs = []
+    for pows, rest in groups.items():
+        fs = [repl[jid].num ** pw for jid, pw in zip(ids, pows) if pw]
+        fs += [d ** (t - n) for d, t, n in zip(dens, top, needs[pows]) if t > n]
+        pairs.append((rest, math.prod(fs, start=ONE)))
+    return sum_of_products(pairs), math.prod((d ** t for d, t in zip(dens, top)), start=ONE)
 
 
 def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
@@ -809,7 +832,9 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
     replacement; jets above a base are rewritten by total differentiation
     of the rule (prolongation).  Jets of a ruled field lying below every
     base are left untouched.  The replacement is one simultaneous pass:
-    the output is not rescanned, so {u: v, v: w} takes u to v."""
+    the output is not rescanned, so {u: v, v: w} takes u to v.  Numerator
+    and denominator each come back as one fraction (_replace_jets), and
+    the result is the one quotient they make, normalized once."""
     rules_q = {base: _as_quotient(rhs) for base, rhs in rules.items()}
     by_field: dict[FieldId, list] = {}
     for base in rules_q:
@@ -821,13 +846,11 @@ def substitute(e: DiffPoly | JetQuotient, rules: dict) -> JetQuotient:
         return None if b is None else _prolonged(b, jv.d, rules_q, cache)
 
     q = _as_quotient(e)
-    num = _replace_jets(q.num, rule, _as_quotient)
-    den = _replace_jets(q.den, rule, _as_quotient)
+    num, den = (_replace_jets(part, rule) for part in (q.num, q.den))
     if num is None and den is None:
         return q
-    num = _as_quotient(q.num) if num is None else num
-    den = _as_quotient(q.den) if den is None else den
-    return num / den
+    (n1, d1), (n2, d2) = num or (q.num, ONE), den or (q.den, ONE)
+    return JetQuotient(n1 * d2, d1 * n2)
 
 
 # -- structural decomposition ------------------------------------------------
@@ -857,9 +880,26 @@ def map_jets(e: DiffPoly, fn) -> DiffPoly:
     fn returns None to keep a jet.  Like substitute(), the output is not
     rescanned, so self-referential maps (a change of independent
     variables reusing the same index slots) are safe; unlike it, there is
-    no prolongation and the result stays a polynomial."""
-    out = _replace_jets(e, fn, lambda rest: rest)
-    return e if out is None else out
+    no prolongation, and every denominator being 1, the result stays a
+    polynomial: _replace_jets's numerator."""
+    out = _replace_jets(e, fn)
+    return e if out is None else out[0]
+
+
+def p_of_slope(e: DiffPoly, top: JetVariable, bottom: JetVariable | None = None) -> tuple[DiffPoly, set]:
+    """e with each term's top^j bottom^k replaced by P^j, in one pass over
+    the terms (P is jet id 0, so P^j adds j to a key), and the set of the
+    grades j + k met.  Without bottom, k is 0."""
+    sx = _jet_id(top) << 3
+    sz = _jet_id(bottom) << 3 if bottom else 0
+    mz = 0xFF << sz if bottom else 0  # bottom's byte
+    out, grades = {}, set()
+    for m, c in e._terms.items():
+        j, z = (m >> sx) & 0xFF, m & mz
+        grades.add(j + (z >> sz))
+        _add_term(out, m - (j << sx) - z + j, c)  # terms meet when e has P in it or mixes grades
+    _check_exponents(out)
+    return DiffPoly(out), grades
 
 
 def linear_coefficient(e: DiffPoly, jv: JetVariable) -> tuple[DiffPoly, DiffPoly]:

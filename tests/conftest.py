@@ -20,6 +20,7 @@ from contactlax.jetalg import (
     jet,
     p_coefficients,
     partial,
+    total_derivative_q,
 )
 from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
 from contactlax.pfield import ParameterError
@@ -329,6 +330,48 @@ def residue_oracle(cc: JetQuotient, lax: LaxPair) -> list:
                     num, den = qn, qd
             out.append((f"{f.name}:{order}", JetQuotient(num, den)))
     return out
+
+
+def _prolonged_rule(rules: dict, jv: JetVariable):
+    """The replacement of jv under substitute's rules: the rule of the
+    highest base below jv, totally differentiated up to jv; None when no
+    base lies below it."""
+    bases = [b for b in rules if b.field == jv.field and all(j >= k for j, k in zip(jv.d, b.d))]
+    if not bases:
+        return None
+    base = max(bases, key=lambda b: (sum(b.d), b.d))
+    q = rules[base] if isinstance(rules[base], JetQuotient) else JetQuotient(rules[base])
+    for ax in range(4):
+        for _ in range(jv.d[ax] - base.d[ax]):
+            q = total_derivative_q(q, ax)
+    return q
+
+
+def _per_group_sum(poly: DiffPoly, fn) -> JetQuotient | None:
+    """poly with each jet replaced by fn's quotient (None keeps it), one
+    normalized quotient per term group and partial sum, as jetalg's
+    replacement kernel summed before it put every group over one common
+    denominator; None when nothing is replaced."""
+    jets = [jv for jv in poly.jet_variables() if fn(jv) is not None]
+    if not jets:
+        return None
+    total = JetQuotient(ZERO)
+    for pows, rest in decompose_by_jets(poly, jets).items():
+        q = JetQuotient(rest)
+        for jv, pw in zip(jets, pows):
+            q = q * fn(jv) ** pw
+        total = total + q
+    return total
+
+
+def substitute_oracle(e, rules: dict) -> JetQuotient:
+    """substitute(e, rules) by the per-group quotient sum: numerator and
+    denominator replaced group by group, then divided."""
+    q = e if isinstance(e, JetQuotient) else JetQuotient(e)
+    num, den = (_per_group_sum(part, lambda jv: _prolonged_rule(rules, jv)) for part in (q.num, q.den))
+    if num is None and den is None:
+        return q
+    return (JetQuotient(q.num) if num is None else num) / (JetQuotient(q.den) if den is None else den)
 
 
 def compose_linear(r: JetQuotient, c1, c0) -> JetQuotient:

@@ -616,6 +616,40 @@ def test_each_bracket_term_is_checked(family, dimension, monkeypatch):
             compatibility_condition(lax)
 
 
+def test_substitution_path_trial_divisions(monkeypatch):
+    # each substitute call normalizes one quotient: no partial sum of
+    # term groups is trial-divided by its denominator (the per-group sum
+    # made 26 calls over 250,100 dividend terms here)
+    sizes = []
+    real = jetalg.divide_exact
+    monkeypatch.setattr(jetalg, "divide_exact", lambda a, b: sizes.append(len(a.terms)) or real(a, b))
+    cc_substitution_path(make_family("ratgp", 3, 3))
+    assert (len(sizes), sum(sizes)) == (14, 110726)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("family", ["poly", "rat", "ratgp"])
+def test_p_form_reads_back_the_wave_form(family, planar):
+    # p_form(psi_z R(psi_x/psi_z)) is R, for R each side of a pair
+    psiz = ONE if planar else jet(compat.PSI, (0, 0, 1, 0))
+    lax = make_family(family, 2, 1)
+    for r in (lax.F, lax.G):
+        num, den = compat.wave_form(r, compat.PSI, planar)
+        assert compat.p_form(JetQuotient(psiz * num, den), compat.PSI, planar) == r
+    if not planar:
+        with pytest.raises(DerivationError):
+            compat.p_form(JetQuotient(psiz * num, den + ONE), compat.PSI)
+
+
+def test_p_of_slope_adds_terms_that_meet():
+    # with P already in e, psi_x p and p^2 both read as p^2
+    psix = jet(compat.PSI, (1, 0, 0, 0))
+    e, grades = jetalg.p_of_slope(psix * p + p * p + 3 * psix, JetVariable(compat.PSI, (1, 0, 0, 0)))
+    assert e == 2 * p * p + 3 * p and grades == {0, 1}
+    e, _ = jetalg.p_of_slope(psix * p - p * p, JetVariable(compat.PSI, (1, 0, 0, 0)))
+    assert e.is_zero()
+
+
 @pytest.mark.parametrize("family", ["rat", "ratgp"])
 def test_reduction_commutes(family):
     lax = make_family(family, 1, 1)

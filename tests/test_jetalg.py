@@ -35,13 +35,14 @@ from contactlax.jetalg import (
     primitive,
     strip_monomial,
     substitute,
+    sum_of_products,
     to_tree,
     total_derivative,
     total_derivative_q,
     write_tree,
 )
 from contactlax.sampling import random_point
-from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree, tree_oracle
+from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree, substitute_oracle, tree_oracle
 
 V = FieldId("v")
 W = FieldId("w")
@@ -171,6 +172,86 @@ def test_substitute_is_one_simultaneous_pass():
     u = FieldId("u")
     rules = {JetVariable(u): JetQuotient(v), JetVariable(V): JetQuotient(w)}
     assert substitute(jet(u), rules) == JetQuotient(v)
+
+
+ZERO_NODE, CONST_NODE = {"op": "num", "value": "0"}, {"op": "num", "value": "-7/2"}
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from([ZERO_NODE, CONST_NODE]), tree_nodes())] * 2), max_size=4),
+       st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sum_of_products_is_the_sum_of_the_products(trees, cancel):
+    pairs = [(from_tree(a), from_tree(b)) for a, b in trees]
+    if cancel:  # every product comes back negated: the sum cancels to zero
+        pairs += [(b, -a) for a, b in pairs]
+    got = sum_of_products(pairs)
+    assert got == sum((a * b for a, b in pairs), ZERO)
+    assert 0 not in got.terms.values()
+    assert not (cancel and got)
+
+
+# substitute against the per-group quotient sum: u and s are ruled, with
+# their prolongations u_x and s_y; the rules' parts are polynomials in v, w
+U, S = FieldId("u"), FieldId("s")
+u, s = jet(U), jet(S)
+ux, sy = jet(U, (1, 0, 0, 0)), jet(S, (0, 1, 0, 0))
+
+
+def small_polys(pool, max_terms=4):
+    term = st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(pool), max_size=3))
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: sum((c * math.prod(fs, start=ONE) for c, fs in ts), ZERO))
+
+
+@given(small_polys([u, ux, s, sy, v, w]), small_polys([u, s, v, w]).filter(bool),
+       small_polys([v, w, vx]), small_polys([v, w, vx]),
+       small_polys([v, w]).filter(bool), small_polys([v, w]).filter(bool), st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_substitute_matches_the_per_group_sum(num, den, a, b, da, db, shared):
+    rules = {JetVariable(U): JetQuotient(a, da), JetVariable(S): JetQuotient(b, da if shared else db)}
+    e = JetQuotient(num, den)
+    try:
+        want = substitute_oracle(e, rules)
+    except PoleError:
+        with pytest.raises(PoleError):
+            substitute(e, rules)
+        return
+    assert substitute(e, rules) == want
+
+
+D1, D2 = v + 1, w - 2
+SUBSTITUTE_CASES = {
+    # name: (expression, rules)
+    "a squared and a cubed replacement": (u ** 2 * w + u ** 3 + v, {JetVariable(U): JetQuotient(w, D1)}),
+    "distinct denominators": (u * s + u + s * v, {JetVariable(U): JetQuotient(w, D1), JetVariable(S): JetQuotient(v, D2)}),
+    "one shared denominator": (u * s + u ** 2 + s, {JetVariable(U): JetQuotient(w, D1), JetVariable(S): JetQuotient(v * w, D1)}),
+    "prolonged over the square": (ux * u + ux, {JetVariable(U): JetQuotient(w, D1)}),
+    "a denominator replaced": (JetQuotient(v, u * s + 1), {JetVariable(U): JetQuotient(w, D1), JetVariable(S): JetQuotient(v, D2)}),
+}
+
+
+@pytest.mark.parametrize("case", SUBSTITUTE_CASES)
+def test_substitute_cases_match_the_per_group_sum(case):
+    e, rules = SUBSTITUTE_CASES[case]
+    got = substitute(e, rules)
+    assert got == substitute_oracle(e, rules)
+    assert got.den != ONE
+
+
+def test_substitute_collapses_to_a_polynomial():
+    # v/(v + 1) + 1/(v + 1) is 1
+    rules = {JetVariable(U): JetQuotient(v, D1), JetVariable(S): JetQuotient(ONE, D1)}
+    got = substitute(u + s, rules)
+    assert got == substitute_oracle(u + s, rules) == JetQuotient(ONE)
+    assert got.num == ONE and got.den == ONE
+
+
+@pytest.mark.parametrize("den", [u - v, u * s - 1, s * v - 1])
+def test_substitute_raises_on_a_vanishing_denominator(den):
+    rules = {JetVariable(U): JetQuotient(v), JetVariable(S): JetQuotient(ONE, v)}
+    for f in (substitute, substitute_oracle):
+        with pytest.raises(PoleError):
+            f(JetQuotient(w, den), rules)
 
 
 def test_eval_examples():
