@@ -290,14 +290,7 @@ class DiffPoly(Frozen):
             other = DiffPoly.const(other)
         elif not isinstance(other, DiffPoly):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_term(out, m, c)
-        return DiffPoly(out)
+        return _plus(self, other, False)
 
     __radd__ = __add__
 
@@ -309,7 +302,7 @@ class DiffPoly(Frozen):
             other = DiffPoly.const(other)
         elif not isinstance(other, DiffPoly):
             return NotImplemented
-        return self + (-other)
+        return _plus(self, other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -324,12 +317,16 @@ class DiffPoly(Frozen):
             return DiffPoly({m: cc * c for m, cc in self._terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        t1, t2 = self._terms, other._terms
-        if not t1 or not t2:
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        t1, t2 = a._terms, b._terms
+        if not t1:
             return ZERO
-        if len(t1) > len(t2):
-            t1, t2 = t2, t1
         if len(t1) == 1:  # a monomial times t2: no two keys collide
+            # a product with the unit is the other operand: values are read-only
+            if t1 == ONE._terms:
+                return b
+            if t2 == ONE._terms:
+                return a
             (m1, c1), = t1.items()
             out = {m1 + m2: c1 * c2 for m2, c2 in t2.items()}
             _check_exponents(out)
@@ -410,6 +407,28 @@ def _add_term(out: dict, m: int, c) -> None:
             del out[m]
         else:
             out[m] = acc
+
+
+def _plus(a: DiffPoly, b: DiffPoly, sub: bool) -> DiffPoly:
+    """a + b, or a - b when sub, in one pass over b's terms: each is added
+    into (or subtracted from) a copy of a's, and deleted when it cancels."""
+    if not b._terms:
+        return a
+    if not a._terms:
+        return -b if sub else b
+    out = dict(a._terms)
+    get = out.get
+    for m, c in b._terms.items():
+        acc = get(m)
+        if acc is None:
+            out[m] = -c if sub else c
+        else:
+            acc = acc - c if sub else acc + c
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    return DiffPoly(out)
 
 
 def sum_of_products(pairs) -> DiffPoly:
@@ -646,13 +665,18 @@ class JetQuotient(Frozen):
 
     __hash__ = None
 
-    def __add__(self, other):
+    def _combine(self, other, sub: bool):
+        """self + other, or self - other when sub: over one denominator the
+        numerators are combined and normalized once."""
         other = _as_quotient(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den._terms == other.den._terms:
-            return JetQuotient(self.num + other.num, self.den)
-        return JetQuotient(self.num * other.den + other.num * self.den, self.den * other.den)
+            return JetQuotient(_plus(self.num, other.num, sub), self.den)
+        return JetQuotient(_plus(self.num * other.den, other.num * self.den, sub), self.den * other.den)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -660,10 +684,7 @@ class JetQuotient(Frozen):
         return _rebuild(JetQuotient, (-self.num, self.den))
 
     def __sub__(self, other):
-        other = _as_quotient(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -809,13 +830,14 @@ def _replace_jets(poly: DiffPoly, fn):
     ids = sorted(jid for jid, r in repl.items() if r is not None)
     if not ids:
         return None
-    dens = []  # the distinct denominators but 1
+    dens, slots = [], []  # the distinct denominators but 1, and each jet's place in dens (None for 1)
     for jid in ids:
         r = repl[jid] = _as_quotient(repl[jid])
-        if r.den._terms != ONE._terms and all(d._terms != r.den._terms for d in dens):
+        k = None if r.den._terms == ONE._terms else next(
+            (k for k, d in enumerate(dens) if d._terms == r.den._terms), len(dens))
+        if k == len(dens):
             dens.append(r.den)
-    # each jet's place in dens, None for 1
-    slots = [next((k for k, d in enumerate(dens) if d._terms == repl[jid].den._terms), None) for jid in ids]
+        slots.append(k)
     groups = decompose_by_jets(poly, [_JETS[jid] for jid in ids])
     needs = {pows: [sum(pw for k, pw in zip(slots, pows) if k == i) for i in range(len(dens))] for pows in groups}
     top = [max(col) for col in zip(*needs.values())]
@@ -1046,12 +1068,6 @@ def _num_node(c, depth: int) -> str:
     return f'{{{pad}"op": "num",{pad}"value": "{_frac_str(c)}"\n{" " * depth}}}'
 
 
-def _args_node(op: str, items: list, depth: int) -> str:
-    pad = "\n" + " " * (depth + 1)
-    ipad = pad + " "
-    return f'{{{pad}"op": "{op}",{pad}"args": [{ipad}{("," + ipad).join(items)}{pad}]\n{" " * depth}}}'
-
-
 def _jet_node(jid: int, depth: int) -> str:
     jv = _JETS[jid]
     pad = "\n" + " " * (depth + 1)
@@ -1060,14 +1076,16 @@ def _jet_node(jid: int, depth: int) -> str:
             f'{pad}"d": [{ipad}{("," + ipad).join(map(str, jv.d))}{pad}]\n{" " * depth}}}')
 
 
-def write_tree(e: DiffPoly, depth: int = 0) -> str:
-    """The wire-format tree of e as JSON text, laid out as
-    json.dumps(..., indent=1) lays out a node nested `depth` levels deep
-    (its first line unindented).  Terms come in the order of
-    DiffPoly.monomials(), a term's factors in jet-id order; write_tree and
-    from_tree round-trip bit-exact on normal forms."""
+def write_tree(e: DiffPoly, depth: int, out: list) -> None:
+    """Append to out the pieces of the wire-format tree of e as JSON text,
+    laid out as json.dumps(..., indent=1) lays out a node nested `depth`
+    levels deep (its first line unindented); the caller joins them once.
+    Terms come in the order of DiffPoly.monomials(), a term's factors in
+    jet-id order; write_tree and from_tree round-trip bit-exact on normal
+    forms."""
     if not e._terms:
-        return _num_node(0, depth)
+        out.append(_num_node(0, depth))
+        return
     ids, terms = _sorted_terms(e._terms)
 
     def factor(code: int, d: int) -> str:
@@ -1078,27 +1096,39 @@ def write_tree(e: DiffPoly, depth: int = 0) -> str:
         base = factor(code - k + 1, d + 1)  # the same jet to the power 1
         return f'{{{pad}"op": "pow",{pad}"base": {base},{pad}"exp": {k}\n{" " * d}}}'
 
-    td = depth if len(terms) == 1 else depth + 2  # depth of a term's node
+    single = len(terms) == 1
+    td = depth if single else depth + 2  # depth of a term's node
     pad = "\n" + " " * (td + 1)
     sep = f",{pad} "
     head = f'{{{pad}"op": "mul",{pad}"args": [{pad} '
     tail = f'{pad}]\n{" " * td}}}'
     # text tables for this call only: each factor inside a product by its
-    # code, and a product's text up to its first factor by coefficient
+    # code, alone and after its separator, and a product's text up to its
+    # first factor by coefficient
     factors = {k: factor(k, td + 2) for k in set().union(*[fs for fs, _ in terms])}
+    later = {k: sep + text for k, text in factors.items()}.__getitem__
     heads = {c: head if c == 1 else head + _num_node(c, td + 2) + sep for c in {c for _, c in terms}}
-    fac = factors.__getitem__
-    out = []
+    apad = "\n" + " " * (depth + 1)
+    lead = "" if single else f'{{{apad}"op": "add",{apad}"args": [{apad} '  # before the first term
+    between = f",{apad} "
     for fs, c in terms:
+        out.append(lead)
+        lead = between
         if not fs:
             out.append(_num_node(c, td))
         elif c == 1 and len(fs) == 1:
             out.append(factor(fs[0], td))
         else:
-            out.append(heads[c] + sep.join(map(fac, fs)) + tail)
-    return out[0] if len(out) == 1 else _args_node("add", out, depth)
+            out.append(heads[c])
+            out.append(factors[fs[0]])
+            out += map(later, fs[1:])
+            out.append(tail)
+    if not single:
+        out.append(f'{apad}]\n{" " * depth}}}')
 
 
 def to_tree(e: DiffPoly) -> dict:
     """The wire-format tree of e, parsed from write_tree's text."""
-    return json.loads(write_tree(e))
+    out = []
+    write_tree(e, 0, out)
+    return json.loads("".join(out))

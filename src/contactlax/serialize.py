@@ -3,9 +3,9 @@
 Expression nodes use the wire format of the core algebra; rational
 functions of p serialize as p-coefficient arrays by ascending degree
 with jet denominators cleared.  Documents are written as text in the layout
-of json.dumps(..., indent=1) by one writer (write_document, which hands
-expression leaves to jetalg.write_tree); no dict tree is built on the
-way.  Lax pairs are written and never read back; for systems, export ->
+of json.dumps(..., indent=1) by one writer (write_document, into whose one
+list of pieces jetalg.write_tree appends expression leaves; the list is
+joined once); no dict tree is built on the way.  Lax pairs are written and never read back; for systems, export ->
 import is the identity on normal forms.
 """
 
@@ -21,7 +21,8 @@ from .pfield import ParameterError
 
 def write_document(doc) -> str:
     """json.dumps(doc, indent=1) of a document of dicts, lists and JSON
-    scalars whose DiffPoly leaves stand for their wire-format trees."""
+    scalars whose DiffPoly leaves stand for their wire-format trees,
+    joined once from one list of pieces."""
     out = []
     _write(doc, 0, out)
     return "".join(out)
@@ -29,7 +30,7 @@ def write_document(doc) -> str:
 
 def _write(node, depth: int, out: list) -> None:
     if isinstance(node, DiffPoly):
-        out.append(write_tree(node, depth))
+        write_tree(node, depth, out)
     elif isinstance(node, dict) and node:
         pad = "\n" + " " * (depth + 1)
         out.append("{")

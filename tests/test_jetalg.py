@@ -42,6 +42,7 @@ from contactlax.jetalg import (
     write_tree,
 )
 from contactlax.sampling import random_point
+from contactlax.serialize import write_document
 from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree, substitute_oracle, tree_oracle
 
 V = FieldId("v")
@@ -188,6 +189,58 @@ def test_sum_of_products_is_the_sum_of_the_products(trees, cancel):
     assert got == sum((a * b for a, b in pairs), ZERO)
     assert 0 not in got.terms.values()
     assert not (cancel and got)
+
+
+def fraction_polys(pool, max_terms=4):
+    """Polynomials over pool with Fraction coefficients, the zero
+    polynomial among them."""
+    term = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), st.lists(st.sampled_from(pool), max_size=3))
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: sum((c * math.prod(fs, start=ONE) for c, fs in ts), ZERO))
+
+
+@given(fraction_polys([v, w, vx]), fraction_polys([v, w, vx]), st.sampled_from(["apart", "equal", "cancel"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_difference_is_the_sum_with_the_negative(a, b, how):
+    """a - b in one pass equals the oracle a + (-b), for empty operands,
+    Fraction coefficients and a full cancellation, and its terms hold no
+    zero coefficient."""
+    if how == "cancel":
+        b = a
+    elif how == "equal":
+        b = a + b
+    got = a - b
+    assert got == a + (-b)
+    assert 0 not in got.terms.values()
+    assert not (how == "cancel" and got)
+    assert b - ZERO is b and (ZERO - b) == -b
+
+
+@given(fraction_polys([v, w, vx]), fraction_polys([v, w, vx]), fraction_polys([v, w]).filter(bool),
+       fraction_polys([v, w]).filter(bool), st.sampled_from(["apart", "equal", "cancel"]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_quotient_difference_is_the_sum_with_the_negative(n1, n2, d1, d2, how):
+    """q1 - q2 equals the oracle q1 + (-q2) over equal and unequal
+    denominators, and reads zero when q2 is q1."""
+    q1 = JetQuotient(n1, d1)
+    q2 = q1 if how == "cancel" else JetQuotient(n2, d1 if how == "equal" else d2)
+    got = q1 - q2
+    assert got == q1 + (-q2)
+    assert (got.num, got.den) == ((q1 + (-q2)).num, (q1 + (-q2)).den)
+    assert not (how == "cancel" and got)
+    assert q1 - n2 == q1 + (-n2) and q1 - 3 == q1 + (-3)
+
+
+@pytest.mark.parametrize("e", [ZERO, ONE, v, -v * w + Fraction(1, 3), (v + w) ** 2, DiffPoly.const(Fraction(-5, 7))])
+def test_a_product_with_the_unit_is_the_other_operand(e):
+    for got in (ONE * e, e * ONE, DiffPoly({0: 1}) * e, e * DiffPoly({0: 1}), e * 1):
+        assert got == e
+        assert got is e or e == ONE  # the shared operand, not a copy (of either unit)
+        with pytest.raises(TypeError):
+            got.terms[1] = 1  # the shared terms stay read-only
+        with pytest.raises(AttributeError):
+            got._terms = {}
+    assert ONE.terms == {0: 1} and e == e * ONE
 
 
 # substitute against the per-group quotient sum: u and s are ruled, with
@@ -363,20 +416,48 @@ def test_json_roundtrip_bit_exact(t):
     assert from_tree(emitted) == e
 
 
+def _tree_text(e: DiffPoly, depth: int) -> str:
+    """write_tree's pieces for e, appended after a piece already in the
+    list, which they leave alone, and joined."""
+    out = ["<before>"]
+    write_tree(e, depth, out)
+    assert out[0] == "<before>" and all(isinstance(piece, str) for piece in out)
+    return "".join(out[1:])
+
+
+# the leaves the piece list starts and ends on: a zero polynomial, a
+# constant, a single-factor term and a power, alone and in a sum
+WRITER_LEAVES = [ZERO, DiffPoly.const(Fraction(-5, 7)), v, vx ** 3, 2 * v, -(vx ** 3)]
+WRITER_CASES = [
+    ZERO, ONE, DiffPoly.const(-3), DiffPoly.const(Fraction(-5, 7)),  # constants
+    v, vx ** 3,  # a lone jet, a lone pow
+    -v, v * w, Fraction(3, 2) * vx * w ** 2,  # coefficient -1, 1 and other single-term muls
+    v + 1, v * w - 2 * vx ** 2 + Fraction(1, 3), vx ** 3 + v + 7,
+]
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_write_tree_matches_dict_oracle(rng, depth):
     """write_tree's text is json.dumps(..., indent=1) of the node-by-node
-    dict tree, nested depth levels deep."""
-    cases = [
-        ZERO, ONE, DiffPoly.const(-3), DiffPoly.const(Fraction(-5, 7)),  # constants
-        v, vx ** 3,  # a lone jet, a lone pow
-        -v, v * w, Fraction(3, 2) * vx * w ** 2,  # coefficient -1, 1 and other single-term muls
-        v + 1, v * w - 2 * vx ** 2 + Fraction(1, 3),
-    ]
-    cases += [from_tree(random_tree(rng)) for _ in range(60)]
+    dict tree, nested depth levels deep; to_tree parses it back."""
+    cases = WRITER_CASES + [from_tree(random_tree(rng)) for _ in range(60)]
     for e in cases:
         want = json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
-        assert write_tree(e, depth) == want, e
+        assert _tree_text(e, depth) == want, e
+        assert to_tree(e) == tree_oracle(e)
+        assert from_tree(to_tree(e)) == e
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_write_document_joins_the_leaves_pieces_once(nested):
+    """A document of writer leaves, at depth 0 and nested in lists and
+    dicts, is json.dumps(..., indent=1) of the same document with the
+    leaves' dict trees."""
+    leaves = WRITER_LEAVES + [e + w for e in WRITER_LEAVES]
+    for e in leaves:
+        doc = {"a": [[e, {"b": e}], e]} if nested else e
+        want = {"a": [[tree_oracle(e), {"b": tree_oracle(e)}], tree_oracle(e)]} if nested else tree_oracle(e)
+        assert write_document(doc) == json.dumps(want, indent=1), e
 
 
 def _shuffled_jets(rng: random.Random, count: int) -> list:
@@ -444,7 +525,7 @@ def test_term_order_matches_sort_key_oracle():
         got = [([(jet_sort_key(jv), k) for jv, k in fs], c) for c, fs in e.monomials()]
         assert got == want
         for depth in range(4):
-            assert write_tree(e, depth) == json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
+            assert _tree_text(e, depth) == json.dumps(tree_oracle(e), indent=1).replace("\n", "\n" + " " * depth)
 
 
 def test_quotient_collapses_when_divisible():
