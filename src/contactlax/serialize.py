@@ -5,8 +5,9 @@ functions of p serialize as p-coefficient arrays by ascending degree
 with jet denominators cleared.  Documents are written as text in the layout
 of json.dumps(..., indent=1) by one writer (write_document, into whose one
 list of pieces jetalg.write_tree appends expression leaves; the list is
-joined once); no dict tree is built on the way.  Lax pairs are written and never read back; for systems, export ->
-import is the identity on normal forms.
+joined once); no dict tree is built on the way.  Lax pairs are written
+and never read back; for systems, export -> import is the identity on
+normal forms.
 """
 
 from __future__ import annotations
