@@ -129,7 +129,7 @@ def stack_plan(jets, grid: Grid) -> tuple:
 _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
 # the names generated code reads, given to it when it is compiled
-_GENERATED_NAMES = {name: getattr(np, name) for name in (*_UFUNCS.values(), "broadcast_shapes", "empty", "positive", "shape")}
+_GENERATED_NAMES = {name: getattr(np, name) for name in (*_UFUNCS.values(), "broadcast", "broadcast_shapes", "empty", "positive")}
 
 
 class _Code:
@@ -210,7 +210,8 @@ class _Code:
         new arrays (or floats): an input or a repeated output is returned
         through ``positive``.  Every other temporary is written into a
         slot s<k>: the slots are allocated once per call at the
-        arguments' broadcast shape, and a slot is reused once the
+        arguments' broadcast shape, taken by one np.broadcast per 64
+        arguments (the most it accepts), and a slot is reused once the
         temporary it holds has had its last read."""
         outs = [(self._emit(0.0, "-", a) if isinstance(a, str) else -a) if neg else a for a, neg in outputs]
         last = {v: t for (a, _, b), t in self.ops.items() for v in (a, b) if isinstance(v, str)}
@@ -231,7 +232,8 @@ class _Code:
         args = [f"j{i}" for i in self.index.values()]
         lines = [f"def {name}({', '.join(args)}):", *(f"    # j{i} = {key!r}" for key, i in self.index.items())]
         if slots:
-            lines.append(f"    size = broadcast_shapes({', '.join(f'shape({j})' for j in args)})")
+            shapes = [f"broadcast({', '.join(args[i:i + 64])}).shape" for i in range(0, len(args), 64)]
+            lines.append(f"    size = {shapes[0] if len(shapes) == 1 else 'broadcast_shapes(' + ', '.join(shapes) + ')'}")
             lines += [f"    {v} = empty(size)" for v in slots]
         rets = [f"positive({o})" if isinstance(o, str) and (o[0] == "j" or o in outs[:i]) else text(o)
                 for i, o in enumerate(outs)]
@@ -426,15 +428,23 @@ def keep_freed_arrays_mapped() -> None:
 @dataclass
 class Trajectory:
     times: deque  # the last three monitored times
-    snapshots: deque  # the states at those times: dict name -> ndarray, views of one stack
+    states: deque  # the states at those times, each one (field, nx, ny, nz) stack in the order of unknowns
     monitors: list  # rows: (step, T, min_pole_dist, residual_L2, max_field)
     grid: Grid
+    unknowns: tuple[str, ...]
+
+    @property
+    def snapshots(self) -> list:
+        """The states as dicts name -> that field's view of its stack."""
+        return [dict(zip(self.unknowns, y)) for y in self.states]
 
 
-def _min_pole_distance(state: dict, pairs) -> float:
+def _min_pole_distance(y: np.ndarray, pairs) -> float:
+    """The least |w - v| over the pole pairs, each given by the indices of
+    its two fields in the stacked state y."""
     if not pairs:
         return math.inf
-    return min(float(np.min(np.abs(state[w] - state[v]))) for v, w in pairs)
+    return min(float(np.min(np.abs(y[w] - y[v]))) for v, w in pairs)
 
 
 def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float, spatial: str = "spectral",
@@ -443,7 +453,7 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     T) to a dict of arrays added to the T-derivatives (manufactured runs).
     Each state is one (field, nx, ny, nz) stack in the order of
     cs.unknowns; of the monitored states only the last three are kept,
-    each a dict of per-field views of its stack."""
+    and a monitored step checks and measures its new stack as a whole."""
     if monitor_every < 1:
         raise CompileError("monitor_every must be at least 1")
     if steps < 0:
@@ -457,10 +467,11 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     coords = grid.coords()
     size = (len(cs.unknowns), *grid.shape)
     field = {u: i for i, u in enumerate(cs.unknowns)}
+    poles = [(field[v], field[w]) for v, w in cs.pole_pairs]
     # the stage states s2, s3, s4, each spatial derivative of a stacked
     # state and one field's sum of the slopes are written into these
-    # buffers, which never enter the window; the window holds per-field
-    # views of the states, so each step's new state is a fresh stack
+    # buffers, which never enter the window; the window holds the states
+    # themselves, so each step's new state is a fresh stack
     stage, slopes = np.empty(size), np.empty(grid.shape)
     derivs = {d: np.empty(size) for d, *_ in plan}
 
@@ -495,35 +506,29 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     y = np.empty(size)
     for i, u in enumerate(cs.unknowns):
         y[i] = state[u]
-    state = dict(zip(cs.unknowns, y))
-    traj = Trajectory(deque([0.0], maxlen=3), deque([state], maxlen=3), [], grid)
-    dist = _min_pole_distance(state, cs.pole_pairs)
+    traj = Trajectory(deque([0.0], maxlen=3), deque([y], maxlen=3), [], grid, cs.unknowns)
+    dist = _min_pole_distance(y, poles)
     if dist < guard:
         raise PoleProximityError(0, dist, guard)
-    traj.monitors.append((0, 0.0, dist, float("nan"), _max_field(state)))
+    traj.monitors.append((0, 0.0, dist, float("nan"), float(np.abs(y).max())))
     T = 0.0
     for step in range(1, steps + 1):
         y = rk4_step(y, T)
         T += dt
         if step % monitor_every == 0 or step == steps:
-            state = dict(zip(cs.unknowns, y))
-            for u in cs.unknowns:
-                if not np.all(np.isfinite(state[u])):
-                    raise NumericAbortError(f"non-finite values in {u} at step {step}")
-            dist = _min_pole_distance(state, cs.pole_pairs)
+            if not np.isfinite(y).all():
+                u = next(u for u, a in zip(cs.unknowns, y) if not np.isfinite(a).all())
+                raise NumericAbortError(f"non-finite values in {u} at step {step}")
+            dist = _min_pole_distance(y, poles)
             if dist < guard:
                 raise PoleProximityError(step, dist, guard)
             traj.times.append(T)
-            traj.snapshots.append(state)
+            traj.states.append(y)
             res = float("nan")
-            if len(traj.snapshots) == 3 and cs.residual_source is not None:
+            if len(traj.states) == 3 and cs.residual_source is not None:
                 res = residual_original_form(cs, traj)
-            traj.monitors.append((step, T, dist, res, _max_field(state)))
+            traj.monitors.append((step, T, dist, res, float(np.abs(y).max())))
     return traj
-
-
-def _max_field(state: dict) -> float:
-    return max(float(np.max(np.abs(a))) for a in state.values())
 
 
 def write_monitor_csv(traj: Trajectory, path: str):
@@ -537,15 +542,12 @@ def write_monitor_csv(traj: Trajectory, path: str):
 
 
 @lru_cache(maxsize=16)
-def _field_plans(jets: tuple, grid: Grid) -> tuple:
-    """Per field the jets read: its name, each of its jets with the
-    spatial multi-index it takes (a y or t jet that of its Y-jet), and
-    one stack_plan of those multi-indices."""
-    out = []
-    for name in dict.fromkeys(name for name, _ in jets):
-        own = tuple((d, (0, 1, 0) if d[1] or d[3] else d[:3]) for n, d in jets if n == name)
-        out.append((name, own, stack_plan([(name, s) for _, s in own], grid)))
-    return tuple(out)
+def _residual_plan(jets: tuple, unknowns: tuple, grid: Grid) -> tuple:
+    """For each jet, the index of its field in a stack ordered as the
+    unknowns and the spatial multi-index it takes (a y or t jet that of
+    its Y-jet); then one stack_plan of those multi-indices."""
+    keys = tuple((unknowns.index(name), (0, 1, 0) if d[1] or d[3] else d[:3]) for name, d in jets)
+    return keys, stack_plan(keys, grid)
 
 
 def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
@@ -553,25 +555,26 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
     state of the three-state window: T-derivatives by the three-point
     formula on the window's own spacing (Fornberg, Math. Comp. 51, 1988),
     y/t jets reassembled from them (d/dy = d/dT + d/dY, d/dt = d/dT -
-    d/dY), spatial jets by centered differences.  Returns the root of the
-    mean square over all equations and grid points."""
+    d/dY), spatial jets by centered differences, each taken once over the
+    stack of all fields.  Returns the root of the mean square over all
+    equations and grid points."""
     if cs.residual_source is None:
         raise CompileError("no original-form system recorded for residual evaluation")
-    (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.snapshots
+    (t0, t1, t2), (prev, cur, nxt) = traj.times, traj.states
     h0, h1 = t1 - t0, t2 - t1
-    jets = {}
-    for name, own, plan in _field_plans(cs.residual_jets, traj.grid):
-        spatial = {(0, 0, 0): cur[name]}
-        for d, parent, axis, h in plan:
-            spatial[d] = fd2_diff(spatial[parent], axis, h)
-        for d, key in own:
-            u = spatial[key]
-            if d[1] or d[3]:
-                u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
-                u = u_T + u if d[1] else u_T - u
-            jets[name, d] = u
-    spatial = None  # the last field's derivatives are not held through the residual's call
-    rs = [np.asarray(r) for r in cs._residual(*map(jets.get, cs.residual_jets))]
+    keys, plan = _residual_plan(cs.residual_jets, traj.unknowns, traj.grid)
+    stacks = {(0, 0, 0): cur}
+    for d, parent, axis, h in plan:
+        stacks[d] = fd2_diff(stacks[parent], axis, h)
+    u_T = (h0 * h0 * (nxt - cur) + h1 * h1 * (cur - prev)) / (h0 * h1 * (h0 + h1)) if (0, 1, 0) in stacks else None
+    jets = []
+    for (_, d), (i, key) in zip(cs.residual_jets, keys):
+        u = stacks[key][i]
+        if d[1] or d[3]:
+            u = u_T[i] + u if d[1] else u_T[i] - u
+        jets.append(u)
+    stacks = u_T = None  # the Y-derivatives and u_T are not held through the residual's call
+    rs = [np.asarray(r) for r in cs._residual(*jets)]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,3 +404,31 @@ def expected_roster_size(family: str, m: int, n: int) -> int:
     if family == RATGP:
         return 2 * (m + n + 1)
     raise ParameterError(f"unknown family {family!r}")
+
+
+def residual_oracle(cs, times, snapshots, grid) -> float:
+    """The original-form residual field by field: each field's own
+    stack_plan walked over that field alone, and the three-point
+    T-derivative formed again for each of its y or t jets; the oracle for
+    numeric.residual_original_form.  The snapshots are three dicts name
+    -> array."""
+    import numpy as np  # here, so that the exact tests never load NumPy
+
+    from contactlax.numeric import fd2_diff, stack_plan
+
+    (t0, t1, t2), (prev, cur, nxt) = times, snapshots
+    h0, h1 = t1 - t0, t2 - t1
+    jets = {}
+    for name in dict.fromkeys(name for name, _ in cs.residual_jets):
+        own = [(d, (0, 1, 0) if d[1] or d[3] else d[:3]) for n, d in cs.residual_jets if n == name]
+        spatial = {(0, 0, 0): cur[name]}
+        for d, parent, axis, h in stack_plan([(name, key) for _, key in own], grid):
+            spatial[d] = fd2_diff(spatial[parent], axis, h)
+        for d, key in own:
+            u = spatial[key]
+            if d[1] or d[3]:
+                u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
+                u = u_T + u if d[1] else u_T - u
+            jets[name, d] = u
+    rs = [np.asarray(r) for r in cs._residual(*map(jets.get, cs.residual_jets))]
+    return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))

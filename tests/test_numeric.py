@@ -50,7 +50,7 @@ from contactlax.numeric import (
     write_monitor_csv,
 )
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate, rational_point
+from conftest import evaluate, rational_point, residual_oracle
 
 TP = 2 * np.pi
 
@@ -283,7 +283,11 @@ def test_generated_code_stays_flat_on_a_long_chain(rng):
     _assert_matches_exact(sys, cs, rng, points=3)
     body = cs.rhs_source.splitlines()[1:]
     ufunc = r"(add|subtract|multiply|divide)\([^(), ]+, [^(), ]+"
-    assert all(re.fullmatch(rf"    (# .*|size = broadcast_shapes\((shape\(j\d+\)(, )?)+\)|s\d+ = empty\(size\)"
+    # the slot shape: one np.broadcast per 64 arguments, the most it
+    # takes, so seven here
+    shape = r"broadcast\((j\d+(, )?){1,64}\)\.shape"
+    assert cs.rhs_source.count("broadcast(") == 7
+    assert all(re.fullmatch(rf"    (# .*|size = ({shape}|broadcast_shapes\(({shape}(, )?)+\))|s\d+ = empty\(size\)"
                             rf"|{ufunc}, out=s\d+\)|t\d+ = {ufunc}\)|return \(.*\))", line) for line in body)
 
 
@@ -405,29 +409,29 @@ def test_a_flipped_term_fails_the_term_compiled_oracle():
 # rows compile to plain Horner forms, reusing only a polynomial or its
 # negative
 _UNTERMED_SOURCES = {
-    (1, 1, "coefficients"): ("026010469d934fcd6649719a8f48ac94c2ba3925b73755307f6982cf74a2ca20",
-                             "40cfb4fdf7e3f650a0aab40cad8a445c480e20e1a150ace8a8caef535fa5d490"),
-    (2, 1, "coefficients"): ("e76643e132470d17b9527e96eef031aff5873ab7511fb2dfbc4d6cff8d7fc246",
-                             "47792192b4b4a810b4dd5055587df5537cdb3c14d7e2e9f451b23167b0766a30"),
-    (1, 1, "residues"): ("172e9c47947ff830308ef04ac30897fdef86700fa36f0a2d2740e1f6596bca12",
-                         "077085bc7fa7bc4d121fd3a4b67cb996cfcc83b41bd85e309a446406478b6187"),
-    (2, 1, "residues"): ("f9dc117092ff31a68d299ac81304f32652a2a7134082e724ad9de20d5c79298f",
-                         "5659ed529cede88a2ee57b423adc812a3e83fe6dc8af9d326325debd2af3086d"),
+    (1, 1, "coefficients"): ("d2e58586ab61b107d7cc3d0f6bd2388f76acde85dbf05ac9da4e2b81c7770afc",
+                             "83403f4ebb99344a1ab6c8e116835a189fbca6e0524cc17e101ad796c393f2ec"),
+    (2, 1, "coefficients"): ("187b226855a92f7d0ab948789b12f49251e5e341229eaff43bca1556b14c34e4",
+                             "686737bf4ff94bd72754bd0620829dc83415ecc99a682c223ff8eb4d7b9d4e72"),
+    (1, 1, "residues"): ("caa9c0fea93cacbb72ea6aa84dece52e4717f78a2d5afbdeed355d9f66bca56b",
+                         "1f41e007831e6227ce5206a61727b735063385c870aba7b5160f6d51ea69feb3"),
+    (2, 1, "residues"): ("9b3bf2a3ba2c412cde2f606e2910a5e8588f9446791601fe531ad49a757a3531",
+                         "11b84155b4356c31c5952da7552a941bfe943af8534e089d6db10372840f91a3"),
 }
 
 # the same digests of rat residue systems compiled from their two-pole
 # terms, as simulate compiles them
 _TERM_COMPILED_SOURCES = {
-    (1, 1): ("9b94c131d43c9d363db58d796ca8d6184cff525829265e1c5e3934b289ba4fdb",
-             "414ffc727f19a6a58c366d1ecac2b96e1e5dfa77aa6addf21e14c474099088c0"),
-    (2, 1): ("95eda747e2b229f7c8c467d0bc4676b4b9e98db90261ebd1258fe5a6db4bb03e",
-             "c8367d176e5e751b7ac4d7e066e75dc380ab5878ecf00b3fd49e2eaaa35fbe65"),
-    (1, 2): ("55be75a3e690b48f395dfc3ac12a714c94319808142bd58a951d91afa6113bfc",
-             "78a695af60efcbbc2ea7cfaacb8c27be05e3452d563c719ab54d0d6a5c7dd4b6"),
-    (2, 2): ("6705d114d5309ce7ac1307ba2f839c7428dfe33e64347fac2d1ff86953ebf9a0",
-             "38ece931fdbc746a189779fedc2ac3461900739cfea13df8490c86eec919a913"),
-    (3, 3): ("44b13890dcf7439c379fa2f09797b02ee1904a5a4dc932de6ca07d53088e3917",
-             "6abf1b91ff6a0d6fd78e4379a14eb599698db1ef0140b55c9f8a0939a585e985"),
+    (1, 1): ("e46f564300d3a8d44046626e3d6168c2a4f8f2429933aa880deaf778c4f9e974",
+             "4832a939ddeb2b53b2b5e252e24a555d1c4b2c1d0d38ddf81b311e163ecbbd46"),
+    (2, 1): ("e8e54869c4115743bc1d67e876460deaf0ff6b9eff062cad46b75d08535dc004",
+             "baf7f9255be573dfee3fa2a3db0f1408dfabef736d466b67b8621db43ec12aae"),
+    (1, 2): ("5e89d4693efe504ee30ec66b441c71025772cd589a79d94900478a1b744746b8",
+             "cc76f1c826c194859400667ae2043f5f70e6973ab72b22d0f0fe68db788e2d18"),
+    (2, 2): ("9cd712e204018b4d625b424208d9f86fbae2964b4c127dbad8092ede6154a07a",
+             "d2b227665a1bb5e8420ad2c4f9422d6acde3a7897b18f11345f82290162078e9"),
+    (3, 3): ("b32289fd02f659d89a9828393ed357347d6cbcdb252208cc3cf0c6e84ccfe3ba",
+             "00df1019281e7befafe932d6bafcee645cc5e02b5fdce6b013e7b99f3887b3df"),
 }
 
 
@@ -607,6 +611,20 @@ def test_nan_aborts(cs):
         integrate(cs, grid, state, 2, 0.01)
 
 
+def test_non_finite_abort_names_the_field_and_step():
+    # u_T = u_X and w_T = w_X are decoupled, so only w turns non-finite;
+    # the stacked state is checked as a whole, then searched for its name
+    u, w = FieldId("u"), FieldId("w")
+    sys = PDESystem((u, w), CK_INDEPENDENTS,
+                    [(JetQuotient(jet(f, (0, 0, 0, 1)) - jet(f, (1, 0, 0, 0))),) for f in (u, w)], {})
+    cs = compile_system(sys)
+    grid = Grid((8, 8, 8))
+    state = {"u": np.ones(grid.shape), "w": np.ones(grid.shape)}
+    state["w"][0, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericAbortError, match="^non-finite values in w at step 2$"):
+        integrate(cs, grid, state, 3, 0.01, monitor_every=2)
+
+
 def test_zero_forcing_constant_fields_zero_error(cs):
     const = {
         u: HarmonicField(c) for u, c in zip(("v1", "w1", "a1", "b1"), (-1.0, 1.0, 1.0, 0.5))
@@ -647,6 +665,12 @@ def test_integrate_keeps_three_state_window(cs):
     assert list(traj.times) == [row[1] for row in traj.monitors[-3:]]
 
 
+def _window(times, snaps, grid, unknowns):
+    """The three-state window of the given per-field states, each stacked
+    in the order of the unknowns."""
+    return Trajectory(list(times), [np.stack([snap[u] for u in unknowns]) for snap in snaps], [], grid, tuple(unknowns))
+
+
 def _quadratic_window(cs, times, center=0.3):
     """Window of fields exactly quadratic in T around ``center``."""
     grid = Grid((8, 8, 8))
@@ -657,7 +681,7 @@ def _quadratic_window(cs, times, center=0.3):
         {u: base[u] + c[0] + c[1] * (t - center) + c[2] * (t - center) ** 2 for u, c in coef.items()}
         for t in times
     ]
-    return Trajectory(list(times), snaps, [], grid)
+    return _window(times, snaps, grid, cs.unknowns)
 
 
 def test_residual_uses_the_window_spacing(cs):
@@ -667,32 +691,67 @@ def test_residual_uses_the_window_spacing(cs):
     assert abs(unequal - equal) <= 1e-12 * equal
 
 
-def test_residual_takes_each_field_its_own_derivatives(monkeypatch):
-    # u reads u_xx and u_xz, w only w_y: u's plan takes X, then XZ and XX
-    # from it, w's takes Y, each from one field's array, and nothing is
-    # taken twice or for the other field
+def _uw_system():
+    """u_T = 0 and w_T = 0, whose original form reads u_xx * u_xz and
+    w_y: the two fields read different multi-indices."""
     u, w = FieldId("u"), FieldId("w")
     evolution = [(JetQuotient(jet(f, (0, 0, 0, 1))),) for f in (u, w)]
     original = PDESystem((u, w), XYZT, [(JetQuotient(jet(u, (2, 0, 0, 0)) * jet(u, (1, 0, 1, 0))),),
                                         (JetQuotient(jet(w, (0, 1, 0, 0))),)], {})
-    cs = compile_system(PDESystem((u, w), CK_INDEPENDENTS, evolution, {"original_system": original}))
+    return compile_system(PDESystem((u, w), CK_INDEPENDENTS, evolution, {"original_system": original}))
+
+
+def test_residual_takes_each_multi_index_once_over_the_stack(monkeypatch):
+    # the plan is the union over both fields: X, then XZ and XX from it
+    # (u's), then Y (w's), each taken once over the (2, 8, 9, 10) stack
+    cs = _uw_system()
     grid = Grid((8, 9, 10))
     X, Y, Z = grid.coords()
     now = {"u": np.sin(TP * X) * np.cos(TP * Z) + 0 * Y, "w": np.cos(TP * Y) + 0 * X + 0 * Z}
-    traj = Trajectory([0.0, 0.1, 0.2], [now, now, now], [], grid)
+    traj = _window([0.0, 0.1, 0.2], [now, now, now], grid, cs.unknowns)
     taken = []
 
-    def counted(arr, axis, h):
+    def counted(arr, axis, h, out=None):
         taken.append((arr.shape, axis))
-        return fd2_diff(arr, axis, h)
+        return fd2_diff(arr, axis, h, out)
 
     monkeypatch.setattr(numeric, "fd2_diff", counted)
     got = residual_original_form(cs, traj)
     (hx, hy, hz), d = grid.spacing, fd2_diff
     u_x = d(now["u"], 0, hx)
     want = [d(u_x, 0, hx) * d(u_x, 2, hz), d(now["w"], 1, hy)]  # w_y = w_T + w_Y, and w_T = 0
-    assert taken == [(grid.shape, axis) for axis in (0, 2, 0, 1)]  # u: X, XZ, XX; w: Y
+    _, plan = numeric._residual_plan(cs.residual_jets, cs.unknowns, grid)
+    assert [step[0] for step in plan] == [(1, 0, 0), (1, 0, 1), (2, 0, 0), (0, 1, 0)]
+    assert taken == [((2, *grid.shape), axis) for _, _, axis, _ in plan]
     assert got == math.sqrt(sum(float(np.sum(r ** 2)) for r in want) / sum(r.size for r in want))
+
+
+def _rat11_windows():
+    """The last window of short fd2 and spectral runs of rat (1,1), in
+    residue form and in coefficient form."""
+    grid = Grid((9, 10, 12))
+    for form in ("residues", "coefficients"):
+        cs = compile_system(ck_transform(derive("rat", 1, 1, form=form)))
+        state = {u: SMOOTH_INIT[u].value(grid.coords(), 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+        for spatial in ("spectral", "fd2"):
+            yield cs, integrate(cs, grid, state, 6, 0.01, spatial=spatial, monitor_every=2)
+
+
+def test_stacked_residual_equals_the_per_field_oracle():
+    cases = list(_rat11_windows())
+    rat, run = cases[0]
+    cases.append((rat, _quadratic_window(rat, (0.25, 0.3, 0.42))))  # unequal spacing
+    uw = _uw_system()
+    grid = Grid((8, 9, 10))
+    gen = np.random.default_rng(11)
+    snaps = [{u: gen.uniform(-1.0, 1.0, grid.shape) for u in uw.unknowns} for _ in range(3)]
+    cases.append((uw, _window([0.0, 0.07, 0.2], snaps, grid, uw.unknowns)))
+    for cs, traj in cases:
+        got = residual_original_form(cs, traj)
+        assert got > 0
+        assert got == residual_oracle(cs, traj.times, traj.snapshots, traj.grid)
+    # a run's monitor column reads the residual of its window
+    assert run.monitors[-1][3] == residual_oracle(rat, run.times, run.snapshots, run.grid)
 
 
 def test_refinement_study_reads_monitor_rows(cs):
