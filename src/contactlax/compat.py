@@ -29,6 +29,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import comb, prod
 from types import MappingProxyType
 
@@ -63,7 +64,7 @@ from .jetalg import (
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
 from .pfield import ParameterError
-from .sampling import pole_pairs_for, random_point
+from .sampling import pole_pairs_for, random_points
 
 PSI = FieldId("psi", WAVE)
 
@@ -382,24 +383,36 @@ def residue_system(lax: LaxPair) -> PDESystem:
 def _residue_spot_check(const_terms, rows, lax: LaxPair):
     """Compare the sum of const_terms plus, over the rows
     (pole, (order-1 terms, order-2 terms)), each order's terms summed
-    over (p - pole)^order, at five random points of GF(PRIME), with
-    bracket_mod there.  The value of p is drawn after each point, again
-    while it hits a pole.  A mismatch is an engine bug."""
+    over (p - pole)^order, with bracket_mod at five random points of
+    GF(PRIME).  The value of p is drawn after each point, again while it
+    hits a pole.  All five points are drawn first; then every term is
+    evaluated at all of them in one evaluate_mod call, and each group (the
+    constant row, or one order of one pole's row) is summed at each point
+    before its power of 1/(p - pole) is applied.  A mismatch is an engine
+    bug."""
     rng = random.Random(60170)
     # the terms are quotients of polynomials in the jets the bracket reads
     jvs = {JetVariable(f, d) for f in lax.fields for d in (ZERO_INDEX, *_UNIT.values())}
     pole_jets = [JetVariable(f) for f, _ in rows]
-    pairs = pole_pairs_for([f for f, _ in rows])
+    draws = random_points(jvs, rng, pole_pairs=pole_pairs_for([f for f, _ in rows]))
+    pts, pvals = [], []
     for _ in range(5):
-        pt = random_point(jvs, rng, pole_pairs=pairs)
+        pt = next(draws)
         pval = rng.randrange(PRIME)
         while any(pval == pt[pj] for pj in pole_jets):
             pval = rng.randrange(PRIME)
-        rhs = sum(evaluate_mod(t, pt) for t in const_terms)
-        for (_, orders), pj in zip(rows, pole_jets):
-            inv = pow(pval - pt[pj], -1, PRIME)
-            for k, ts in enumerate(orders, 1):
-                rhs += sum(evaluate_mod(t, pt) for t in ts) * pow(inv, k, PRIME)
+        pts.append(pt)
+        pvals.append(pval)
+    # (terms, pole jet or None, power of 1/(p - pole)) of each group
+    groups = [(const_terms, None, 0)]
+    groups += [(ts, pj, k) for (_, orders), pj in zip(rows, pole_jets) for k, ts in enumerate(orders, 1)]
+    vals = evaluate_mod([t for ts, _, _ in groups for t in ts], pts)
+    for j, (pt, pval) in enumerate(zip(pts, pvals)):
+        rhs, i = 0, 0
+        for ts, pj, k in groups:
+            s = sum(v[j] for v in vals[i:i + len(ts)])
+            i += len(ts)
+            rhs += s if pj is None else s * pow(pval - pt[pj], -k, PRIME)
         if bracket_mod(lax, pt, pval) != rhs % PRIME:
             raise DerivationError("the residue equations fail the random-point check against the bracket of F and G")
 
@@ -554,8 +567,9 @@ def t_matrix_witness(rows: list[list[DiffPoly]], sys: PDESystem) -> tuple[int, t
     wrong, with probability at most degree/PRIME (Schwartz-Zippel)."""
     vs, ws = sys.provenance.get("pole_fields", ((), ()))
     jvs = {jv for row in rows for c in row for jv in c.jet_variables()}
-    pt = random_point(jvs, random.Random(CK_SEED), pole_pairs=pole_pairs_for((*vs, *ws)))
-    det, pivots = _det_mod([[evaluate_mod(c, pt) for c in row] for row in rows])
+    pt = next(random_points(jvs, random.Random(CK_SEED), pole_pairs=pole_pairs_for((*vs, *ws))))
+    vals = iter(evaluate_mod([c for row in rows for c in row], [pt]))
+    det, pivots = _det_mod([[next(vals)[0] for _ in row] for row in rows])
     if det == 0:
         raise TransformDegenerateError("T-jet coefficient matrix is singular at the witness point")
     return det, pivots
@@ -639,12 +653,9 @@ def _compare_as_equations(q_derived: JetQuotient, q_printed: JetQuotient, rng, p
     diff = -diff if first[0] < 0 else diff
     matched = diff.is_zero()
     jvs = set(p1.jet_variables()) | set(p2.jet_variables())
-    eval_matched = True
-    for _ in range(20):
-        pt = random_point(jvs, rng, pole_pairs=pole_pairs)
-        if evaluate_mod(diff, pt) != 0:
-            eval_matched = False
-            break
+    # drawn lazily: the line stops at its first nonzero point, and rng goes on to the next line
+    draws = islice(random_points(jvs, rng, pole_pairs=pole_pairs), 20)
+    eval_matched = all(evaluate_mod([diff], [pt])[0][0] == 0 for pt in draws)
     terms = tuple(f"{c} * {dict(fs)}" if fs else f"{c}" for c, fs in diff.monomials())
     return matched, eval_matched, terms
 

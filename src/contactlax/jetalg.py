@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from types import MappingProxyType
 
 DIRS = ("x", "y", "z", "t")
@@ -963,38 +963,76 @@ def p_coefficients(q: JetQuotient) -> tuple[list[DiffPoly], list[DiffPoly]]:
 PRIME = 2 ** 61 - 1
 
 
-def evaluate_mod(e: DiffPoly | JetQuotient, point: dict) -> int:
-    """The value in GF(PRIME) of e at a point mapping JetVariable -> int.
-    Each factor (one jet to a power) is raised once, and each product is
-    reduced as it grows.  Raises CoverageError when the point has no value
-    for a jet, and PoleError when the denominator, or the denominator of a
-    rational coefficient, is 0 mod PRIME."""
-    if isinstance(e, JetQuotient):
-        den = evaluate_mod(e.den, point)
-        if den == 0:
-            raise PoleError("denominator vanishes mod p at the point")
-        return evaluate_mod(e.num, point) * pow(den, -1, PRIME) % PRIME
-    powers = {}  # key of a factor -> its value
-    total = 0
-    for m, c in e._terms.items():
-        if not isinstance(c, int):
-            d = c.denominator % PRIME
-            if d == 0:
-                raise PoleError("coefficient denominator vanishes mod p")
-            c = c.numerator * pow(d, -1, PRIME)
-        while m:  # the factors, top byte first, as in _factors
-            s = (m.bit_length() - 1) & -8
-            f = (m >> s) << s
-            m -= f
-            x = powers.get(f)
-            if x is None:
-                jv = _JETS[s >> 3]
-                if jv not in point:
-                    raise CoverageError(f"no value for {jv!r}")
-                x = powers[f] = pow(point[jv], f >> s, PRIME)
-            c = c * x % PRIME
-        total += c
-    return total % PRIME
+def evaluate_mod(exprs, points) -> list[list[int]]:
+    """The values in GF(PRIME) of each expression of exprs (DiffPolys or
+    JetQuotients) at each point of points (dicts mapping JetVariable ->
+    int): one list per expression, in the order of points.  Each distinct
+    monomial key is decoded once per call into small codes, one per
+    factor (a jet to a power), and each coefficient is reduced once; a
+    polynomial met twice (a shared denominator) is decoded once.  At each
+    point, each factor is looked up and raised once into a table of the
+    codes' values, each distinct monomial is one product over that table,
+    and each polynomial one sum of its coefficients times those products.
+    Raises PoleError when the denominator of a rational coefficient is 0
+    mod PRIME, CoverageError when a point has no value for a jet, and
+    PoleError when a quotient's denominator is 0 mod PRIME at a point."""
+    codes = {}  # one-factor key -> its code
+    factors = []  # code -> (jet, exponent)
+    monos = {}  # monomial key -> its index
+    mono_codes = []  # index -> the codes of its factors
+    polys = {}  # id of a polynomial -> (coefficients mod PRIME, monomial indices)
+
+    def decode(e: DiffPoly) -> int:
+        if id(e) not in polys:
+            cs, ms = polys[id(e)] = [], []
+            for m, c in e._terms.items():
+                if isinstance(c, int):
+                    c %= PRIME
+                else:
+                    d = c.denominator % PRIME
+                    if d == 0:
+                        raise PoleError("coefficient denominator vanishes mod p")
+                    c = c.numerator * pow(d, -1, PRIME) % PRIME
+                i = monos.get(m)
+                if i is None:
+                    i = monos[m] = len(mono_codes)
+                    fs = []
+                    while m:  # the factors, top byte first, as in _factors
+                        s = (m.bit_length() - 1) & -8
+                        f = (m >> s) << s
+                        m -= f
+                        k = codes.get(f)
+                        if k is None:
+                            k = codes[f] = len(factors)
+                            factors.append((_JETS[s >> 3], f >> s))
+                        fs.append(k)
+                    mono_codes.append(fs)
+                cs.append(c)
+                ms.append(i)
+        return id(e)
+
+    # (numerator, denominator or None) of each expression
+    ids = [(decode(e.num), decode(e.den)) if isinstance(e, JetQuotient) else (decode(e), None) for e in exprs]
+    out = [[] for _ in ids]
+    for point in points:
+        try:
+            table = [pow(point[jv], k, PRIME) for jv, k in factors]
+        except KeyError as missing:
+            raise CoverageError(f"no value for {missing.args[0]!r}") from None
+        get = table.__getitem__
+        mono = [math.prod(map(get, fs)) for fs in mono_codes]
+        get = mono.__getitem__
+        at = {i: sum(map(mul, cs, map(get, ms))) % PRIME for i, (cs, ms) in polys.items()}
+        for (num, den), vals in zip(ids, out):
+            x = at[num]
+            if den is not None:
+                d = at[den]
+                if d == 0:
+                    raise PoleError("denominator vanishes mod p at the point")
+                if d != 1:
+                    x = x * pow(d, -1, PRIME) % PRIME
+            vals.append(x)
+    return out
 
 
 # -- expression trees (JSON wire format) ------------------------------------

@@ -1,35 +1,44 @@
 """Random points of GF(p), p = 2^61 - 1, for the randomized identity checks.
 
-The residue spot check, the printed-system line comparison and
-the T-solvability witness all sample here, and all evaluate one
-expression at one point at a time with ``jetalg.evaluate_mod``.  The
-spot check evaluates each row's recorded terms at its five points,
-against ``compat.bracket_mod`` there; the witness evaluates each entry
-of its T-jet matrix at its one point; the line comparison evaluates one
-difference at a time, and stops at the first point where it is
-nonzero.  A nonzero polynomial of total degree d vanishes at a uniform
-point of GF(p)^k with probability at most d/p (Schwartz, J. ACM 27(4),
-1980; Zippel, EUROSAM 1979).  A point on which two poles of a requested
-pair coincide is drawn again."""
+The residue spot check, the printed-system line comparison and the
+T-solvability witness all draw their points here, from one
+``random_points`` stream per check, and evaluate with
+``jetalg.evaluate_mod``, which takes many expressions at many points.
+The spot check draws its five points (and a value of p at each) first,
+then evaluates every recorded term at all five in one call, against
+``compat.bracket_mod`` there; the witness evaluates every entry of its
+T-jet matrix at its one point in one call; the line comparison
+evaluates one difference at one point at a time, and stops drawing at
+the first point where it is nonzero.  A nonzero polynomial of total
+degree d vanishes at a uniform point of GF(p)^k with probability at
+most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A point
+on which two poles of a requested pair coincide is drawn again."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .jetalg import PRIME, JetVariable, jet_sort_key
 
 _DRAWS = 8
 
 
-def random_point(jet_vars, rng: random.Random, pole_pairs=()) -> dict[JetVariable, int]:
-    """Uniform values in GF(PRIME), assigned in a fixed variable order so
-    the point does not depend on string hashing."""
+def random_points(jet_vars, rng: random.Random, pole_pairs=()) -> Iterator[dict[JetVariable, int]]:
+    """Uniform points of GF(PRIME), drawn from rng as they are asked for.
+    Each point's values are assigned in one fixed variable order, sorted
+    once, so the points do not depend on string hashing."""
     jet_vars = sorted(jet_vars, key=jet_sort_key)
-    for _ in range(_DRAWS):
-        pt = {jv: rng.randrange(PRIME) for jv in jet_vars}
-        if all(pt[a] != pt[b] for a, b in pole_pairs if a in pt and b in pt):
-            return pt
-    raise RuntimeError("could not sample a point clear of the poles")
+    known = set(jet_vars)
+    pole_pairs = [(a, b) for a, b in pole_pairs if a in known and b in known]
+    while True:
+        for _ in range(_DRAWS):
+            pt = {jv: rng.randrange(PRIME) for jv in jet_vars}
+            if all(pt[a] != pt[b] for a, b in pole_pairs):
+                break
+        else:
+            raise RuntimeError("could not sample a point clear of the poles")
+        yield pt
 
 
 def pole_pairs_for(poles) -> list[tuple[JetVariable, JetVariable]]:

@@ -15,10 +15,12 @@ from contactlax.jetalg import (
     JetQuotient,
     JetVariable,
     P,
+    PRIME,
     PoleError,
     decompose_by_jets,
     divide_exact,
     jet,
+    jet_sort_key,
     p_coefficients,
     partial,
     total_derivative_q,
@@ -69,6 +71,19 @@ def rational_point(jet_vars, rng: random.Random, pole_pairs=()):
     for _ in range(500):
         pt = {jv: random_rational(rng) for jv in jet_vars}
         if all(abs(pt[a] - pt[b]) >= Fraction(1, 10) for a, b in pole_pairs):
+            return pt
+    raise RuntimeError("could not sample a point clear of the poles")
+
+
+def random_point(jet_vars, rng: random.Random, pole_pairs=()) -> dict[JetVariable, int]:
+    """One uniform point of GF(PRIME) per call, the variables sorted on
+    every call and drawn again, up to 8 times, while a pole pair
+    coincides: the oracle of sampling.random_points, which sorts once
+    and draws the same values from the same generator state."""
+    jet_vars = sorted(jet_vars, key=jet_sort_key)
+    for _ in range(8):
+        pt = {jv: rng.randrange(PRIME) for jv in jet_vars}
+        if all(pt[a] != pt[b] for a, b in pole_pairs if a in pt and b in pt):
             return pt
     raise RuntimeError("could not sample a point clear of the poles")
 

@@ -254,6 +254,28 @@ def test_a_flipped_laurent_sign_fails_the_derivation(monkeypatch, capsys, family
     assert len(flipped) == 1
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_flipped_constant_row_fails_the_derivation(monkeypatch, capsys, size):
+    # ratgp's p -> oo row is summed as its own group of the random-point
+    # check: negating its addend a0_t, which no other row reads, must fail
+    # the check against the bracket and exit 1
+    a0 = make_ratgp(size, size).pole_data[0][0]
+    real, flipped = compat.total_derivative_q, []
+
+    def flip(q, direction):
+        out = real(q, direction)
+        if direction == "t" and q == JetQuotient(jet(a0)):
+            flipped.append(q)
+            out = -out
+        return out
+
+    monkeypatch.setattr(compat, "total_derivative_q", flip)
+    compat.derive.cache_clear()
+    assert cli.main(["derive", "--family", "ratgp", "-m", str(size), "-n", str(size), "--form", "residues"]) == 1
+    assert capsys.readouterr().err.startswith("verification failure:")
+    assert len(flipped) == 1
+
+
 def _rows(family, m, n, dimension="3+1"):
     rs = compat.residue_system(replace(make_family(family, m, n), dimension=dimension))
     return dict(zip(rs.provenance["labels"], rs.equations))

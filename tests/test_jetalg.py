@@ -41,9 +41,9 @@ from contactlax.jetalg import (
     total_derivative_q,
     write_tree,
 )
-from contactlax.sampling import random_point
+from contactlax.sampling import pole_pairs_for, random_points
 from contactlax.serialize import write_document
-from conftest import FIELD_NAMES, eval_tree, evaluate, random_tree, substitute_oracle, tree_oracle
+from conftest import FIELD_NAMES, eval_tree, evaluate, random_point, random_tree, substitute_oracle, tree_oracle
 
 V = FieldId("v")
 W = FieldId("w")
@@ -327,39 +327,108 @@ def test_evaluate_mod_matches_exact_evaluation():
         a, b = from_tree(random_tree(rng)), from_tree(random_tree(rng))
         jvs = set(a.jet_variables()) | set(b.jet_variables())
         if i % 2:
-            pt = random_point(jvs, rng)
+            pt = next(random_points(jvs, rng))
         else:
             pt = {jv: rng.randint(-9, 9) for jv in sorted(jvs, key=repr)}
-        assert evaluate_mod(a, pt) == _reduce(evaluate(a, pt))
+        exprs = [a]
         if evaluate(b, pt) != 0:
-            q = JetQuotient(a, b)
-            assert evaluate_mod(q, pt) == _reduce(evaluate(q, pt))
+            exprs.append(JetQuotient(a, b))
+        assert evaluate_mod(exprs, [pt]) == [[_reduce(evaluate(e, pt))] for e in exprs]
 
 
 def test_evaluate_mod_pole_errors():
     # w is a nonzero integer that vanishes mod PRIME
     pt = {JetVariable(V): 3, JetVariable(W): PRIME}
     with pytest.raises(PoleError):
-        evaluate_mod(JetQuotient(v, w), pt)
+        evaluate_mod([JetQuotient(v, w)], [pt])
     with pytest.raises(PoleError):
-        evaluate_mod(v * Fraction(1, PRIME), pt)
-    assert evaluate_mod(v * Fraction(1, 3), pt) == 1
+        evaluate_mod([v * Fraction(1, PRIME)], [pt])
+    assert evaluate_mod([v * Fraction(1, 3)], [pt]) == [[1]]
     with pytest.raises(CoverageError):
-        evaluate_mod(v, {})
+        evaluate_mod([v], [{}])
 
 
 def test_evaluate_mod_reduces_a_term_of_many_large_factors():
     # twelve jets with values of 61 and of 100 bits, to powers from 60 to
     # 127, under a rational coefficient: the products that evaluate_mod
-    # reduces as they grow agree with exact evaluation
+    # reduces agree with exact evaluation
     rng = random.Random(63)
     jvs = [JetVariable(FieldId(f"u{i}"), (i % 2, 0, i % 3, 0)) for i in range(12)]
     term = reduce(lambda acc, jv: acc * DiffPoly.from_jet(jv, rng.randint(60, 127)), jvs, DiffPoly.const(Fraction(-3, 7)))
     e = term + term * v + DiffPoly.from_jet(jvs[0], 127)
-    for bits in (61, 100):
-        pt = {jv: rng.getrandbits(bits) for jv in jvs} | {V_JV: PRIME - 1}
-        assert evaluate_mod(e, pt) == _reduce(evaluate(e, pt))
-        assert evaluate_mod(JetQuotient(e, term), pt) == _reduce(evaluate(e, pt) / evaluate(term, pt))
+    pts = [{jv: rng.getrandbits(bits) for jv in jvs} | {V_JV: PRIME - 1} for bits in (61, 100)]
+    assert evaluate_mod([e, JetQuotient(e, term)], pts) == [
+        [_reduce(evaluate(e, pt)) for pt in pts],
+        [_reduce(evaluate(e, pt) / evaluate(term, pt)) for pt in pts],
+    ]
+
+
+def _mod_points():
+    # a value of GF(PRIME), or a small integer of either sign
+    return st.one_of(st.integers(0, PRIME - 1), st.integers(-9, 9))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_evaluate_mod_equals_exact_evaluation_at_many_points(data):
+    polys = [from_tree(t) for t in data.draw(st.lists(tree_nodes(), min_size=2, max_size=4))]
+    c = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    # the zero polynomial, a constant, and a Fraction coefficient on every term
+    polys += [ZERO, DiffPoly.const(c), polys[0] * Fraction(-5, 3)]
+    jvs = sorted({jv for e in polys for jv in e.jet_variables()}, key=jet_sort_key)
+    pts = [{jv: data.draw(_mod_points()) for jv in jvs} for _ in range(data.draw(st.integers(1, 6)))]
+    # the quotients of consecutive polynomials, where no point is on a pole
+    quotients = [JetQuotient(a, b) for a, b in zip(polys, polys[1:]) if not b.is_zero()]
+    quotients = [q for q in quotients if all(_reduce(evaluate(q.den, pt)) for pt in pts)]
+    exprs = polys + quotients
+    assert evaluate_mod(exprs, pts) == [[_reduce(evaluate(e, pt)) for pt in pts] for e in exprs]
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_evaluate_mod_raises_when_one_point_of_many_fails(n, data):
+    bad = data.draw(st.integers(0, n - 1))
+    pts = [{V_JV: data.draw(_mod_points()), JetVariable(W): data.draw(st.integers(1, PRIME - 2))} for _ in range(n)]
+    q = JetQuotient(v * v, w + 1)
+    exprs = [v * w + Fraction(1, 3), q]
+    assert evaluate_mod(exprs, pts[:bad] + pts[bad + 1:]) == [
+        [_reduce(evaluate(e, pt)) for pt in pts[:bad] + pts[bad + 1:]] for e in exprs
+    ]
+    # only the point at index bad lacks w
+    lacking = [pt if i != bad else {V_JV: 1} for i, pt in enumerate(pts)]
+    with pytest.raises(CoverageError):
+        evaluate_mod(exprs, lacking)
+    # only the point at index bad has w + 1 = PRIME, which vanishes mod PRIME
+    on_pole = [pt if i != bad else {**pt, JetVariable(W): PRIME - 1} for i, pt in enumerate(pts)]
+    with pytest.raises(PoleError):
+        evaluate_mod(exprs, on_pole)
+
+
+class _ThreeValues(random.Random):
+    """Draws only 0, 1 and 2, so poles coincide and points are redrawn."""
+
+    def randrange(self, n):
+        return super().randrange(3)
+
+
+@pytest.mark.parametrize("rng_type", [random.Random, _ThreeValues])
+def test_random_points_draw_the_per_draw_oracles_points(rng_type):
+    # 20 successive points of one stream, against 20 calls of the oracle
+    # on a generator in the same state; a pair outside the jets is ignored
+    fields = [FieldId(name) for name in ("v1", "v2", "w1", "a1")]
+    jvs = {JetVariable(f, d) for f in fields for d in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0))}
+    pairs = pole_pairs_for(fields[:3]) + [(JetVariable(FieldId("zz")), JetVariable(fields[0]))]
+    want_rng, got_rng = rng_type(41), rng_type(41)
+    stream = random_points(jvs, got_rng, pole_pairs=pairs)
+    for _ in range(20):
+        try:
+            want = random_point(jvs, want_rng, pole_pairs=pairs)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                next(stream)
+            break
+        assert list(next(stream).items()) == list(want.items())
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_eval_of_normalized_matches_tree_oracle():
