@@ -51,7 +51,17 @@ from contactlax.jetalg import (
 )
 from contactlax.laxfamilies import make_custom, make_family, make_ratgp
 from contactlax.sampling import pole_pairs_for
-from conftest import evaluate, from_p_coeffs, p, poly_div_exact, prational_sum, random_rational, rational_point, residue_oracle
+from conftest import (
+    evaluate,
+    from_p_coeffs,
+    p,
+    poly_div_exact,
+    prational_sum,
+    random_point,
+    random_rational,
+    rational_point,
+    residue_oracle,
+)
 
 
 def test_cc_single_field_no_p():
@@ -274,6 +284,30 @@ def test_a_flipped_constant_row_fails_the_derivation(monkeypatch, capsys, size):
     assert cli.main(["derive", "--family", "ratgp", "-m", str(size), "-n", str(size), "--form", "residues"]) == 1
     assert capsys.readouterr().err.startswith("verification failure:")
     assert len(flipped) == 1
+
+
+@pytest.mark.parametrize("family", ["rat", "ratgp"])
+def test_the_spot_check_draws_the_per_draw_oracles_points(monkeypatch, family):
+    # five points of the per-call sampler, each followed by p, drawn again
+    # while it hits a pole, from seed 60170: the one evaluate_mod call of a
+    # residue derive evaluates its terms at exactly these
+    lax = make_family(family, 2, 1)
+    seen, real = [], compat.evaluate_mod
+    monkeypatch.setattr(compat, "evaluate_mod", lambda exprs, points: seen.append(points) or real(exprs, points))
+    compat.residue_system(lax)
+    vs, ws = lax.pole_fields()
+    poles = [JetVariable(f) for f in (*vs, *ws)]
+    # each field and its four first derivatives
+    indices = [(0, 0, 0, 0)] + [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    jvs = {JetVariable(f, d) for f in lax.fields for d in indices}
+    rng, want = random.Random(60170), []
+    for _ in range(5):
+        want.append(random_point(jvs, rng, pole_pairs=pole_pairs_for((*vs, *ws))))
+        pval = rng.randrange(PRIME)
+        while any(pval == want[-1][pj] for pj in poles):
+            pval = rng.randrange(PRIME)
+    assert len(seen) == 1
+    assert [list(pt.items()) for pt in seen[0]] == [list(pt.items()) for pt in want]
 
 
 def _rows(family, m, n, dimension="3+1"):
