@@ -129,7 +129,7 @@ def stack_plan(jets, grid: Grid) -> tuple:
 _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
 # the names generated code reads, given to it when it is compiled
-_GENERATED_NAMES = {name: getattr(np, name) for name in (*_UFUNCS.values(), "broadcast", "broadcast_shapes", "empty", "positive")}
+_GENERATED_NAMES = {name: getattr(np, name) for name in (*_UFUNCS.values(), "empty", "positive", "shape")}
 
 
 class _Code:
@@ -140,7 +140,7 @@ class _Code:
     polynomial compiled before, or its negative, is not compiled again."""
 
     def __init__(self, jets):
-        self.index = {key: i for i, key in enumerate(jets)}  # jet -> argument j<i>
+        self.index = {key: i for i, key in enumerate(jets)}  # jet -> its entry j<i> of the sequence J
         self.ops = {}  # (left, operator, right) -> target, in emission order
         self.compiled = {}  # the terms of each polynomial given its Horner form -> its operand
 
@@ -206,13 +206,11 @@ class _Code:
         return acc
 
     def function(self, name: str, outputs) -> str:
-        """Source of ``def name(j0, j1, ...)``, returning the outputs as
-        new arrays (or floats): an input or a repeated output is returned
-        through ``positive``.  Every other temporary is written into a
-        slot s<k>: the slots are allocated once per call at the
-        arguments' broadcast shape, taken by one np.broadcast per 64
-        arguments (the most it accepts), and a slot is reused once the
-        temporary it holds has had its last read."""
+        """Source of ``def name(J)``, which unpacks the jet sequence J into
+        j0, j1, ... and returns the outputs as new arrays (or floats): an
+        input or a repeated output through ``positive``, every other
+        temporary from a slot s<k>, allocated once per call at the shape of
+        j0 and reused once the temporary it holds has had its last read."""
         outs = [(self._emit(0.0, "-", a) if isinstance(a, str) else -a) if neg else a for a, neg in outputs]
         last = {v: t for (a, _, b), t in self.ops.items() for v in (a, b) if isinstance(v, str)}
         local, slots, free = {}, [], []  # temporary -> its slot; all slots; the slots free for reuse
@@ -229,12 +227,11 @@ class _Code:
                 slots.append(free[-1])
             local[t] = free.pop()
             body.append(f"    {call}, out={local[t]})")
-        args = [f"j{i}" for i in self.index.values()]
-        lines = [f"def {name}({', '.join(args)}):", *(f"    # j{i} = {key!r}" for key, i in self.index.items())]
+        lines = [f"def {name}(J):", *(f"    # j{i} = {key!r}" for key, i in self.index.items())]
+        if self.index:  # one jet unpacks as "j0, = J"
+            lines.append(f"    {', '.join(f'j{i}' for i in self.index.values())}{',' * (len(self.index) == 1)} = J")
         if slots:
-            shapes = [f"broadcast({', '.join(args[i:i + 64])}).shape" for i in range(0, len(args), 64)]
-            lines.append(f"    size = {shapes[0] if len(shapes) == 1 else 'broadcast_shapes(' + ', '.join(shapes) + ')'}")
-            lines += [f"    {v} = empty(size)" for v in slots]
+            lines += ["    size = shape(j0)", *(f"    {v} = empty(size)" for v in slots)]
         rets = [f"positive({o})" if isinstance(o, str) and (o[0] == "j" or o in outs[:i]) else text(o)
                 for i, o in enumerate(outs)]
         return "\n".join([*lines, *body, f"    return ({''.join(r + ', ' for r in rets)})\n"])
@@ -246,14 +243,14 @@ class _Code:
 @dataclass(frozen=True)
 class CompiledSystem:
     """The T-solve and the original-form equations as generated NumPy
-    functions of their jets; the source is kept for reading."""
+    functions of one jet sequence each; the source is kept for reading."""
 
     unknowns: tuple[str, ...]
     pivots: tuple[int, ...]  # pivots[c]: the row that pivots column c, proven mod p
-    required_jets: tuple[tuple[str, tuple], ...]  # the arguments of rhs_source, in order
+    required_jets: tuple[tuple[str, tuple], ...]  # the entries of the sequence rhs takes
     pole_pairs: tuple[tuple[str, str], ...]
     rhs_source: str
-    residual_jets: tuple[tuple[str, tuple], ...]  # the arguments of residual_source, in order
+    residual_jets: tuple[tuple[str, tuple], ...]  # the entries of the sequence residual takes
     residual_source: str | None  # the original-form equations, if recorded
 
     def __post_init__(self):
@@ -266,8 +263,8 @@ class CompiledSystem:
     def __reduce__(self):  # the generated functions are rebuilt from their source
         return CompiledSystem, tuple(getattr(self, f.name) for f in fields(self))
 
-    def rhs_from_jets(self, jets: dict) -> dict:
-        return dict(zip(self.unknowns, self._rhs(*map(jets.__getitem__, self.required_jets))))
+    def rhs_from_jets(self, J) -> tuple:
+        return self._rhs(J)
 
 
 def _jets(exprs) -> tuple:
@@ -364,7 +361,7 @@ class Mode:
 
 @dataclass(frozen=True)
 class HarmonicField:
-    """mean + sum of travelling cosine modes; every jet is closed-form."""
+    """mean + sum of travelling cosine modes; every jet is closed-form and grid-shaped."""
 
     mean: float
     modes: tuple[Mode, ...] = ()
@@ -380,7 +377,7 @@ class HarmonicField:
                 coef *= (2 * np.pi * md.k[ax]) ** didx[ax]
             coef *= (-md.omega) ** didx[3]
             total = total + coef * np.cos(theta + order * np.pi / 2)
-        return total if isinstance(total, np.ndarray) else np.asarray(total)
+        return np.broadcast_to(total, np.broadcast_shapes(*map(np.shape, coords)))
 
     def value(self, coords, T: float):
         return self.jet((0, 0, 0, 0), coords, T)
@@ -450,10 +447,12 @@ def _min_pole_distance(y: np.ndarray, pairs) -> float:
 def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float, spatial: str = "spectral",
               guard: float = 0.1, forcing=None, monitor_every: int = 1) -> Trajectory:
     """Method-of-lines advance in T from T = 0.  ``forcing`` maps (coords,
-    T) to a dict of arrays added to the T-derivatives (manufactured runs).
-    Each state is one (field, nx, ny, nz) stack in the order of
+    T) to arrays added to the slopes (manufactured runs).  The slopes, and
+    each state's (field, nx, ny, nz) stack, are in the order of
     cs.unknowns; of the monitored states only the last three are kept,
     and a monitored step checks and measures its new stack as a whole."""
+    if spatial not in SPATIAL_OPS:
+        raise CompileError(f"unknown spatial operator {spatial!r}: expected one of {', '.join(SPATIAL_OPS)}")
     if monitor_every < 1:
         raise CompileError("monitor_every must be at least 1")
     if steps < 0:
@@ -466,28 +465,28 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     plan = stack_plan(cs.required_jets, grid)
     coords = grid.coords()
     size = (len(cs.unknowns), *grid.shape)
-    field = {u: i for i, u in enumerate(cs.unknowns)}
-    poles = [(field[v], field[w]) for v, w in cs.pole_pairs]
+    poles = [tuple(map(cs.unknowns.index, pair)) for pair in cs.pole_pairs]
     # the stage states s2, s3, s4, each spatial derivative of a stacked
     # state and one field's sum of the slopes are written into these
     # buffers, which never enter the window; the window holds the states
     # themselves, so each step's new state is a fresh stack
     stage, slopes = np.empty(size), np.empty(grid.shape)
     derivs = {d: np.empty(size) for d, *_ in plan}
+    # the jet sequence, built once: views into derivs, and the order-0 jets at level, which rhs points at y
+    J = [derivs[d[:3]][cs.unknowns.index(name)] if any(d[:3]) else None for name, d in cs.required_jets]
+    level = [(k, cs.unknowns.index(name)) for k, (name, d) in enumerate(cs.required_jets) if not any(d[:3])]
 
     def rhs(y, T):  # the slopes at the stacked state y: one product per spatial multi-index over all fields
-        stacks = {(0, 0, 0): y}
         for d, parent, axis, h in plan:
-            stacks[d] = op(stacks[parent], axis, h, out=derivs[d])
-        vals = cs.rhs_from_jets({(name, d): stacks[d[:3]][field[name]] for name, d in cs.required_jets})
-        if forcing is not None:
-            g = forcing(coords, T)
-            vals = {u: vals[u] + g[u] for u in vals}
-        return vals
+            op(derivs.get(parent, y), axis, h, out=derivs[d])
+        for k, i in level:
+            J[k] = y[i]
+        vals = cs.rhs_from_jets(J)
+        return vals if forcing is None else tuple(v + g for v, g in zip(vals, forcing(coords, T)))
 
     def stage_state(y, k, h):  # y + h * k
-        for i, u in enumerate(cs.unknowns):
-            np.add(y[i], np.multiply(h, k[u], out=stage[i]), out=stage[i])
+        for i, ki in enumerate(k):
+            np.add(y[i], np.multiply(h, ki, out=stage[i]), out=stage[i])
         return stage
 
     def rk4_step(y, T):  # the slopes are released on return, before any monitor runs
@@ -496,10 +495,10 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
         k3 = rhs(stage_state(y, k2, 0.5 * dt), T + 0.5 * dt)
         k4 = rhs(stage_state(y, k3, dt), T + dt)
         new = np.empty(size)
-        for i, u in enumerate(cs.unknowns):  # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-            acc = np.add(k1[u], np.multiply(2, k2[u], out=slopes), out=slopes)
-            np.add(acc, np.multiply(2, k3[u], out=stage[i]), out=acc)
-            np.add(acc, k4[u], out=acc)
+        for i, (s1, s2, s3, s4) in enumerate(zip(k1, k2, k3, k4)):  # y + dt/6 (s1 + 2 s2 + 2 s3 + s4), in that order
+            acc = np.add(s1, np.multiply(2, s2, out=slopes), out=slopes)
+            np.add(acc, np.multiply(2, s3, out=stage[i]), out=acc)
+            np.add(acc, s4, out=acc)
             np.add(y[i], np.multiply(dt / 6.0, acc, out=acc), out=new[i])
         return new
 
@@ -574,7 +573,7 @@ def residual_original_form(cs: CompiledSystem, traj: Trajectory) -> float:
             u = u_T[i] + u if d[1] else u_T[i] - u
         jets.append(u)
     stacks = u_T = None  # the Y-derivatives and u_T are not held through the residual's call
-    rs = [np.asarray(r) for r in cs._residual(*jets)]
+    rs = [np.asarray(r) for r in cs._residual(jets)]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))
 
 
@@ -638,8 +637,7 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
             hf = HarmonicField(_finite(name, "mean", fz.get("mean", 0.0)), modes)
         else:
             raise CompileError(f"bad initial-data entry for {name}")
-        arr = hf.value(coords, 0.0)
-        out[name] = np.broadcast_to(np.asarray(arr, dtype=float), shape).copy()
+        out[name] = hf.value(coords, 0.0).copy()
     return out
 
 
@@ -648,11 +646,11 @@ def load_initial_data(spec: dict, unknowns, coords) -> dict:
 
 def make_forcing(cs: CompiledSystem, exact: dict):
     """Forcing that turns the manufactured fields into an exact solution:
-    g = u_T(exact) - R(exact jets), all jets analytic."""
+    g = u_T(exact) - R(exact jets) per unknown, all jets analytic."""
 
     def forcing(coords, T):
-        vals = cs.rhs_from_jets({(n, d): exact[n].jet(d, coords, T) for n, d in cs.required_jets})
-        return {u: exact[u].jet((0, 0, 0, 1), coords, T) - vals[u] for u in cs.unknowns}
+        vals = cs.rhs_from_jets([exact[n].jet(d, coords, T) for n, d in cs.required_jets])
+        return tuple(exact[u].jet((0, 0, 0, 1), coords, T) - v for u, v in zip(cs.unknowns, vals))
 
     return forcing
 

@@ -445,5 +445,5 @@ def residual_oracle(cs, times, snapshots, grid) -> float:
                 u_T = (h0 * h0 * (nxt[name] - cur[name]) + h1 * h1 * (cur[name] - prev[name])) / (h0 * h1 * (h0 + h1))
                 u = u_T + u if d[1] else u_T - u
             jets[name, d] = u
-    rs = [np.asarray(r) for r in cs._residual(*map(jets.get, cs.residual_jets))]
+    rs = [np.asarray(r) for r in cs._residual([jets[key] for key in cs.residual_jets])]
     return math.sqrt(sum(float(np.sum(r ** 2)) for r in rs) / sum(r.size for r in rs))

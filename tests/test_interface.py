@@ -361,6 +361,19 @@ def test_simulate_impossible_step_parameters_exit_2(tmp_path, capsys, params, me
     assert "integration" not in rep["verdicts"]
 
 
+def test_integrate_refuses_an_unknown_spatial_operator():
+    # the CLI's --spatial choices refuse one on the command line; integrate
+    # refuses it like the step parameters above, naming the operators
+    from contactlax import numeric
+
+    cs = numeric.compile_system(ck_transform(derive("rat", 1, 1, form="residues")))
+    grid = numeric.Grid((8, 8, 8))
+    state = numeric.load_initial_data({u: {"constant": c} for u, c in zip(cs.unknowns, (-1.0, 1.0, 1.0, 0.5))},
+                                      cs.unknowns, grid.coords())
+    with pytest.raises(numeric.CompileError, match="^unknown spatial operator 'fd4': expected one of spectral, fd2$"):
+        numeric.integrate(cs, grid, state, 1, 0.01, spatial="fd4")
+
+
 _XYZT = ["X", "Y", "Z", "T"]
 
 

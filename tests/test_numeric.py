@@ -83,6 +83,12 @@ def grid_jets(state, jets, grid, op):
     return out
 
 
+def grid_rhs(cs, state, grid, op):
+    """cs's slopes at the state by name, its jet sequence taken from
+    grid_jets."""
+    return dict(zip(cs.unknowns, cs.rhs_from_jets(list(grid_jets(state, cs.required_jets, grid, op).values()))))
+
+
 def constant_state(grid, values=(-1.0, 1.0, 1.0, 0.5)):
     names = ("v1", "w1", "a1", "b1")
     return {nm: np.full(grid.shape, val) for nm, val in zip(names, values)}
@@ -162,7 +168,7 @@ def test_rk4_matches_the_allocating_form(cs, spatial):
     traj = integrate(cs, grid, state, 5, dt, spatial=spatial, monitor_every=1)
 
     def f(st):
-        return cs.rhs_from_jets(grid_jets(st, cs.required_jets, grid, op))
+        return grid_rhs(cs, st, grid, op)
 
     want = [state]
     for _ in range(5):
@@ -178,6 +184,32 @@ def test_rk4_matches_the_allocating_form(cs, spatial):
     arrays = [a for snap in traj.snapshots for a in snap.values()]
     assert len(arrays) == 3 * len(cs.unknowns)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+@pytest.mark.parametrize("spatial", ["spectral", "fd2"])
+def test_integrate_builds_one_jet_sequence_per_run(cs, spatial, monkeypatch):
+    # every call of the rhs gets the sequence built at the start of the
+    # run, with the same derivative arrays in it, and returns slopes in
+    # memory of their own
+    calls, rhs_from_jets = [], numeric.CompiledSystem.rhs_from_jets
+
+    def spy(self, J):
+        out = rhs_from_jets(self, J)
+        calls.append((J, list(J), out))
+        return out
+
+    monkeypatch.setattr(numeric.CompiledSystem, "rhs_from_jets", spy)
+    grid = Grid((9, 10, 12))
+    coords = grid.coords()
+    state = {u: SMOOTH_INIT[u].value(coords, 0.0) + np.zeros(grid.shape) for u in cs.unknowns}
+    integrate(cs, grid, state, 5, 0.005, spatial=spatial, monitor_every=1)
+    assert len(calls) == 4 * 5
+    (J, first, _), derivatives = calls[0], [k for k, (_, d) in enumerate(cs.required_jets) if any(d)]
+    assert derivatives
+    for seq, entries, out in calls:
+        assert seq is J
+        assert all(entries[k] is first[k] for k in derivatives)
+        assert not any(np.shares_memory(o, e) for o in out for e in entries)
 
 
 def test_integration_matches_fft_oracle_run(cs, monkeypatch):
@@ -233,7 +265,8 @@ def _assert_matches_exact(sys, cs, rng, pairs=(), points=10, forward=True):
     for _ in range(points):
         pt = rational_point(jvs, rng, pole_pairs=pairs)
         mat, rhs = _exact_t_system(sys, pt)
-        got = cs.rhs_from_jets({(jv.field.name, jv.d): float(pt[jv]) for jv in jvs})
+        got = dict(zip(cs.unknowns, cs.rhs_from_jets([float(pt[JetVariable(FieldId(name), d)])
+                                                      for name, d in cs.required_jets])))
         x = [Fraction(got[u]) for u in cs.unknowns]
         for row, b in zip(mat, rhs):
             residual = abs(sum(a * xi for a, xi in zip(row, x)) - b)
@@ -266,7 +299,7 @@ def test_residual_code_matches_exact_eval(cs, rng):
     jvs = {jv for eq in original.equations for jv in eq.jet_variables()}
     for _ in range(10):
         pt = rational_point(jvs, rng, pole_pairs=[(JetVariable(FieldId("v1")), JetVariable(FieldId("w1")))])
-        got = cs._residual(*(float(pt[JetVariable(FieldId(name), d)]) for name, d in cs.residual_jets))
+        got = cs._residual([float(pt[JetVariable(FieldId(name), d)]) for name, d in cs.residual_jets])
         for g, eq in zip(got, original.equations):
             want = float(evaluate(eq, pt))
             assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
@@ -281,13 +314,13 @@ def test_generated_code_stays_flat_on_a_long_chain(rng):
     sys = PDESystem((u,), CK_INDEPENDENTS, ((JetQuotient(jet(u, (0, 0, 0, 1)) - sum(products[1:], products[0])),),), {})
     cs = compile_system(sys)
     _assert_matches_exact(sys, cs, rng, points=3)
-    body = cs.rhs_source.splitlines()[1:]
+    header, *body = cs.rhs_source.splitlines()
     ufunc = r"(add|subtract|multiply|divide)\([^(), ]+, [^(), ]+"
-    # the slot shape: one np.broadcast per 64 arguments, the most it
-    # takes, so seven here
-    shape = r"broadcast\((j\d+(, )?){1,64}\)\.shape"
-    assert cs.rhs_source.count("broadcast(") == 7
-    assert all(re.fullmatch(rf"    (# .*|size = ({shape}|broadcast_shapes\(({shape}(, )?)+\))|s\d+ = empty\(size\)"
+    # one jet sequence, unpacked in one line, and the slot shape that of
+    # its first jet, however many jets there are
+    assert header == "def rhs(J):" and "broadcast" not in cs.rhs_source
+    assert f"    {', '.join(f'j{i}' for i in range(401))} = J" in body
+    assert all(re.fullmatch(rf"    (# .*|(j\d+, )+j\d+ = J|size = shape\(j0\)|s\d+ = empty\(size\)"
                             rf"|{ufunc}, out=s\d+\)|t\d+ = {ufunc}\)|return \(.*\))", line) for line in body)
 
 
@@ -307,7 +340,7 @@ def test_code_reuses_compiled_polynomials():
     namespace = dict(_GENERATED_NAMES)
     exec(code.function("f", outs), namespace)
     pt = {"a": Fraction(3, 7), "b": Fraction(-5, 2), "v": Fraction(2, 9), "w": Fraction(11, 13)}
-    got = namespace["f"](*map(float, pt.values()))
+    got = namespace["f"]([float(x) for x in pt.values()])
     at = {JetVariable(FieldId(k)): x for k, x in pt.items()}
     for g, e in zip(got, exprs):
         want = float(evaluate(e, at))
@@ -345,11 +378,11 @@ def _term_compiled_errors(sys, expanded):
     largest absolute difference over the largest magnitude."""
     cs, grid = compile_system(sys), Grid((8, 8, 8))
     state = _smooth_state(cs.unknowns, grid)
-    got, want = (c.rhs_from_jets(grid_jets(state, c.required_jets, grid, spectral_diff)) for c in (cs, expanded))
+    got, want = (grid_rhs(c, state, grid, spectral_diff) for c in (cs, expanded))
     assert cs.residual_jets == expanded.residual_jets
     # the residual's jets, with a y- or t-jet standing in for itself
     jets = list(grid_jets(state, cs.residual_jets, grid, spectral_diff).values())
-    pairs = [*((got[u], want[u]) for u in cs.unknowns), *zip(cs._residual(*jets), expanded._residual(*jets))]
+    pairs = [*((got[u], want[u]) for u in cs.unknowns), *zip(cs._residual(jets), expanded._residual(jets))]
     rel = [float(np.max(np.abs(g - w)) / np.max(np.abs(w))) for g, w in pairs]
     return max(rel[:len(cs.unknowns)]), max(rel[len(cs.unknowns):])
 
@@ -404,34 +437,34 @@ def test_a_flipped_term_fails_the_term_compiled_oracle():
 
 
 # SHA-256 of the generated rhs and residual sources of systems compiled
-# from their equations alone: the coefficient forms give the same
-# characters as before terms were recorded, and a residue form's summed
-# rows compile to plain Horner forms, reusing only a polynomial or its
-# negative
+# from their equations alone: below their headers, the coefficient forms
+# give the same characters as before terms were recorded, and a residue
+# form's summed rows compile to plain Horner forms, reusing only a
+# polynomial or its negative
 _UNTERMED_SOURCES = {
-    (1, 1, "coefficients"): ("d2e58586ab61b107d7cc3d0f6bd2388f76acde85dbf05ac9da4e2b81c7770afc",
-                             "83403f4ebb99344a1ab6c8e116835a189fbca6e0524cc17e101ad796c393f2ec"),
-    (2, 1, "coefficients"): ("187b226855a92f7d0ab948789b12f49251e5e341229eaff43bca1556b14c34e4",
-                             "686737bf4ff94bd72754bd0620829dc83415ecc99a682c223ff8eb4d7b9d4e72"),
-    (1, 1, "residues"): ("caa9c0fea93cacbb72ea6aa84dece52e4717f78a2d5afbdeed355d9f66bca56b",
-                         "1f41e007831e6227ce5206a61727b735063385c870aba7b5160f6d51ea69feb3"),
-    (2, 1, "residues"): ("9b3bf2a3ba2c412cde2f606e2910a5e8588f9446791601fe531ad49a757a3531",
-                         "11b84155b4356c31c5952da7552a941bfe943af8534e089d6db10372840f91a3"),
+    (1, 1, "coefficients"): ("588d86c12c62ebff7b4d45adf5e4d4af4dedb95ecdbfa6d3abd6b5805e94a499",
+                             "794ce96c5b67d52124297ae553073527c739092e8be0a32aeee2098863e8cbb3"),
+    (2, 1, "coefficients"): ("fffb3cb27320816a13f3e3c2bde14ec6b19bba6a38127453074ea8c88e4e067c",
+                             "e6465205a70c6fa4c4e00c29e269f3288de5e9dc9a215a9f38f0eb69230456cc"),
+    (1, 1, "residues"): ("23a0a7276369f4e256ab407863200ffcf92d95d3d64fb78fa264dd39316e165e",
+                         "077a488232b4bd8b3a87978c94c8e3010abc8ff384edad20985a8b9d4adfc3cb"),
+    (2, 1, "residues"): ("8abcede6ea0123628e89ce7aa663a4b2da35b1d81fe5b7ed223fa06f4a259f0a",
+                         "96952e52e4b18a07b603c83fad26dc9da5e7c4aaf8aa2c2a48e4688f257bb9d5"),
 }
 
 # the same digests of rat residue systems compiled from their two-pole
 # terms, as simulate compiles them
 _TERM_COMPILED_SOURCES = {
-    (1, 1): ("e46f564300d3a8d44046626e3d6168c2a4f8f2429933aa880deaf778c4f9e974",
-             "4832a939ddeb2b53b2b5e252e24a555d1c4b2c1d0d38ddf81b311e163ecbbd46"),
-    (2, 1): ("e8e54869c4115743bc1d67e876460deaf0ff6b9eff062cad46b75d08535dc004",
-             "baf7f9255be573dfee3fa2a3db0f1408dfabef736d466b67b8621db43ec12aae"),
-    (1, 2): ("5e89d4693efe504ee30ec66b441c71025772cd589a79d94900478a1b744746b8",
-             "cc76f1c826c194859400667ae2043f5f70e6973ab72b22d0f0fe68db788e2d18"),
-    (2, 2): ("9cd712e204018b4d625b424208d9f86fbae2964b4c127dbad8092ede6154a07a",
-             "d2b227665a1bb5e8420ad2c4f9422d6acde3a7897b18f11345f82290162078e9"),
-    (3, 3): ("b32289fd02f659d89a9828393ed357347d6cbcdb252208cc3cf0c6e84ccfe3ba",
-             "00df1019281e7befafe932d6bafcee645cc5e02b5fdce6b013e7b99f3887b3df"),
+    (1, 1): ("a06f4d5cb309b997ad410534c0476ff87ff826c27817b1f83f21ac7521822752",
+             "3e244c78389e1ac8e94fe95b19ba75d70e6fc3b22342b2c117811d71bafe7418"),
+    (2, 1): ("999ad641d9ae99e33905d391cb7fc02d79b535e4028347ad44d1c26aaed7b8b3",
+             "afab4b7a5c73c3b1f0caffb2f215ef5b287a2ebacbb4bc64885a45c954e4cf08"),
+    (1, 2): ("93b24f5ca3942ea8e9338c3d31648b20475985d03ffe4f5ad225b4c1d9a14674",
+             "e91e97e421fa53cbc30101352a1d8680f5260f322699a0ac96c74aadb65b236f"),
+    (2, 2): ("b9110304e3452d12a4ad432811528cfbb4faadd257eeea8cfb775e2a6be995ba",
+             "2fe46f60f0f33f76d529f3bfef00c77a9839137d6098bb3c8648a27e0b5cc535"),
+    (3, 3): ("95a3f09c290a7c22444669e4b2502fb2e490a2cc0e5b16c7441da9167aaf2140",
+             "26a7b8c14325826520b86c181e3e2206561f5602aaedddd338c08ff3fdaf095c"),
 }
 
 
@@ -481,7 +514,7 @@ def test_term_compiled_sources_are_pinned(m, n):
 def test_compiled_system_pickles_by_source(cs):
     back = pickle.loads(pickle.dumps(cs))
     assert back == cs
-    jets = {key: 0.5 + i for i, key in enumerate(cs.required_jets)}
+    jets = [0.5 + i for i in range(len(cs.required_jets))]
     assert back.rhs_from_jets(jets) == cs.rhs_from_jets(jets)
 
 
@@ -513,18 +546,14 @@ def test_generated_functions_keep_their_contract(system, cs):
         for a in args:
             a.flags.writeable = False
         before = [a.copy() for a in args]
-        first, second = fn(*args), fn(*args)
+        first, second = fn(args), fn(args)
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
         outs = [*first, *second]
         assert all(np.shape(o) == (8, 8, 8) for o in outs)
         for i, o in enumerate(outs):
             assert not any(np.shares_memory(o, x) for x in [*args, *outs[i + 1:]])
-        # Python floats, and arguments of shapes that broadcast to the grid
-        assert [float(o) for o in fn(*(float(a[1, 2, 3]) for a in args))] == [o[1, 2, 3] for o in first]
-        parts = [a[:, :1, :1] if i % 3 == 0 else a[:1, :, :1] if i % 3 == 1 else float(a[0, 0, 0])
-                 for i, a in enumerate(args)]
-        full = fn(*(np.broadcast_to(x, (8, 8, 8)).copy() for x in parts))
-        assert all(np.array_equal(np.broadcast_to(g, (8, 8, 8)), w) for g, w in zip(fn(*parts), full))
+        # Python floats
+        assert [float(o) for o in fn([float(a[1, 2, 3]) for a in args])] == [o[1, 2, 3] for o in first]
 
 
 def _t_rows_system(t_rows):
@@ -570,8 +599,7 @@ def test_coefficient_form_compiles_and_matches_residue_form(m, n):
     resid = compile_system(ck_transform(derive("rat", m, n, form="residues")))
     grid = Grid((16, 16, 16))
     state = _smooth_state(resid.unknowns, grid)
-    got = coeff.rhs_from_jets(grid_jets(state, coeff.required_jets, grid, spectral_diff))
-    want = resid.rhs_from_jets(grid_jets(state, resid.required_jets, grid, spectral_diff))
+    got, want = (grid_rhs(c, state, grid, spectral_diff) for c in (coeff, resid))
     for u in resid.unknowns:
         assert np.max(np.abs(got[u] - want[u])) <= 1e-10 * np.max(np.abs(want[u]))
 
