@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 pass (including adjudicated
 mismatch-reported comparisons), 1 verification failure, 2 usage or
 parameter error, 3 numerical abort.  A command records its verdicts and
 returns when it passes, and raises otherwise; `_run` alone maps what it
-raises to an exit code and to the report's `error`.
+raises to an exit code and to the report's `error`, an engine error by
+the exit code and prefix its class names in `errors`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .compat import (
     reduce_2plus1,
     reduce_system,
 )
-from .jetalg import PoleError, jet, p_coefficients
+from .errors import PREFIXES, CheckFailed, EngineError, ParameterError, PoleError
+from .jetalg import jet, p_coefficients
 from .laxfamilies import check_params, make_family
 from .latexout import laxpair_latex, system_latex
-from .pfield import CompileError, NumericAbortError, ParameterError, PoleProximityError
 from .serialize import laxpair_dumps, pdesystem_dumps, pdesystem_from_json
 
 
@@ -98,10 +99,6 @@ def _check_outputs(args) -> None:
         raise ParameterError(f"--{opt.replace('_', '-')} {path} {problem}")
 
 
-class CheckFailed(Exception):
-    """A verification check came out false."""
-
-
 def _check(rep: RunReport, key: str, ok: bool, verdict: str = "pass") -> None:
     """Record a passed check's verdict under key, or raise CheckFailed."""
     if not ok:
@@ -119,16 +116,16 @@ def _run(args) -> int:
         _check_outputs(args)
         args.fn(args, rep)
         code = 0
-    except (ParameterError, CompileError, OSError) as e:
+    except EngineError as e:
+        if e.exit_code is None:  # raised outside an input file's parse: an engine bug
+            raise
+        code, rep.error = e.exit_code, f"{PREFIXES[e.exit_code]}: {e}"
+    except OSError as e:
         code, rep.error = 2, f"parameter error: {e}"
     except MemoryError as e:
         # a grid or system too large for this machine, refused by NumPy
         # (or Python) as it asks for the memory
         code, rep.error = 2, f"parameter error: out of memory: {e}"
-    except (PoleProximityError, NumericAbortError) as e:
-        code, rep.error = 3, f"numerical abort: {e}"
-    except (CheckFailed, compat.DerivationError, compat.TransformDegenerateError, gauge.GaugeError) as e:
-        code, rep.error = 1, f"verification failure: {e}"
     rep.seconds = time.perf_counter() - t0
     try:
         _print_outcome(rep, args)

@@ -33,6 +33,7 @@ from itertools import islice
 from math import comb, prod
 from types import MappingProxyType
 
+from .errors import DerivationError, ParameterError, StructureError, TransformDegenerateError
 from .jetalg import (
     ONE,
     P,
@@ -44,7 +45,6 @@ from .jetalg import (
     FieldId,
     JetQuotient,
     JetVariable,
-    StructureError,
     content,
     decompose_by_jets,
     evaluate_mod,
@@ -63,7 +63,6 @@ from .jetalg import (
     total_derivative_q,
 )
 from .laxfamilies import LaxPair, POLY, RAT, RATGP, make_family
-from .pfield import ParameterError
 from .sampling import pole_pairs_for, random_points
 
 PSI = FieldId("psi", WAVE)
@@ -73,15 +72,6 @@ XYT = ("x", "y", "t")
 _UNIT = {s: tuple(int(i == k) for i in range(4)) for k, s in enumerate(XYZT)}  # first-order multi-indices
 CK_INDEPENDENTS = ("X", "Y", "Z", "T")
 CK_SEED = 20240211  # the seed of the T-solvability witness point
-
-
-class DerivationError(RuntimeError):
-    """Wave-function jets failed to cancel, or the two derivation paths
-    disagree: a malformed pair or an engine bug."""
-
-
-class TransformDegenerateError(RuntimeError):
-    """The T-jet coefficient matrix is singular at the witness point."""
 
 
 # -- p and the wave-function jets ---------------------------------------------
@@ -347,6 +337,13 @@ def _pole_rows(side, other, direction: str, planar: bool):
         yield pole, (order1, order2)
 
 
+def constant_row(a0: JetQuotient, b0: JetQuotient, planar: bool = False) -> list[JetQuotient]:
+    """The addends of the p -> oo row, a0_t - b0_y + a0 b0_z - b0 a0_z,
+    without the z-terms in the plane."""
+    terms = [total_derivative_q(a0, "t"), -total_derivative_q(b0, "y")]
+    return terms if planar else [*terms, a0 * total_derivative_q(b0, "z"), -(b0 * total_derivative_q(a0, "z"))]
+
+
 def residue_system(lax: LaxPair) -> PDESystem:
     """A rational pair's compatibility content organized the way the
     published system is: order-2 then order-1 residue equations at each
@@ -365,11 +362,8 @@ def residue_system(lax: LaxPair) -> PDESystem:
     # (pole field, (order-1 terms, order-2 terms))
     rows = list(_pole_rows(side_f, side_g, "t", planar))
     rows += [(f, tuple([-t for t in ts] for ts in terms)) for f, terms in _pole_rows(side_g, side_f, "y", planar)]
-    # only the constants a0, b0 are regular at p = oo: a0_t - b0_y + a0 b0_z - b0 a0_z survives
-    a0, b0 = (JetQuotient(jet(c)) if c else JetQuotient(ZERO) for c, _ in lax.pole_data)
-    const_terms = [total_derivative_q(a0, "t"), -total_derivative_q(b0, "y")]
-    if not planar:
-        const_terms += [a0 * total_derivative_q(b0, "z"), -(b0 * total_derivative_q(a0, "z"))]
+    # only the constants a0, b0 are regular at p = oo
+    const_terms = constant_row(*(JetQuotient(jet(c) if c else ZERO) for c, _ in lax.pole_data), planar)
     _residue_spot_check(const_terms, rows, lax)
     # only ratgp has constants; then a0_t, which no other addend reads, keeps the row nonzero
     terms, labels = ([const_terms], ["constant"]) if any(c for c, _ in lax.pole_data) else ([], [])

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .compat import PSI, p_form, wave_form
+from .compat import PSI, constant_row, p_form, wave_form
+from .errors import GaugeError, StructureError
 from .jetalg import (
     POTENTIAL,
     WAVE,
@@ -28,14 +29,12 @@ from .jetalg import (
     FieldId,
     JetQuotient,
     JetVariable,
-    StructureError,
     jet,
     jets_of_field,
     linear_coefficient,
     p_coefficients,
     substitute,
     to_tree,
-    total_derivative_q,
 )
 from .laxfamilies import LaxPair, RAT, RATGP, make_ratgp
 
@@ -45,20 +44,10 @@ A0 = FieldId("a0")
 B0 = FieldId("b0")
 
 
-class GaugeError(RuntimeError):
-    """Gauge incompatibility or a failed gauge-removal verification."""
-
-
 def gauge_residual(a0: JetQuotient | DiffPoly, b0: JetQuotient | DiffPoly) -> JetQuotient:
-    """Normal form of (a0)_t - (b0)_y - b0 (a0)_z + a0 (b0)_z."""
-    a0 = a0 if isinstance(a0, JetQuotient) else JetQuotient(a0)
-    b0 = b0 if isinstance(b0, JetQuotient) else JetQuotient(b0)
-    return (
-        total_derivative_q(a0, "t")
-        - total_derivative_q(b0, "y")
-        - b0 * total_derivative_q(a0, "z")
-        + a0 * total_derivative_q(b0, "z")
-    )
+    """Normal form of (a0)_t - (b0)_y - b0 (a0)_z + a0 (b0)_z, the sum of
+    compat.constant_row."""
+    return sum(constant_row(*(q if isinstance(q, JetQuotient) else JetQuotient(q) for q in (a0, b0))))
 
 
 def potential_solution() -> tuple[JetQuotient, JetQuotient]:

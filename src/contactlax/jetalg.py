@@ -28,6 +28,8 @@ from functools import reduce
 from operator import itemgetter, mul, or_
 from types import MappingProxyType
 
+from .errors import CoverageError, PoleError, StructureError
+
 DIRS = ("x", "y", "z", "t")
 _AXIS = {"x": 0, "y": 1, "z": 2, "t": 3, "X": 0, "Y": 1, "Z": 2, "T": 3}
 ZERO_INDEX = (0, 0, 0, 0)
@@ -36,18 +38,6 @@ FIELD = "field"
 POTENTIAL = "potential"
 WAVE = "wave-function"
 PARAMETER = "parameter"
-
-
-class StructureError(ValueError):
-    """Malformed expression tree or non-terminating rewrite."""
-
-
-class CoverageError(LookupError):
-    """A jet variable had no substitution rule or point value."""
-
-
-class PoleError(ZeroDivisionError):
-    """A denominator evaluated to zero."""
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ParameterError
 from .jetalg import ONE, ZERO, P, DiffPoly, FieldId, JetQuotient, jet
-from .pfield import ParameterError
 
 POLY = "poly"
 RAT = "rat"

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .compat import CK_INDEPENDENTS, PDESystem, t_jet_split, t_matrix_witness
+from .errors import CompileError, NumericAbortError, PoleProximityError
 from .jetalg import DiffPoly
-from .pfield import CompileError, NumericAbortError, PoleProximityError
 
 
 # -- grids and derivative operators -------------------------------------------
@@ -279,6 +279,8 @@ def compile_system(sys: PDESystem) -> CompiledSystem:
     order of the T-solvability witness."""
     if tuple(sys.independents) != CK_INDEPENDENTS:
         raise CompileError("system must be in evolution form (X, Y, Z, T independents)")
+    if not sys.unknowns:
+        raise CompileError("system has no unknowns to integrate")
     rows, rests = t_jet_split(sys)
     _, pivots = t_matrix_witness(rows, sys)
     required = _jets([*(c for row in rows for c in row), *(q for rest in rests for q in rest)])
@@ -505,22 +507,19 @@ def integrate(cs: CompiledSystem, grid: Grid, state: dict, steps: int, dt: float
     y = np.empty(size)
     for i, u in enumerate(cs.unknowns):
         y[i] = state[u]
-    traj = Trajectory(deque([0.0], maxlen=3), deque([y], maxlen=3), [], grid, cs.unknowns)
-    dist = _min_pole_distance(y, poles)
-    if dist < guard:
-        raise PoleProximityError(0, dist, guard)
-    traj.monitors.append((0, 0.0, dist, float("nan"), float(np.abs(y).max())))
+    traj = Trajectory(deque(maxlen=3), deque(maxlen=3), [], grid, cs.unknowns)
     T = 0.0
-    for step in range(1, steps + 1):
-        y = rk4_step(y, T)
-        T += dt
+    for step in range(steps + 1):
+        if step:  # step 0 monitors the initial state
+            y = rk4_step(y, T)
+            T += dt
         if step % monitor_every == 0 or step == steps:
             if not np.isfinite(y).all():
                 u = next(u for u, a in zip(cs.unknowns, y) if not np.isfinite(a).all())
                 raise NumericAbortError(f"non-finite values in {u} at step {step}")
             dist = _min_pole_distance(y, poles)
             if dist < guard:
-                raise PoleProximityError(step, dist, guard)
+                raise PoleProximityError(f"pole proximity at step {step}: min distance {dist:.3e} < guard {guard:.3e}")
             traj.times.append(T)
             traj.states.append(y)
             res = float("nan")

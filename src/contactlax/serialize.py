@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 
 from .compat import PDESystem
+from .errors import ParameterError
 from .jetalg import ONE, DiffPoly, FieldId, JetQuotient, from_tree, jet, p_coefficients, write_tree
 from .laxfamilies import LaxPair, PoleSide
-from .pfield import ParameterError
 
 
 def write_document(doc) -> str:
@@ -113,7 +113,7 @@ def pdesystem_dumps(sys: PDESystem) -> str:
 
 def pdesystem_from_json(d: dict) -> PDESystem:
     """The system of a JSON document; refuses repeated unknowns, and pole
-    fields that are not two lists of unknowns, with ParameterError."""
+    fields that are not two lists of distinct unknowns, with ParameterError."""
     fields = {name: FieldId(name) for name in d["unknowns"]}
     if len(fields) != len(d["unknowns"]):
         raise ParameterError(f"repeated unknowns in {d['unknowns']}")
@@ -133,6 +133,8 @@ def pdesystem_from_json(d: dict) -> PDESystem:
         sides = prov["pole_fields"]
         if len(sides) != 2 or not all(isinstance(s, list) and all(n in fields for n in s) for s in sides):
             raise ParameterError(f"provenance.pole_fields must be two lists of unknowns, got {sides}")
+        if len({n for s in sides for n in s}) != sum(map(len, sides)):
+            raise ParameterError(f"provenance.pole_fields names an unknown twice: {sides}")
         prov["pole_fields"] = tuple(tuple(fields[n] for n in s) for s in sides)
     if "original_system" in prov:
         prov["original_system"] = pdesystem_from_json(prov["original_system"])

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from importlib.resources import files
 
-from .jetalg import FieldId, JetQuotient, StructureError, from_tree, total_derivative_q
+from .errors import StructureError
+from .jetalg import FieldId, JetQuotient, from_tree, total_derivative_q
 
 
 def quotient_from_tree(node, fields: dict[str, FieldId] | None = None) -> JetQuotient:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactlax.errors import ParameterError
 from contactlax.gauge import Q
 from contactlax.jetalg import (
     ONE,
@@ -26,7 +27,6 @@ from contactlax.jetalg import (
     total_derivative_q,
 )
 from contactlax.laxfamilies import POLY, RAT, RATGP, LaxPair
-from contactlax.pfield import ParameterError
 from contactlax.sampling import pole_pairs_for
 
 # the parameter p as a polynomial

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import pkgutil
 import platform
 import re
 import resource
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import contactlax
-from contactlax import cli, compat, gauge
+from contactlax import cli, compat, errors, gauge
 from contactlax.cli import main
 from contactlax.compat import ck_transform, derive
 from contactlax.laxfamilies import make_family
@@ -215,6 +216,53 @@ def test_verification_failure_exit_1(tmp_path, monkeypatch, capsys, args, key, p
     captured = capsys.readouterr()
     assert captured.err.strip() == rep["error"]
     assert key not in rep["verdicts"] and f"{key}:" not in captured.out
+
+
+# each engine error class: the builtin it is a kind of, and the exit code
+# the command line returns for it (None: it reaches the command line only
+# inside a malformed input file's ParameterError)
+_ENGINE_ERRORS = {
+    "StructureError": (ValueError, None), "CoverageError": (LookupError, None),
+    "PoleError": (ZeroDivisionError, None), "ParameterError": (ValueError, 2), "CompileError": (RuntimeError, 2),
+    "PoleProximityError": (RuntimeError, 3), "NumericAbortError": (RuntimeError, 3), "CheckFailed": (Exception, 1),
+    "DerivationError": (RuntimeError, 1), "TransformDegenerateError": (RuntimeError, 1),
+    "GaugeError": (RuntimeError, 1),
+}
+
+
+def test_every_engine_error_is_defined_in_errors():
+    defined = set()
+    for info in pkgutil.iter_modules(contactlax.__path__):
+        mod = importlib.import_module(f"contactlax.{info.name}")
+        defined |= {(info.name, name) for name, obj in vars(mod).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
+    assert defined == {("errors", name) for name in ("EngineError", *_ENGINE_ERRORS)}
+    for name, (builtin, code) in _ENGINE_ERRORS.items():
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.EngineError) and issubclass(cls, builtin), name
+        assert cls.exit_code == code, name
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_ERRORS))
+def test_run_maps_each_engine_error_to_its_exit_code(tmp_path, capsys, name):
+    # a stub command that raises the class: the exit code and prefix of
+    # its class, or, for a class without an exit code, the error itself
+    cls, code = getattr(errors, name), _ENGINE_ERRORS[name][1]
+
+    def stub(args, rep):
+        raise cls("what went wrong")
+
+    report = tmp_path / "report.json"
+    args = argparse.Namespace(command="stub", fn=stub, report_json=str(report))
+    if code is None:
+        with pytest.raises(cls, match="^what went wrong$"):
+            cli._run(args)
+        return
+    assert cli._run(args) == code
+    prefix = {1: "verification failure", 2: "parameter error", 3: "numerical abort"}[code]
+    rep = json.loads(report.read_text())
+    assert rep["error"] == f"{prefix}: what went wrong"
+    assert capsys.readouterr().err == rep["error"] + "\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -421,6 +469,13 @@ def _rat11_init(**entries):
     ({"unknowns": ["u", "w"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2,
       "provenance": {"pole_fields": ["u", "w"]}}, None,
      "provenance.pole_fields must be two lists of unknowns, got ['u', 'w']"),
+    # a pole field named twice leaves no point clear of the poles to sample
+    ({"unknowns": ["u", "w"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2,
+      "provenance": {"pole_fields": [["u"], ["u"]]}}, None,
+     "provenance.pole_fields names an unknown twice: [['u'], ['u']]"),
+    ({"unknowns": ["u", "w"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2,
+      "provenance": {"pole_fields": [["u", "u"], ["w"]]}}, None,
+     "provenance.pole_fields names an unknown twice: [['u', 'u'], ['w']]"),
     ({"unknowns": ["u", "u"], "independents": _XYZT, "equations": [{"op": "num", "value": "1"}] * 2}, None,
      "repeated unknowns in ['u', 'u']"),
     ("[" * 3000 + "]" * 3000, None, "RecursionError"),
@@ -437,7 +492,8 @@ def _rat11_init(**entries):
 ], ids=["unknown-op", "no-equations", "denominators-length", "init-not-json", "fractional-k", "four-entry-k",
         "nan-constant", "boolean-constant", "fourier-not-object", "init-extra-name", "init-constant-and-fourier",
         "init-not-object", "k-at-nyquist", "k-past-nyquist", "zero-denominator", "exponent-128",
-        "pole-field-not-unknown", "pole-fields-as-strings", "repeated-unknowns", "nested-3000-deep",
+        "pole-field-not-unknown", "pole-fields-as-strings", "pole-field-on-both-sides", "pole-field-twice-on-one-side",
+        "repeated-unknowns", "nested-3000-deep",
         "exponent-form-literal", "constant-to-the-1e8", "derivative-order-1e8"])
 def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, message):
     args = ["simulate", "--steps", "2"]
@@ -451,6 +507,34 @@ def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, m
     rep = json.loads(report.read_text())
     assert rep["error"].startswith("parameter error: malformed") and message in rep["error"]
     assert capsys.readouterr().err.strip() == rep["error"]
+
+
+def test_simulate_system_without_unknowns_is_a_parameter_error(tmp_path, capsys):
+    (tmp_path / "system.json").write_text(json.dumps({"unknowns": [], "independents": _XYZT, "equations": []}))
+    (tmp_path / "init.json").write_text("{}")
+    report = tmp_path / "report.json"
+    code = main(["simulate", "--system-json", str(tmp_path / "system.json"), "--init", str(tmp_path / "init.json"),
+                 "--report-json", str(report)])
+    assert code == 2
+    rep = json.loads(report.read_text())
+    assert rep["error"] == "parameter error: system has no unknowns to integrate"
+    assert capsys.readouterr().err.strip() == rep["error"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_checks_the_initial_state_as_a_monitored_step(tmp_path, capsys):
+    # a mean and an amplitude of 1e308 sum past the float range: step 0
+    # is refused as non-finite, as any monitored step would be
+    (tmp_path / "init.json").write_text(
+        _rat11_init(v1={"fourier": {"mean": 1e308, "modes": [{"k": [1, 0, 0], "amp": 1e308}]}}))
+    report, monitor = tmp_path / "report.json", tmp_path / "monitor.csv"
+    code = main(["simulate", "--init", str(tmp_path / "init.json"), "--grid", "8", "--steps", "0",
+                 "--monitor", str(monitor), "--report-json", str(report)])
+    assert code == 3
+    rep = json.loads(report.read_text())
+    assert rep["error"] == "numerical abort: non-finite values in v1 at step 0"
+    assert capsys.readouterr().err.strip() == rep["error"]
+    assert "final max field" not in rep["verdicts"] and not monitor.exists()
 
 
 def test_simulate_planar_system_is_a_parameter_error(tmp_path, capsys):
@@ -867,18 +951,19 @@ def test_simulate_requires_init_without_manufactured():
 def test_public_and_benchmarked_names_resolve():
     """Every exported name, and every engine function the benchmark's
     layer spans wrap, still exists, except the p-division, partial
-    fractions and p-polynomial collection the engine no longer has (a
-    span reads a missing target as zero)."""
+    fractions and p-polynomial collection, whose module the engine no
+    longer has (a span reads a missing target as zero)."""
     for name in contactlax.__all__:
         assert hasattr(contactlax, name), name
     spans = _module_at(_REPO / "perfbench" / "spans.py")
-    deleted = {("pfield", "partial_fraction"), ("pfield", "poly_div_exact"), ("pfield", "collect")}
+    gone = []
     for mod_name, name, _ in spans.TARGETS:
-        obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
-        if (mod_name, name) in deleted:
-            assert not hasattr(obj, name), f"{mod_name}.{name}"
+        if importlib.util.find_spec(f"{spans.PACKAGE}.{mod_name}") is None:
+            gone.append(name)
             continue
+        obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
         for part in name.split("."):
             assert hasattr(obj, part), f"{mod_name}.{name}"
             obj = getattr(obj, part)
         assert callable(obj), f"{mod_name}.{name}"
+    assert sorted(gone) == ["collect", "partial_fraction", "poly_div_exact"]

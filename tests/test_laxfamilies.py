@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from contactlax.compat import reduce_2plus1
+from contactlax.errors import ParameterError
 from contactlax.jetalg import ZERO, FieldId, JetQuotient, jet, p_coefficients
 from contactlax.laxfamilies import (
     LaxPair,
@@ -12,7 +13,6 @@ from contactlax.laxfamilies import (
     make_rat,
     make_ratgp,
 )
-from contactlax.pfield import ParameterError
 from conftest import expected_roster_size, p, p_coeffs, partial_fraction, prational_sum
 
 

@@ -641,15 +641,21 @@ def test_nan_aborts(cs):
 
 def test_non_finite_abort_names_the_field_and_step():
     # u_T = u_X and w_T = w_X are decoupled, so only w turns non-finite;
-    # the stacked state is checked as a whole, then searched for its name
+    # the stacked state is checked as a whole, then searched for its name.
+    # w starts finite, and its X-derivative overflows on the first step
     u, w = FieldId("u"), FieldId("w")
     sys = PDESystem((u, w), CK_INDEPENDENTS,
                     [(JetQuotient(jet(f, (0, 0, 0, 1)) - jet(f, (1, 0, 0, 0))),) for f in (u, w)], {})
     cs = compile_system(sys)
     grid = Grid((8, 8, 8))
     state = {"u": np.ones(grid.shape), "w": np.ones(grid.shape)}
+    state["w"][0, 0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericAbortError, match="^non-finite values in w at step 2$"):
+        integrate(cs, grid, state, 3, 0.01, monitor_every=2)
+    # the initial state is checked as every monitored state is
     state["w"][0, 0, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericAbortError, match="^non-finite values in w at step 2$"):
+    with pytest.raises(NumericAbortError, match="^non-finite values in w at step 0$"):
         integrate(cs, grid, state, 3, 0.01, monitor_every=2)
 
 

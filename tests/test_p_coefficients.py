@@ -1,7 +1,7 @@
 import pytest
 
+from contactlax.errors import ParameterError
 from contactlax.jetalg import ONE, ZERO, FieldId, JetQuotient, jet, p_coefficients
-from contactlax.pfield import ParameterError
 from conftest import from_p_coeffs, p, p_coeffs, partial_fraction, poly_divmod, prational_sum, random_rational
 
 VF, WF = FieldId("v"), FieldId("w")
