@@ -509,18 +509,6 @@ def test_simulate_malformed_input_files_exit_2(tmp_path, capsys, system, init, m
     assert capsys.readouterr().err.strip() == rep["error"]
 
 
-def test_simulate_system_without_unknowns_is_a_parameter_error(tmp_path, capsys):
-    (tmp_path / "system.json").write_text(json.dumps({"unknowns": [], "independents": _XYZT, "equations": []}))
-    (tmp_path / "init.json").write_text("{}")
-    report = tmp_path / "report.json"
-    code = main(["simulate", "--system-json", str(tmp_path / "system.json"), "--init", str(tmp_path / "init.json"),
-                 "--report-json", str(report)])
-    assert code == 2
-    rep = json.loads(report.read_text())
-    assert rep["error"] == "parameter error: system has no unknowns to integrate"
-    assert capsys.readouterr().err.strip() == rep["error"]
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_simulate_checks_the_initial_state_as_a_monitored_step(tmp_path, capsys):
     # a mean and an amplitude of 1e308 sum past the float range: step 0
@@ -733,12 +721,15 @@ def test_exact_commands_run_without_numpy(tmp_path):
      "parameter error: planar.json has independents (x, y, t), not (x, y, z, t) or (X, Y, Z, T)"),
     (["--grid", "4"], 2, "parameter error: grid must have at least 8 points per direction"),
     ([], 3, "numerical abort: pole proximity at step 0: min distance 5.000e-02 < guard 1.000e-01"),
-], ids=["planar-system", "small-grid", "pole-abort"])
+    (["--system-json", "empty.json", "--init", "none.json"], 2, "parameter error: system has no unknowns to integrate"),
+], ids=["planar-system", "small-grid", "pole-abort", "no-unknowns"])
 def test_simulate_errors_map_to_exit_codes_in_a_fresh_process(tmp_path, args, code, error):
     # simulate imports the integrator itself; its errors must still reach
     # their exit codes when nothing else has imported it
     assert main(["reduce21", "--family", "rat", "--out-json", str(tmp_path / "planar.json")]) == 0
     (tmp_path / "abort.json").write_text(_rat11_init(w1={"constant": -0.95}))
+    (tmp_path / "empty.json").write_text(json.dumps({"unknowns": [], "independents": _XYZT, "equations": []}))
+    (tmp_path / "none.json").write_text("{}")
     done = _cli(["simulate", "--init", "abort.json", "--grid", "8", "--steps", "2", *args,
                  "--report-json", "report.json"], tmp_path)
     assert done.returncode == code
